@@ -336,6 +336,16 @@ class GeometricData:
         return doc
 
 
+def _require_finite(what, arr, n):
+    """SchemaError naming the first grid node (row-major order) at which
+    the per-node array arr (*extents, ...) holds a NaN or an inf."""
+    bad = ~np.isfinite(arr)
+    if bad.any():
+        node = np.unravel_index(int(np.argmax(bad)), arr.shape)[:n]
+        raise SchemaError(f"{what}: non-finite value at node "
+                          f"{tuple(int(i) for i in node)}")
+
+
 def load_data(document: dict, tol=1e-10, validate=True) -> GeometricData:
     """Parse and validate a dataset document (already JSON-decoded).
 
@@ -366,6 +376,7 @@ def load_data(document: dict, tol=1e-10, validate=True) -> GeometricData:
             raise SchemaError(f"field {name}: {arr.size} values, want "
                               f"{int(np.prod(shape))}")
         fields[name] = arr.reshape(shape)
+        _require_finite(f"field {name}", fields[name], len(ext))
     derivs = None
     if "derivatives" in document:
         derivs = {}
@@ -377,10 +388,11 @@ def load_data(document: dict, tol=1e-10, validate=True) -> GeometricData:
             if arr.size != int(np.prod(shape)):
                 raise SchemaError(f"derivative {name}: wrong size")
             derivs[name] = arr.reshape(shape)
+            for k in range(n):
+                _require_finite(f"derivative d{name}/dx_{k}",
+                                derivs[name][k], len(ext))
     data = GeometricData(spec, warping, grid, derivs=derivs,
                          generator=document.get("generator"), **fields)
-    if not np.all(np.isfinite(data.pi)):
-        raise SchemaError("non-finite pi values")
     if validate:
         data.validate(tol=tol)
     return data

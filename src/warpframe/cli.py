@@ -9,7 +9,7 @@ Commands:
   warpframe examples                  list or write the fixture library
 
 Exit codes: 0 pass, 1 I/O or schema error, 2 invariant or residual failure,
-3 integrator blow-up. Set WARPFRAME_THREADS to cap worker threads.
+3 integrator blow-up.
 """
 
 from __future__ import annotations
@@ -39,6 +39,13 @@ def _positive_float(text):
     val = float(text)
     if val <= 0:
         raise argparse.ArgumentTypeError("tolerance must be positive")
+    return val
+
+
+def _positive_int(text):
+    val = int(text)
+    if val < 1:
+        raise argparse.ArgumentTypeError("must be a positive integer")
     return val
 
 
@@ -81,7 +88,7 @@ def _build_parser():
     pr.add_argument("--base-frame", default=None,
                     help="JSON file with the base frame matrix B0")
     pr.add_argument("--h-refine", type=int, choices=(1, 2, 4), default=1)
-    pr.add_argument("--renorm-interval", type=int, default=16)
+    pr.add_argument("--renorm-interval", type=_positive_int, default=16)
     pr.add_argument("--no-renorm", action="store_true")
     pr.add_argument("--force", action="store_true",
                     help="reconstruct even if verification fails")
@@ -92,7 +99,7 @@ def _build_parser():
     pt.add_argument("--example", required=True)
     pt.add_argument("--params", default=None)
     pt.add_argument("--h-refine", type=int, choices=(1, 2, 4), default=1)
-    pt.add_argument("--renorm-interval", type=int, default=16)
+    pt.add_argument("--renorm-interval", type=_positive_int, default=16)
     pt.add_argument("--no-renorm", action="store_true")
     _add_common(pt)
 

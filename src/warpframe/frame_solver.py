@@ -10,19 +10,21 @@ The (N+2) x (N+2) matrices of 1-forms:
 
 integrate_frame propagates B along axis-ordered lattice paths with
 per-step midpoint-sampled matrix exponentials (a second-order Lie-group
-scheme), optional periodic re-projection onto the pseudo-orthogonal group,
-and drift diagnostics. The row constraint B_{N+1, beta} = T_beta is never
-enforced, only measured: it must emerge from the equations themselves.
+scheme). The step generators depend on Upsilon only, never on B, so every
+propagator of an axis is computed before the sweep in one call of the
+batched exponential `expm`; the sweep then only multiplies, a block of
+`renorm_interval` steps at a time, with optional re-projection onto the
+pseudo-orthogonal group at each block end, and records drift diagnostics.
+The path-independence probe steps with the same kernel. The row constraint
+B_{N+1, beta} = T_beta is never enforced, only measured: it must emerge from
+the equations themselves.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-from scipy.linalg import expm
 
 from .bundle_data import GeometricData
 from .errors import IntegrationBlowup, InvariantViolation, NonConvergence
@@ -232,7 +234,60 @@ def assemble_forms(data: GeometricData, node) -> ConnectionForms:
 
 
 # ---------------------------------------------------------------------------
-# Group projection
+# Step kernel and group projection
+
+# Degree-7 diagonal Pade approximant of exp and the largest 1-norm at which
+# its backward error stays below the unit roundoff (Higham, "The scaling and
+# squaring method for the matrix exponential revisited", SIAM J. Matrix
+# Anal. Appl. 26 (2005), Table 2.3).
+_PADE7 = (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0,
+          56.0, 1.0)
+_THETA7 = 0.9504178996162932
+# Beyond 2^52 theta7 (about 4e15) the rounding of K alone changes exp(K) by
+# O(1): no digit of the result is significant.
+_MAX_SQUARINGS = 52
+
+
+def expm(K):
+    """Matrix exponential of one matrix or a stack (..., M, M).
+
+    Scaling and squaring with the degree-7 diagonal Pade approximant, as in
+    scipy.linalg.expm, but vectorized over the stack: each matrix gets its
+    own scaling exponent s (the smallest with |K/2^s|_1 <= theta7) and is
+    squared s times. It agrees with scipy to roundoff. A diagonal Pade
+    approximant maps a G-skew generator onto the group {Z : Z^t G Z = G}.
+    Matrices with non-finite entries or a 1-norm beyond about 4e15 (no
+    significant digit left) come out NaN, so a blown-up step stays
+    non-finite.
+    """
+    K = np.asarray(K, dtype=float)
+    M = K.shape[-1]
+    A = K.reshape((-1, M, M))
+    norm = np.abs(A).sum(axis=-2).max(axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.ceil(np.log2(norm / _THETA7))
+    bad = ~(s <= _MAX_SQUARINGS)
+    s = np.where(bad | (s < 0), 0, s).astype(int)
+    A = np.ldexp(np.where(bad[:, None, None], 0.0, A), -s[:, None, None])
+    b = _PADE7
+    eye = np.eye(M)
+    A2 = A @ A
+    A4 = A2 @ A2
+    A6 = A4 @ A2
+    U = A @ (b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * eye)
+    V = b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * eye
+    R = np.linalg.solve(V - U, V + U)
+    for k in range(int(s.max(initial=0))):
+        idx = np.flatnonzero(s > k)
+        R[idx] = R[idx] @ R[idx]
+    R[bad] = np.nan
+    return R.reshape(K.shape)
+
+
+def _group_defect(Z, g):
+    """Per-matrix max |Z^t G Z - G| of a stack, and Z^t G Z (G = diag g)."""
+    ztgz = np.einsum("...ji,j,...jl->...il", Z, g, Z)
+    return np.abs(ztgz - np.diag(g)).max(axis=(-1, -2)), ztgz
 
 
 def pseudo_orthonormalize(Z, G, tol: float = 1e-12, max_iter: int = 50):
@@ -249,12 +304,7 @@ def pseudo_orthonormalize(Z, G, tol: float = 1e-12, max_iter: int = 50):
     g = np.diag(np.asarray(G, dtype=float)).copy()
     M = Z.shape[-1]
     eye = np.eye(M)
-
-    def defect(W):
-        ztgz = np.einsum("...ji,j,...jl->...il", W, g, W)
-        return np.abs(ztgz - np.diag(g)).max(axis=(-1, -2)), ztgz
-
-    d0, ztgz = defect(Z)
+    d0, ztgz = _group_defect(Z, g)
     if np.any(d0 >= 0.5):
         raise NonConvergence(
             f"pseudo_orthonormalize: initial defect {float(d0.max()):.3f} "
@@ -266,8 +316,7 @@ def pseudo_orthonormalize(Z, G, tol: float = 1e-12, max_iter: int = 50):
             break
         GM = g[:, None] * ztgz[active]
         Z[active] = Z[active] @ (1.5 * eye - 0.5 * GM)
-        d_new, ztgz_new = defect(Z)
-        d, ztgz = d_new, ztgz_new
+        d, ztgz = _group_defect(Z, g)
     if np.any(d > tol):
         raise NonConvergence(
             f"pseudo_orthonormalize: defect {float(d.max()):.3e} after "
@@ -289,8 +338,7 @@ class FrameMatrix:
 
     def group_defect(self, G):
         g = np.diag(np.asarray(G, dtype=float))
-        ztgz = np.einsum("ji,j,jl->il", self.B, g, self.B)
-        return float(np.abs(ztgz - np.diag(g)).max())
+        return float(_group_defect(self.B, g)[0])
 
     def row_defect(self, data: GeometricData):
         Ta = data.delta_components(self.node)
@@ -354,16 +402,55 @@ class FrameField:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _thread_count():
-    try:
-        return max(1, int(os.environ.get("WARPFRAME_THREADS", "1")))
-    except ValueError:
-        return 1
+def _chain(B0, P, block, G=None):
+    """Running products B0 P[0], B0 P[0] P[1], ... of a stack of step
+    propagators P (L, *front, M, M), for a front of B0 (*front, M, M).
+
+    The steps are cut into blocks of `block`. The prefix products inside
+    every block are formed with `block` batched matmuls across all blocks;
+    the blocks are then walked in order, one matmul each. With the metric G
+    every full block ends with a re-projection onto the group, that is
+    steps `block`, 2 `block`, ... as counted from B0. A block end that
+    is non-finite stops the walk without being re-projected; the frames
+    after it stay NaN.
+
+    Returns the L frames and the largest group defect seen just before a
+    re-projection (0.0 when none happened).
+    """
+    L = P.shape[0]
+    nb = -(-L // block)
+    if nb * block > L:
+        eye = np.broadcast_to(np.eye(P.shape[-1]), (nb * block - L,)
+                              + P.shape[1:])
+        P = np.concatenate([P, eye])
+    Q = P.reshape((nb, block) + P.shape[1:]).copy()
+    for i in range(1, block):
+        Q[:, i] = Q[:, i - 1] @ Q[:, i]
+    out = np.full(Q.shape, np.nan)
+    pre = []
+    Bk = B0
+    for b in range(nb):
+        blk = np.matmul(Bk, Q[b], out=out[b])
+        Bk = blk[-1]
+        if G is not None and (b + 1) * block <= L:
+            if not np.all(np.isfinite(Bk)):
+                break
+            pre.append(Bk.copy())
+            Bk = blk[-1] = pseudo_orthonormalize(Bk, G)
+    worst = 0.0
+    if pre:
+        worst = float(_group_defect(np.stack(pre), np.diag(G))[0].max())
+    return out.reshape((nb * block,) + out.shape[2:])[:L], worst
+
+
+def _first_nonfinite(frames):
+    """Index of the first step whose frame has a non-finite entry, or None."""
+    bad = ~np.isfinite(frames.reshape(frames.shape[0], -1)).all(axis=1)
+    return int(np.argmax(bad)) if bad.any() else None
 
 
 def integrate_frame(data: GeometricData, B0, renorm_interval: int = 16,
                     renorm: bool = True, b0_tol: float = 1e-8,
-                    threads: int | None = None,
                     upsilon: np.ndarray | None = None) -> FrameField:
     """Propagate B across the grid from the base node.
 
@@ -372,7 +459,16 @@ def integrate_frame(data: GeometricData, B0, renorm_interval: int = 16,
     the group to the order of the step. Sweep order: axis 0 along the spine
     through the base node, then each further axis fans out from the filled
     region; all runs along one axis advance in lock step (vectorized over
-    the filled region), so results do not depend on the worker count.
+    the filled region).
+
+    The generators depend on Upsilon only, so the propagators of both
+    directions of an axis come from one call of the batched `expm` before
+    the axis is swept. Each direction is then chained in blocks of
+    `renorm_interval` steps, and with `renorm` the frame is re-projected
+    onto the group at every block end (steps renorm_interval,
+    2 renorm_interval, ... from the base node). One finiteness scan per
+    direction raises IntegrationBlowup naming the first non-finite
+    (axis, index); no re-projection is fed a non-finite frame.
 
     upsilon overrides the assembled form matrices (propagator testing and
     reuse of precomputed assemblies).
@@ -385,6 +481,8 @@ def integrate_frame(data: GeometricData, B0, renorm_interval: int = 16,
         node0, B0m = tuple(grid.base_node), np.asarray(B0, dtype=float)
     if node0 != tuple(grid.base_node):
         raise ValueError("B0 must live at the grid base node")
+    if renorm_interval < 1:
+        raise ValueError("renorm_interval must be at least 1")
     fm = FrameMatrix(B=B0m, node=node0)
     gd = fm.group_defect(spec.G)
     rd = fm.row_defect(data)
@@ -396,61 +494,52 @@ def integrate_frame(data: GeometricData, B0, renorm_interval: int = 16,
     Ups = upsilon if upsilon is not None else assemble_all(data)["Upsilon"]
     B = np.full(tuple(grid.extents) + (M, M), np.nan)
     B[node0] = B0m
-    threads = threads if threads is not None else _thread_count()
+    g = np.diag(spec.G)
+    worst_pre = 0.0
 
     for axis in range(n):
+        lead = (slice(None),) * axis
         suffix = tuple(grid.base_node[j] for j in range(axis + 1, n))
         h = grid.spacing[axis]
         bidx = grid.base_node[axis]
-
-        def run(lead_slice):
-            prefix = (lead_slice,) + tuple(slice(None) for _ in range(axis - 1)) \
-                if axis >= 1 else ()
-            for direction in (1, -1):
-                stop = grid.extents[axis] if direction > 0 else -1
-                steps = 0
-                for j in range(bidx + direction, stop, direction):
-                    prev = prefix + (j - direction,) + suffix
-                    cur = prefix + (j,) + suffix
-                    K = 0.5 * direction * h * (Ups[prev + (Ellipsis, axis)]
-                                               + Ups[cur + (Ellipsis, axis)])
-                    Bn = np.matmul(B[prev], expm(K))
-                    if not np.all(np.isfinite(Bn)):
-                        raise IntegrationBlowup(
-                            f"non-finite frame while stepping axis {axis} "
-                            f"to index {j}", node=(axis, j))
-                    steps += 1
-                    if renorm and steps % renorm_interval == 0:
-                        Bn = pseudo_orthonormalize(Bn, spec.G)
-                    B[cur] = Bn
-
-        if axis >= 1 and threads > 1:
-            lead = grid.extents[0]
-            chunks = np.array_split(np.arange(lead), threads)
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                list(pool.map(
-                    lambda ix: run(slice(int(ix[0]), int(ix[-1]) + 1)),
-                    [c for c in chunks if len(c)]))
-        else:
-            run(slice(None))
+        # Upsilon_axis along the axis, over the filled front: (ext, *front).
+        U = np.moveaxis(Ups[lead + (slice(None),) + suffix + (Ellipsis, axis)],
+                        axis, 0)
+        E = 0.5 * h * (U[:-1] + U[1:])        # generator of edge i -> i+1
+        P = expm(np.concatenate([E[bidx:], -E[:bidx][::-1]]))
+        start = B[lead + (bidx,) + suffix]
+        passes = ((1, P[:len(E) - bidx], slice(bidx + 1, None)),
+                  (-1, P[len(E) - bidx:], slice(bidx - 1, None, -1)))
+        for direction, Pd, span in passes:
+            if len(Pd) == 0:
+                continue
+            frames, worst = _chain(start, Pd, renorm_interval,
+                                   spec.G if renorm else None)
+            bad = _first_nonfinite(frames)
+            if bad is not None:
+                j = bidx + direction * (bad + 1)
+                raise IntegrationBlowup(
+                    f"non-finite frame while stepping axis {axis} to index "
+                    f"{j}", node=(axis, j))
+            worst_pre = max(worst_pre, worst)
+            B[lead + (span,) + suffix] = np.moveaxis(frames, 0, axis)
     steps_total = grid.num_nodes - 1
 
-    g = np.diag(spec.G)
-    ztgz = np.einsum("...ji,j,...jl->...il", B, g, B)
-    group_defect = np.abs(ztgz - np.diag(g)).max(axis=(-1, -2))
+    group_defect, _ = _group_defect(B, g)
     row_defect = np.abs(B[..., M - 1, :] - data.delta_all()).max(axis=-1)
     detB = np.linalg.det(B)
     det_drift = float(np.abs(np.abs(detB) - abs(np.linalg.det(B0m))).max())
+    Binv = np.linalg.inv(B)
     theta = 0.0
     for k in range(n):
         dB = grad1(B, k, grid.spacing[k])
-        theta = max(theta, float(np.abs(
-            np.linalg.solve(B, dB) - Ups[..., k]).max()))
+        theta = max(theta, float(np.abs(Binv @ dB - Ups[..., k]).max()))
     wg = tuple(int(i) for i in np.unravel_index(int(np.argmax(group_defect)),
                                                 group_defect.shape))
     diagnostics = {
         "max_group_defect": float(group_defect.max()),
         "worst_group_node": wg,
+        "max_preprojection_defect": worst_pre,
         "max_row_defect": float(row_defect.max()),
         "det_drift": det_drift,
         "theta_defect": theta,
@@ -463,10 +552,10 @@ def integrate_frame(data: GeometricData, B0, renorm_interval: int = 16,
 
 def _integrate_path(data, Ups, B0, order):
     """Single-path integration from the base node to the far corner,
-    consuming axes in the given order."""
+    consuming axes in the given order, with the sweep's step kernel."""
     grid = data.grid
     cur = list(grid.base_node)
-    B = np.asarray(B0, dtype=float).copy()
+    K, nodes = [], []
     for axis in order:
         h = grid.spacing[axis]
         target = grid.extents[axis] - 1
@@ -474,14 +563,19 @@ def _integrate_path(data, Ups, B0, order):
             direction = 1 if target > cur[axis] else -1
             nxt = list(cur)
             nxt[axis] += direction
-            K = 0.5 * direction * h * (Ups[tuple(cur)][..., axis]
-                                       + Ups[tuple(nxt)][..., axis])
-            B = B @ expm(K)
-            if not np.all(np.isfinite(B)):
-                raise IntegrationBlowup("non-finite frame on lattice path",
-                                        node=tuple(nxt))
+            K.append(0.5 * direction * h * (Ups[tuple(cur)][..., axis]
+                                            + Ups[tuple(nxt)][..., axis]))
+            nodes.append(tuple(nxt))
             cur = nxt
-    return B
+    B = np.asarray(B0, dtype=float)
+    if not K:
+        return B
+    frames, _ = _chain(B, expm(np.stack(K)), 16)   # never re-projected
+    bad = _first_nonfinite(frames)
+    if bad is not None:
+        raise IntegrationBlowup("non-finite frame on lattice path",
+                                node=nodes[bad])
+    return frames[-1]
 
 
 def path_independence_defect(data: GeometricData, B0, target=None,

@@ -248,6 +248,25 @@ class TestValidateCommand:
         assert "pi leaves" in out
 
 
+@pytest.mark.parametrize("command", ["validate", "verify"])
+@pytest.mark.parametrize("section, name, index, node", [
+    ("fields", "alpha", 0, "(0, 0)"),
+    ("fields", "pi", 9 * 4 + 7, "(4, 7)"),
+    ("derivatives", "T_comp", 81 * 2 + 1, "(0, 0)")])
+def test_non_finite_dataset_exits_one(command, section, name, index, node,
+                                      tmp_path, capsys):
+    # A NaN compares False against every tolerance; only the load-time
+    # gate keeps it from passing.
+    _, data = canonical_example("slice", {"n": 2, "grid_extents": [9, 9]})
+    doc = data.to_document()
+    doc[section][name][index] = float("nan")
+    bad = tmp_path / "nan.json"
+    bad.write_text(json.dumps(doc))
+    assert main([command, str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert name in err and f"node {node}" in err
+
+
 def test_h_refine_needs_generator_tag(slice_file, tmp_path):
     doc = json.loads(slice_file.read_text())
     doc.pop("generator")
@@ -259,3 +278,8 @@ def test_h_refine_needs_generator_tag(slice_file, tmp_path):
 def test_nonpositive_tolerance_rejected(slice_file):
     with pytest.raises(SystemExit):
         main(["verify", str(slice_file), "--tol", "-1.0"])
+
+
+def test_nonpositive_renorm_interval_rejected(slice_file):
+    with pytest.raises(SystemExit):
+        main(["reconstruct", str(slice_file), "--renorm-interval", "0"])

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from warpframe import (ChartGrid, GeometricData, SignatureSpec,
                        WarpingFunction, canonical_example, make_example)
 from warpframe.errors import (IntegrationBlowup, InvariantViolation,
                               NonConvergence)
 from warpframe.frame_solver import (assemble_all, assemble_forms,
-                                    build_base_frame, integrate_frame,
+                                    build_base_frame, expm, integrate_frame,
                                     path_independence_defect,
                                     pseudo_orthonormalize)
 from warpframe.oracle import exact_base_frame, exact_frame_field, induce_data
@@ -27,6 +30,34 @@ def taylor_expm(K, terms=40):
     for _ in range(s):
         out = out @ out
     return out
+
+
+def serial_sweep(data, B0, renorm_interval=16, renorm=True, upsilon=None):
+    """Step-by-step reference sweep: one scipy exponential and one matmul
+    per step, re-projection after every renorm_interval steps."""
+    grid, spec = data.grid, data.spec
+    n, M = spec.n, spec.size
+    base = tuple(grid.base_node)
+    Ups = upsilon if upsilon is not None else assemble_all(data)["Upsilon"]
+    B = np.full(tuple(grid.extents) + (M, M), np.nan)
+    B[base] = B0
+    for axis in range(n):
+        lead = (slice(None),) * axis
+        suffix = base[axis + 1:]
+        h = grid.spacing[axis]
+        for direction in (1, -1):
+            stop = grid.extents[axis] if direction > 0 else -1
+            js = range(base[axis] + direction, stop, direction)
+            for steps, j in enumerate(js, 1):
+                prev = lead + (j - direction,) + suffix
+                cur = lead + (j,) + suffix
+                K = 0.5 * direction * h * (Ups[prev + (Ellipsis, axis)]
+                                           + Ups[cur + (Ellipsis, axis)])
+                Bn = B[prev] @ scipy.linalg.expm(K)
+                if renorm and steps % renorm_interval == 0:
+                    Bn = pseudo_orthonormalize(Bn, spec.G)
+                B[cur] = Bn
+    return B
 
 
 def flat_strip_data(extent=9):
@@ -73,6 +104,89 @@ class TestAssembly:
         np.testing.assert_array_equal(
             cf.Upsilon, cf.Omega - cf.X)
         assert np.all(cf.W_forms[0] == 0.0)
+
+
+def flat_strip_data_2d():
+    """Constant fields on a 5 x 5 grid with the base node at a corner."""
+    spec = SignatureSpec.from_counts(2, 1, 1, 1, (1, 1), (1,))
+    w = WarpingFunction("constant")
+    grid = ChartGrid((5, 5), (0.1, 0.1), (0.0, 0.0), (0, 0))
+    return GeometricData(
+        spec, w, grid,
+        frame=np.broadcast_to(np.eye(2), (5, 5, 2, 2)).copy(),
+        omega_tangent=np.zeros((5, 5, 2, 2, 2)),
+        omega_bundle=np.zeros((5, 5, 1, 1, 2)),
+        alpha=np.zeros((5, 5, 1, 2, 2)),
+        T_comp=np.zeros((5, 5, 2)),
+        xi_comp=np.ones((5, 5, 1)),
+        pi=np.full((5, 5), 0.3))
+
+
+def _scaled(rng, shape, norm):
+    """Gaussian matrices rescaled to the given 1-norm."""
+    X = rng.standard_normal(shape)
+    return X * (norm / np.abs(X).sum(axis=-2).max(axis=-1))[..., None, None]
+
+
+def _rel(a, b):
+    return np.abs(a - b).max() / np.abs(b).max()
+
+
+class TestExpm:
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(M=st.integers(3, 7), seed=st.integers(0, 2**32 - 1),
+           log_norm=st.floats(-6.0, np.log10(30.0)))
+    def test_matches_scipy_per_matrix(self, M, seed, log_norm):
+        # One stack mixes the drawn norm with smaller and larger ones, so
+        # matrices with different scaling exponents share a call.
+        rng = np.random.default_rng(seed)
+        norms = 10.0 ** np.array([log_norm, -6.0, -2.0, 0.0, np.log10(30.0)])
+        K = _scaled(rng, (len(norms), M, M), norms)
+        got = expm(K)
+        for Ki, Ri in zip(K, got):
+            want = scipy.linalg.expm(Ki)
+            if _rel(Ri, want) <= 1e-12:
+                continue
+            # Near |K| = 30 scipy's own error can reach a few 1e-12 on
+            # strongly non-normal K; then a 40-digit exponential decides.
+            mpmath = pytest.importorskip("mpmath")
+            with mpmath.workdps(40):
+                exact = np.array(mpmath.expm(mpmath.matrix(Ki.tolist()))
+                                 .tolist(), dtype=float)
+            assert _rel(Ri, exact) <= 1e-13
+            assert _rel(Ri, exact) < _rel(want, exact)
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(signs=st.lists(st.sampled_from([1.0, -1.0]), min_size=3,
+                          max_size=7),
+           seed=st.integers(0, 2**32 - 1),
+           log_norm=st.floats(-6.0, np.log10(30.0)))
+    def test_g_skew_generator_stays_on_group(self, signs, seed, log_norm):
+        g = np.array(signs)
+        S = _scaled(np.random.default_rng(seed), (len(g), len(g)), 1.0)
+        K = g[:, None] * (S - S.T)           # G K is skew
+        K *= 10.0 ** log_norm / np.abs(K).sum(axis=0).max()
+        R = expm(K)
+        defect = np.abs(R.T @ np.diag(g) @ R - np.diag(g)).max()
+        # roundoff relative to |R|^2: boosts have large entries
+        assert defect <= 1e-13 * max(1.0, np.abs(R).max() ** 2)
+
+    def test_stack_shape_and_identity(self):
+        K = np.zeros((2, 3, 4, 4))
+        np.testing.assert_array_equal(expm(K), np.broadcast_to(
+            np.eye(4), K.shape))
+        assert expm(np.zeros((4, 4))).shape == (4, 4)
+
+    @pytest.mark.parametrize("K", [
+        np.full((3, 3), 1e160),
+        np.array([[0.0, 1e160], [-1e160, 0.0]]),   # a rotation generator
+        np.array([[np.nan, 0.0], [0.0, 0.0]]),
+        np.array([[np.inf, 0.0], [0.0, 0.0]])])
+    def test_blowup_generator_is_non_finite(self, K):
+        stack = np.stack([np.zeros_like(K), K])
+        out = expm(stack)
+        assert not np.any(np.isfinite(out[1]))
+        np.testing.assert_array_equal(out[0], np.eye(K.shape[0]))
 
 
 class TestPseudoOrthonormalize:
@@ -206,15 +320,59 @@ class TestIntegrateFrame:
                             omega_bundle=data.omega_bundle, alpha=al,
                             T_comp=data.T_comp, xi_comp=data.xi_comp,
                             pi=data.pi)
-        with pytest.raises(IntegrationBlowup):
+        with pytest.raises(IntegrationBlowup) as info:
             integrate_frame(bad, build_base_frame(bad), renorm=False)
+        # the first step of the first sweep direction is already non-finite
+        assert info.value.node == (0, data.grid.base_node[0] + 1)
 
-    def test_thread_count_does_not_change_bits(self, slice17):
+    def test_repeat_runs_are_bitwise_equal(self, slice17):
         _, data = slice17
         B0 = build_base_frame(data)
-        f1 = integrate_frame(data, B0, threads=1)
-        f3 = integrate_frame(data, B0, threads=3)
-        assert np.array_equal(f1.B, f3.B)
+        f1 = integrate_frame(data, B0)
+        f2 = integrate_frame(data, B0)
+        assert np.array_equal(f1.B, f2.B)
+
+    @pytest.mark.parametrize("fixture, interval, renorm", [
+        ("slice17", 4, True), ("slice17", 3, False),
+        ("helix65", 16, True), ("helix65", 5, True)])
+    def test_blocked_sweep_matches_serial_reference(self, fixture, interval,
+                                                    renorm, request):
+        # Blocking changes only the association order of the products.
+        _, data = request.getfixturevalue(fixture)
+        B0 = build_base_frame(data)
+        ff = integrate_frame(data, B0, renorm_interval=interval,
+                             renorm=renorm)
+        ref = serial_sweep(data, B0.B, interval, renorm)
+        assert np.abs(ff.B - ref).max() <= 1e-12
+
+    @pytest.mark.parametrize("interval", [1, 6, 40])
+    def test_reprojection_schedule_matches_serial_reference(self, interval):
+        # Generators off the algebra make B leave the group by ~1e-3 per
+        # step, so every re-projection visibly moves the frame.
+        data = flat_strip_data(extent=41)
+        rng = np.random.default_rng(7)
+        ups = 0.05 * rng.standard_normal(data.grid.extents + (3, 3, 1))
+        B0 = build_base_frame(data)
+        ff = integrate_frame(data, B0, renorm_interval=interval,
+                             upsilon=ups)
+        ref = serial_sweep(data, B0.B, interval, upsilon=ups)
+        assert np.abs(ff.B - ref).max() <= 1e-12
+        pre = ff.diagnostics["max_preprojection_defect"]
+        assert (pre > 1e-6) if interval <= 20 else (pre == 0.0)
+
+    def test_preprojection_defect_recorded(self, helix65):
+        _, data = helix65
+        B0 = build_base_frame(data)
+        ff = integrate_frame(data, B0, renorm_interval=8)
+        pre = ff.diagnostics["max_preprojection_defect"]
+        assert 0.0 < pre <= 1e-12
+        off = integrate_frame(data, B0, renorm=False)
+        assert off.diagnostics["max_preprojection_defect"] == 0.0
+
+    def test_interval_must_be_positive(self, slice17):
+        _, data = slice17
+        with pytest.raises(ValueError):
+            integrate_frame(data, build_base_frame(data), renorm_interval=0)
 
     def test_renormalization_engages_on_long_runs(self):
         _, data = canonical_example("helix", {"grid_extents": [129],
@@ -227,22 +385,20 @@ class TestIntegrateFrame:
 
 class TestPathIndependence:
     def test_flat_defect_zero(self):
-        spec = SignatureSpec.from_counts(2, 1, 1, 1, (1, 1), (1,))
-        w = WarpingFunction("constant")
-        grid = ChartGrid((5, 5), (0.1, 0.1), (0.0, 0.0), (0, 0))
-        data = GeometricData(
-            spec, w, grid,
-            frame=np.broadcast_to(np.eye(2), (5, 5, 2, 2)).copy(),
-            omega_tangent=np.zeros((5, 5, 2, 2, 2)),
-            omega_bundle=np.zeros((5, 5, 1, 1, 2)),
-            alpha=np.zeros((5, 5, 1, 2, 2)),
-            T_comp=np.zeros((5, 5, 2)),
-            xi_comp=np.ones((5, 5, 1)),
-            pi=np.full((5, 5), 0.3))
+        data = flat_strip_data_2d()
         zero = np.zeros((5, 5, 4, 4, 2))
         defect = path_independence_defect(data, build_base_frame(data).B,
                                           upsilon=zero)
         assert defect == 0.0
+
+    def test_blowup_names_first_node_on_path(self):
+        data = flat_strip_data_2d()
+        ups = np.zeros((5, 5, 4, 4, 2))
+        ups[2, 0] = np.nan          # reached by the axis-0-first path
+        with pytest.raises(IntegrationBlowup) as info:
+            path_independence_defect(data, build_base_frame(data).B,
+                                     upsilon=ups)
+        assert info.value.node == (2, 0)
 
     def test_second_order_convergence(self):
         defects = []
@@ -270,15 +426,6 @@ class TestPathIndependence:
                             T_comp=data.T_comp, xi_comp=data.xi_comp,
                             pi=data.pi)
         assert path_independence_defect(bad, B0) > 100.0 * base
-
-
-def test_worker_env_var_is_honored_and_bitwise_safe(slice17, monkeypatch):
-    _, data = slice17
-    B0 = build_base_frame(data)
-    ref = integrate_frame(data, B0, threads=1)
-    monkeypatch.setenv("WARPFRAME_THREADS", "4")
-    out = integrate_frame(data, B0)  # picks the env default
-    assert np.array_equal(ref.B, out.B)
 
 
 def test_row_constraint_emerges_without_renormalization(slice17):
