@@ -4,13 +4,12 @@ warped products over space forms."""
 from .ambient import (AmbientVector, SignatureSpec, WarpingFunction,
                       ambient_inner, curvature_bar, curvature_coefficients,
                       curvature_tilde, space_form_membership,
-                      validate_signature, warp_eval, warped_connection)
+                      validate_signature, warped_connection)
 from .bundle_data import (ChartGrid, FVector, GeometricData,
-                          delta_components, gram_schmidt_signed, load_data,
-                          s_tensor, shape_operator, whitney_derivative)
-from .frame_solver import (ConnectionForms, FrameField, FrameMatrix,
-                           assemble_forms, build_base_frame, integrate_frame,
-                           path_independence_defect, pseudo_orthonormalize)
+                          gram_schmidt_signed, load_data)
+from .frame_solver import (FrameField, FrameMatrix, build_base_frame,
+                           integrate_frame, path_independence_defect,
+                           pseudo_orthonormalize)
 from .immersion import (ImmersionField, Isometry, congruence_align,
                         extract_immersion, verify_immersion)
 from .oracle import (ExplicitImmersion, canonical_example, exact_base_frame,

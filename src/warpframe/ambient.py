@@ -296,11 +296,6 @@ class WarpingFunction:
                    table_a=tuple(d.get("table_a", ())))
 
 
-def warp_eval(w: WarpingFunction, t):
-    """(a, a', a'') at t; exact for analytic kinds, second order for tables."""
-    return w.eval(t)
-
-
 # ---------------------------------------------------------------------------
 # Tangent vectors of the warped product
 

@@ -428,24 +428,3 @@ def gram_schmidt_signed(vectors, gram, signs, tol=1e-10):
         out[..., i, :] = w / np.sqrt(signs[i] * q)[..., None]
     return out
 
-
-# Functional views of the derived-object operations.
-
-def delta_components(data: GeometricData, node):
-    """T_alpha = delta(e_alpha), alpha = 0..N+1, at one node."""
-    return data.delta_components(node)
-
-
-def shape_operator(data: GeometricData, node, eta):
-    """Matrix of A_eta in the tangent frame at one node."""
-    return data.shape_operator(node, eta)
-
-
-def s_tensor(data: GeometricData, node, X):
-    """S applied to a tangent vector (frame components) at one node."""
-    return data.s_tensor(node, X)
-
-
-def whitney_derivative(data: GeometricData, node, k, section):
-    """Covariant derivative of a TM + E section field along d/dx_k."""
-    return data.whitney_derivative(node, k, section)

@@ -42,13 +42,6 @@ def _positive_float(text):
     return val
 
 
-def _positive_int(text):
-    val = int(text)
-    if val < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
-    return val
-
-
 def _add_common(p):
     p.add_argument("--tol", type=_positive_float, default=None,
                    help="override the pass tolerance for every residual")
@@ -88,8 +81,6 @@ def _build_parser():
     pr.add_argument("--base-frame", default=None,
                     help="JSON file with the base frame matrix B0")
     pr.add_argument("--h-refine", type=int, choices=(1, 2, 4), default=1)
-    pr.add_argument("--renorm-interval", type=_positive_int, default=16)
-    pr.add_argument("--no-renorm", action="store_true")
     pr.add_argument("--force", action="store_true",
                     help="reconstruct even if verification fails")
     _add_common(pr)
@@ -99,8 +90,6 @@ def _build_parser():
     pt.add_argument("--example", required=True)
     pt.add_argument("--params", default=None)
     pt.add_argument("--h-refine", type=int, choices=(1, 2, 4), default=1)
-    pt.add_argument("--renorm-interval", type=_positive_int, default=16)
-    pt.add_argument("--no-renorm", action="store_true")
     _add_common(pt)
 
     pe = sub.add_parser("examples", help="list or write fixture datasets")
@@ -129,17 +118,18 @@ def _refined_data(data: GeometricData, factor: int) -> GeometricData:
         raise SchemaError(
             "--h-refine needs a dataset with a generator tag (only oracle-"
             "generated datasets can be re-sampled on a finer grid)")
-    name = data.generator["name"]
-    params = dict(data.generator.get("params", {}))
-    grid = data.grid.refine(factor)
-    params["grid_extents"] = list(grid.extents)
-    params["grid_spacing"] = list(grid.spacing)
-    params["grid_origin"] = list(grid.origin)
-    params["grid_base"] = list(grid.base_node)
-    attach = bool(data.derivs)
-    _, fine = oracle.canonical_example(
-        name, {**params, "attach_derivatives": attach})
+    params = {**data.generator.get("params", {}),
+              **oracle._grid_tag(data.grid.refine(factor)),
+              "attach_derivatives": bool(data.derivs)}
+    _, fine = oracle.canonical_example(data.generator["name"], params)
     return fine
+
+
+def _sup_ratios(coarse: ResidualReport, fine: ResidualReport) -> dict:
+    """Coarse over fine sup per entry; None where the fine sup is 0."""
+    return {key: (e.sup / fine.entries[key].sup
+                  if fine.entries[key].sup > 0 else None)
+            for key, e in coarse.entries.items()}
 
 
 def _emit_report(report: ResidualReport, args, name, outdir, meta=None):
@@ -195,11 +185,8 @@ def _cmd_verify(args):
     if args.h_refine > 1:
         fine = _refined_data(data, args.h_refine)
         rep_f = _all_residuals(fine, args.tol, args.force_fd)
-        ratios = {}
-        for key, e in rep.entries.items():
-            fs = rep_f.entries[key].sup
-            ratios[key] = (e.sup / fs) if fs > 0 else None
-        meta["refinement"] = {"factor": args.h_refine, "sup_ratios": ratios}
+        meta["refinement"] = {"factor": args.h_refine,
+                              "sup_ratios": _sup_ratios(rep, rep_f)}
         if outdir is not None:
             wio.save_report(rep_f, Path(outdir) / "residuals_refined.json")
     _emit_report(rep, args, "residuals.json", outdir, meta=meta)
@@ -212,9 +199,7 @@ def _reconstruct_once(data, args, outdir, suffix=""):
                          node=tuple(data.grid.base_node))
     else:
         B0 = build_base_frame(data)
-    ff = integrate_frame(data, B0,
-                         renorm_interval=args.renorm_interval,
-                         renorm=not args.no_renorm)
+    ff = integrate_frame(data, B0)
     imm = extract_immersion(ff, data)
     rep = verify_immersion(imm, data, tol=args.tol)
     pid = path_independence_defect(data, B0) if data.spec.n > 1 else 0.0
@@ -245,10 +230,7 @@ def _cmd_reconstruct(args):
     if args.h_refine > 1:
         fine = _refined_data(data, args.h_refine)
         imm2, rep2, diag2 = _reconstruct_once(fine, args, outdir, suffix="_refined")
-        ratios = {}
-        for key, e in rep.entries.items():
-            fs = rep2.entries[key].sup
-            ratios[key] = (e.sup / fs) if fs > 0 else None
+        ratios = _sup_ratios(rep, rep2)
         for key in ("max_row_defect", "path_independence_defect"):
             if diag2.get(key):
                 ratios[key] = diag[key] / diag2[key]
@@ -272,12 +254,8 @@ def _cmd_roundtrip(args):
     for level in range(2 if args.h_refine > 1 else 1):
         factor = args.h_refine ** level if args.h_refine > 1 else 1
         grid = imm0.grid.refine(factor)
-        p = dict(imm0.params)
-        p.update({"grid_extents": list(grid.extents),
-                  "grid_spacing": list(grid.spacing),
-                  "grid_origin": list(grid.origin),
-                  "grid_base": list(grid.base_node)})
-        imm = oracle.make_example(args.example, p)
+        imm = oracle.make_example(args.example,
+                                  {**imm0.params, **oracle._grid_tag(grid)})
         data = oracle.induce_data(imm)
         rep = _all_residuals(data, args.tol, args.force_fd)
         if not rep.passed:
@@ -286,8 +264,7 @@ def _cmd_roundtrip(args):
             return EXIT_FAIL
         B0 = FrameMatrix(B=oracle.exact_base_frame(imm),
                          node=tuple(grid.base_node))
-        ff = integrate_frame(data, B0, renorm_interval=args.renorm_interval,
-                             renorm=not args.no_renorm)
+        ff = integrate_frame(data, B0)
         rec = extract_immersion(ff, data)
         crep = verify_immersion(rec, data, tol=args.tol)
         ref = oracle.reference_field(imm)

@@ -7,6 +7,10 @@ exact first derivatives of quantities that are themselves first derivatives,
 nesting twice gives exact third derivatives, and so on. Everything here is
 plain product/chain-rule arithmetic; there is no expression graph.
 
+Jets of arrays also index, take block writes (``zeros`` gives a target) and
+contract (``einsum``, ``linear``), so tensor code written for arrays runs on
+them unchanged.
+
 Only analytic primitives are provided. Branching decisions (signs, pivots)
 must be taken on ``value(x)``, which strips all jet levels.
 """
@@ -29,6 +33,22 @@ class Jet:
 
     def __repr__(self):
         return f"Jet({self.val!r}, parts={len(self.parts)})"
+
+    # -- component access (array-valued jets) ------------------------------
+
+    def __getitem__(self, key):
+        return Jet(self.val[key], [p[key] for p in self.parts])
+
+    def __setitem__(self, key, other):
+        """Block write; a plain number or array is a constant (zero parts)."""
+        if isinstance(other, Jet):
+            self.val[key] = other.val
+            for p, q in zip(self.parts, other.parts):
+                p[key] = q
+        else:
+            self.val[key] = other
+            for p in self.parts:
+                p[key] = 0.0
 
     # -- ring operations ---------------------------------------------------
 
@@ -95,6 +115,43 @@ def part(x, k):
     if isinstance(x, Jet):
         return x.parts[k]
     return 0.0
+
+
+# Tensor operations on array-valued jets (parts shaped like the value).
+
+def zeros(shape, like):
+    """Zero array of the given shape, as a jet with the structure of
+    `like` when that is a jet; a target for block writes."""
+    if isinstance(like, Jet):
+        return Jet(zeros(shape, like.val), [zeros(shape, p) for p in like.parts])
+    return np.zeros(shape)
+
+
+def linear(fn, x):
+    """fn(x) for a linear map fn (a transpose, a copy, a reshape), applied
+    to the value and to every partial of a jet."""
+    if isinstance(x, Jet):
+        return Jet(linear(fn, x.val), [linear(fn, p) for p in x.parts])
+    return fn(x)
+
+
+def einsum(subscripts, *operands):
+    """np.einsum over jets and arrays. The product is multilinear, so each
+    partial is the sum over the jet operands of the product with that
+    operand replaced by its partial."""
+    if not any(isinstance(x, Jet) for x in operands):
+        return np.einsum(subscripts, *operands)
+    vals = [x.val if isinstance(x, Jet) else x for x in operands]
+    nparts = next(len(x.parts) for x in operands if isinstance(x, Jet))
+    parts = []
+    for k in range(nparts):
+        acc = 0.0
+        for i, x in enumerate(operands):
+            if isinstance(x, Jet):
+                acc = acc + einsum(subscripts,
+                                   *vals[:i], x.parts[k], *vals[i + 1:])
+        parts.append(acc)
+    return Jet(einsum(subscripts, *vals), parts)
 
 
 # Elementary functions. Each recurses so nested jets work unchanged.

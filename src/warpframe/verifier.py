@@ -28,6 +28,7 @@ import numpy as np
 
 from .ambient import curvature_coefficients
 from .bundle_data import GeometricData
+from .frame_solver import assemble_all, assembled_derivatives
 from .stencils import DerivativeSource, grad1, interior_mask
 
 
@@ -145,8 +146,7 @@ def _curvature_block(block, dblock, n):
     out = {}
     for k, l in _coordinate_pairs(n):
         d_form = dblock[k][..., l] - dblock[l][..., k]
-        wedge = (np.einsum("...ih,...hj->...ij", block[..., k], block[..., l])
-                 - np.einsum("...ih,...hj->...ij", block[..., l], block[..., k]))
+        wedge = block[..., k] @ block[..., l] - block[..., l] @ block[..., k]
         out[(k, l)] = d_form + wedge
     return out
 
@@ -285,8 +285,6 @@ def structure_residuals(data: GeometricData, tol: float | None = None,
 def aux_identity_residuals(data: GeometricData, tol: float | None = None,
                            force_fd: bool = False) -> ResidualReport:
     """Keys aux1..aux4; see the module docstring."""
-    from .frame_solver import assemble_all, assembled_derivatives
-
     spec, grid = data.spec, data.grid
     n = spec.n
     if tol is None:
@@ -382,8 +380,6 @@ def flatness_residual(data: GeometricData, tol: float | None = None,
     """d Upsilon + Upsilon ^ Upsilon on all coordinate 2-planes, plus the
     closed-form checks of its four pieces. One-dimensional charts have no
     coordinate 2-planes; every entry is then reported as zero with a note."""
-    from .frame_solver import assemble_all, assembled_derivatives
-
     spec, grid = data.spec, data.grid
     n = spec.n
     if tol is None:
@@ -415,8 +411,7 @@ def flatness_residual(data: GeometricData, tol: float | None = None,
           - ee[..., None] * Ta[..., :, None, None] * W[..., None, :, :])
 
     def wedge_mm(A, B, k, l):
-        return (np.einsum("...ag,...gb->...ab", A[..., k], B[..., l])
-                - np.einsum("...ag,...gb->...ab", A[..., l], B[..., k]))
+        return A[..., k] @ B[..., l] - A[..., l] @ B[..., k]
 
     worst = {key: np.zeros(grid.extents) for key in keys}
     for k, l in _coordinate_pairs(n):

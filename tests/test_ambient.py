@@ -4,7 +4,7 @@ import pytest
 from warpframe import (AmbientVector, SignatureSpec, WarpingFunction,
                        ambient_inner, curvature_bar, curvature_coefficients,
                        curvature_tilde, space_form_membership,
-                       validate_signature, warp_eval, warped_connection)
+                       validate_signature, warped_connection)
 from warpframe.ambient import quadric_inclusion_gauss_residual, quadric_project
 from warpframe.errors import DomainError
 
@@ -48,15 +48,15 @@ class TestSignature:
 class TestWarping:
     def test_constant(self):
         w = WarpingFunction("constant", amplitude=2.5)
-        a, a1, a2 = warp_eval(w, 0.7)
+        a, a1, a2 = w.eval(0.7)
         assert (a, a1, a2) == (2.5, 0.0, 0.0)
 
     def test_cosh_symmetry_point(self):
-        a, a1, a2 = warp_eval(WarpingFunction("cosh"), 0.0)
+        a, a1, a2 = WarpingFunction("cosh").eval(0.0)
         assert (a, a1, a2) == (1.0, 0.0, 1.0)
 
     def test_cos_at_pi_third(self):
-        a, a1, a2 = warp_eval(WarpingFunction("cos"), np.pi / 3)
+        a, a1, a2 = WarpingFunction("cos").eval(np.pi / 3)
         assert a == pytest.approx(0.5, abs=1e-14)
         assert a1 == pytest.approx(-np.sqrt(3) / 2, abs=1e-14)
         assert a2 == pytest.approx(-0.5, abs=1e-14)
@@ -64,18 +64,18 @@ class TestWarping:
     def test_domain_enforced(self):
         w = WarpingFunction("cosh", domain=(-1.0, 1.0))
         with pytest.raises(DomainError):
-            warp_eval(w, 2.0)
+            w.eval(2.0)
 
     def test_cos_positivity_enforced(self):
         w = WarpingFunction("cos", domain=(-3.0, 3.0))
         with pytest.raises(DomainError):
-            warp_eval(w, 2.0)
+            w.eval(2.0)
 
     def test_tabulated_matches_cosh(self):
         ts = np.linspace(-1, 1, 201)
         w = WarpingFunction("tabulated", domain=(-0.9, 0.9),
                             table_t=tuple(ts), table_a=tuple(np.cosh(ts)))
-        a, a1, a2 = warp_eval(w, 0.37)
+        a, a1, a2 = w.eval(0.37)
         h = ts[1] - ts[0]
         assert abs(a - np.cosh(0.37)) < 10 * h ** 2
         assert abs(a1 - np.sinh(0.37)) < 10 * h ** 2
@@ -254,7 +254,7 @@ class TestCurvatureTensors:
         p = np.array([0.0, 1.0, 0.0])
         for _ in range(10):
             t = rng.uniform(-0.7, 0.7)
-            a, _, a2 = warp_eval(w, t)
+            a, _, a2 = w.eval(t)
             V = AmbientVector.fiber_vector(rng.normal(size=3), t, p)
             W_ = AmbientVector.fiber_vector(rng.normal(size=3), t, p)
             dt = AmbientVector.dt(t, p)

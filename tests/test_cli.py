@@ -147,7 +147,7 @@ class TestReconstructCommand:
         doc.pop("derivatives")
         bad = tmp_path / "explosive.json"
         bad.write_text(json.dumps(doc))
-        rc = main(["reconstruct", str(bad), "--force", "--no-renorm"])
+        rc = main(["reconstruct", str(bad), "--force"])
         capsys.readouterr()
         assert rc == 3
 
@@ -280,6 +280,9 @@ def test_nonpositive_tolerance_rejected(slice_file):
         main(["verify", str(slice_file), "--tol", "-1.0"])
 
 
-def test_nonpositive_renorm_interval_rejected(slice_file):
-    with pytest.raises(SystemExit):
-        main(["reconstruct", str(slice_file), "--renorm-interval", "0"])
+def test_removed_renorm_flags_rejected(slice_file, capsys):
+    # Re-projection runs every 16 steps, always; the knobs are gone.
+    for flags in (["--renorm-interval", "8"], ["--no-renorm"]):
+        with pytest.raises(SystemExit):
+            main(["reconstruct", str(slice_file)] + flags)
+        assert "unrecognized arguments" in capsys.readouterr().err

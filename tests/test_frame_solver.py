@@ -1,18 +1,23 @@
+import functools
+
 import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from warpframe import (ChartGrid, GeometricData, SignatureSpec,
-                       WarpingFunction, canonical_example, make_example)
+from warpframe import (ChartGrid, ExplicitImmersion, GeometricData,
+                       SignatureSpec, WarpingFunction, canonical_example, jets,
+                       make_example)
 from warpframe.errors import (IntegrationBlowup, InvariantViolation,
                               NonConvergence)
-from warpframe.frame_solver import (assemble_all, assemble_forms,
-                                    build_base_frame, expm, integrate_frame,
+from warpframe.frame_solver import (_chain, assemble_all,
+                                    assembled_derivatives, build_base_frame,
+                                    expm, integrate_frame,
                                     path_independence_defect,
                                     pseudo_orthonormalize)
-from warpframe.oracle import exact_base_frame, exact_frame_field, induce_data
+from warpframe.oracle import (_grid_tag, exact_base_frame, exact_frame_field,
+                              induce_data)
 
 
 def taylor_expm(K, terms=40):
@@ -32,9 +37,9 @@ def taylor_expm(K, terms=40):
     return out
 
 
-def serial_sweep(data, B0, renorm_interval=16, renorm=True, upsilon=None):
+def serial_sweep(data, B0, upsilon=None):
     """Step-by-step reference sweep: one scipy exponential and one matmul
-    per step, re-projection after every renorm_interval steps."""
+    per step, re-projection after every 16 steps."""
     grid, spec = data.grid, data.spec
     n, M = spec.n, spec.size
     base = tuple(grid.base_node)
@@ -54,10 +59,22 @@ def serial_sweep(data, B0, renorm_interval=16, renorm=True, upsilon=None):
                 K = 0.5 * direction * h * (Ups[prev + (Ellipsis, axis)]
                                            + Ups[cur + (Ellipsis, axis)])
                 Bn = B[prev] @ scipy.linalg.expm(K)
-                if renorm and steps % renorm_interval == 0:
+                if steps % 16 == 0:
                     Bn = pseudo_orthonormalize(Bn, spec.G)
                 B[cur] = Bn
     return B
+
+
+def serial_chain(B0, P, interval, G=None):
+    """Step-by-step reference of _chain: one matmul per step and, with G, a
+    re-projection after every `interval` steps."""
+    out, B = [], B0
+    for steps, Pi in enumerate(P, 1):
+        B = B @ Pi
+        if G is not None and steps % interval == 0:
+            B = pseudo_orthonormalize(B, G)
+        out.append(B)
+    return np.stack(out)
 
 
 def flat_strip_data(extent=9):
@@ -76,34 +93,146 @@ def flat_strip_data(extent=9):
         pi=np.full((extent,), 0.3))
 
 
+def _oracle_case(name, **params):
+    def build(refine, warping):
+        grid = make_example(name, params).grid.refine(refine)
+        extra = {"warping": warping} if warping else {}
+        return make_example(name, {**params, **_grid_tag(grid), **extra})
+    return build
+
+
+def _tilted_desitter(refine, warping):
+    """A spacelike surface in -dt^2 + cosh(t)^2 g(S^2) whose height varies
+    across the chart: eps = -1 with T != 0, which no oracle family has."""
+    spec = SignatureSpec.from_counts(2, 1, -1, 1, (1, 1), (-1,))
+    grid = ChartGrid((9, 9), (0.05, 0.05), (-0.2, -0.2), (4, 4))
+
+    def map_fn(x):
+        p0 = jets.sqrt(1.0 - x[0] * x[0] - x[1] * x[1])
+        return 0.25 + 0.4 * x[0] + 0.3 * x[0] * x[1], [p0, x[0], x[1]]
+
+    return ExplicitImmersion(spec, WarpingFunction(warping or "cosh"),
+                             grid.refine(refine), map_fn)
+
+
+# One dataset per corner of the signature space: n = 1, 2 and 3, a
+# Lorentzian chart, eps = -1 with and without a vertical tangent part, and
+# a bundle of rank m = 2.
+SIGNATURE_CASES = {
+    "slice_n2": _oracle_case("slice", n=2),
+    "slice_n3": _oracle_case("slice", n=3, grid_extents=[7, 7, 7],
+                             grid_spacing=[0.05, 0.05, 0.05]),
+    "lorentz_cylinder": _oracle_case("lorentz_cylinder"),
+    "desitter_slice": _oracle_case("desitter_slice"),
+    "tilted_desitter": _tilted_desitter,
+    "great_subsphere": _oracle_case("great_subsphere"),
+    "helix": _oracle_case("helix"),
+}
+
+
+@functools.cache
+def signature_case(key, refine=1, warping=None):
+    """(ExplicitImmersion, GeometricData) of a signature case, on its grid
+    refined `refine` times, optionally with another warping function."""
+    imm = SIGNATURE_CASES[key](refine, warping)
+    return imm, induce_data(imm)
+
+
+def reference_forms(data, node):
+    """Omega and X (M, M, n) at one node, one entry at a time, from the
+    definitions in the frame_solver docstring: frame slot 0 is the fiber
+    normal, 1..n the tangent frame, n+1..n+m the bundle frame, N+1 the
+    vertical slot; omega_alpha is the coframe, T_alpha = delta(e_alpha)."""
+    spec = data.spec
+    n, m, M = spec.n, spec.m, spec.size
+    eps, sgn = spec.epsilon, spec.signs
+    C = data.inv_frame[node]                 # d/dx_k = sum_i C[k, i] e_i
+    Ta = data.delta_components(node)
+    a, a1, _ = (float(v[node]) for v in data.warp_values())
+
+    def coframe(al, k):
+        return C[k, al - 1] if 1 <= al <= n else 0.0
+
+    Om = np.zeros((M, M, n))
+    X = np.zeros((M, M, n))
+    for k in range(n):
+        S = data.s_tensor(node, C[k])        # S(d/dx_k)
+        for i in range(n):
+            Om[1 + i, 0, k] = -S.tangent[i]
+            for j in range(n):
+                Om[1 + i, 1 + j, k] = data.omega_tangent[node][i, j, k]
+        for u in range(m):
+            Om[1 + n + u, 0, k] = -S.bundle[u]
+            for v in range(m):
+                Om[1 + n + u, 1 + n + v, k] = data.omega_bundle[node][u, v, k]
+            for i in range(n):
+                # alpha(d/dx_k, e_i)^u
+                aki = sum(C[k, j] * data.alpha[node][u, j, i]
+                          for j in range(n))
+                Om[1 + n + u, 1 + i, k] = aki
+                Om[1 + i, 1 + n + u, k] = -sgn[1 + i] * sgn[1 + n + u] * aki
+        for be in range(1, M):
+            Om[0, be, k] = -sgn[0] * sgn[be] * Om[be, 0, k]
+        for al in range(M):
+            for be in range(M):
+                X[al, be, k] = eps * a1 / a * (
+                    Ta[be] * coframe(al, k)
+                    - sgn[al] * sgn[be] * Ta[al] * coframe(be, k))
+    return Om, X
+
+
 class TestAssembly:
-    def test_omega_is_group_skew(self, slice17):
-        _, data = slice17
-        forms = assemble_all(data)
-        g = np.asarray(data.spec.signs, dtype=float)
-        Om = forms["Omega"]
-        skew = Om + np.einsum("a,b,...bak->...abk", g, g, Om)
-        assert np.abs(skew).max() <= 1e-14
+    def test_omega_is_group_skew(self):
+        for key in SIGNATURE_CASES:
+            _, data = signature_case(key)
+            g = np.asarray(data.spec.signs, dtype=float)
+            Om = assemble_all(data)["Omega"]
+            skew = Om + np.einsum("a,b,...bak->...abk", g, g, Om)
+            assert np.abs(skew).max() <= 1e-14, key
 
     def test_constant_warping_kills_X(self):
-        data = flat_strip_data()
-        forms = assemble_all(data)
-        assert np.abs(forms["X"]).max() == 0.0
+        assert np.abs(assemble_all(flat_strip_data())["X"]).max() == 0.0
+        for key in SIGNATURE_CASES:
+            _, data = signature_case(key, warping="constant")
+            assert np.abs(assemble_all(data)["X"]).max() == 0.0, key
 
-    def test_upsilon_traceless(self, slice17):
-        _, data = slice17
-        Up = assemble_all(data)["Upsilon"]
-        tr = np.einsum("...aak->...k", Up)
-        assert np.abs(tr).max() <= 1e-15
+    def test_upsilon_traceless(self):
+        for key in SIGNATURE_CASES:
+            _, data = signature_case(key)
+            tr = np.einsum("...aak->...k", assemble_all(data)["Upsilon"])
+            assert np.abs(tr).max() <= 1e-15, key
 
-    def test_single_node_view(self, slice17):
-        _, data = slice17
-        cf = assemble_forms(data, (8, 8))
+    @pytest.mark.parametrize("key", SIGNATURE_CASES)
+    def test_matches_scalar_transcription(self, key, rng):
+        _, data = signature_case(key)
         forms = assemble_all(data)
-        np.testing.assert_array_equal(cf.Upsilon, forms["Upsilon"][8, 8])
-        np.testing.assert_array_equal(
-            cf.Upsilon, cf.Omega - cf.X)
-        assert np.all(cf.W_forms[0] == 0.0)
+        ext = data.grid.extents
+        for _ in range(5):
+            node = tuple(int(rng.integers(e)) for e in ext)
+            Om, X = reference_forms(data, node)
+            np.testing.assert_allclose(forms["Omega"][node], Om,
+                                       rtol=0, atol=1e-14)
+            np.testing.assert_allclose(forms["X"][node], X, rtol=0,
+                                       atol=1e-14)
+            np.testing.assert_array_equal(forms["Upsilon"][node],
+                                          forms["Omega"][node]
+                                          - forms["X"][node])
+
+    @pytest.mark.parametrize("key", SIGNATURE_CASES)
+    def test_analytic_derivatives_match_fd(self, key):
+        # Jet assembly against second-order differences of the numeric
+        # one: the gap is the FD error, so it falls about 4x per halving
+        # of h.
+        gaps = []
+        for refine in (1, 2):
+            _, data = signature_case(key, refine)
+            exact = assembled_derivatives(data)
+            fd = assembled_derivatives(data, force_fd=True)
+            gaps.append(max(np.abs(e - f).max()
+                            for name in exact
+                            for e, f in zip(exact[name], fd[name])))
+        assert gaps[1] <= 10.0 * data.grid.max_spacing ** 2
+        assert 3.3 <= gaps[0] / gaps[1] <= 4.7
 
 
 def flat_strip_data_2d():
@@ -272,7 +401,7 @@ class TestIntegrateFrame:
         spread = np.abs(Ups - Ups[16]).max()
         assert spread <= 1e-12   # constant along the geodesic
         B0 = build_base_frame(data)
-        ff = integrate_frame(data, B0, renorm=False)
+        ff = integrate_frame(data, B0)
         s_total = 0.03 * 16
         want = B0.B @ taylor_expm(s_total * Ups[16][..., 0])
         got = ff.B[32]
@@ -298,7 +427,7 @@ class TestIntegrateFrame:
             imm = make_example("slice", {"n": 2, "grid_extents": [ext, ext],
                                          "grid_spacing": [sp, sp]})
             data = induce_data(imm)
-            ff = integrate_frame(data, exact_base_frame(imm), renorm=False)
+            ff = integrate_frame(data, exact_base_frame(imm))
             errs.append(np.abs(ff.B - exact_frame_field(imm)).max())
         assert 3.2 <= errs[0] / errs[1] <= 4.8
 
@@ -321,7 +450,7 @@ class TestIntegrateFrame:
                             T_comp=data.T_comp, xi_comp=data.xi_comp,
                             pi=data.pi)
         with pytest.raises(IntegrationBlowup) as info:
-            integrate_frame(bad, build_base_frame(bad), renorm=False)
+            integrate_frame(bad, build_base_frame(bad))
         # the first step of the first sweep direction is already non-finite
         assert info.value.node == (0, data.grid.base_node[0] + 1)
 
@@ -332,53 +461,71 @@ class TestIntegrateFrame:
         f2 = integrate_frame(data, B0)
         assert np.array_equal(f1.B, f2.B)
 
-    @pytest.mark.parametrize("fixture, interval, renorm", [
-        ("slice17", 4, True), ("slice17", 3, False),
-        ("helix65", 16, True), ("helix65", 5, True)])
-    def test_blocked_sweep_matches_serial_reference(self, fixture, interval,
-                                                    renorm, request):
-        # Blocking changes only the association order of the products.
+    @pytest.mark.parametrize("fixture", ["slice17", "helix65"])
+    def test_sweep_matches_serial_reference(self, fixture, request):
         _, data = request.getfixturevalue(fixture)
         B0 = build_base_frame(data)
-        ff = integrate_frame(data, B0, renorm_interval=interval,
-                             renorm=renorm)
-        ref = serial_sweep(data, B0.B, interval, renorm)
-        assert np.abs(ff.B - ref).max() <= 1e-12
+        ff = integrate_frame(data, B0)
+        assert np.abs(ff.B - serial_sweep(data, B0.B)).max() <= 1e-12
 
-    @pytest.mark.parametrize("interval", [1, 6, 40])
-    def test_reprojection_schedule_matches_serial_reference(self, interval):
+    def test_sweep_reprojects_every_16_steps(self):
         # Generators off the algebra make B leave the group by ~1e-3 per
         # step, so every re-projection visibly moves the frame.
         data = flat_strip_data(extent=41)
         rng = np.random.default_rng(7)
         ups = 0.05 * rng.standard_normal(data.grid.extents + (3, 3, 1))
         B0 = build_base_frame(data)
-        ff = integrate_frame(data, B0, renorm_interval=interval,
-                             upsilon=ups)
-        ref = serial_sweep(data, B0.B, interval, upsilon=ups)
+        ff = integrate_frame(data, B0, upsilon=ups)
+        ref = serial_sweep(data, B0.B, upsilon=ups)
         assert np.abs(ff.B - ref).max() <= 1e-12
-        pre = ff.diagnostics["max_preprojection_defect"]
+        assert ff.diagnostics["max_preprojection_defect"] > 1e-6
+
+    @pytest.mark.parametrize("fixture, interval, renorm", [
+        ("slice17", 4, True), ("slice17", 3, False),
+        ("helix65", 16, True), ("helix65", 5, True)])
+    def test_blocked_sweep_matches_serial_reference(self, fixture, interval,
+                                                    renorm, request):
+        # Blocking changes only the association order of the products.
+        # Every grid line along the last axis is stepped from the base
+        # frame; the front of the chain spans the other axes.
+        _, data = request.getfixturevalue(fixture)
+        ax = data.spec.n - 1
+        U = np.moveaxis(assemble_all(data)["Upsilon"][..., ax], ax, 0)
+        P = scipy.linalg.expm(0.5 * data.grid.spacing[ax] * (U[:-1] + U[1:]))
+        B0 = np.broadcast_to(build_base_frame(data).B, P.shape[1:])
+        G = data.spec.G if renorm else None
+        frames, _ = _chain(B0, P, interval, G)
+        ref = serial_chain(B0, P, interval, G)
+        assert np.abs(frames - ref).max() <= 1e-12
+
+    @pytest.mark.parametrize("interval", [1, 6, 40])
+    def test_reprojection_schedule_matches_serial_reference(self, interval):
+        # Steps off the group by ~1e-3 each, so every re-projection
+        # visibly moves the frame.
+        data = flat_strip_data()
+        rng = np.random.default_rng(7)
+        P = scipy.linalg.expm(0.005 * rng.standard_normal((20, 3, 3)))
+        B0 = build_base_frame(data).B
+        frames, pre = _chain(B0, P, interval, data.spec.G)
+        ref = serial_chain(B0, P, interval, data.spec.G)
+        assert np.abs(frames - ref).max() <= 1e-12
         assert (pre > 1e-6) if interval <= 20 else (pre == 0.0)
 
     def test_preprojection_defect_recorded(self, helix65):
         _, data = helix65
         B0 = build_base_frame(data)
-        ff = integrate_frame(data, B0, renorm_interval=8)
+        ff = integrate_frame(data, B0)
         pre = ff.diagnostics["max_preprojection_defect"]
         assert 0.0 < pre <= 1e-12
-        off = integrate_frame(data, B0, renorm=False)
-        assert off.diagnostics["max_preprojection_defect"] == 0.0
-
-    def test_interval_must_be_positive(self, slice17):
-        _, data = slice17
-        with pytest.raises(ValueError):
-            integrate_frame(data, build_base_frame(data), renorm_interval=0)
+        # Without G the chain re-projects nothing and records nothing.
+        P = expm(np.zeros((40,) + B0.B.shape))
+        assert _chain(B0.B, P, 8)[1] == 0.0
 
     def test_renormalization_engages_on_long_runs(self):
         _, data = canonical_example("helix", {"grid_extents": [129],
                                               "grid_spacing": [0.015]})
         B0 = build_base_frame(data)
-        ff = integrate_frame(data, B0, renorm_interval=16, renorm=True)
+        ff = integrate_frame(data, B0)
         assert ff.diagnostics["max_group_defect"] <= 1e-8
         assert ff.diagnostics["steps"] == 128
 
@@ -429,10 +576,13 @@ class TestPathIndependence:
 
 
 def test_row_constraint_emerges_without_renormalization(slice17):
-    # the vertical-component row is never written by the integrator; with
-    # drift control fully off it must still track T_beta at second order
+    # the vertical-component row is never written by the integrator; it
+    # must still track T_beta at second order. Every re-projection here
+    # meets a defect below the projection tolerance and returns its input,
+    # so the frames are those of a run without drift control.
     imm, data = slice17
-    ff = integrate_frame(data, build_base_frame(data), renorm=False)
+    ff = integrate_frame(data, build_base_frame(data))
+    assert ff.diagnostics["max_preprojection_defect"] <= 1e-12
     h = data.grid.max_spacing
     assert ff.diagnostics["max_row_defect"] <= 10 * h * h
     assert ff.diagnostics["max_group_defect"] <= 10 * h * h

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from warpframe import jets
 from warpframe.jets import Jet, cos, cosh, exp, part, seed, sin, sqrt, value
 
 
@@ -59,3 +60,54 @@ def test_numpy_defers_to_jet():
     f = np.array([3.0, 4.0]) * X
     assert isinstance(f, Jet)
     np.testing.assert_array_equal(value(part(f, 0)), [3.0, 4.0])
+
+
+def _line(rng, shape, nparts=2):
+    """A jet of arrays: a random value with random partials."""
+    return Jet(rng.standard_normal(shape),
+               [rng.standard_normal(shape) for _ in range(nparts)])
+
+
+def test_einsum_follows_the_product_rule(rng):
+    A, B = _line(rng, (5, 3, 4)), _line(rng, (5, 4, 2))
+    K = rng.standard_normal((4, 2))          # a constant operand
+    got = jets.einsum("...ij,...jk,jk->...ik", A, B, K)
+    np.testing.assert_allclose(got.val, A.val @ (B.val * K), atol=1e-14)
+    for k in range(2):
+        want = A.parts[k] @ (B.val * K) + A.val @ (B.parts[k] * K)
+        np.testing.assert_allclose(got.parts[k], want, atol=1e-14)
+    plain = jets.einsum("...ij->...ji", A.val)
+    assert not isinstance(plain, Jet)
+
+
+def test_einsum_on_nested_jets():
+    # sum_i v_i t w_i t = (v . w) t^2: second derivative 2 (v . w)
+    t = seed([np.full(3, 0.5)], 2)[0]
+    v, w = np.array([1.0, 2.0, 3.0]), np.array([0.5, -1.0, 4.0])
+    f = jets.einsum("i,i->", v * t, w * t)
+    assert value(f) == pytest.approx(0.25 * v @ w)
+    assert value(part(f, 0)) == pytest.approx(v @ w)
+    assert value(part(part(f, 0), 0)) == pytest.approx(2 * v @ w)
+
+
+def test_block_writes_and_indexing(rng):
+    row = _line(rng, (4,))
+    Z = jets.zeros((3, 4), like=row)
+    Z[0] = row
+    Z[2, 1:] = np.ones(3)                    # a constant: zero partials
+    np.testing.assert_array_equal(Z[0].val, row.val)
+    for p, q in zip(Z[0].parts, row.parts):
+        np.testing.assert_array_equal(p, q)
+    np.testing.assert_array_equal(Z.val[2], [0.0, 1.0, 1.0, 1.0])
+    assert all(not p[1:].any() for p in Z.parts)
+    col = Z[:, None, 2]
+    assert col.val.shape == (3, 1) and col.parts[1].shape == (3, 1)
+    assert isinstance(jets.zeros((2,), like=1.0), np.ndarray)
+
+
+def test_linear_maps_value_and_partials(rng):
+    A = _line(rng, (2, 3))
+    T = jets.linear(np.transpose, A)
+    np.testing.assert_array_equal(T.val, A.val.T)
+    np.testing.assert_array_equal(T.parts[1], A.parts[1].T)
+    np.testing.assert_array_equal(jets.linear(np.transpose, A.val), A.val.T)
