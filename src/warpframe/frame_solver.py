@@ -9,7 +9,14 @@ The (N+2) x (N+2) matrices of 1-forms:
 * Upsilon = Omega - X, the matrix integrated by the frame field.
 
 One tensor routine assembles them: on arrays for the forms themselves, on
-jets of arrays for their exact coordinate derivatives.
+jets of arrays for their exact coordinate derivatives. It works
+component-major (component axes first, grid axes last), so every broadcast
+runs its inner loop over the grid. assemble_all runs it once per dataset:
+the result is kept in GeometricData._cache (the data never changes after
+load), every array is read-only, and each call returns the same arrays as
+grid-major views (*ext, M, M, n) of that component-major memory. The
+verifier moves the axes back and reads the component-major blocks without
+a copy.
 
 integrate_frame propagates B along axis-ordered lattice paths with
 per-step midpoint-sampled matrix exponentials (a second-order Lie-group
@@ -49,9 +56,14 @@ def _grid_last(x, nd):
 
 
 def _grid_first(x, nd):
-    """Inverse of _grid_last."""
-    return jets.linear(lambda v: np.ascontiguousarray(
-        np.moveaxis(v, range(-nd, 0), range(nd))), x)
+    """(*comp, *ext) -> (*ext, *comp), a view: the inverse of _grid_last."""
+    return jets.linear(lambda v: np.moveaxis(v, range(-nd, 0), range(nd)), x)
+
+
+def _pattern(v, nd):
+    """Per-component constants (the same signs at every node), broadcast
+    over nd trailing grid axes."""
+    return v.reshape(v.shape + (1,) * nd)
 
 
 def _assemble(spec, C, T, xi, alpha, omega_t, omega_b, a, a1):
@@ -65,19 +77,17 @@ def _assemble(spec, C, T, xi, alpha, omega_t, omega_b, a, a1):
     n, m, M = spec.n, spec.m, spec.size
     eps, c = spec.epsilon, spec.c
     ext = np.shape(jets.value(a))
+    nd = len(ext)
     sgn = np.asarray(spec.signs, dtype=float)
-
-    def pattern(v):                    # the same signs at every node
-        return v.reshape(v.shape + (1,) * len(ext))
 
     tan, bun = slice(1, n + 1), slice(n + 1, n + m + 1)
     fib = slice(1, n + m + 1)
 
-    sT = pattern(sgn[tan]) * T
+    sT = _pattern(sgn[tan], nd) * T
     delta = jets.einsum("ki...,i...->k...", C, sT)            # delta(d/dx_k)
     Ta = jets.zeros((M,) + ext, like=C)
     Ta[tan] = sT
-    Ta[bun] = pattern(sgn[bun]) * xi
+    Ta[bun] = _pattern(sgn[bun], nd) * xi
     W = jets.zeros((M, n) + ext, like=C)
     W[tan] = jets.einsum("ki...->ik...", C)
 
@@ -89,40 +99,65 @@ def _assemble(spec, C, T, xi, alpha, omega_t, omega_b, a, a1):
     Om = jets.zeros((M, M, n) + ext, like=C)
     Om[tan, 0] = -jets.einsum("ki...->ik...", s_tan)
     Om[bun, 0] = -jets.einsum("ku...->uk...", s_bun)
-    Om[0, fib] = pattern((-sgn[0] * sgn[fib])[:, None]) * Om[fib, 0]
+    Om[0, fib] = _pattern((-sgn[0] * sgn[fib])[:, None], nd) * Om[fib, 0]
     Om[tan, tan] = omega_t
     Om[bun, bun] = omega_b
     acc = jets.einsum("kj...,uji...->uik...", C, alpha)
     Om[bun, tan] = acc
-    Om[tan, bun] = (pattern((-sgn[tan, None] * sgn[bun])[..., None])
+    Om[tan, bun] = (_pattern((-sgn[tan, None] * sgn[bun])[..., None], nd)
                     * jets.einsum("uik...->iuk...", acc))
 
     fac = eps * a1 / a
-    ee = pattern((sgn[:, None] * sgn)[..., None])
+    ee = _pattern((sgn[:, None] * sgn)[..., None], nd)
     X = fac * (Ta[None, :, None] * W[:, None]
                - ee * Ta[:, None, None] * W[None])
     return Om, X, W
 
 
 def assemble_all(data: GeometricData) -> dict:
-    """Omega, X, Upsilon (*ext, M, M, n) and W (*ext, M, n) at every node."""
-    nd = data.grid.n
-    a, a1, _ = data.warp_values()
-    Om, X, W = _assemble(data.spec, *(
-        _grid_last(getattr(data, name), nd) for name in _ASSEMBLY_FIELDS),
-        a, a1)
-    Om, X, W = (_grid_first(v, nd) for v in (Om, X, W))
-    return {"Omega": Om, "X": X, "Upsilon": Om - X, "W": W}
+    """Omega, X, Upsilon (*ext, M, M, n) and W (*ext, M, n) at every node.
+
+    Assembled on the first call for a dataset and kept in data._cache;
+    every later call returns the same read-only arrays. They are grid-major
+    views of component-major memory (_grid_last of one is a view again).
+    """
+    if "assembly" not in data._cache:
+        nd = data.grid.n
+        a, a1, _ = data.warp_values()
+        Om, X, W = _assemble(data.spec, *(
+            _grid_last(getattr(data, name), nd) for name in _ASSEMBLY_FIELDS),
+            a, a1)
+        forms = {"Omega": Om, "X": X, "Upsilon": Om - X, "W": W}
+        for v in forms.values():
+            v.setflags(write=False)
+        data._cache["assembly"] = {k: _grid_first(v, nd)
+                                   for k, v in forms.items()}
+    return dict(data._cache["assembly"])
+
+
+def inv_frame_derivatives(data: GeometricData) -> list:
+    """d(inv_frame)/dx_k = -C dF/dx_k C from the dataset's frame derivatives
+    (finite differences of the frame where the dataset carries none), one
+    (*ext, n, n) array per k. Computed once per dataset."""
+    if "d_inv_frame" not in data._cache:
+        C = data.inv_frame
+        ds = DerivativeSource(data)
+        dC = [-(C @ ds.field("frame", k) @ C) for k in range(data.grid.n)]
+        for v in dC:
+            v.setflags(write=False)
+        data._cache["d_inv_frame"] = dC
+    return data._cache["d_inv_frame"]
 
 
 def assembled_derivatives(data: GeometricData, force_fd: bool = False) -> dict:
     """Coordinate derivatives of the assembled matrices.
 
     Returns {"Omega": [dOmega/dx_k ...], "X": [...], "Upsilon": [...]},
-    each entry shaped like the assembled array. With analytic dataset
-    derivatives the assembly is re-run on jets (exact chain rule through
-    the S tensor and the warp factors); otherwise finite differences of the
-    numeric assembly are used.
+    each entry shaped like the assembled array (grid-major views of
+    component-major memory, as there). With analytic dataset derivatives
+    the assembly is re-run on jets (exact chain rule through the S tensor
+    and the warp factors); otherwise finite differences of the memoized
+    assembly are used.
     """
     spec = data.spec
     n = spec.n
@@ -132,9 +167,7 @@ def assembled_derivatives(data: GeometricData, force_fd: bool = False) -> dict:
                        for k in range(n)]
                 for name in ("Omega", "X", "Upsilon")}
 
-    dv = dict(data.derivs)
-    C = data.inv_frame                       # d(F^-1) = -F^-1 dF F^-1
-    dv["inv_frame"] = [-(C @ dF @ C) for dF in dv["frame"]]
+    dv = dict(data.derivs, inv_frame=inv_frame_derivatives(data))
     # pi as a jet: d(pi)/dx_k = eps <T, d/dx_k> exactly.
     tk = data.coord_T()
     pij = jets.Jet(data.pi, [spec.epsilon * tk[..., k] for k in range(n)])
@@ -142,10 +175,10 @@ def assembled_derivatives(data: GeometricData, force_fd: bool = False) -> dict:
         _grid_last(jets.Jet(getattr(data, name), dv[name]), n)
         for name in _ASSEMBLY_FIELDS),
         data.warping.value_generic(pij), data.warping.deriv1_generic(pij))
-    dOm = [_grid_first(p, n) for p in Om.parts]
-    dX = [_grid_first(p, n) for p in X.parts]
-    return {"Omega": dOm, "X": dX,
-            "Upsilon": [p - q for p, q in zip(dOm, dX)]}
+    return {"Omega": [_grid_first(p, n) for p in Om.parts],
+            "X": [_grid_first(p, n) for p in X.parts],
+            "Upsilon": [_grid_first(p - q, n)
+                        for p, q in zip(Om.parts, X.parts)]}
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Grid derivative helpers.
 
-All fields live on rectangular grids, node-major: shape (*extents, ...).
+Fields live on rectangular grids, node-major (*extents, ...) or
+component-major (..., *extents); a grid axis is then counted from the back
+(axis k of an n-dimensional grid is k - n).
 First derivatives are second-order centered in the interior with
 second-order one-sided stencils at the boundary (np.gradient, edge_order=2).
 Pure second derivatives use the standard three-point stencil; mixed ones
@@ -13,7 +15,7 @@ import numpy as np
 
 
 def grad1(field, axis, spacing):
-    """Second-order first derivative of a node-major field along one axis."""
+    """Second-order first derivative of a field along one grid axis."""
     return np.gradient(field, spacing, axis=axis, edge_order=2)
 
 
@@ -67,9 +69,14 @@ class DerivativeSource:
     def analytic(self):
         return (not self.force_fd) and bool(self.data.derivs)
 
+    def carries(self, name):
+        """True when the derivatives of a named field come from the
+        dataset rather than from finite differences."""
+        return self.analytic and name in self.data.derivs
+
     def field(self, name, axis):
         """d/dx_axis of a named field (frame, omega_tangent, ...)."""
-        if self.analytic and name in self.data.derivs:
+        if self.carries(name):
             return self.data.derivs[name][axis]
         arr = getattr(self.data, name)
         return grad1(arr, axis, self.data.grid.spacing[axis])

@@ -18,6 +18,17 @@ When a dataset carries analytic derivative fields they are used (residuals
 then sit at roundoff for exact data); force_fd switches every exterior
 derivative to second-order finite differences, which is what grid
 convergence studies measure.
+
+The kernels work component-major: every per-node tensor is held as
+(*comp, *ext), component axes first and grid axes last, so each
+elementwise operation and each einsum contraction runs its inner loop over
+the grid. Omega, X, Upsilon and W come from the assemble_all memo (one
+assembly per dataset, read-only, component-major memory behind grid-major
+views) without a copy. Exterior derivatives are formed plane by plane:
+(d v)(k, l) from the two directional derivatives it needs, so on FD data no
+full list of derivative arrays is held, and d Upsilon = d Omega - d X.
+Each family has a *_fields function returning the per-node residual
+magnitudes and a report function reducing them.
 """
 
 from __future__ import annotations
@@ -28,7 +39,8 @@ import numpy as np
 
 from .ambient import curvature_coefficients
 from .bundle_data import GeometricData
-from .frame_solver import assemble_all, assembled_derivatives
+from .frame_solver import (_grid_last, _pattern, assemble_all,
+                           assembled_derivatives, inv_frame_derivatives)
 from .stencils import DerivativeSource, grad1, interior_mask
 
 
@@ -66,21 +78,36 @@ class ResidualReport:
 
     def add(self, name, per_node, tolerance, note=""):
         """per_node: array of per-node residual magnitudes (grid shape),
-        or None for a skipped check."""
+        or None for a skipped check.
+
+        A NaN or an inf at any node fails the check: worst_node is then the
+        first non-finite node (row-major), sup and rms are taken over the
+        finite nodes (0.0 when there are none), and the note counts the
+        non-finite nodes."""
         if per_node is None:
             self.entries[name] = ResidualEntry(
                 sup=0.0, rms=0.0, worst_node=None, tolerance=tolerance,
                 passed=True, note=note or "skipped")
             return
         per_node = np.asarray(per_node, dtype=float)
-        sup = float(per_node.max())
-        rms = float(np.sqrt(np.mean(per_node ** 2)))
-        worst = tuple(int(i) for i in
-                      np.unravel_index(int(np.argmax(per_node)),
-                                       per_node.shape))
+        bad = ~np.isfinite(per_node)
+        at = np.argmax(bad) if bad.any() else np.argmax(per_node)
+        worst = tuple(int(i) for i in np.unravel_index(int(at),
+                                                       per_node.shape))
+        passed = not bad.any()
+        if not passed:
+            nbad = int(bad.sum())
+            note = "; ".join(filter(None, (note, (
+                f"{nbad} of {per_node.size} nodes non-finite, first at "
+                f"{worst}; sup and rms over the finite nodes"))))
+            per_node = per_node[~bad]
+        sup, rms = 0.0, 0.0
+        if per_node.size:
+            sup = float(per_node.max())
+            rms = float(np.sqrt(np.mean(per_node ** 2)))
         self.entries[name] = ResidualEntry(
             sup=sup, rms=rms, worst_node=worst, tolerance=float(tolerance),
-            passed=sup <= tolerance, note=note)
+            passed=passed and sup <= tolerance, note=note)
 
     def __getitem__(self, name):
         return self.entries[name]
@@ -132,23 +159,68 @@ def default_tolerance(data: GeometricData, force_fd: bool) -> float:
 
 
 # ---------------------------------------------------------------------------
-# helpers shared by the residual families
+# helpers shared by the residual families (component-major, see above)
 
 
 def _coordinate_pairs(n):
     return [(k, l) for k in range(n) for l in range(k + 1, n)]
 
 
-def _curvature_block(block, dblock, n):
-    """(d omega + omega ^ omega) for a connection block stored as
-    (*ext, r, r, n); dblock[k] is its k-derivative. Returns a dict keyed by
-    coordinate pairs with (*ext, r, r) values."""
-    out = {}
-    for k, l in _coordinate_pairs(n):
-        d_form = dblock[k][..., l] - dblock[l][..., k]
-        wedge = block[..., k] @ block[..., l] - block[..., l] @ block[..., k]
-        out[(k, l)] = d_form + wedge
-    return out
+def _mm(A, B):
+    """Node-wise matrix product of component-major (r, s, *ext) blocks."""
+    return np.einsum("ag...,gb...->ab...", A, B)
+
+
+def _wedge(A, B, k, l):
+    """(A ^ B)(d/dx_k, d/dx_l) of matrices of 1-forms (r, r, n, *ext)."""
+    return _mm(A[:, :, k], B[:, :, l]) - _mm(A[:, :, l], B[:, :, k])
+
+
+def _field_parts(data, ds, name):
+    """The analytic coordinate derivatives of a dataset field,
+    component-major, or None where finite differences stand in."""
+    if ds.carries(name):
+        return [_grid_last(d, data.grid.n) for d in data.derivs[name]]
+    return None
+
+
+def _derivatives(value, parts, spacing):
+    """d/dx_k of a component-major field for every k: parts, or finite
+    differences of value along the grid axes where parts is None."""
+    if parts is not None:
+        return parts
+    nd = len(spacing)
+    return [grad1(value, k - nd, spacing[k]) for k in range(nd)]
+
+
+def _dform(v, parts, spacing, k, l):
+    """(d v)(d/dx_k, d/dx_l) = d_k v(d/dx_l) - d_l v(d/dx_k) of a 1-form
+    valued field v, component-major (*comp, n, *ext). parts[j] is dv/dx_j
+    in the same layout; with parts None the derivatives are finite
+    differences, taken for one coordinate component at a time."""
+    nd = len(spacing)
+    lead = (slice(None),) * (v.ndim - nd - 1)
+
+    def d(j, i):
+        if parts is None:
+            return grad1(v[lead + (i,)], j - nd, spacing[j])
+        return parts[j][lead + (i,)]
+    return d(k, l) - d(l, k)
+
+
+def _curvature_block(block, parts, spacing):
+    """(d omega + omega ^ omega) for a connection block stored
+    component-major as (r, r, n, *ext), its derivatives given as for _dform.
+    Returns a dict keyed by coordinate pairs with (r, r, *ext) values."""
+    return {(k, l): _dform(block, parts, spacing, k, l)
+            + _wedge(block, block, k, l)
+            for k, l in _coordinate_pairs(len(spacing))}
+
+
+def _forms(data):
+    """The memoized assemble_all arrays, component-major (views, no copy)."""
+    nd = data.grid.n
+    return {k: _grid_last(v, nd) for k, v in assemble_all(data).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -163,106 +235,85 @@ def structure_residual_fields(data: GeometricData,
     interior (the algebraic identity (A) is meaningful everywhere).
     """
     spec, grid = data.spec, data.grid
-    n, m = spec.n, spec.m
+    n, eps = spec.n, spec.epsilon
+    h = grid.spacing
     ds = DerivativeSource(data, force_fd)
     inner = interior_mask(grid.extents)
     fields = {}
-    et, eb = spec.tangent_signs, spec.bundle_signs
+    et = _pattern(spec.tangent_signs, n)
+    eb = _pattern(spec.bundle_signs, n)
     a, a1, _ = data.warp_values()
     rat = a1 / a
-    C = data.inv_frame
-    tk = data.coord_T()                      # <T, d/dx_k>
+    C, T, xi, al, ot, ob, tk = (_grid_last(x, n) for x in (
+        data.inv_frame, data.T_comp, data.xi_comp, data.alpha,
+        data.omega_tangent, data.omega_bundle, data.coord_T()))
     ipe = et * C                             # <d/dx_k, e_j> = eps_j C_kj
     k1, k2 = curvature_coefficients(spec, data.warping, data.pi)
 
     # (A) algebraic vertical-norm identity.
-    tt = np.einsum("i,...i,...i->...", et, data.T_comp, data.T_comp)
-    xx = np.einsum("u,...u,...u->...", eb, data.xi_comp, data.xi_comp)
-    fields["A"] = np.abs(tt + xx - spec.epsilon)
+    fields["A"] = np.abs((et * T * T).sum(axis=0) + (eb * xi * xi).sum(axis=0)
+                         - eps)
 
     # (B) derivative of T.
-    axk = np.einsum("...ki,...uij->...kju", C, data.alpha)  # alpha(dk, e_j)^u
-    Axi = np.einsum("j,u,...u,...kju->...kj", et, eb, data.xi_comp, axk)
-    resB = np.zeros(grid.extents + (n, n))
-    for k in range(n):
-        dT = ds.field("T_comp", k)
-        cov = dT + np.einsum("...ji,...i->...j", data.omega_tangent[..., k],
-                             data.T_comp)
-        rhs = rat[..., None] * (C[..., k, :] - spec.epsilon
-                                * tk[..., k, None] * data.T_comp)
-        resB[..., k, :] = cov - rhs - Axi[..., k, :]
-    fields["B"] = np.where(inner, np.abs(resB).max(axis=(-1, -2)), 0.0)
+    axk = np.einsum("ki...,uij...->kju...", C, al)    # alpha(dk, e_j)^u
+    dT = np.stack(_derivatives(T, _field_parts(data, ds, "T_comp"), h))
+    resB = (dT + np.einsum("jik...,i...->kj...", ot, T)
+            - rat * (C - eps * tk[:, None] * T)
+            - et * np.einsum("u,u...,kju...->kj...", spec.bundle_signs, xi,
+                             axk))
+    fields["B"] = np.where(inner, np.abs(resB).max(axis=(0, 1)), 0.0)
 
     # (C) derivative of xi.  alpha(T, d/dx_k)^u = sum_{i,j} T^i C_kj alpha^u_{ij}
-    aT = np.einsum("...i,...kj,...uij->...ku", data.T_comp, C, data.alpha)
-    resC = np.zeros(grid.extents + (n, m))
-    for k in range(n):
-        dxi = ds.field("xi_comp", k)
-        cov = dxi + np.einsum("...vu,...u->...v", data.omega_bundle[..., k],
-                              data.xi_comp)
-        rhs = (-spec.epsilon * rat * tk[..., k])[..., None] * data.xi_comp
-        resC[..., k, :] = cov - rhs + aT[..., k, :]
-    fields["C"] = np.where(inner, np.abs(resC).max(axis=(-1, -2)), 0.0)
+    dxi = np.stack(_derivatives(xi, _field_parts(data, ds, "xi_comp"), h))
+    resC = (dxi + np.einsum("vuk...,u...->kv...", ob, xi)
+            + (eps * rat * tk)[:, None] * xi
+            + np.einsum("i...,kj...,uij...->ku...", T, C, al))
+    fields["C"] = np.where(inner, np.abs(resC).max(axis=(0, 1)), 0.0)
 
     # (D) Gauss. Tangent curvature from the omega_{ij} block.
-    dOt = [ds.field("omega_tangent", k) for k in range(n)]
-    curv = _curvature_block(data.omega_tangent, dOt, n)
-    te = et * data.T_comp                     # <e_j, T>
+    curv = _curvature_block(ot, _field_parts(data, ds, "omega_tangent"), h)
+    te = et * T                               # <e_j, T>
     worstD = np.zeros(grid.extents)
     for (k, l), R2 in curv.items():
-        # R(dk, dl, e_j, e_i) = eps_i * R2[..., i, j]; index order (..., j, i)
-        lhs = np.einsum("i,...ij->...ji", et, R2)
-        first = (ipe[..., k, :, None] * ipe[..., l, None, :]
-                 - ipe[..., l, :, None] * ipe[..., k, None, :])
-        second = (ipe[..., k, :, None] * (tk[..., l, None, None] * te[..., None, :])
-                  - ipe[..., l, :, None] * (tk[..., k, None, None] * te[..., None, :])
-                  - ipe[..., k, None, :] * (tk[..., l, None, None] * te[..., :, None])
-                  + ipe[..., l, None, :] * (tk[..., k, None, None] * te[..., :, None]))
-        aterm = (np.einsum("u,...ju,...iu->...ji", eb, axk[..., k, :, :],
-                           axk[..., l, :, :])
-                 - np.einsum("u,...iu,...ju->...ji", eb, axk[..., k, :, :],
-                             axk[..., l, :, :]))
-        rhs = k1[..., None, None] * first + k2[..., None, None] * second - aterm
-        worstD = np.maximum(worstD, np.abs(lhs - rhs).max(axis=(-1, -2)))
+        # R(dk, dl, e_j, e_i) = eps_i * R2[i, j]; index order [j, i]
+        lhs = et * np.swapaxes(R2, 0, 1)
+        first = ipe[k, :, None] * ipe[l] - ipe[l, :, None] * ipe[k]
+        p = ipe[k] * tk[l] - ipe[l] * tk[k]
+        second = p[:, None] * te - te[:, None] * p
+        q = np.einsum("u,ju...,iu...->ji...", spec.bundle_signs, axk[k],
+                      axk[l])
+        aterm = q - np.swapaxes(q, 0, 1)
+        worstD = np.maximum(worstD, np.abs(
+            lhs - (k1 * first + k2 * second - aterm)).max(axis=(0, 1)))
     fields["D"] = np.where(inner, worstD, 0.0)
 
     # (E) Codazzi via the covariant derivative of alpha on frame arguments.
-    dal = [ds.field("alpha", k) for k in range(n)]
-    Dal = []
-    for k in range(n):
-        DA = (dal[k]
-              + np.einsum("...uv,...vij->...uij", data.omega_bundle[..., k],
-                          data.alpha)
-              - np.einsum("...li,...ulj->...uij", data.omega_tangent[..., k],
-                          data.alpha)
-              - np.einsum("...lj,...uil->...uij", data.omega_tangent[..., k],
-                          data.alpha))
-        Dal.append(DA)
-    coef = k2
+    dal = _derivatives(al, _field_parts(data, ds, "alpha"), h)
+    Dal = [dal[k]
+           + np.einsum("uv...,vij...->uij...", ob[:, :, k], al)
+           - np.einsum("li...,ulj...->uij...", ot[:, :, k], al)
+           - np.einsum("lj...,uil...->uij...", ot[:, :, k], al)
+           for k in range(n)]
+    xie = eb * xi
     worstE = np.zeros(grid.extents)
     for k, l in _coordinate_pairs(n):
-        lhs = (np.einsum("...i,...uij->...ju", C[..., k, :], Dal[l])
-               - np.einsum("...i,...uij->...ju", C[..., l, :], Dal[k]))
-        lhs = eb * lhs
-        xie = eb * data.xi_comp
-        rhs = coef[..., None, None] * xie[..., None, :] * (
-            tk[..., k, None, None] * ipe[..., l, :, None]
-            - tk[..., l, None, None] * ipe[..., k, :, None])
-        worstE = np.maximum(worstE, np.abs(lhs - rhs).max(axis=(-1, -2)))
+        lhs = eb * (np.einsum("i...,uij...->ju...", C[k], Dal[l])
+                    - np.einsum("i...,uij...->ju...", C[l], Dal[k]))
+        rhs = k2 * xie * (tk[k] * ipe[l] - tk[l] * ipe[k])[:, None]
+        worstE = np.maximum(worstE, np.abs(lhs - rhs).max(axis=(0, 1)))
     fields["E"] = np.where(inner, worstE, 0.0)
 
     # (F) Ricci via the omega_{uv} block curvature.
-    dOb = [ds.field("omega_bundle", k) for k in range(n)]
-    curvb = _curvature_block(data.omega_bundle, dOb, n)
-    Aev = np.einsum("j,v,...ki,...vij->...kvj", et, eb, C, data.alpha)
+    curvb = _curvature_block(ob, _field_parts(data, ds, "omega_bundle"), h)
+    Aev = np.einsum("j,v,kjv...->kvj...", spec.tangent_signs,
+                    spec.bundle_signs, axk)
+    Cal = np.einsum("ki...,uji...->kuj...", C, al)
     worstF = np.zeros(grid.extents)
     for (k, l), R2 in curvb.items():
-        lhs = R2  # (..., u, v): component along e_u of R^E(dk,dl) e_v
-        rhs = (np.einsum("...vj,...i,...uji->...uv", Aev[..., l, :, :],
-                         C[..., k, :], data.alpha)
-               - np.einsum("...vj,...i,...uji->...uv", Aev[..., k, :, :],
-                           C[..., l, :], data.alpha))
-        worstF = np.maximum(worstF, np.abs(lhs - rhs).max(axis=(-1, -2)))
+        # R2[u, v]: component along e_u of R^E(dk, dl) e_v
+        rhs = (np.einsum("vj...,uj...->uv...", Aev[l], Cal[k])
+               - np.einsum("vj...,uj...->uv...", Aev[k], Cal[l]))
+        worstF = np.maximum(worstF, np.abs(R2 - rhs).max(axis=(0, 1)))
     fields["F"] = np.where(inner, worstF, 0.0)
     return fields
 
@@ -282,91 +333,92 @@ def structure_residuals(data: GeometricData, tol: float | None = None,
 # aux identities
 
 
-def aux_identity_residuals(data: GeometricData, tol: float | None = None,
-                           force_fd: bool = False) -> ResidualReport:
-    """Keys aux1..aux4; see the module docstring."""
+def aux_identity_fields(data: GeometricData, force_fd: bool = False) -> dict:
+    """Per-node residual fields of aux1..aux4 (the derivative-based aux3 and
+    aux4 zeroed outside the interior)."""
     spec, grid = data.spec, data.grid
-    n = spec.n
-    if tol is None:
-        tol = default_tolerance(data, force_fd)
+    n, eps = spec.n, spec.epsilon
+    ds = DerivativeSource(data, force_fd)
     inner = interior_mask(grid.extents)
-    report = ResidualReport()
-    forms = assemble_all(data)
+    forms = _forms(data)
     Om, W = forms["Omega"], forms["W"]
-    Ta = data.delta_all()
+    Ta = _grid_last(data.delta_all(), n)
+    delta_k = _grid_last(data.coord_T(), n)          # <T, d/dx_k>
     a, a1, _ = data.warp_values()
     rat = a1 / a
-    delta_k = data.coord_T()
-    sgn = np.asarray(spec.signs, dtype=float)
+    sgn = _pattern(np.asarray(spec.signs, dtype=float), n)
+    fields = {}
 
     # aux1: vertical-norm identity expressed through T_alpha.
-    q = np.einsum("a,...a,...a->...", sgn, Ta, Ta)
-    report.add("aux1", np.abs(q - spec.epsilon), tol)
+    fields["aux1"] = np.abs((sgn * Ta * Ta).sum(axis=0) - eps)
 
     # aux2: delta = sum_gamma T_gamma omega_gamma evaluated on d/dx_k.
-    recon = np.einsum("...a,...ak->...k", Ta, W)
-    report.add("aux2", np.abs(delta_k - recon).max(axis=-1), tol)
+    fields["aux2"] = np.abs(delta_k - np.einsum("a...,ak...->k...", Ta, W)
+                            ).max(axis=0)
 
     # aux3: dT_alpha = sum T_gamma omega_{gamma alpha}
     #        + (a'/a) eps_alpha omega_alpha - eps (a'/a) T_alpha delta.
-    dTa = _delta_derivatives(data, force_fd)
+    dTa = _delta_derivatives(data, ds, Ta)
     worst = np.zeros(grid.extents)
     for k in range(n):
-        rhs = (np.einsum("...g,...ga->...a", Ta, Om[..., k])
-               + rat[..., None] * sgn * W[..., k]
-               - spec.epsilon * rat[..., None] * Ta * delta_k[..., k, None])
-        worst = np.maximum(worst, np.abs(dTa[k] - rhs).max(axis=-1))
-    report.add("aux3", np.where(inner, worst, 0.0), tol)
+        rhs = (np.einsum("g...,ga...->a...", Ta, Om[:, :, k])
+               + rat * sgn * W[:, k]
+               - eps * rat * Ta * delta_k[k])
+        worst = np.maximum(worst, np.abs(dTa[k] - rhs).max(axis=0))
+    fields["aux3"] = np.where(inner, worst, 0.0)
 
     # aux4: dW = -Omega ^ W on every coordinate 2-plane.
-    dW = _coframe_derivatives(data, force_fd)
+    dW = _coframe_derivatives(data, ds)
     worst = np.zeros(grid.extents)
     for k, l in _coordinate_pairs(n):
-        dform = dW[k][..., l] - dW[l][..., k]
-        wedge = (np.einsum("...ag,...g->...a", Om[..., k], W[..., l])
-                 - np.einsum("...ag,...g->...a", Om[..., l], W[..., k]))
-        worst = np.maximum(worst, np.abs(dform + wedge).max(axis=-1))
-    report.add("aux4", np.where(inner, worst, 0.0), tol)
+        wedge = (np.einsum("ag...,g...->a...", Om[:, :, k], W[:, l])
+                 - np.einsum("ag...,g...->a...", Om[:, :, l], W[:, k]))
+        worst = np.maximum(worst, np.abs(
+            _dform(W, dW, grid.spacing, k, l) + wedge).max(axis=0))
+    fields["aux4"] = np.where(inner, worst, 0.0)
+    return fields
+
+
+def aux_identity_residuals(data: GeometricData, tol: float | None = None,
+                           force_fd: bool = False) -> ResidualReport:
+    """Keys aux1..aux4; see the module docstring."""
+    if tol is None:
+        tol = default_tolerance(data, force_fd)
+    report = ResidualReport()
+    for key, arr in aux_identity_fields(data, force_fd).items():
+        report.add(key, arr, tol)
     return report
 
 
-def _delta_derivatives(data, force_fd):
-    """dT_alpha(d/dx_k) for every alpha: list over k of (*ext, N+2)."""
-    spec = data.spec
-    n = spec.n
-    ds = DerivativeSource(data, force_fd)
+def _delta_derivatives(data, ds, Ta):
+    """dT_alpha(d/dx_k) for every alpha: list over k of (N+2, *ext), from
+    the component-major Ta."""
+    spec, n = data.spec, data.spec.n
+    if not ds.analytic:
+        return _derivatives(Ta, None, data.grid.spacing)
+    dT, dxi = (_derivatives(_grid_last(getattr(data, name), n),
+                            _field_parts(data, ds, name), data.grid.spacing)
+               for name in ("T_comp", "xi_comp"))
     out = []
-    if ds.analytic:
-        for k in range(n):
-            dTa = np.zeros(data.grid.extents + (spec.size,))
-            dTa[..., 1:n + 1] = spec.tangent_signs * ds.field("T_comp", k)
-            dTa[..., n + 1:] = spec.bundle_signs * ds.field("xi_comp", k)
-            out.append(dTa)
-    else:
-        Ta = data.delta_all()
-        for k in range(n):
-            out.append(grad1(Ta, k, data.grid.spacing[k]))
+    for k in range(n):
+        dTa = np.zeros(Ta.shape)
+        dTa[1:n + 1] = _pattern(spec.tangent_signs, n) * dT[k]
+        dTa[n + 1:] = _pattern(spec.bundle_signs, n) * dxi[k]
+        out.append(dTa)
     return out
 
 
-def _coframe_derivatives(data, force_fd):
-    """d/dx_k of W (the coframe column, coordinate components):
-    list over k of (*ext, N+2, n)."""
-    spec = data.spec
-    n = spec.n
-    ds = DerivativeSource(data, force_fd)
+def _coframe_derivatives(data, ds):
+    """d/dx_k of W (the coframe column, coordinate components),
+    component-major (N+2, n, *ext) for every k; None on FD data, where
+    _dform differences W itself."""
+    if not ds.analytic:
+        return None
+    n = data.spec.n
     out = []
-    for k in range(n):
-        dW = np.zeros(data.grid.extents + (spec.size, n))
-        if ds.analytic:
-            dF = ds.field("frame", k)
-            C = data.inv_frame
-            dC = -np.einsum("...ab,...bc,...cd->...ad", C, dF, C)
-            dW[..., 1:n + 1, :] = np.swapaxes(dC, -1, -2)
-        else:
-            Wnum = np.zeros(data.grid.extents + (spec.size, n))
-            Wnum[..., 1:n + 1, :] = np.swapaxes(data.inv_frame, -1, -2)
-            dW = grad1(Wnum, k, data.grid.spacing[k])
+    for dC in inv_frame_derivatives(data):
+        dW = np.zeros((data.spec.size, n) + data.grid.extents)
+        dW[1:n + 1] = _grid_last(np.swapaxes(dC, -1, -2), n)
         out.append(dW)
     return out
 
@@ -375,100 +427,90 @@ def _coframe_derivatives(data, force_fd):
 # flatness
 
 
+def flatness_fields(data: GeometricData, force_fd: bool = False) -> dict:
+    """Per-node fields of d Upsilon + Upsilon ^ Upsilon and of its four
+    pieces, zeroed outside the interior; requires n >= 2.
+
+    On analytic data the 2-forms d Omega and d X come from the jet
+    assembly; on FD data from finite differences of the memoized Omega and
+    X, one plane and one component at a time. d Upsilon = d Omega - d X."""
+    spec, grid = data.spec, data.grid
+    n, eps, h = spec.n, spec.epsilon, grid.spacing
+    ds = DerivativeSource(data, force_fd)
+    forms = _forms(data)
+    Om, X, Up, W = forms["Omega"], forms["X"], forms["Upsilon"], forms["W"]
+    if ds.analytic:
+        dforms = assembled_derivatives(data)
+        dOm, dX = ([_grid_last(p, n) for p in dforms[key]]
+                   for key in ("Omega", "X"))
+    else:
+        dOm = dX = None
+    Ta = _grid_last(data.delta_all(), n)
+    delta_k = _grid_last(data.coord_T(), n)          # <T, d/dx_k>
+    a, a1, a2 = data.warp_values()
+    rat = a1 / a
+    sgn = np.asarray(spec.signs, dtype=float)
+    dTa = _delta_derivatives(data, ds, Ta)
+    dW = _coframe_derivatives(data, ds)
+
+    # Xi = X without its eps a'/a prefactor (keeps a' = 0 regular).
+    ee = _pattern(sgn[:, None] * sgn, n)
+    Xi = (Ta[None, :, None] * W[:, None]
+          - ee[:, :, None] * Ta[:, None, None] * W[None])
+    er = eps * rat
+    r2s = _pattern(sgn, n) * (eps * rat * rat)     # eps (a'/a)^2 eps_beta
+    coef_reg = (a * a2 - a1 * a1) / (a * a)
+
+    keys = ("flatness", "flat_dX", "flat_XX", "flat_cross", "flat_dOmega")
+    worst = {key: np.zeros(grid.extents) for key in keys}
+
+    def track(key, x):
+        worst[key] = np.maximum(worst[key], np.abs(x).max(axis=(0, 1)))
+
+    for k, l in _coordinate_pairs(n):
+        dOmkl = _dform(Om, dOm, h, k, l)
+        dXkl = _dform(X, dX, h, k, l)
+        track("flatness", dOmkl - dXkl + _wedge(Up, Up, k, l))
+
+        # shared 2-form ingredients on the (k, l) plane
+        dxi_wedge = delta_k[k] * Xi[:, :, l] - delta_k[l] * Xi[:, :, k]
+        dx_wedge = delta_k[k] * X[:, :, l] - delta_k[l] * X[:, :, k]
+        ww = W[:, None, k] * W[None, :, l] - W[:, None, l] * W[None, :, k]
+        # (dT_beta ^ omega_alpha)(k, l) indexed [alpha, beta], minus ee
+        # times its transpose-pattern partner (dT_alpha ^ omega_beta)(k, l)
+        dT_w = dTa[k][None] * W[:, None, l] - dTa[l][None] * W[:, None, k]
+        dT_w = dT_w - ee * np.swapaxes(dT_w, 0, 1)
+        # T_beta domega_alpha - ee T_alpha domega_beta on (k, l)
+        dW_kl = _dform(W, dW, h, k, l)
+        T_dw = Ta[None] * dW_kl[:, None]
+        T_dw = T_dw - ee * np.swapaxes(T_dw, 0, 1)
+
+        track("flat_dX", dXkl - (coef_reg * dxi_wedge + er * dT_w
+                                 + er * T_dw))
+        track("flat_XX", _wedge(X, X, k, l) - (-er * dx_wedge - r2s * ww))
+        track("flat_cross", _wedge(Om, X, k, l) + _wedge(X, Om, k, l)
+              - (-er * T_dw - er * dT_w - er * dx_wedge - 2.0 * r2s * ww))
+        track("flat_dOmega", dOmkl + _wedge(Om, Om, k, l)
+              - (-r2s * ww + coef_reg * dxi_wedge))
+
+    inner = interior_mask(grid.extents)
+    return {key: np.where(inner, worst[key], 0.0) for key in keys}
+
+
 def flatness_residual(data: GeometricData, tol: float | None = None,
                       force_fd: bool = False) -> ResidualReport:
     """d Upsilon + Upsilon ^ Upsilon on all coordinate 2-planes, plus the
     closed-form checks of its four pieces. One-dimensional charts have no
     coordinate 2-planes; every entry is then reported as zero with a note."""
-    spec, grid = data.spec, data.grid
-    n = spec.n
     if tol is None:
         tol = default_tolerance(data, force_fd)
     report = ResidualReport()
-    keys = ("flatness", "flat_dX", "flat_XX", "flat_cross", "flat_dOmega")
-    if n < 2:
-        for key in keys:
+    if data.spec.n < 2:
+        for key in ("flatness", "flat_dX", "flat_XX", "flat_cross",
+                    "flat_dOmega"):
             report.add(key, None, tol,
                        note="no coordinate 2-planes on a 1-dimensional chart")
         return report
-
-    forms = assemble_all(data)
-    dforms = assembled_derivatives(data, force_fd=force_fd)
-    Om, X, Up, W = forms["Omega"], forms["X"], forms["Upsilon"], forms["W"]
-    dOm, dX, dUp = dforms["Omega"], dforms["X"], dforms["Upsilon"]
-    Ta = data.delta_all()
-    a, a1, a2 = data.warp_values()
-    rat = a1 / a
-    eps = spec.epsilon
-    sgn = np.asarray(spec.signs, dtype=float)
-    delta_k = data.coord_T()
-    dTa = _delta_derivatives(data, force_fd)
-    dW = _coframe_derivatives(data, force_fd)
-
-    # Xi = X without its eps a'/a prefactor (keeps a' = 0 regular).
-    ee = sgn[:, None] * sgn[None, :]
-    Xi = (Ta[..., None, :, None] * W[..., :, None, :]
-          - ee[..., None] * Ta[..., :, None, None] * W[..., None, :, :])
-
-    def wedge_mm(A, B, k, l):
-        return A[..., k] @ B[..., l] - A[..., l] @ B[..., k]
-
-    worst = {key: np.zeros(grid.extents) for key in keys}
-    for k, l in _coordinate_pairs(n):
-        dUpkl = dUp[k][..., l] - dUp[l][..., k]
-        flat = dUpkl + wedge_mm(Up, Up, k, l)
-        worst["flatness"] = np.maximum(worst["flatness"],
-                                       np.abs(flat).max(axis=(-1, -2)))
-
-        # shared 2-form ingredients on the (k, l) plane
-        dXkl = dX[k][..., l] - dX[l][..., k]
-        dOmkl = dOm[k][..., l] - dOm[l][..., k]
-        dxi_wedge = (delta_k[..., k, None, None] * Xi[..., l]
-                     - delta_k[..., l, None, None] * Xi[..., k])
-        dx_wedge = (delta_k[..., k, None, None] * X[..., l]
-                    - delta_k[..., l, None, None] * X[..., k])
-        ww = (W[..., :, None, k] * W[..., None, :, l]
-              - W[..., :, None, l] * W[..., None, :, k])
-        # (dT_beta ^ omega_alpha)(k, l) indexed [alpha, beta], and its
-        # transpose-pattern partner (dT_alpha ^ omega_beta)(k, l)
-        dT_w = (dTa[k][..., None, :] * W[..., :, None, l]
-                - dTa[l][..., None, :] * W[..., :, None, k])
-        dT_w2 = (dTa[k][..., :, None] * W[..., None, :, l]
-                 - dTa[l][..., :, None] * W[..., None, :, k])
-        # T_beta domega_alpha - ee T_alpha domega_beta on (k, l)
-        dW_kl = dW[k][..., l] - dW[l][..., k]
-        T_dw = Ta[..., None, :] * dW_kl[..., :, None]
-        T_dw2 = Ta[..., :, None] * dW_kl[..., None, :]
-
-        coef_reg = (a * a2 - a1 * a1) / (a * a)
-        rhs1 = (coef_reg[..., None, None] * dxi_wedge
-                + (eps * rat)[..., None, None] * (dT_w - ee * dT_w2)
-                + (eps * rat)[..., None, None] * (T_dw - ee * T_dw2))
-        lhs1 = dXkl
-        worst["flat_dX"] = np.maximum(worst["flat_dX"],
-                                      np.abs(lhs1 - rhs1).max(axis=(-1, -2)))
-
-        lhs2 = wedge_mm(X, X, k, l)
-        rhs2 = (-(eps * rat)[..., None, None] * dx_wedge
-                - (rat * rat)[..., None, None] * eps * sgn[None, :] * ww)
-        worst["flat_XX"] = np.maximum(worst["flat_XX"],
-                                      np.abs(lhs2 - rhs2).max(axis=(-1, -2)))
-
-        lhs3 = wedge_mm(Om, X, k, l) + wedge_mm(X, Om, k, l)
-        rhs3 = (-(eps * rat)[..., None, None] * (T_dw - ee * T_dw2)
-                - (eps * rat)[..., None, None] * (dT_w - ee * dT_w2)
-                - (eps * rat)[..., None, None] * dx_wedge
-                - 2.0 * (rat * rat)[..., None, None] * eps * sgn[None, :] * ww)
-        worst["flat_cross"] = np.maximum(
-            worst["flat_cross"], np.abs(lhs3 - rhs3).max(axis=(-1, -2)))
-
-        lhs4 = dOmkl + wedge_mm(Om, Om, k, l)
-        rhs4 = (-(rat * rat)[..., None, None] * eps * sgn[None, :] * ww
-                + coef_reg[..., None, None] * dxi_wedge)
-        worst["flat_dOmega"] = np.maximum(
-            worst["flat_dOmega"], np.abs(lhs4 - rhs4).max(axis=(-1, -2)))
-
-    inner = interior_mask(grid.extents)
-    for key in keys:
-        report.add(key, np.where(inner, worst[key], 0.0), tol)
+    for key, arr in flatness_fields(data, force_fd).items():
+        report.add(key, arr, tol)
     return report

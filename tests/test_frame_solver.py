@@ -7,11 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from warpframe import (ChartGrid, ExplicitImmersion, GeometricData,
-                       SignatureSpec, WarpingFunction, canonical_example, jets,
-                       make_example)
+                       SignatureSpec, WarpingFunction, canonical_example,
+                       example_names, jets, make_example)
 from warpframe.errors import (IntegrationBlowup, InvariantViolation,
                               NonConvergence)
-from warpframe.frame_solver import (_chain, assemble_all,
+from warpframe.frame_solver import (_ASSEMBLY_FIELDS, _assemble, _chain,
+                                    _grid_first, _grid_last, assemble_all,
                                     assembled_derivatives, build_base_frame,
                                     expm, integrate_frame,
                                     path_independence_defect,
@@ -233,6 +234,64 @@ class TestAssembly:
                             for e, f in zip(exact[name], fd[name])))
         assert gaps[1] <= 10.0 * data.grid.max_spacing ** 2
         assert 3.3 <= gaps[0] / gaps[1] <= 4.7
+
+
+def fresh_assembly(data):
+    """assemble_all without the memo: _assemble on the dataset fields, its
+    outputs copied to contiguous grid-major arrays, Upsilon formed there."""
+    nd = data.grid.n
+    a, a1, _ = data.warp_values()
+    Om, X, W = _assemble(data.spec, *(
+        _grid_last(getattr(data, name), nd) for name in _ASSEMBLY_FIELDS),
+        a, a1)
+    Om, X, W = (np.ascontiguousarray(_grid_first(v, nd)) for v in (Om, X, W))
+    return {"Omega": Om, "X": X, "Upsilon": Om - X, "W": W}
+
+
+def memo_cases():
+    """The six fixtures and slice n = 3, each as a fresh dataset."""
+    for name in example_names():
+        yield name, canonical_example(name, {})[1]
+    yield "slice_n3", signature_case("slice_n3")[1]
+
+
+class TestAssemblyMemo:
+    def test_second_call_returns_the_same_arrays(self, slice17):
+        _, data = slice17
+        first, second = assemble_all(data), assemble_all(data)
+        assert sorted(first) == ["Omega", "Upsilon", "W", "X"]
+        for name in first:
+            assert second[name] is first[name], name
+
+    def test_arrays_are_read_only(self, slice17):
+        _, data = slice17
+        for name, arr in assemble_all(data).items():
+            with pytest.raises(ValueError):
+                arr[(0,) * arr.ndim] = 1.0
+            with pytest.raises(ValueError):
+                _grid_last(arr, data.grid.n)[...] = 0.0
+
+    def test_views_of_component_major_memory(self, slice17):
+        _, data = slice17
+        for name, arr in assemble_all(data).items():
+            assert _grid_last(arr, data.grid.n).flags.c_contiguous, name
+
+    def test_byte_identical_to_unmemoized_assembly(self):
+        for key, data in memo_cases():
+            memo, ref = assemble_all(data), fresh_assembly(data)
+            for name in ref:
+                assert memo[name].shape == ref[name].shape, (key, name)
+                assert memo[name].tobytes() == ref[name].tobytes(), (key,
+                                                                    name)
+
+    def test_integrate_frame_matches_fresh_upsilon(self):
+        for key, data in memo_cases():
+            B0 = build_base_frame(data)
+            memo = integrate_frame(data, B0)
+            fresh = integrate_frame(data, B0,
+                                    upsilon=fresh_assembly(data)["Upsilon"])
+            assert memo.B.tobytes() == fresh.B.tobytes(), key
+            assert memo.diagnostics == fresh.diagnostics, key
 
 
 def flat_strip_data_2d():

@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
 
+import verifier_reference as grid_major
 from classical_oracle import classical_residual_fields
+from test_frame_solver import SIGNATURE_CASES, signature_case
 from warpframe import (GeometricData, aux_identity_residuals, canonical_example,
                        flatness_residual, structure_residual_fields,
                        structure_residuals)
+from warpframe.verifier import (ResidualReport, aux_identity_fields,
+                                default_tolerance, flatness_fields)
 
 
 def perturb_alpha(data, u, i, j, amount=0.1):
@@ -59,22 +63,20 @@ class TestStructureResiduals:
             assert rep["F"].sup <= 1e-12
 
     def test_gauss_antisymmetry_of_curvature_block(self, slice17):
+        from warpframe.frame_solver import _grid_last
         from warpframe.verifier import _curvature_block
         from warpframe.stencils import grad1
         _, data = slice17
-        n = data.spec.n
-        dOt = [grad1(data.omega_tangent, k, data.grid.spacing[k])
-               for k in range(n)]
-        curv = _curvature_block(data.omega_tangent, dOt, n)
+        n, h = data.spec.n, data.grid.spacing
+        # component-major: (i, j, k, *ext)
+        ot = _grid_last(data.omega_tangent, n)
+        dOt = [grad1(ot, k - n, h[k]) for k in range(n)]
+        curv = _curvature_block(ot, dOt, h)
         # evaluating on the swapped plane flips the sign exactly
         R01 = curv[(0, 1)]
-        swapped = (dOt[1][..., 0] - dOt[0][..., 1]
-                   + np.einsum("...ih,...hj->...ij",
-                               data.omega_tangent[..., 1],
-                               data.omega_tangent[..., 0])
-                   - np.einsum("...ih,...hj->...ij",
-                               data.omega_tangent[..., 0],
-                               data.omega_tangent[..., 1]))
+        swapped = (dOt[1][:, :, 0] - dOt[0][:, :, 1]
+                   + np.einsum("ih...,hj...->ij...", ot[:, :, 1], ot[:, :, 0])
+                   - np.einsum("ih...,hj...->ij...", ot[:, :, 0], ot[:, :, 1]))
         np.testing.assert_array_equal(R01, -swapped)
 
     def test_convergence_order_two(self):
@@ -186,3 +188,59 @@ class TestReportPlumbing:
         assert rep.passed and rep.failing() == []
         rep.add("synthetic", np.array([1.0]), 0.5)
         assert rep.failing() == ["synthetic"]
+
+
+class TestGridMajorReference:
+    """The component-major kernels against the grid-major implementation
+    they replaced (tests/verifier_reference.py), node by node."""
+
+    FAMILIES = (
+        (structure_residual_fields, grid_major.structure_residual_fields),
+        (aux_identity_fields, grid_major.aux_identity_fields),
+        (flatness_fields, grid_major.flatness_fields),
+    )
+
+    # Every signature case, plus one with T != 0 on a warping whose k2 is
+    # not zero (a = exp, eps = -1), where the T terms of (D) and (E) count.
+    CASES = [(key, None) for key in SIGNATURE_CASES] + [
+        ("tilted_desitter", "exp")]
+
+    @pytest.mark.parametrize("force_fd", [False, True], ids=["jets", "fd"])
+    @pytest.mark.parametrize("key, warping", CASES,
+                             ids=[f"{k}-{w}" if w else k for k, w in CASES])
+    def test_fields_match(self, key, warping, force_fd):
+        _, data = signature_case(key, warping=warping)
+        tol = default_tolerance(data, force_fd)
+        for new_fn, ref_fn in self.FAMILIES:
+            if new_fn is flatness_fields and data.spec.n < 2:
+                continue
+            new, ref = new_fn(data, force_fd), ref_fn(data, force_fd)
+            assert sorted(new) == sorted(ref)
+            for name in ref:
+                assert new[name].shape == ref[name].shape, name
+                sup = float(ref[name].max())
+                gap = float(np.abs(new[name] - ref[name]).max())
+                assert gap <= 1e-13 + 1e-12 * sup, (name, gap, sup)
+                mine, theirs = ResidualReport(), ResidualReport()
+                mine.add(name, new[name], tol)
+                theirs.add(name, ref[name], tol)
+                assert mine[name].passed == theirs[name].passed, name
+                if sup > 1e-13:
+                    assert mine[name].worst_node == theirs[name].worst_node, (
+                        name, sup)
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_node_fails_and_is_named(self, bad):
+        field = np.array([[0.0, 5e-9, 0.0],
+                          [2e-9, bad, 3e-9],
+                          [0.0, bad, 0.0]])
+        rep = ResidualReport()
+        rep.add("r", field, 1e-8)
+        e = rep["r"]
+        assert not e.passed and not rep.passed
+        assert e.worst_node == (1, 1)
+        assert "2 of 9 nodes non-finite" in e.note
+        assert np.isfinite(e.sup) and np.isfinite(e.rms)
+        assert e.sup == 5e-9

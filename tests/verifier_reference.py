@@ -1,0 +1,323 @@
+"""Grid-major reference of the residual kernels in warpframe.verifier.
+
+This is the verifier as it was before its kernels moved to component-major
+arrays: every field is indexed (*ext, ...) and every expression broadcasts
+over the trailing component axes. It reads only the public grid-major API
+(dataset fields, assemble_all, assembled_derivatives) and is kept as the
+reference the component-major kernels are compared against, node by node.
+"""
+
+import numpy as np
+
+from warpframe.ambient import curvature_coefficients
+from warpframe.frame_solver import assemble_all, assembled_derivatives
+from warpframe.stencils import DerivativeSource, grad1, interior_mask
+
+
+def _coordinate_pairs(n):
+    return [(k, l) for k in range(n) for l in range(k + 1, n)]
+
+
+def _curvature_block(block, dblock, n):
+    """(d omega + omega ^ omega) for a connection block stored as
+    (*ext, r, r, n); dblock[k] is its k-derivative. Returns a dict keyed by
+    coordinate pairs with (*ext, r, r) values."""
+    out = {}
+    for k, l in _coordinate_pairs(n):
+        d_form = dblock[k][..., l] - dblock[l][..., k]
+        wedge = block[..., k] @ block[..., l] - block[..., l] @ block[..., k]
+        out[(k, l)] = d_form + wedge
+    return out
+
+
+# ---------------------------------------------------------------------------
+# (A)-(F)
+
+
+def structure_residual_fields(data, force_fd=False):
+    """Per-node residual magnitude fields of the six structure equations.
+
+    Keys "A".."F"; the derivative-based equations are zeroed outside the
+    interior (the algebraic identity (A) is meaningful everywhere).
+    """
+    spec, grid = data.spec, data.grid
+    n, m = spec.n, spec.m
+    ds = DerivativeSource(data, force_fd)
+    inner = interior_mask(grid.extents)
+    fields = {}
+    et, eb = spec.tangent_signs, spec.bundle_signs
+    a, a1, _ = data.warp_values()
+    rat = a1 / a
+    C = data.inv_frame
+    tk = data.coord_T()                      # <T, d/dx_k>
+    ipe = et * C                             # <d/dx_k, e_j> = eps_j C_kj
+    k1, k2 = curvature_coefficients(spec, data.warping, data.pi)
+
+    # (A) algebraic vertical-norm identity.
+    tt = np.einsum("i,...i,...i->...", et, data.T_comp, data.T_comp)
+    xx = np.einsum("u,...u,...u->...", eb, data.xi_comp, data.xi_comp)
+    fields["A"] = np.abs(tt + xx - spec.epsilon)
+
+    # (B) derivative of T.
+    axk = np.einsum("...ki,...uij->...kju", C, data.alpha)  # alpha(dk, e_j)^u
+    Axi = np.einsum("j,u,...u,...kju->...kj", et, eb, data.xi_comp, axk)
+    resB = np.zeros(grid.extents + (n, n))
+    for k in range(n):
+        dT = ds.field("T_comp", k)
+        cov = dT + np.einsum("...ji,...i->...j", data.omega_tangent[..., k],
+                             data.T_comp)
+        rhs = rat[..., None] * (C[..., k, :] - spec.epsilon
+                                * tk[..., k, None] * data.T_comp)
+        resB[..., k, :] = cov - rhs - Axi[..., k, :]
+    fields["B"] = np.where(inner, np.abs(resB).max(axis=(-1, -2)), 0.0)
+
+    # (C) derivative of xi.  alpha(T, d/dx_k)^u = sum_{i,j} T^i C_kj alpha^u_{ij}
+    aT = np.einsum("...i,...kj,...uij->...ku", data.T_comp, C, data.alpha)
+    resC = np.zeros(grid.extents + (n, m))
+    for k in range(n):
+        dxi = ds.field("xi_comp", k)
+        cov = dxi + np.einsum("...vu,...u->...v", data.omega_bundle[..., k],
+                              data.xi_comp)
+        rhs = (-spec.epsilon * rat * tk[..., k])[..., None] * data.xi_comp
+        resC[..., k, :] = cov - rhs + aT[..., k, :]
+    fields["C"] = np.where(inner, np.abs(resC).max(axis=(-1, -2)), 0.0)
+
+    # (D) Gauss. Tangent curvature from the omega_{ij} block.
+    dOt = [ds.field("omega_tangent", k) for k in range(n)]
+    curv = _curvature_block(data.omega_tangent, dOt, n)
+    te = et * data.T_comp                     # <e_j, T>
+    worstD = np.zeros(grid.extents)
+    for (k, l), R2 in curv.items():
+        # R(dk, dl, e_j, e_i) = eps_i * R2[..., i, j]; index order (..., j, i)
+        lhs = np.einsum("i,...ij->...ji", et, R2)
+        first = (ipe[..., k, :, None] * ipe[..., l, None, :]
+                 - ipe[..., l, :, None] * ipe[..., k, None, :])
+        second = (ipe[..., k, :, None] * (tk[..., l, None, None] * te[..., None, :])
+                  - ipe[..., l, :, None] * (tk[..., k, None, None] * te[..., None, :])
+                  - ipe[..., k, None, :] * (tk[..., l, None, None] * te[..., :, None])
+                  + ipe[..., l, None, :] * (tk[..., k, None, None] * te[..., :, None]))
+        aterm = (np.einsum("u,...ju,...iu->...ji", eb, axk[..., k, :, :],
+                           axk[..., l, :, :])
+                 - np.einsum("u,...iu,...ju->...ji", eb, axk[..., k, :, :],
+                             axk[..., l, :, :]))
+        rhs = k1[..., None, None] * first + k2[..., None, None] * second - aterm
+        worstD = np.maximum(worstD, np.abs(lhs - rhs).max(axis=(-1, -2)))
+    fields["D"] = np.where(inner, worstD, 0.0)
+
+    # (E) Codazzi via the covariant derivative of alpha on frame arguments.
+    dal = [ds.field("alpha", k) for k in range(n)]
+    Dal = []
+    for k in range(n):
+        DA = (dal[k]
+              + np.einsum("...uv,...vij->...uij", data.omega_bundle[..., k],
+                          data.alpha)
+              - np.einsum("...li,...ulj->...uij", data.omega_tangent[..., k],
+                          data.alpha)
+              - np.einsum("...lj,...uil->...uij", data.omega_tangent[..., k],
+                          data.alpha))
+        Dal.append(DA)
+    coef = k2
+    worstE = np.zeros(grid.extents)
+    for k, l in _coordinate_pairs(n):
+        lhs = (np.einsum("...i,...uij->...ju", C[..., k, :], Dal[l])
+               - np.einsum("...i,...uij->...ju", C[..., l, :], Dal[k]))
+        lhs = eb * lhs
+        xie = eb * data.xi_comp
+        rhs = coef[..., None, None] * xie[..., None, :] * (
+            tk[..., k, None, None] * ipe[..., l, :, None]
+            - tk[..., l, None, None] * ipe[..., k, :, None])
+        worstE = np.maximum(worstE, np.abs(lhs - rhs).max(axis=(-1, -2)))
+    fields["E"] = np.where(inner, worstE, 0.0)
+
+    # (F) Ricci via the omega_{uv} block curvature.
+    dOb = [ds.field("omega_bundle", k) for k in range(n)]
+    curvb = _curvature_block(data.omega_bundle, dOb, n)
+    Aev = np.einsum("j,v,...ki,...vij->...kvj", et, eb, C, data.alpha)
+    worstF = np.zeros(grid.extents)
+    for (k, l), R2 in curvb.items():
+        lhs = R2  # (..., u, v): component along e_u of R^E(dk,dl) e_v
+        rhs = (np.einsum("...vj,...i,...uji->...uv", Aev[..., l, :, :],
+                         C[..., k, :], data.alpha)
+               - np.einsum("...vj,...i,...uji->...uv", Aev[..., k, :, :],
+                           C[..., l, :], data.alpha))
+        worstF = np.maximum(worstF, np.abs(lhs - rhs).max(axis=(-1, -2)))
+    fields["F"] = np.where(inner, worstF, 0.0)
+    return fields
+
+
+# ---------------------------------------------------------------------------
+# aux identities
+
+
+def aux_identity_fields(data, force_fd=False):
+    spec, grid = data.spec, data.grid
+    n = spec.n
+    inner = interior_mask(grid.extents)
+    fields = {}
+    forms = assemble_all(data)
+    Om, W = forms["Omega"], forms["W"]
+    Ta = data.delta_all()
+    a, a1, _ = data.warp_values()
+    rat = a1 / a
+    delta_k = data.coord_T()
+    sgn = np.asarray(spec.signs, dtype=float)
+
+    # aux1: vertical-norm identity expressed through T_alpha.
+    q = np.einsum("a,...a,...a->...", sgn, Ta, Ta)
+    fields["aux1"] = np.abs(q - spec.epsilon)
+
+    # aux2: delta = sum_gamma T_gamma omega_gamma evaluated on d/dx_k.
+    recon = np.einsum("...a,...ak->...k", Ta, W)
+    fields["aux2"] = np.abs(delta_k - recon).max(axis=-1)
+
+    # aux3: dT_alpha = sum T_gamma omega_{gamma alpha}
+    #        + (a'/a) eps_alpha omega_alpha - eps (a'/a) T_alpha delta.
+    dTa = _delta_derivatives(data, force_fd)
+    worst = np.zeros(grid.extents)
+    for k in range(n):
+        rhs = (np.einsum("...g,...ga->...a", Ta, Om[..., k])
+               + rat[..., None] * sgn * W[..., k]
+               - spec.epsilon * rat[..., None] * Ta * delta_k[..., k, None])
+        worst = np.maximum(worst, np.abs(dTa[k] - rhs).max(axis=-1))
+    fields["aux3"] = np.where(inner, worst, 0.0)
+
+    # aux4: dW = -Omega ^ W on every coordinate 2-plane.
+    dW = _coframe_derivatives(data, force_fd)
+    worst = np.zeros(grid.extents)
+    for k, l in _coordinate_pairs(n):
+        dform = dW[k][..., l] - dW[l][..., k]
+        wedge = (np.einsum("...ag,...g->...a", Om[..., k], W[..., l])
+                 - np.einsum("...ag,...g->...a", Om[..., l], W[..., k]))
+        worst = np.maximum(worst, np.abs(dform + wedge).max(axis=-1))
+    fields["aux4"] = np.where(inner, worst, 0.0)
+    return fields
+
+
+def _delta_derivatives(data, force_fd):
+    """dT_alpha(d/dx_k) for every alpha: list over k of (*ext, N+2)."""
+    spec = data.spec
+    n = spec.n
+    ds = DerivativeSource(data, force_fd)
+    out = []
+    if ds.analytic:
+        for k in range(n):
+            dTa = np.zeros(data.grid.extents + (spec.size,))
+            dTa[..., 1:n + 1] = spec.tangent_signs * ds.field("T_comp", k)
+            dTa[..., n + 1:] = spec.bundle_signs * ds.field("xi_comp", k)
+            out.append(dTa)
+    else:
+        Ta = data.delta_all()
+        for k in range(n):
+            out.append(grad1(Ta, k, data.grid.spacing[k]))
+    return out
+
+
+def _coframe_derivatives(data, force_fd):
+    """d/dx_k of W (the coframe column, coordinate components):
+    list over k of (*ext, N+2, n)."""
+    spec = data.spec
+    n = spec.n
+    ds = DerivativeSource(data, force_fd)
+    out = []
+    for k in range(n):
+        dW = np.zeros(data.grid.extents + (spec.size, n))
+        if ds.analytic:
+            dF = ds.field("frame", k)
+            C = data.inv_frame
+            dC = -np.einsum("...ab,...bc,...cd->...ad", C, dF, C)
+            dW[..., 1:n + 1, :] = np.swapaxes(dC, -1, -2)
+        else:
+            Wnum = np.zeros(data.grid.extents + (spec.size, n))
+            Wnum[..., 1:n + 1, :] = np.swapaxes(data.inv_frame, -1, -2)
+            dW = grad1(Wnum, k, data.grid.spacing[k])
+        out.append(dW)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# flatness
+
+
+def flatness_fields(data, force_fd=False):
+    spec, grid = data.spec, data.grid
+    n = spec.n
+    keys = ("flatness", "flat_dX", "flat_XX", "flat_cross", "flat_dOmega")
+
+    forms = assemble_all(data)
+    dforms = assembled_derivatives(data, force_fd=force_fd)
+    Om, X, Up, W = forms["Omega"], forms["X"], forms["Upsilon"], forms["W"]
+    dOm, dX, dUp = dforms["Omega"], dforms["X"], dforms["Upsilon"]
+    Ta = data.delta_all()
+    a, a1, a2 = data.warp_values()
+    rat = a1 / a
+    eps = spec.epsilon
+    sgn = np.asarray(spec.signs, dtype=float)
+    delta_k = data.coord_T()
+    dTa = _delta_derivatives(data, force_fd)
+    dW = _coframe_derivatives(data, force_fd)
+
+    # Xi = X without its eps a'/a prefactor (keeps a' = 0 regular).
+    ee = sgn[:, None] * sgn[None, :]
+    Xi = (Ta[..., None, :, None] * W[..., :, None, :]
+          - ee[..., None] * Ta[..., :, None, None] * W[..., None, :, :])
+
+    def wedge_mm(A, B, k, l):
+        return A[..., k] @ B[..., l] - A[..., l] @ B[..., k]
+
+    worst = {key: np.zeros(grid.extents) for key in keys}
+    for k, l in _coordinate_pairs(n):
+        dUpkl = dUp[k][..., l] - dUp[l][..., k]
+        flat = dUpkl + wedge_mm(Up, Up, k, l)
+        worst["flatness"] = np.maximum(worst["flatness"],
+                                       np.abs(flat).max(axis=(-1, -2)))
+
+        # shared 2-form ingredients on the (k, l) plane
+        dXkl = dX[k][..., l] - dX[l][..., k]
+        dOmkl = dOm[k][..., l] - dOm[l][..., k]
+        dxi_wedge = (delta_k[..., k, None, None] * Xi[..., l]
+                     - delta_k[..., l, None, None] * Xi[..., k])
+        dx_wedge = (delta_k[..., k, None, None] * X[..., l]
+                    - delta_k[..., l, None, None] * X[..., k])
+        ww = (W[..., :, None, k] * W[..., None, :, l]
+              - W[..., :, None, l] * W[..., None, :, k])
+        # (dT_beta ^ omega_alpha)(k, l) indexed [alpha, beta], and its
+        # transpose-pattern partner (dT_alpha ^ omega_beta)(k, l)
+        dT_w = (dTa[k][..., None, :] * W[..., :, None, l]
+                - dTa[l][..., None, :] * W[..., :, None, k])
+        dT_w2 = (dTa[k][..., :, None] * W[..., None, :, l]
+                 - dTa[l][..., :, None] * W[..., None, :, k])
+        # T_beta domega_alpha - ee T_alpha domega_beta on (k, l)
+        dW_kl = dW[k][..., l] - dW[l][..., k]
+        T_dw = Ta[..., None, :] * dW_kl[..., :, None]
+        T_dw2 = Ta[..., :, None] * dW_kl[..., None, :]
+
+        coef_reg = (a * a2 - a1 * a1) / (a * a)
+        rhs1 = (coef_reg[..., None, None] * dxi_wedge
+                + (eps * rat)[..., None, None] * (dT_w - ee * dT_w2)
+                + (eps * rat)[..., None, None] * (T_dw - ee * T_dw2))
+        lhs1 = dXkl
+        worst["flat_dX"] = np.maximum(worst["flat_dX"],
+                                      np.abs(lhs1 - rhs1).max(axis=(-1, -2)))
+
+        lhs2 = wedge_mm(X, X, k, l)
+        rhs2 = (-(eps * rat)[..., None, None] * dx_wedge
+                - (rat * rat)[..., None, None] * eps * sgn[None, :] * ww)
+        worst["flat_XX"] = np.maximum(worst["flat_XX"],
+                                      np.abs(lhs2 - rhs2).max(axis=(-1, -2)))
+
+        lhs3 = wedge_mm(Om, X, k, l) + wedge_mm(X, Om, k, l)
+        rhs3 = (-(eps * rat)[..., None, None] * (T_dw - ee * T_dw2)
+                - (eps * rat)[..., None, None] * (dT_w - ee * dT_w2)
+                - (eps * rat)[..., None, None] * dx_wedge
+                - 2.0 * (rat * rat)[..., None, None] * eps * sgn[None, :] * ww)
+        worst["flat_cross"] = np.maximum(
+            worst["flat_cross"], np.abs(lhs3 - rhs3).max(axis=(-1, -2)))
+
+        lhs4 = dOmkl + wedge_mm(Om, Om, k, l)
+        rhs4 = (-(rat * rat)[..., None, None] * eps * sgn[None, :] * ww
+                + coef_reg[..., None, None] * dxi_wedge)
+        worst["flat_dOmega"] = np.maximum(
+            worst["flat_dOmega"], np.abs(lhs4 - rhs4).max(axis=(-1, -2)))
+
+    inner = interior_mask(grid.extents)
+    return {key: np.where(inner, worst[key], 0.0) for key in keys}
