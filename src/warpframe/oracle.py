@@ -5,9 +5,15 @@ primitives, this module induces everything the verifier consumes: an
 orthonormal adapted frame, connection coefficients, the second fundamental
 form, the (T, xi) split and the height function. Derivatives are exact:
 the map is evaluated on nested forward-mode jets, so frame fields obtained
-through Gram-Schmidt still differentiate to machine precision. A finite
-difference engine with the same algebra is kept alongside both as a fallback
-and as a cross-check of the jet machinery.
+through Gram-Schmidt still differentiate to machine precision. The finite
+difference engine feeds the same stages with stencil derivatives of the
+sampled map and frames.
+
+The stages are tensor code in the style of frame_solver._assemble: an
+ambient vector is one (N+2, *ext) array or jets.Jet with index 0 its t
+component, a frame is (n+m, N+2, *ext), and the connection coefficients
+come out component-major, grid axes last. The normal-completion candidate is
+picked on plain float values; only the accepted one is built as a jet.
 
 The canonical example library lives here too; each named family doubles as a
 serializable fixture (datasets carry a generator tag so they can be re-made
@@ -25,284 +31,207 @@ from . import jets
 from .ambient import SignatureSpec, WarpingFunction
 from .bundle_data import ChartGrid, GeometricData
 from .errors import DegenerateDataError
+from .frame_solver import _grid_first, _pattern
 from .immersion import ImmersionField
-from .jets import Jet, part, seed, sqrt, value
+from .jets import Jet, seed, sqrt, value
 from .stencils import grad1
 
 
 # ---------------------------------------------------------------------------
-# Generic ambient-vector algebra (components are floats, arrays, or jets)
+# Stages on component-major tensors. An ambient vector is one (N+2, *ext)
+# array or jet with index 0 its t component; a frame is (n+m, N+2, *ext).
+
+# Smallest |squared norm| a frame vector may have at any node.
+_TOL = 1e-8
 
 
-def _g0dot(fsigns, x, y):
-    acc = fsigns[0] * (x[0] * y[0])
-    for g, a, b in zip(fsigns[1:], x[1:], y[1:]):
-        acc = acc + g * (a * b)
-    return acc
+def _wdot(spec, a2, u, v):
+    """Warped metric eps u_0 v_0 + a^2 g0(u_fib, v_fib) of (N+2, *ext)
+    vectors; a2 is a^2."""
+    return spec.epsilon * (u[0] * v[0]) + a2 * jets.einsum(
+        "g,g...,g...->...", spec.fiber_signs, u[1:], v[1:])
 
 
-def _wdot(spec, a, u, v):
-    """Warped metric: u, v are (t_comp, fiber_list) pairs."""
-    return spec.epsilon * (u[0] * v[0]) + (a * a) * _g0dot(
-        spec.signs, u[1], v[1])
+def _reject(spec, a2, w, E, count):
+    """w minus its components along the frame vectors E[:count], one at a
+    time (modified Gram-Schmidt)."""
+    for j in range(count):
+        w = w - (spec.signs[1 + j] * _wdot(spec, a2, w, E[j])) * E[j]
+    return w
 
 
-def _axpy(c, u, v):
-    """v + c*u componentwise on (t, fibs) pairs."""
-    return (v[0] + c * u[0], [b + c * a for a, b in zip(u[1], v[1])])
+def _candidate(spec, p, pos):
+    """Normal-completion candidate `pos` made quadric-tangent at the fiber
+    position p (N+1, *ext): the fiber coordinate direction pos for
+    pos <= N, the vertical direction for pos = N+1."""
+    ext = np.shape(value(p))[1:]
+    w = jets.zeros((spec.N + 2,) + ext, like=p)
+    if pos > spec.N:
+        w[0] = 1.0
+    else:
+        onehot = _pattern(np.eye(spec.N + 1)[pos], len(ext))
+        w[1:] = onehot - (spec.c * spec.fiber_signs[pos]) * p[pos] * p
+    return w
 
 
-def _scale(c, u):
-    return (c * u[0], [c * a for a in u[1]])
+def _node(ok):
+    """Index tuple of the first node where the boolean field ok is False."""
+    return tuple(int(i) for i in np.argwhere(~ok)[0])
 
 
-def _quadric_project(spec, p, u):
-    """Remove the g0-component of the fiber part along the position p."""
-    coef = spec.c * _g0dot(spec.signs, u[1], p)
-    return (u[0], [a - coef * b for a, b in zip(u[1], p)])
-
-
-# ---------------------------------------------------------------------------
-# Stage 1: frames, T, xi (needs the map 1-jet)
-
-
-def _stage1(spec, warping, t, p, V, tol=1e-8):
+def _stage1(spec, warping, P, V):
     """Adapted orthonormal frame and vertical split at every node.
 
-    t, p: base point (p is a list of N+1 components); V: list of n
-    coordinate tangents as (t_comp, fiber_list) pairs. All entries may be
-    jets; branching happens on stripped values only.
+    P (N+2, *ext): the map's values (t, p); V (n, N+2, *ext): its
+    coordinate tangents. Both are arrays or jets of arrays; every branch is
+    taken on values. Returns the frame E (n+m, N+2, *ext), the rows F
+    (n, n, *ext) of e_i = sum_k F[i, k] V_k, T (n, *ext), xi (m, *ext) and
+    the warp values a.
     """
     n, m = spec.n, spec.m
-    a = warping.value_generic(t)
-    signs = spec.signs
-
-    ehat = []
-    coeffs = []  # rows of F: e_i = sum_k F[i][k] V_k
+    sgn = spec.signs
+    ext = np.shape(value(P))[1:]
+    nd = len(ext)
+    a = warping.value_generic(P[0])
+    a2 = a * a
+    E = jets.zeros((n + m, spec.N + 2) + ext, like=V)
+    F = jets.zeros((n, n) + ext, like=V)
+    eye = _pattern(np.eye(n), nd)
     for i in range(n):
-        w = V[i]
-        cf = [1.0 if k == i else 0.0 for k in range(n)]
-        for j, (u, su) in enumerate(zip(ehat, signs[1:])):
-            proj = su * _wdot(spec, a, w, u)
-            w = _axpy(-proj, u, w)
-            cf = [ck - proj * cj for ck, cj in zip(cf, coeffs[j])]
-        Q = _wdot(spec, a, w, w)
-        qv = np.asarray(value(Q))
-        need = signs[1 + i]
-        if not np.all(need * qv > tol):
+        w, cf = V[i], eye[i]
+        for j in range(i):
+            proj = sgn[1 + j] * _wdot(spec, a2, w, E[j])
+            w = w - proj * E[j]
+            cf = cf - proj * F[j]
+        Q = _wdot(spec, a2, w, w)
+        need = sgn[1 + i]
+        ok = need * value(Q) > _TOL
+        if not ok.all():
+            bad = _node(ok)
             raise DegenerateDataError(
-                f"tangent frame slot {i + 1}: norm sign does not match "
-                f"declared sign {need} everywhere (min {float((need*qv).min()):.3e})")
+                f"tangent frame slot {i + 1} has squared norm "
+                f"{float(value(Q)[bad]):.3e} at node {bad}, declared sign "
+                f"{need}")
         inv = 1.0 / sqrt(need * Q)
-        ehat.append(_scale(inv, w))
-        coeffs.append([c * inv for c in cf])
+        E[i] = inv * w
+        F[i] = inv * cf
 
     # Normal completion: fiber coordinate directions in index order, then
-    # the vertical direction; each candidate is first made quadric-tangent.
-    # A candidate skipped for the wrong sign stays available to later slots.
-    Np1 = spec.N + 1
-    cands = []
-    for g in range(Np1):
-        cands.append((0.0, [1.0 if j == g else 0.0 for j in range(Np1)]))
-    cands.append((1.0, [0.0] * Np1))
-    used = [False] * len(cands)
-    for u_slot in range(m):
-        need = signs[1 + n + u_slot]
-        accepted = None
-        for pos, cand in enumerate(cands):
-            if used[pos]:
-                continue
-            w = _quadric_project(spec, p, cand)
-            for v, sv in zip(ehat, signs[1:]):
-                proj = sv * _wdot(spec, a, w, v)
-                w = _axpy(-proj, v, w)
-            Q = _wdot(spec, a, w, w)
-            qv = np.asarray(value(Q))
-            if np.all(need * qv > tol):
-                accepted = _scale(1.0 / sqrt(need * Q), w)
-                used[pos] = True
+    # the vertical direction. The first candidate whose squared norm has the
+    # declared sign (beyond _TOL) at every node wins; the pick runs on
+    # values, and only the winner is built again at the jet level. A
+    # candidate skipped for the wrong sign stays available to later slots.
+    p, pv, a2v, Ev = P[1:], value(P)[1:], value(a2), value(E)
+    free = list(range(spec.N + 2))
+    for slot in range(n, n + m):
+        need = sgn[1 + slot]
+        fails = []  # (first failing node, Q there) per rejected candidate
+        for pos in free:
+            w = _reject(spec, a2v, _candidate(spec, pv, pos), Ev, slot)
+            Q = _wdot(spec, a2v, w, w)
+            ok = need * Q > _TOL
+            if ok.all():
                 break
-        if accepted is None:
+            bad = _node(ok)
+            fails.append((bad, float(Q[bad])))
+        else:
+            bad, q = max(fails)
             raise DegenerateDataError(
-                f"could not complete the normal frame at slot {n + 1 + u_slot} "
-                f"with sign {need}")
-        ehat.append(accepted)
+                f"normal frame slot {slot + 1}: no candidate has the declared "
+                f"sign {need} at every node; the last to fail has squared "
+                f"norm {q:.3e} at node {bad}")
+        free.remove(pos)
+        w = _reject(spec, a2, _candidate(spec, p, pos), E, slot)
+        E[slot] = (1.0 / sqrt(need * _wdot(spec, a2, w, w))) * w
 
-    dt_vec = (1.0, [0.0] * Np1)
-    T_comp = [signs[1 + i] * spec.epsilon * ehat[i][0] for i in range(n)]
-    xi_comp = [signs[1 + n + u] * spec.epsilon * ehat[n + u][0]
-               for u in range(m)]
-    return {"a": a, "t": t, "p": p, "V": V, "ehat": ehat, "F": coeffs,
-            "T": T_comp, "xi": xi_comp, "dt": dt_vec}
-
-
-# ---------------------------------------------------------------------------
-# Stage 2: connection coefficients and the second fundamental form
+    eps_slot = spec.epsilon * np.asarray(sgn[1:], dtype=float)
+    Tx = _pattern(eps_slot, nd) * E[:, 0]
+    return {"a": a, "E": E, "F": F, "T": Tx[:n], "xi": Tx[n:]}
 
 
-def _stage2(spec, warping, s1, drop, deriv):
-    """omega/alpha fields from stage-1 frames.
-
-    drop(q) aligns a stage-1 quantity with the derivative level, deriv(q, k)
-    is d/dx_k of a stage-1 quantity at that level. For the jet engine these
-    are `.val` and `.parts[k]`; for the finite-difference engine they are
-    the identity and a gradient stencil.
-    """
+def _stage2(spec, warping, t, V, E, F, dE):
+    """omega_tangent (n, n, n, *ext), omega_bundle (m, m, n, *ext) and alpha
+    (m, n, n, *ext) from stage-1 quantities t, V, E, F taken one derivative
+    level below stage 1; dE[k] is dE/dx_k at that level."""
     n, m = spec.n, spec.m
-    signs = spec.signs
-
-    def dropv(u):
-        return (drop(u[0]), [drop(c) for c in u[1]])
-
-    def derivv(u, k):
-        return (deriv(u[0], k), [deriv(c, k) for c in u[1]])
-
-    t = drop(s1["t"])
+    eps, fs = spec.epsilon, spec.fiber_signs
+    sgn = np.asarray(spec.signs, dtype=float)
+    nd = np.ndim(value(t))
     a = warping.value_generic(t)
     a1 = warping.deriv1_generic(t)
-    Vd = [dropv(v) for v in s1["V"]]
-    Ed = [dropv(e) for e in s1["ehat"]]
 
-    def tilde_nabla(k, j):
-        """Ambient covariant derivative of the frame field e_j along x_k."""
-        dE = derivv(s1["ehat"][j], k)
-        Vk, Ej = Vd[k], Ed[j]
-        rat = a1 / a
-        fib = [dE[1][g] + rat * (Vk[0] * Ej[1][g] + Ej[0] * Vk[1][g])
-               for g in range(spec.N + 1)]
-        tc = dE[0] - spec.epsilon * (a * a1) * _g0dot(
-            spec.signs, Vk[1], Ej[1])
-        return (tc, fib)
+    # nab[j, k]: ambient covariant derivative of e_j along x_k, d_k e_j plus
+    # the warped metric's Christoffel term: (a'/a)(V_k^0 e_j + e_j^0 V_k)
+    # on the fiber, -eps a a' g0(V_k, e_j) on the t component.
+    nab = jets.zeros((n + m, n) + np.shape(value(E))[1:], like=E)
+    for k in range(n):
+        nab[:, k] = dE[k]
+    Vr = (a1 / a) * V
+    nab[:, :, 1:] = nab[:, :, 1:] + (Vr[None, :, :1] * E[:, None, 1:]
+                                     + E[:, None, :1] * Vr[None, :, 1:])
+    nab[:, :, 0] = nab[:, :, 0] - eps * (a * a1) * jets.einsum(
+        "g,kg...,jg...->jk...", fs, V[:, 1:], E[:, 1:])
 
-    # nabla[k][j]: derivative of frame vector e_{j+1} along coordinate k.
-    nabla = [[tilde_nabla(k, j) for j in range(n + m)] for k in range(n)]
+    # coef[i, j, k] = eps_i <e_i, nab[j, k]>: omega, and alpha(d/dx_k, e_j),
+    # against the frame lowered by the metric and signed.
+    low = jets.zeros(np.shape(value(E)), like=E)
+    low[:, 0] = _pattern(eps * sgn[1:], nd) * E[:, 0]
+    low[:, 1:] = (a * a) * (_pattern(sgn[1:, None] * fs, nd) * E[:, 1:])
+    coef = jets.einsum("iA...,jkA...->ijk...", low, nab)
 
-    omega_t = [[[signs[1 + i] * _wdot(spec, a, Ed[i], nabla[k][j])
-                 for k in range(n)] for j in range(n)] for i in range(n)]
-    omega_b = [[[signs[1 + n + u] * _wdot(spec, a, Ed[n + u], nabla[k][n + v])
-                 for k in range(n)] for v in range(m)] for u in range(m)]
-    # alpha(d/dx_k, e_j) coefficients along e_u, then pulled onto frame pairs.
-    alpha_k = [[[signs[1 + n + u] * _wdot(spec, a, Ed[n + u], nabla[k][j])
-                 for u in range(m)] for j in range(n)] for k in range(n)]
-    Fd = [[drop(c) for c in row] for row in s1["F"]]
-    alpha = [[[None] * n for _ in range(n)] for _ in range(m)]
-    for u in range(m):
-        for i in range(n):
-            for j in range(n):
-                acc = 0.0
-                for k in range(n):
-                    acc = acc + Fd[i][k] * alpha_k[k][j][u]
-                alpha[u][i][j] = acc
-    # Exact symmetrization / skew-enforcement (linear, jet-safe).
-    for u in range(m):
-        for i in range(n):
-            for j in range(i + 1, n):
-                s = 0.5 * (alpha[u][i][j] + alpha[u][j][i])
-                alpha[u][i][j] = s
-                alpha[u][j][i] = s
-    for i in range(n):
-        for j in range(i, n):
-            ee = signs[1 + i] * signs[1 + j]
-            for k in range(n):
-                s = 0.5 * (omega_t[i][j][k] - ee * omega_t[j][i][k])
-                omega_t[i][j][k] = s
-                omega_t[j][i][k] = -ee * s
-    for u in range(m):
-        for v in range(u, m):
-            ee = signs[1 + n + u] * signs[1 + n + v]
-            for k in range(n):
-                s = 0.5 * (omega_b[u][v][k] - ee * omega_b[v][u][k])
-                omega_b[u][v][k] = s
-                omega_b[v][u][k] = -ee * s
-    return {"omega_tangent": omega_t, "omega_bundle": omega_b, "alpha": alpha}
+    def skew(w, s):
+        """0.5 (w_ij - s_i s_j w_ji): exactly skew in the metric signs s."""
+        ee = _pattern((s[:, None] * s)[..., None], nd)
+        return 0.5 * (w - ee * jets.einsum("jik...->ijk...", w))
+
+    alpha = jets.einsum("ik...,ujk...->uij...", F, coef[n:, :n])
+    return {"omega_tangent": skew(coef[:n, :n], sgn[1:n + 1]),
+            "omega_bundle": skew(coef[n:, n:], sgn[n + 1:]),
+            "alpha": 0.5 * (alpha + jets.einsum("uij...->uji...", alpha))}
 
 
 # ---------------------------------------------------------------------------
-# Engines
+# Engines: the map's values and tangents, and both stages
 
 
-def _to_array(extents, nested, shape):
-    """Nested lists of node arrays -> one (*extents, *shape) array."""
-    out = np.empty(tuple(extents) + tuple(shape))
-
-    def fill(idx, src, depth):
-        if depth == len(shape):
-            out[(Ellipsis,) + idx] = np.broadcast_to(
-                np.asarray(value(src), dtype=float), tuple(extents))
-            return
-        for i in range(shape[depth]):
-            fill(idx + (i,), src[i], depth + 1)
-
-    fill((), nested, 0)
+def _stack(items, like):
+    """(len(items), *shape of like) array or jet with the structure of
+    like, from components that are numbers, arrays or jets."""
+    out = jets.zeros((len(items),) + np.shape(value(like)), like=like)
+    for i, x in enumerate(items):
+        out[i] = x
     return out
 
 
-def _apply_frame_seed(V, frame_seed):
-    if frame_seed is None:
-        return V
-    M = np.asarray(frame_seed, dtype=float)
-    n = len(V)
-    if M.shape != (n, n) or abs(np.linalg.det(M)) < 1e-12:
-        raise DegenerateDataError("frame seed must be an invertible n x n matrix")
-    mixed = []
-    for k in range(n):
-        acc = _scale(M[k][0], V[0])
-        for l in range(1, n):
-            acc = _axpy(M[k][l], V[l], acc)
-        mixed.append(acc)
-    return mixed, M
+def _map_jets(grid, map_fn, levels):
+    """Values P (N+2, *ext) and coordinate tangents V (n, N+2, *ext) of the
+    map, as jets carrying levels - 1 derivative levels (arrays for 1)."""
+    X = seed(list(grid.coordinates()), levels)
+    t, p = map_fn(X)
+    Y = _stack([t, *p], X[0])
+    return Y.val, _stack(Y.parts, Y.val)
 
 
-def _jet_engine(spec, warping, grid, map_fn, frame_seed, want_dfields):
-    depth = 3 if want_dfields else 2
-    n = spec.n
-    X = seed(list(grid.coordinates()), depth)
-    t_j, p_j = map_fn(X)
-    t_in = t_j.val if isinstance(t_j, Jet) else t_j
-    p_in = [(c.val if isinstance(c, Jet) else c) for c in p_j]
-    V = []
-    for k in range(n):
-        V.append((part(t_j, k), [part(c, k) for c in p_j]))
-    Mseed = None
-    if frame_seed is not None:
-        V, Mseed = _apply_frame_seed(V, frame_seed)
-    s1 = _stage1(spec, warping, t_in, p_in, V)
-
-    def drop(q):
-        return q.val if isinstance(q, Jet) else q
-
-    def deriv(q, k):
-        return q.parts[k] if isinstance(q, Jet) else 0.0
-
-    s2 = _stage2(spec, warping, s1, drop, deriv)
-    return s1, s2, Mseed, (drop, deriv)
+def _map_fd(grid, map_fn):
+    """Values P and second-order finite-difference tangents V of the map."""
+    t, p = map_fn(list(grid.coordinates()))
+    P = np.stack([np.broadcast_to(np.asarray(c, dtype=float), grid.extents)
+                  for c in (t, *p)])
+    return P, np.stack([grad1(P, k - grid.n, h)
+                        for k, h in enumerate(grid.spacing)])
 
 
-def _fd_engine(spec, warping, grid, map_fn, frame_seed):
-    n = spec.n
-    coords = grid.coordinates()
-    t_arr, p_arrs = map_fn(list(coords))
-    t_arr = np.broadcast_to(np.asarray(t_arr, dtype=float), grid.extents).copy()
-    p_arrs = [np.broadcast_to(np.asarray(c, dtype=float), grid.extents).copy()
-              for c in p_arrs]
-    V = []
-    for k in range(n):
-        V.append((grad1(t_arr, k, grid.spacing[k]),
-                  [grad1(c, k, grid.spacing[k]) for c in p_arrs]))
-    Mseed = None
-    if frame_seed is not None:
-        V, Mseed = _apply_frame_seed(V, frame_seed)
-    s1 = _stage1(spec, warping, t_arr, p_arrs, V)
-
-    def drop(q):
-        return q
-
-    def deriv(q, k):
-        return grad1(np.broadcast_to(np.asarray(q, dtype=float),
-                                     grid.extents), k, grid.spacing[k])
-
-    s2 = _stage2(spec, warping, s1, drop, deriv)
-    return s1, s2, Mseed, (drop, deriv)
+def _stages(spec, warping, grid, P, V):
+    """Both stages. On jets stage 2 runs one level below stage 1 and
+    differentiates the frames exactly; on arrays it differentiates them by
+    finite differences."""
+    s1 = _stage1(spec, warping, P, V)
+    E, F = s1["E"], s1["F"]
+    if isinstance(E, Jet):
+        return s1, _stage2(spec, warping, P.val[0], V.val, E.val, F.val,
+                           E.parts)
+    dE = [grad1(E, k - grid.n, h) for k, h in enumerate(grid.spacing)]
+    return s1, _stage2(spec, warping, P[0], V, E, F, dE)
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +278,7 @@ def induce_data(imm: ExplicitImmersion, frame_seed=None,
     (no derivative fields are attached in that mode).
     """
     spec, warping, grid = imm.spec, imm.warping, imm.grid
-    n, m = spec.n, spec.m
+    n, nd = spec.n, grid.n
     ext = tuple(grid.extents)
     # The image must lie on the declared quadric at every node.
     _, p_samples = imm.sample()
@@ -362,28 +291,27 @@ def induce_data(imm: ExplicitImmersion, frame_seed=None,
             f"immersion leaves the quadric of the declared signature: "
             f"|g0(p,p) - c| = {float(np.abs(member).max()):.3e} at node {bad}")
     if derivatives == "jet":
-        s1, s2, Mseed, _ = _jet_engine(spec, warping, grid, imm.map_fn,
-                                       frame_seed, attach_derivatives)
+        P, V = _map_jets(grid, imm.map_fn, 3 if attach_derivatives else 2)
     elif derivatives == "fd":
-        s1, s2, Mseed, _ = _fd_engine(spec, warping, grid, imm.map_fn,
-                                      frame_seed)
+        P, V = _map_fd(grid, imm.map_fn)
         attach_derivatives = False
     else:
         raise ValueError("derivatives must be 'jet' or 'fd'")
+    Mseed = None
+    if frame_seed is not None:
+        Mseed = np.asarray(frame_seed, dtype=float)
+        if Mseed.shape != (n, n) or abs(np.linalg.det(Mseed)) < 1e-12:
+            raise DegenerateDataError(
+                "frame seed must be an invertible n x n matrix")
+        V = jets.einsum("kl,l...->k...", Mseed, V)
+    s1, s2 = _stages(spec, warping, grid, P, V)
 
     # Nondegeneracy: induced metric inertia must match (p, n - p).
-    gram = np.empty(ext + (n, n))
-    a_val = np.asarray(value(s1["a"]), dtype=float)
-    for k in range(n):
-        for l in range(k, n):
-            g = value(_wdot(spec, a_val,
-                            (np.asarray(value(s1["V"][k][0])),
-                             [np.asarray(value(c)) for c in s1["V"][k][1]]),
-                            (np.asarray(value(s1["V"][l][0])),
-                             [np.asarray(value(c)) for c in s1["V"][l][1]])))
-            gram[..., k, l] = g
-            gram[..., l, k] = g
-    eig = np.linalg.eigvalsh(gram)
+    Vv, a = value(V), value(s1["a"])
+    gram = spec.epsilon * (Vv[:, None, 0] * Vv[None, :, 0]) + (a * a) * (
+        np.einsum("g,kg...,lg...->kl...", spec.fiber_signs,
+                  Vv[:, 1:], Vv[:, 1:]))
+    eig = np.linalg.eigvalsh(_grid_first(gram, nd))
     negs = (eig < 0).sum(axis=-1)
     if np.any(negs != spec.p):
         bad = tuple(np.argwhere(negs != spec.p)[0])
@@ -391,48 +319,24 @@ def induce_data(imm: ExplicitImmersion, frame_seed=None,
             f"induced metric has index {int(negs[bad])} at node {bad}, "
             f"declared p={spec.p}")
 
-    F = _to_array(ext, s1["F"], (n, n))
+    F = s1["F"]
     if Mseed is not None:
-        F = np.einsum("...ik,kl->...il", F, Mseed)
-    fields = dict(
-        frame=F,
-        omega_tangent=_to_array(ext, s2["omega_tangent"], (n, n, n)),
-        omega_bundle=_to_array(ext, s2["omega_bundle"], (m, m, n)),
-        alpha=_to_array(ext, s2["alpha"], (m, n, n)),
-        T_comp=_to_array(ext, s1["T"], (n,)),
-        xi_comp=_to_array(ext, s1["xi"], (m,)),
-        pi=_to_array(ext, s1["t"], ()),
-    )
+        F = jets.einsum("ik...,kl->il...", F, Mseed)
+    comps = dict(frame=F, omega_tangent=s2["omega_tangent"],
+                 omega_bundle=s2["omega_bundle"], alpha=s2["alpha"],
+                 T_comp=s1["T"], xi_comp=s1["xi"])
     derivs = None
     if attach_derivatives:
-        def dstack(nested, shape):
-            return np.stack(
-                [_to_array(ext, _map_nested(nested, lambda q: part(q, k)),
-                           shape) for k in range(n)], axis=0)
-
-        dF = dstack(s1["F"], (n, n))
-        if Mseed is not None:
-            dF = np.einsum("d...ik,kl->d...il", dF, Mseed)
-        derivs = {
-            "frame": dF,
-            "T_comp": dstack(s1["T"], (n,)),
-            "xi_comp": dstack(s1["xi"], (m,)),
-            "omega_tangent": dstack(s2["omega_tangent"], (n, n, n)),
-            "omega_bundle": dstack(s2["omega_bundle"], (m, m, n)),
-            "alpha": dstack(s2["alpha"], (m, n, n)),
-        }
-
+        derivs = {name: np.stack([_grid_first(value(x.parts[k]), nd)
+                                  for k in range(n)])
+                  for name, x in comps.items()}
+    fields = {name: _grid_first(value(x), nd) for name, x in comps.items()}
+    fields["pi"] = value(P)[0]
     data = GeometricData(spec, warping, grid, derivs=derivs,
                          generator=imm.generator_tag(), **fields)
     if validate:
         data.validate()
     return data
-
-
-def _map_nested(nested, fn):
-    if isinstance(nested, list):
-        return [_map_nested(x, fn) for x in nested]
-    return fn(nested)
 
 
 # ---------------------------------------------------------------------------
@@ -445,14 +349,12 @@ def reference_field(imm: ExplicitImmersion) -> ImmersionField:
     B = exact_frame_field(imm)
     t, p = imm.sample()
     spec = imm.spec
-    ext = imm.grid.extents
+    Np1 = spec.N + 1
     a = imm.warping.eval(t)[0]
-    frames = np.empty(ext + (spec.size, spec.size))
-    fs = spec.fiber_signs
-    for g in range(spec.size):
-        frames[..., g, : spec.N + 1] = (
-            fs * B[..., : spec.N + 1, g]) / (spec.c * a)[..., None]
-        frames[..., g, spec.N + 1] = spec.epsilon * B[..., spec.N + 1, g]
+    frames = np.empty(tuple(imm.grid.extents) + (spec.size, spec.size))
+    frames[..., :Np1] = (spec.fiber_signs * np.swapaxes(
+        B[..., :Np1, :], -1, -2)) / (spec.c * a)[..., None, None]
+    frames[..., Np1] = spec.epsilon * B[..., Np1, :]
     return ImmersionField(spec=spec, warping=imm.warping, grid=imm.grid,
                           spatial=p, t=t, frames=frames)
 
@@ -462,30 +364,22 @@ def exact_frame_field(imm: ExplicitImmersion) -> np.ndarray:
 
     Column 0 comes from the scaled position direction, columns 1..N+1 from
     the induced adapted frame; row N+1 automatically carries the vertical
-    components T_beta.
+    components T_beta. Only the frame values are read, so stage 1 runs on
+    plain arrays (the map on one-level jets).
     """
-    spec, warping, grid = imm.spec, imm.warping, imm.grid
-    s1, _, _, _ = _jet_engine(spec, warping, grid, imm.map_fn, None, False)
-    ext = tuple(grid.extents)
-    Np1 = spec.N + 1
-    a = np.asarray(value(s1["a"]), dtype=float)
-    a = np.broadcast_to(a, ext)
-    p = [np.broadcast_to(np.asarray(value(c), dtype=float), ext)
-         for c in s1["p"]]
-    B = np.empty(ext + (spec.size, spec.size))
+    spec, grid = imm.spec, imm.grid
+    nd, Np1 = grid.n, spec.N + 1
+    P, V = _map_jets(grid, imm.map_fn, 1)
+    s1 = _stage1(spec, imm.warping, P, V)
+    E = s1["E"]
     fs = spec.fiber_signs
+    B = np.zeros((spec.size, spec.size) + tuple(grid.extents))
     # column 0: position direction p/(c a) expressed in the scaled basis
-    for b in range(Np1):
-        B[..., b, 0] = fs[b] * p[b]
-    B[..., Np1, 0] = 0.0
-    for g in range(Np1):
-        e = s1["ehat"][g]
-        et = np.broadcast_to(np.asarray(value(e[0]), dtype=float), ext)
-        for b in range(Np1):
-            efb = np.broadcast_to(np.asarray(value(e[1][b]), dtype=float), ext)
-            B[..., b, 1 + g] = (a / spec.c) * fs[b] * efb
-        B[..., Np1, 1 + g] = spec.epsilon * et
-    return B
+    B[:Np1, 0] = _pattern(fs, nd) * P[1:]
+    B[:Np1, 1:] = ((s1["a"] / spec.c) * _pattern(fs[:, None], nd)
+                   * np.swapaxes(E[:, 1:], 0, 1))
+    B[Np1, 1:] = spec.epsilon * E[:, 0]
+    return _grid_first(B, nd)
 
 
 def exact_base_frame(imm: ExplicitImmersion) -> np.ndarray:

@@ -80,7 +80,3 @@ class DerivativeSource:
             return self.data.derivs[name][axis]
         arr = getattr(self.data, name)
         return grad1(arr, axis, self.data.grid.spacing[axis])
-
-    def array(self, arr, axis):
-        """Finite-difference derivative of an ad-hoc array (always FD)."""
-        return grad1(arr, axis, self.data.grid.spacing[axis])

@@ -1,9 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from warpframe import (SignatureSpec, aux_identity_residuals,
-                       canonical_example, flatness_residual, induce_data,
-                       make_example, structure_residuals)
+import oracle_reference
+from test_frame_solver import SIGNATURE_CASES
+from warpframe import (ExplicitImmersion, SignatureSpec,
+                       aux_identity_residuals, canonical_example,
+                       flatness_residual, induce_data, make_example,
+                       structure_residuals)
 from warpframe.errors import DegenerateDataError
 from warpframe.oracle import exact_base_frame, exact_frame_field
 
@@ -299,3 +304,85 @@ def test_forward_data_passes_at_grid_tolerance_without_derivatives(name):
     for rep in (structure_residuals(data), aux_identity_residuals(data),
                 flatness_residual(data)):
         assert rep.passed  # default tolerance is 10 h^2 in FD mode
+
+
+class TestDegeneracyMessages:
+    def test_tangent_slot_names_sign_and_node(self):
+        # The lorentz_cylinder map, with one more spacelike fiber coordinate
+        # so that the quadric of a (+, +) tangent declaration holds it.
+        cyl = make_example("lorentz_cylinder", {})
+        spec = SignatureSpec.from_counts(2, 2, 1, 1, (1, 1), (-1, 1))
+
+        def map_fn(x):
+            t, p = cyl.map_fn(x)
+            return t, [p[0], p[1], 0.0 * x[0], p[2]]
+
+        imm = ExplicitImmersion(spec, cyl.warping, cyl.grid, map_fn)
+        with pytest.raises(DegenerateDataError,
+                           match=r"tangent frame slot 2 has squared norm "
+                                 r"-\d\.\d+e[-+]\d+ at node \(0, 0\), "
+                                 r"declared sign 1$"):
+            induce_data(imm)
+
+    def test_normal_slot_names_sign_and_node(self):
+        # Both normal directions of a helix in S^2 x R are spacelike, so no
+        # candidate meets a timelike declaration of the last slot.
+        helix = make_example("helix", {})
+        spec = dataclasses.replace(helix.spec, q=1, signs=(1, 1, 1, -1))
+        imm = ExplicitImmersion(spec, helix.warping, helix.grid, helix.map_fn)
+        with pytest.raises(DegenerateDataError,
+                           match=r"normal frame slot 3: no candidate has "
+                                 r"the declared sign -1 at every node; the "
+                                 r"last to fail has squared norm "
+                                 r"\d\.\d+e[-+]\d+ at node \(0,\)$"):
+            induce_data(imm)
+
+
+def _assert_close(new, ref, what):
+    """Agreement to roundoff: 1e-14 times the reference's sup (at least 1)."""
+    assert new.shape == ref.shape, what
+    tol = 1e-14 * max(1.0, float(np.abs(ref).max()))
+    gap = float(np.abs(new - ref).max())
+    assert gap <= tol, (what, gap, tol)
+
+
+class TestListReference:
+    """The tensor stages against the nested-list stages they replaced
+    (tests/oracle_reference.py), field by field and derivative field by
+    derivative field. Another normal-completion candidate would change a
+    field by O(1), so this also pins the candidate choice."""
+
+    CASES = [(key, None) for key in SIGNATURE_CASES] + [
+        ("helix", "exp"), ("tilted_desitter", "exp")]
+    IDS = [f"{k}-{w}" if w else k for k, w in CASES]
+    # Invertible, not orthogonal: the frame seed mixes and rescales.
+    SEEDS = {1: [[1.7]], 2: [[1.0, 0.4], [0.3, 1.2]],
+             3: [[1.0, 0.4, 0.0], [0.3, 1.2, 0.1], [0.0, 0.2, 0.9]]}
+
+    def check(self, imm, **kw):
+        data = induce_data(imm, **kw)
+        fields, derivs = oracle_reference.induce_fields(imm, **kw)
+        for name, ref in fields.items():
+            _assert_close(getattr(data, name), ref, name)
+        assert sorted(data.derivs) == sorted(derivs or {})
+        for name, ref in (derivs or {}).items():
+            _assert_close(data.derivs[name], ref, f"d {name}")
+
+    @pytest.mark.parametrize("derivatives", ["jet", "fd"])
+    @pytest.mark.parametrize("key, warping", CASES, ids=IDS)
+    def test_induced_fields(self, key, warping, derivatives):
+        self.check(SIGNATURE_CASES[key](1, warping), derivatives=derivatives)
+
+    @pytest.mark.parametrize("derivatives", ["jet", "fd"])
+    @pytest.mark.parametrize("key", ["slice_n2", "slice_n3",
+                                     "tilted_desitter", "helix"])
+    def test_frame_seed(self, key, derivatives):
+        imm = SIGNATURE_CASES[key](1, None)
+        self.check(imm, derivatives=derivatives,
+                   frame_seed=np.array(self.SEEDS[imm.spec.n]))
+
+    @pytest.mark.parametrize("key, warping", CASES, ids=IDS)
+    def test_exact_frame_field(self, key, warping):
+        imm = SIGNATURE_CASES[key](1, warping)
+        _assert_close(exact_frame_field(imm),
+                      oracle_reference.exact_frame_field(imm), "B")
