@@ -196,7 +196,7 @@ class WarpingFunction:
             return self.amplitude * jets.cos(u)
         if self.kind == "exp":
             return self.amplitude * jets.exp(u)
-        return self._tab_poly(t, 0)
+        return self._tab_poly(t)[0]
 
     def deriv1_generic(self, t):
         if self.kind == "constant":
@@ -209,7 +209,7 @@ class WarpingFunction:
             return -self.amplitude * r * jets.sin(u)
         if self.kind == "exp":
             return self.amplitude * r * jets.exp(u)
-        return self._tab_poly(t, 1)
+        return self._tab_poly(t)[1]
 
     def _tab_segments(self, t):
         ts = np.asarray(self.table_t)
@@ -217,9 +217,10 @@ class WarpingFunction:
         idx = np.clip(idx, 1, len(ts) - 2)
         return idx
 
-    def _tab_poly(self, t, order):
-        # Local quadratic through the three nearest samples, in Newton form;
-        # polynomial arithmetic, so jet arguments flow through unchanged.
+    def _tab_poly(self, t):
+        # Local quadratic through the three nearest samples, in Newton form:
+        # (a, a', a''/2) from one segment lookup. Polynomial arithmetic, so
+        # jet arguments flow through unchanged.
         ts = np.asarray(self.table_t)
         avals = np.asarray(self.table_a)
         idx = self._tab_segments(t)
@@ -228,16 +229,19 @@ class WarpingFunction:
         d01 = (a1 - a0) / (t1 - t0)
         d12 = (a2 - a1) / (t2 - t1)
         dd = (d12 - d01) / (t2 - t0)
-        if order == 0:
-            return a0 + d01 * (t - t0) + dd * ((t - t0) * (t - t1))
-        return d01 + dd * ((t - t0) + (t - t1))
+        return (a0 + d01 * (t - t0) + dd * ((t - t0) * (t - t1)),
+                d01 + dd * ((t - t0) + (t - t1)), dd)
 
     def eval(self, t):
         """Return (a, a', a'') at t, vectorized over t."""
         self._check_domain(t)
         t = np.asarray(t, dtype=float)
         if self.kind == "tabulated":
-            return self._tab_eval(t)
+            val, der, dd = self._tab_poly(t)
+            if np.any(val <= 0):
+                raise DomainError(
+                    "tabulated warping interpolant went nonpositive")
+            return val, der, 2.0 * dd * np.ones_like(t)
         a = jets.value(self.value_generic(t))
         a1 = jets.value(self.deriv1_generic(t))
         u = self._u(t)
@@ -256,22 +260,6 @@ class WarpingFunction:
         return (a,
                 np.broadcast_to(np.asarray(a1, dtype=float), t.shape).copy(),
                 np.broadcast_to(np.asarray(a2, dtype=float), t.shape).copy())
-
-    def _tab_eval(self, t):
-        ts = np.asarray(self.table_t)
-        avals = np.asarray(self.table_a)
-        idx = self._tab_segments(t)
-        t0, t1, t2 = ts[idx - 1], ts[idx], ts[idx + 1]
-        a0, a1v, a2v = avals[idx - 1], avals[idx], avals[idx + 1]
-        d01 = (a1v - a0) / (t1 - t0)
-        d12 = (a2v - a1v) / (t2 - t1)
-        dd = (d12 - d01) / (t2 - t0)
-        val = a0 + d01 * (t - t0) + dd * (t - t0) * (t - t1)
-        der = d01 + dd * ((t - t0) + (t - t1))
-        der2 = 2.0 * dd * np.ones_like(t)
-        if np.any(val <= 0):
-            raise DomainError("tabulated warping interpolant went nonpositive")
-        return val, der, der2
 
     def to_dict(self):
         # Unbounded domain ends serialize as null (strict-JSON friendly).

@@ -182,14 +182,6 @@ class GeometricData:
             self._cache["warp"] = self.warping.eval(self.pi)
         return self._cache["warp"]
 
-    def coord_metric(self):
-        """<d/dx_k, d/dx_l> per node."""
-        if "gkl" not in self._cache:
-            C = self.inv_frame
-            eps = self.spec.tangent_signs
-            self._cache["gkl"] = np.einsum("...ki,...li,i->...kl", C, C, eps)
-        return self._cache["gkl"]
-
     def delta_all(self):
         """T_alpha = delta(e_alpha) for alpha = 0..N+1 at every node."""
         if "delta" not in self._cache:

@@ -3,11 +3,14 @@
 From a frame field B the immersion into eps*I x_a M^N(c) is read off as
 f_gamma = eps_gamma * B_{gamma 0} (spatial), f_{N+1} = pi, and the adapted
 frames are E~_gamma = sum_alpha eps_alpha B_{alpha gamma} Ebar_alpha in the
-scaled ambient basis. verify_immersion then measures, entirely numerically,
-every conclusion the reconstruction is supposed to deliver: isometry, the
-vertical-direction split, the height projection, the second-fundamental-form
-match, and the normal-connection match. congruence_align fits an ambient
-isometry between two reconstructions.
+scaled ambient basis (adapted_frames; ImmersionField.frame_matrices inverts
+it). verify_immersion then measures, entirely numerically, every conclusion
+the reconstruction is supposed to deliver: isometry, the vertical-direction
+split, the height projection, the second-fundamental-form match, and the
+normal-connection match; the last two share one normal projection of the
+warped covariant derivative (_normal_part). congruence_align fits an ambient
+isometry between two reconstructions from the d x d moments of their point
+clouds.
 """
 
 from __future__ import annotations
@@ -15,11 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .ambient import SignatureSpec, WarpingFunction
 from .bundle_data import ChartGrid, GeometricData
 from .errors import AlignmentDegenerate, NonConvergence
+from .frame_solver import expm, pseudo_orthonormalize
 from .stencils import grad1, grad2_pure, interior_mask
 from .verifier import ResidualReport
 
@@ -64,31 +67,50 @@ class ImmersionField:
         return B
 
 
+def adapted_frames(spec, a, B):
+    """Adapted frames (*ext, N+2, N+2) of frame matrices B at warp values a;
+    ImmersionField.frame_matrices is the inverse."""
+    Np1 = spec.N + 1
+    frames = np.empty(B.shape)
+    frames[..., :, :Np1] = (spec.fiber_signs * np.swapaxes(
+        B[..., :Np1, :], -1, -2)) / (spec.c * a)[..., None, None]
+    frames[..., :, Np1] = spec.epsilon * B[..., Np1, :]
+    return frames
+
+
 def extract_immersion(B, data: GeometricData) -> ImmersionField:
     """Immersion and adapted frames from a frame field over the data grid."""
     B = np.asarray(getattr(B, "B", B), dtype=float)
     spec = data.spec
-    ext = tuple(data.grid.extents)
-    Np1 = spec.N + 1
-    if B.shape != ext + (spec.size, spec.size):
+    if B.shape != tuple(data.grid.extents) + (spec.size, spec.size):
         raise ValueError("frame field has wrong shape for this grid")
-    fs = spec.fiber_signs
-    spatial = fs * B[..., :Np1, 0]
-    t = data.pi.copy()
-    a = data.warp_values()[0]
-    frames = np.empty(ext + (spec.size, spec.size))
-    frames[..., :, :Np1] = (fs[None, :] * np.swapaxes(B[..., :Np1, :], -1, -2)
-                            ) / (spec.c * a)[..., None, None]
-    frames[..., :, Np1] = spec.epsilon * B[..., Np1, :]
+    frames = adapted_frames(spec, data.warp_values()[0], B)
     return ImmersionField(spec=spec, warping=data.warping, grid=data.grid,
-                          spatial=spatial, t=t, frames=frames)
+                          spatial=spec.fiber_signs * B[..., :spec.N + 1, 0],
+                          t=data.pi.copy(), frames=frames)
 
 
-def _ambient_inner_arrays(spec, a, u, v):
-    """Warped metric on component arrays (..., N+2): fiber then vertical."""
-    fs = spec.fiber_signs
-    fib = np.einsum("g,...g,...g->...", fs, u[..., :-1], v[..., :-1])
-    return spec.epsilon * u[..., -1] * v[..., -1] + a * a * fib
+def _normal_part(spec, a, a1, Vk, Y, dY, normals):
+    """eps_u <nabla_{V_k} Y, E_u> for every normal u, stacked last.
+
+    Vk is the map's tangent along coordinate k and dY the coordinate
+    derivative of the ambient field Y along it (all (*ext, N+2), fiber then
+    vertical); normals is (*ext, m, N+2). nabla is the warped-product
+    connection: dY plus the a'/a terms that mix the vertical and fiber parts.
+    """
+    Np1, fs = spec.N + 1, spec.fiber_signs
+    rat = (a1 / a)[..., None]
+    D = np.empty_like(dY)
+    D[..., :Np1] = dY[..., :Np1] + rat * (
+        Vk[..., Np1:] * Y[..., :Np1] + Y[..., Np1:] * Vk[..., :Np1])
+    fib = np.einsum("g,...g,...g->...", fs, Vk[..., :Np1], Y[..., :Np1])
+    D[..., Np1] = dY[..., Np1] - spec.epsilon * a * a1 * fib
+    a2 = a * a
+    return np.stack([
+        eb * (spec.epsilon * D[..., Np1] * E[..., Np1] + a2 * np.einsum(
+            "g,...g,...g->...", fs, D[..., :Np1], E[..., :Np1]))
+        for eb, E in zip(spec.bundle_signs, np.moveaxis(normals, -2, 0))],
+        axis=-1)
 
 
 def verify_immersion(imm: ImmersionField, data: GeometricData,
@@ -101,7 +123,7 @@ def verify_immersion(imm: ImmersionField, data: GeometricData,
     differences of the immersion itself as an independent cross-check.
     """
     spec, grid = imm.spec, data.grid
-    n, m, Np1 = spec.n, spec.m, spec.N + 1
+    n, Np1 = spec.n, spec.N + 1
     h = grid.max_spacing
     if tol is None:
         tol = 10.0 * h * h
@@ -116,10 +138,10 @@ def verify_immersion(imm: ImmersionField, data: GeometricData,
     report.add("isometry", np.abs(tangent).max(axis=(-1, -2)), tol)
 
     # (2) vertical split: dt - Phi(T) - Phi(xi) in ambient components.
+    normals = imm.frames[..., n + 1:, :]
     phiT = np.einsum("...i,...ic->...c", data.T_comp,
                      imm.frames[..., 1:n + 1, :])
-    phiXi = np.einsum("...u,...uc->...c", data.xi_comp,
-                      imm.frames[..., n + 1:, :])
+    phiXi = np.einsum("...u,...uc->...c", data.xi_comp, normals)
     split = phiT + phiXi
     split[..., Np1] -= 1.0
     report.add("dt_split", np.abs(split).max(axis=-1), tol)
@@ -127,13 +149,13 @@ def verify_immersion(imm: ImmersionField, data: GeometricData,
     # (3) height projection (f's vertical coordinate is pi by construction).
     report.add("projection", np.abs(imm.t - data.pi), tol)
 
+    # The map's coordinate tangents, shared by (4) and (5).
+    comps = np.concatenate([imm.spatial, imm.t[..., None]], axis=-1)
+    V = [grad1(comps, k, grid.spacing[k]) for k in range(n)]
+
     # (4) second fundamental form from second differences of f.
-    margin2 = interior_mask(grid.extents, 2)
     if min(grid.extents) >= 5:
-        comps = np.concatenate([imm.spatial, imm.t[..., None]], axis=-1)
-        V = [grad1(comps, k, grid.spacing[k]) for k in range(n)]
         C = data.inv_frame
-        eb = spec.bundle_signs
         worst = np.zeros(grid.extents)
         for k in range(n):
             for l in range(k, n):
@@ -141,50 +163,27 @@ def verify_immersion(imm: ImmersionField, data: GeometricData,
                     H = grad2_pure(comps, k, grid.spacing[k])
                 else:
                     H = grad1(V[l], k, grid.spacing[k])
-                D = np.empty_like(H)
-                rat = (a1 / a)[..., None]
-                D[..., :Np1] = H[..., :Np1] + rat * (
-                    V[k][..., Np1:] * V[l][..., :Np1]
-                    + V[l][..., Np1:] * V[k][..., :Np1])
-                fib = np.einsum("g,...g,...g->...", spec.fiber_signs,
-                                V[k][..., :Np1], V[l][..., :Np1])
-                D[..., Np1] = H[..., Np1] - spec.epsilon * a * a1 * fib
-                got = np.stack([
-                    eb[u] * _ambient_inner_arrays(
-                        spec, a, D, imm.frames[..., n + 1 + u, :])
-                    for u in range(m)], axis=-1)
+                got = _normal_part(spec, a, a1, V[k], V[l], H, normals)
                 want = np.einsum("...i,...j,...uij->...u",
                                  C[..., k, :], C[..., l, :], data.alpha)
                 worst = np.maximum(worst, np.abs(got - want).max(axis=-1))
-        report.add("alpha_match", np.where(margin2, worst, 0.0), tol)
+        report.add("alpha_match",
+                   np.where(interior_mask(grid.extents, 2), worst, 0.0), tol)
     else:
         report.add("alpha_match", None, tol,
                    note="grid too small for second-derivative stencils; skipped")
 
     # (5) normal connection: Phi nabla^E  vs  projected ambient derivative.
-    margin1 = interior_mask(grid.extents, 1)
-    eb = spec.bundle_signs
-    comps = np.concatenate([imm.spatial, imm.t[..., None]], axis=-1)
-    V = [grad1(comps, k, grid.spacing[k]) for k in range(n)]
-    rat = (a1 / a)[..., None]
     worst = np.zeros(grid.extents)
-    for u in range(m):
-        Eu = imm.frames[..., n + 1 + u, :]
+    for u in range(spec.m):
+        Eu = normals[..., u, :]
         for k in range(n):
-            dEu = grad1(Eu, k, grid.spacing[k])
-            Vk = V[k]
-            D = np.empty_like(dEu)
-            D[..., :Np1] = dEu[..., :Np1] + rat * (
-                Vk[..., Np1:] * Eu[..., :Np1] + Eu[..., Np1:] * Vk[..., :Np1])
-            fib = np.einsum("g,...g,...g->...", spec.fiber_signs,
-                            Vk[..., :Np1], Eu[..., :Np1])
-            D[..., Np1] = dEu[..., Np1] - spec.epsilon * a * a1 * fib
-            for v in range(m):
-                got = eb[v] * _ambient_inner_arrays(
-                    spec, a, D, imm.frames[..., n + 1 + v, :])
-                want = data.omega_bundle[..., v, u, k]
-                worst = np.maximum(worst, np.abs(got - want))
-    report.add("normal_connection", np.where(margin1, worst, 0.0), tol)
+            got = _normal_part(spec, a, a1, V[k], Eu,
+                               grad1(Eu, k, grid.spacing[k]), normals)
+            want = data.omega_bundle[..., :, u, k]
+            worst = np.maximum(worst, np.abs(got - want).max(axis=-1))
+    report.add("normal_connection",
+               np.where(interior_mask(grid.extents, 1), worst, 0.0), tol)
     return report
 
 
@@ -215,7 +214,8 @@ class Isometry:
 
 
 def _group_basis(G0):
-    """Basis of the pseudo-orthogonal Lie algebra for the diagonal metric G0."""
+    """Basis (dim so, d, d) of the pseudo-orthogonal Lie algebra for the
+    diagonal metric G0."""
     d = len(G0)
     basis = []
     for a in range(d):
@@ -224,7 +224,7 @@ def _group_basis(G0):
             H[a, b] = 1.0
             H[b, a] = -G0[a] * G0[b]
             basis.append(H)
-    return basis
+    return np.array(basis)
 
 
 def congruence_align(f: ImmersionField, g: ImmersionField,
@@ -234,37 +234,40 @@ def congruence_align(f: ImmersionField, g: ImmersionField,
     Solves the unconstrained least-squares problem for O, projects onto the
     pseudo-orthogonal group, then polishes with Gauss-Newton steps along the
     group. Rank-deficient point clouds fall back to matching the adapted
-    frames (which determine the isometry uniquely); with no frames available
-    such clouds raise AlignmentDegenerate.
+    frames as well (which determine the isometry uniquely); with no frames
+    available such clouds raise AlignmentDegenerate.
+
+    Every step reads only the d x d moments S = P^t P and P^t Q of the
+    matched rows P (of f) and Q (of g): with the algebra basis H_i, the
+    Gauss-Newton normal equations are J^t J_ij = tr(O H_i S H_j^t O^t) and
+    J^t r_i = tr(O H_i (P^t Q - S O^t)).
 
     Returns (Isometry, defect) with defect the post-alignment sup over nodes
     and components (spatial and vertical).
     """
-    from .frame_solver import pseudo_orthonormalize
-
     if f.grid.extents != g.grid.extents or f.spec != g.spec:
         raise ValueError("congruence_align needs fields over one grid and spec")
     spec = f.spec
     d = spec.N + 1
     G0 = spec.fiber_signs
     P = f.spatial.reshape(-1, d)
-    Q = g.spatial.reshape(-1, d)
+    S = P.T @ P
+    PQ = P.T @ g.spatial.reshape(-1, d)
     used_frames = False
 
-    gram = P.T @ P
-    rank = np.linalg.matrix_rank(gram, tol=1e-9 * max(1.0, float(np.trace(gram))))
+    rank = np.linalg.matrix_rank(S, tol=1e-9 * max(1.0, float(np.trace(S))))
     if rank < d:
         if f.frames is None or g.frames is None:
             raise AlignmentDegenerate(
                 f"point cloud spans only {rank} of {d} dimensions and no "
                 "frames are available to resolve the ambiguity")
         used_frames = True
-        P = np.concatenate([P, f.frames[..., :, :d].reshape(-1, d)])
-        Q = np.concatenate([Q, g.frames[..., :, :d].reshape(-1, d)])
+        Pf = f.frames[..., :, :d].reshape(-1, d)
+        S = S + Pf.T @ Pf
+        PQ = PQ + Pf.T @ g.frames[..., :, :d].reshape(-1, d)
 
     # Unconstrained least squares, then projection onto the group.
-    Ot, *_ = np.linalg.lstsq(P, Q, rcond=None)
-    O = Ot.T
+    O = np.linalg.lstsq(S, PQ, rcond=None)[0].T
     try:
         O = pseudo_orthonormalize(O, np.diag(G0))
     except NonConvergence:
@@ -274,13 +277,13 @@ def congruence_align(f: ImmersionField, g: ImmersionField,
     basis = _group_basis(G0)
     rounds = 0
     for rounds in range(1, max_rounds + 1):
-        R = Q - P @ O.T
-        J = np.stack([(P @ H.T @ O.T).ravel() for H in basis], axis=1)
-        theta, *_ = np.linalg.lstsq(J, R.ravel(), rcond=None)
+        A = O @ basis                                   # O H_i
+        JtJ = np.einsum("iab,bc,jac->ij", A, S, A)
+        Jtr = np.einsum("iab,ba->i", A, PQ - S @ O.T)
+        theta = np.linalg.lstsq(JtJ, Jtr, rcond=None)[0]
         if not np.all(np.isfinite(theta)):
             break
-        H = sum(t * Hb for t, Hb in zip(theta, basis))
-        O = O @ expm(H)
+        O = O @ expm(np.einsum("i,iab->ab", theta, basis))
         if np.abs(theta).max() < tol:
             break
     t_shift = 0.0

@@ -28,11 +28,11 @@ from typing import Callable
 import numpy as np
 
 from . import jets
-from .ambient import SignatureSpec, WarpingFunction
+from .ambient import SignatureSpec, WarpingFunction, validate_signature
 from .bundle_data import ChartGrid, GeometricData
 from .errors import DegenerateDataError
 from .frame_solver import _grid_first, _pattern
-from .immersion import ImmersionField
+from .immersion import ImmersionField, adapted_frames
 from .jets import Jet, seed, sqrt, value
 from .stencils import grad1
 
@@ -278,6 +278,9 @@ def induce_data(imm: ExplicitImmersion, frame_seed=None,
     (no derivative fields are attached in that mode).
     """
     spec, warping, grid = imm.spec, imm.warping, imm.grid
+    problems = validate_signature(spec)
+    if problems:
+        raise DegenerateDataError("invalid signature: " + "; ".join(problems))
     n, nd = spec.n, grid.n
     ext = tuple(grid.extents)
     # The image must lie on the declared quadric at every node.
@@ -346,16 +349,10 @@ def induce_data(imm: ExplicitImmersion, frame_seed=None,
 def reference_field(imm: ExplicitImmersion) -> ImmersionField:
     """ImmersionField of the generating immersion (positions and exact
     adapted frames), for round-trip comparisons."""
-    B = exact_frame_field(imm)
     t, p = imm.sample()
-    spec = imm.spec
-    Np1 = spec.N + 1
-    a = imm.warping.eval(t)[0]
-    frames = np.empty(tuple(imm.grid.extents) + (spec.size, spec.size))
-    frames[..., :Np1] = (spec.fiber_signs * np.swapaxes(
-        B[..., :Np1, :], -1, -2)) / (spec.c * a)[..., None, None]
-    frames[..., Np1] = spec.epsilon * B[..., Np1, :]
-    return ImmersionField(spec=spec, warping=imm.warping, grid=imm.grid,
+    frames = adapted_frames(imm.spec, imm.warping.eval(t)[0],
+                            exact_frame_field(imm))
+    return ImmersionField(spec=imm.spec, warping=imm.warping, grid=imm.grid,
                           spatial=p, t=t, frames=frames)
 
 

@@ -37,10 +37,6 @@ def grad2_pure(field, axis, spacing):
     return out
 
 
-def grad2_mixed(field, axis_a, axis_b, spacing_a, spacing_b):
-    return grad1(grad1(field, axis_b, spacing_b), axis_a, spacing_a)
-
-
 def interior_mask(extents, margin=1):
     """Boolean node mask keeping nodes at least `margin` away from every face."""
     mask = np.ones(tuple(extents), dtype=bool)

@@ -224,6 +224,20 @@ def test_console_entry_point():
     assert "helix" in proc.stdout
 
 
+def test_runs_without_scipy():
+    # numpy is the only runtime dependency: with scipy unimportable the
+    # commands that integrate, extract and align still succeed.
+    code = "\n".join([
+        "import sys",
+        "sys.modules['scipy'] = None",
+        "from warpframe.cli import main",
+        "sys.exit(main(['roundtrip', '--example', 'helix'])"
+        " or main(['reconstruct', '--example', 'slice']))"])
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
 class TestValidateCommand:
     def test_valid_dataset(self, slice_file, capsys):
         assert main(["validate", str(slice_file)]) == 0

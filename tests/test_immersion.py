@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from warpframe import (canonical_example, congruence_align, extract_immersion,
+import immersion_reference
+from warpframe import (ChartGrid, SignatureSpec, WarpingFunction,
+                       canonical_example, congruence_align, extract_immersion,
                        make_example, verify_immersion)
 from warpframe.errors import AlignmentDegenerate
-from warpframe.frame_solver import build_base_frame, integrate_frame
-from warpframe.immersion import ImmersionField, Isometry
+from warpframe.frame_solver import build_base_frame, expm, integrate_frame
+from warpframe.immersion import ImmersionField, Isometry, _group_basis
 from warpframe.oracle import exact_base_frame, induce_data, reference_field
 
 
@@ -180,6 +184,80 @@ class TestCongruence:
         r2 = extract_immersion(integrate_frame(d2, build_base_frame(d2)), d2)
         with pytest.raises(ValueError):
             congruence_align(r1, r2)
+
+
+# Fiber signatures of the clouds: Riemannian (d = 3, 4), Lorentzian with the
+# minus on a tangent or a bundle slot, and c = -1.
+CLOUD_SPECS = [
+    SignatureSpec.from_counts(2, 1, 1, 1, (1, 1), (1,)),
+    SignatureSpec.from_counts(3, 1, 1, 1, (1, 1, 1), (1,)),
+    SignatureSpec.from_counts(2, 1, 1, 1, (1, -1), (1,)),
+    SignatureSpec.from_counts(2, 2, 1, 1, (1, 1), (-1, 1)),
+    SignatureSpec.from_counts(2, 1, 1, -1, (1, 1), (1,)),
+]
+
+
+def _cloud_pair(spec, kind, seed, scale, noise):
+    """(f, g): a random point cloud with random frames, and its image under
+    a random ambient isometry (a group element times a sign flip) plus
+    noise. kind: "full" (generic rows), "rank" (rows spanning d - 1
+    dimensions), "thin" (one direction shrunk by `scale`; the thinnest fall
+    under the rank threshold and use the frames too)."""
+    rng = np.random.default_rng(seed)
+    d, rows = spec.N + 1, 40
+    basis = _group_basis(spec.fiber_signs)
+    Z = rng.standard_normal((rows, d))
+    if kind == "rank":
+        Z[:, -1] = 0.0
+    elif kind == "thin":
+        Z[:, -1] *= scale
+    P = Z @ (np.eye(d) + 0.3 * rng.standard_normal((d, d)))
+    frames = rng.standard_normal((rows, d + 1, d + 1))
+    grid = ChartGrid((rows,), (0.1,), (0.0,), (0,))
+    f = ImmersionField(spec=spec, warping=WarpingFunction("cosh"), grid=grid,
+                       spatial=P, t=rng.standard_normal(rows), frames=frames)
+    theta = rng.uniform(-1.0, 1.0, len(basis))
+    O = expm(np.einsum("i,iab->ab", theta, basis))
+    O = O * rng.choice([-1.0, 1.0], d)
+    g = Isometry(O=O).apply(f)
+    g.spatial = g.spatial + noise * rng.standard_normal(g.spatial.shape)
+    g.frames = g.frames + noise * rng.standard_normal(g.frames.shape)
+    return f, g
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(spec=st.sampled_from(CLOUD_SPECS),
+       kind=st.sampled_from(["full", "rank", "thin"]),
+       seed=st.integers(0, 2**32 - 1),
+       log_scale=st.floats(-4.0, -1.0),
+       noise=st.sampled_from([0.0, 1e-8, 1e-4]))
+def test_moment_fit_matches_stacked_reference(spec, kind, seed, log_scale,
+                                              noise):
+    """The d x d moment fit against the stacked lstsq fit it replaced
+    (tests/immersion_reference.py). Normal equations square the condition
+    number of the rows, so O is compared relative to cond(S), S the moment
+    matrix the fit reads. Without noise both defects sit at roundoff, where
+    either fit can come out ahead by a few 1e-14; the defects are compared
+    to 1e-13, relative once they exceed 1."""
+    f, g = _cloud_pair(spec, kind, seed, 10.0 ** log_scale, noise)
+    tau, defect = congruence_align(f, g)
+    ref, ref_defect = immersion_reference.congruence_align(f, g)
+    # Noise at the scale of a thin direction leaves the group element along
+    # it undetermined; the reference then stops at its round limit, and two
+    # unconverged iterates need not agree.
+    assume(ref.rounds < 50)
+    assert tau.rounds < 50
+    assert tau.used_frames == ref.used_frames
+    assert tau.used_frames or kind != "rank"
+    d = spec.N + 1
+    rows = [f.spatial.reshape(-1, d)]
+    if tau.used_frames:
+        rows.append(f.frames[..., :, :d].reshape(-1, d))
+    S = sum(R.T @ R for R in rows)
+    gap = float(np.abs(tau.O - ref.O).max())
+    assert gap <= 1e-12 * np.linalg.cond(S), gap
+    assert abs(defect - ref_defect) <= 1e-13 * max(1.0, ref_defect), (
+        defect, ref_defect)
 
 
 class TestRoundTripSignatureCoverage:

@@ -9,6 +9,7 @@ from warpframe import (ExplicitImmersion, SignatureSpec,
                        aux_identity_residuals, canonical_example,
                        flatness_residual, induce_data, make_example,
                        structure_residuals)
+from warpframe import oracle
 from warpframe.errors import DegenerateDataError
 from warpframe.oracle import exact_base_frame, exact_frame_field
 
@@ -326,15 +327,26 @@ class TestDegeneracyMessages:
 
     def test_normal_slot_names_sign_and_node(self):
         # Both normal directions of a helix in S^2 x R are spacelike, so no
-        # candidate meets a timelike declaration of the last slot.
+        # candidate meets a timelike declaration of the last slot. That
+        # signature is invalid (eps_{N+1} != epsilon), so induce_data stops
+        # before the frame stage; stage 1 is run on its own here.
         helix = make_example("helix", {})
         spec = dataclasses.replace(helix.spec, q=1, signs=(1, 1, 1, -1))
-        imm = ExplicitImmersion(spec, helix.warping, helix.grid, helix.map_fn)
+        P, V = oracle._map_jets(helix.grid, helix.map_fn, 1)
         with pytest.raises(DegenerateDataError,
                            match=r"normal frame slot 3: no candidate has "
                                  r"the declared sign -1 at every node; the "
                                  r"last to fail has squared norm "
                                  r"\d\.\d+e[-+]\d+ at node \(0,\)$"):
+            oracle._stage1(spec, helix.warping, P, V)
+
+    def test_invalid_signature_rejected_first(self):
+        helix = make_example("helix", {})
+        spec = dataclasses.replace(helix.spec, q=1, signs=(1, 1, 1, -1))
+        imm = ExplicitImmersion(spec, helix.warping, helix.grid, helix.map_fn)
+        with pytest.raises(DegenerateDataError,
+                           match=r"^invalid signature: .*"
+                                 r"eps_\{N\+1\} != epsilon \(-1 != 1\)"):
             induce_data(imm)
 
 
