@@ -1,12 +1,11 @@
 """Verify-and-reconstruct engine for submanifolds of semi-Riemannian
 warped products over space forms."""
 
-from .ambient import (AmbientVector, SignatureSpec, WarpingFunction,
-                      ambient_inner, curvature_bar, curvature_coefficients,
-                      curvature_tilde, space_form_membership,
-                      validate_signature, warped_connection)
-from .bundle_data import (ChartGrid, FVector, GeometricData,
-                          gram_schmidt_signed, load_data)
+from .ambient import (SignatureSpec, WarpingFunction, curvature_bar,
+                      curvature_coefficients, curvature_tilde,
+                      validate_signature, warped_dot, warped_lower,
+                      warped_nabla)
+from .bundle_data import ChartGrid, GeometricData, load_data
 from .frame_solver import (FrameField, FrameMatrix, build_base_frame,
                            integrate_frame, path_independence_defect,
                            pseudo_orthonormalize)

@@ -7,9 +7,13 @@ The ambient spaces in play:
 * the warped products  eps*I x_a M^N(c)  and  eps*I x_a E^{N+1}  with metric
   eps*dt^2 + a(t)^2 * (fiber metric).
 
-Everything in this module is an exact pointwise evaluation: the metric, the
-warped covariant-derivative rules, and the two closed-form curvature tensors
-(flat fiber and quadric fiber). Grid machinery lives elsewhere.
+This module holds the one copy of the warped metric and its Levi-Civita
+connection (warped_dot, warped_lower, warped_nabla) that both sides of the
+theorem use: the oracle induces its hypothesis data with them, and
+verify_immersion checks the reconstructed immersion's conclusions with
+them. They act on t-first vectors (..., N+2, *ext), arrays or jets, over a
+whole grid at once. The closed-form curvature tensors (flat fiber and
+quadric fiber) are built on warped_dot. Grid machinery lives elsewhere.
 """
 
 from __future__ import annotations
@@ -285,114 +289,77 @@ class WarpingFunction:
 
 
 # ---------------------------------------------------------------------------
-# Tangent vectors of the warped product
+# Metric and Levi-Civita connection of eps*I x_a M^N(c)
+#
+# A tangent vector is an array, or a jets.Jet of arrays, shaped
+# (..., N+2, *ext): index 0 of the component axis is the d/dt coefficient,
+# 1..N+1 the fiber coordinates in E^{N+1}; ext is the shape of the warp
+# values (the grid axes, last) and leading axes broadcast.
 
 
-@dataclass
-class AmbientVector:
-    """Tangent vector at a point (t, p) of eps*I x_a E^{N+1}.
+def _split(nd, *us):
+    """(t component (..., *ext), fiber part (N+1, ..., *ext)) of each of
+    the vectors us with nd grid axes, as views; missing leading axes are
+    inserted first, as broadcasting would."""
+    ndim = max(np.ndim(jets.value(u)) for u in us)
+    out = []
+    for u in us:
+        u = jets.linear(lambda v: np.moveaxis(
+            v[(None,) * (ndim - v.ndim)], -1 - nd, 0), u)
+        out.append((u[0], u[1:]))
+    return out
 
-    fiber holds the N+1 coordinates in the flat factor; t_component the
-    coefficient of d/dt. The base point is carried along so that inner
-    products can refuse mismatched arguments.
+
+def _join(t, fib, nd):
+    """Vectors (..., N+2, *ext) from a t component (..., *ext) and a fiber
+    part (N+1, ..., *ext); the fiber part is a jet whenever t is."""
+    shape = np.broadcast_shapes(np.shape(jets.value(t)),
+                                np.shape(jets.value(fib))[1:])
+    cut = len(shape) - nd
+    size = np.shape(jets.value(fib))[0] + 1
+    out = jets.zeros(shape[:cut] + (size,) + shape[cut:], like=fib)
+    view = jets.linear(lambda v: np.moveaxis(v, -1 - nd, 0), out)
+    view[0] = t
+    view[1:] = fib
+    return out
+
+
+def warped_dot(spec: SignatureSpec, a2, u, v):
+    """Warped metric eps u_0 v_0 + a^2 g0(u_fib, v_fib); a2 holds a(t)^2
+    (*ext)."""
+    nd = np.ndim(jets.value(a2))
+    (u0, uf), (v0, vf) = _split(nd, u, v)
+    return spec.epsilon * (u0 * v0) + a2 * jets.einsum(
+        "g,g...,g...->...", spec.fiber_signs, uf, vf)
+
+
+def warped_lower(spec: SignatureSpec, a2, u):
+    """Covector (eps u_0, a^2 g0 u_fib) of u, laid out like u: its
+    contraction with v over the component axis is warped_dot(u, v)."""
+    nd = np.ndim(jets.value(a2))
+    (u0, uf), = _split(nd, u)
+    fs = spec.fiber_signs.reshape((-1,) + (1,) * (np.ndim(jets.value(uf)) - 1))
+    return _join(spec.epsilon * u0, a2 * (fs * uf), nd)
+
+
+def warped_nabla(spec: SignatureSpec, a, a1, V, Y, dY):
+    """Levi-Civita derivative nabla_V Y of eps*I x_a E^{N+1}, with a, a'
+    (*ext) the warp values at the base points.
+
+    dY is the flat derivative of the field Y along V. The Christoffel
+    terms of the warped metric are (a'/a)(V_0 Y_fib + Y_0 V_fib) on the
+    fiber and -eps a a' g0(V_fib, Y_fib) on the t component. On fields
+    tangent to the quadric M^N(c) this is the connection of
+    eps*I x_a M^N(c) plus the normal part of the flat fiber derivative,
+    which every pairing with a quadric-tangent vector drops.
     """
-
-    t_component: float
-    fiber: np.ndarray
-    point_t: float
-    point_p: np.ndarray
-
-    def __post_init__(self):
-        self.fiber = np.asarray(self.fiber, dtype=float)
-        self.point_p = np.asarray(self.point_p, dtype=float)
-
-    @classmethod
-    def dt(cls, point_t, point_p):
-        p = np.asarray(point_p, dtype=float)
-        return cls(1.0, np.zeros_like(p), float(point_t), p)
-
-    @classmethod
-    def fiber_vector(cls, v, point_t, point_p):
-        return cls(0.0, np.asarray(v, dtype=float), float(point_t),
-                   np.asarray(point_p, dtype=float))
-
-
-def _same_point(u: AmbientVector, v: AmbientVector, tol=1e-9):
-    return (abs(u.point_t - v.point_t) <= tol
-            and np.max(np.abs(u.point_p - v.point_p)) <= tol)
-
-
-def g0_inner(spec: SignatureSpec, x, y):
-    """Flat fiber metric g0 on E^{N+1} coordinate vectors."""
-    return float(np.dot(spec.fiber_signs * np.asarray(x), np.asarray(y)))
-
-
-def space_form_membership(spec: SignatureSpec, p) -> float:
-    """Residual |g0(p, p) - c| of the quadric equation."""
-    p = np.asarray(p, dtype=float)
-    return abs(g0_inner(spec, p, p) - spec.c)
-
-
-def quadric_project(spec: SignatureSpec, p, w):
-    """Project the fiber vector w onto the tangent space of the quadric at p.
-
-    Uses (I - c p p^t G0): removes the g0-component along the position p.
-    """
-    w = np.asarray(w, dtype=float)
-    return w - spec.c * g0_inner(spec, w, p) * np.asarray(p, dtype=float)
-
-
-def ambient_inner(spec: SignatureSpec, w: WarpingFunction, point,
-                  u: AmbientVector, v: AmbientVector,
-                  check_tangency=True, tol=1e-8) -> float:
-    """Warped metric eps*u_t*v_t + a(t)^2 g0(u_fib, v_fib) at the point."""
-    t, p = float(point[0]), np.asarray(point[1], dtype=float)
-    if not _same_point(u, v) or abs(u.point_t - t) > 1e-9 \
-            or np.max(np.abs(u.point_p - p)) > 1e-9:
-        raise ValueError("ambient_inner: vectors based at different points")
-    if check_tangency and space_form_membership(spec, p) <= tol:
-        for vec in (u, v):
-            if abs(g0_inner(spec, vec.fiber, p)) > tol * (1 + np.max(np.abs(vec.fiber))):
-                raise ValueError("fiber component not tangent to the quadric")
-    a, _, _ = w.eval(t)
-    return (spec.epsilon * u.t_component * v.t_component
-            + float(a) ** 2 * g0_inner(spec, u.fiber, v.fiber))
-
-
-def warped_connection(spec: SignatureSpec, w: WarpingFunction, point,
-                      V: AmbientVector, W: AmbientVector,
-                      dW: AmbientVector | None = None) -> AmbientVector:
-    """Covariant derivative of W along V in eps*I x_a M^N(c).
-
-    Rules used: nabla_dt dt = 0, nabla_V dt = (a'/a) V for fiber V, and for
-    fiber lifts V, W:  nabla_V W = P(D_V W) - (eps a'/a) <V,W> dt,  where
-    D_V W is the flat directional derivative (zero unless dW supplies field
-    variation) and P projects onto the quadric tangent space.
-
-    dW, when given, holds the flat derivative of the W field along V
-    (t-component derivative and fiber component derivatives).
-    """
-    t, p = float(point[0]), np.asarray(point[1], dtype=float)
-    a, a1, _ = w.eval(t)
-    a, a1 = float(a), float(a1)
-    out_t = 0.0
-    out_fib = np.zeros_like(p)
-
-    # Split arguments into dt and fiber parts; the rules are bilinear.
-    vt, vf = V.t_component, V.fiber
-    wt, wf = W.t_component, W.fiber
-
-    # nabla_V (wt * dt): (a'/a) wt * V_fiber  (+ field variation of wt).
-    out_fib = out_fib + (a1 / a) * wt * vf
-    # nabla_(vt dt) (fiber part of W): (a'/a) vt * wf.
-    out_fib = out_fib + (a1 / a) * vt * wf
-    # Fiber-fiber: projected flat derivative minus the warp term.
-    inner_ff = a * a * g0_inner(spec, vf, wf)
-    out_t = out_t - spec.epsilon * (a1 / a) * inner_ff
-    if dW is not None:
-        out_t = out_t + dW.t_component
-        out_fib = out_fib + quadric_project(spec, p, dW.fiber)
-    return AmbientVector(out_t, out_fib, t, p)
+    nd = np.ndim(jets.value(a))
+    (V0, Vf), (Y0, Yf), (dY0, dYf) = _split(nd, V, Y, dY)
+    r = a1 / a
+    fib = dYf + ((r * V0) * Yf + Y0 * (r * Vf))
+    t = dY0 - spec.epsilon * (a * a1) * jets.einsum(
+        "g,g...,g...->...", spec.fiber_signs, Vf, Yf)
+    return _join(t, fib, nd)
 
 
 # ---------------------------------------------------------------------------
@@ -412,30 +379,33 @@ def curvature_coefficients(spec: SignatureSpec, w: WarpingFunction, t):
     return k1, k2
 
 
-def _curvature_quadruple(spec, w, point, X, Y, Z, W_, k1, k2, check_tangency):
-    ip = lambda u, v: ambient_inner(spec, w, point, u, v,
-                                    check_tangency=check_tangency)
-    t, p = float(point[0]), np.asarray(point[1], dtype=float)
-    dt = AmbientVector.dt(t, p)
+def _curvature_quadruple(spec, a2, X, Y, Z, W_, k1, k2):
+    """k1 (<X,Z><Y,W> - <Y,Z><X,W>) + k2 (<X,Z> y w - <Y,Z> x w
+    - <X,W> y z + <Y,W> x z), with x = <X, dt> and so on."""
+    def ip(u, v):
+        return warped_dot(spec, a2, u, v)
+
     first = ip(X, Z) * ip(Y, W_) - ip(Y, Z) * ip(X, W_)
-    xt, yt, zt, wt = (ip(v, dt) for v in (X, Y, Z, W_))
+    # <v, dt> = eps v_0, read off the t component.
+    nd = np.ndim(a2)
+    xt, yt, zt, wt = (spec.epsilon * v0
+                      for v0, _ in _split(nd, X, Y, Z, W_))
     second = (ip(X, Z) * yt * wt - ip(Y, Z) * xt * wt
               - ip(X, W_) * yt * zt + ip(Y, W_) * xt * zt)
     return k1 * first + k2 * second
 
 
-def curvature_bar(spec: SignatureSpec, w: WarpingFunction, point,
-                  X, Y, Z, W_) -> float:
-    """Curvature quadruple <R(X,Y)Z, W> of eps*I x_a M^N(c)."""
-    t = float(point[0])
+def curvature_bar(spec: SignatureSpec, w: WarpingFunction, t,
+                  X, Y, Z, W_):
+    """Curvature quadruple <R(X,Y)Z, W> of eps*I x_a M^N(c) at height t,
+    for vectors tangent to the quadric."""
     k1, k2 = curvature_coefficients(spec, w, t)
-    return float(_curvature_quadruple(spec, w, point, X, Y, Z, W_,
-                                      float(k1), float(k2),
-                                      check_tangency=True))
+    a = w.eval(t)[0]
+    return _curvature_quadruple(spec, a * a, X, Y, Z, W_, k1, k2)
 
 
-def curvature_tilde(spec: SignatureSpec, w: WarpingFunction, point,
-                    X, Y, Z, W_, first_coeff="as_printed") -> float:
+def curvature_tilde(spec: SignatureSpec, w: WarpingFunction, t,
+                    X, Y, Z, W_, first_coeff="as_printed"):
     """Curvature quadruple of the flat-fiber warped product eps*I x_a E^{N+1}.
 
     first_coeff selects the leading coefficient: "as_printed" uses
@@ -446,17 +416,15 @@ def curvature_tilde(spec: SignatureSpec, w: WarpingFunction, point,
     """
     if first_coeff not in ("as_printed", "squared"):
         raise ValueError("first_coeff must be 'as_printed' or 'squared'")
-    t = float(point[0])
-    a, a1, a2 = (float(v) for v in w.eval(t))
+    a, a1, a2 = w.eval(t)
     k1 = spec.epsilon * a1 ** 2 / (a if first_coeff == "as_printed" else a * a)
     k2 = a2 / a - (a1 / a) ** 2
-    return float(_curvature_quadruple(spec, w, point, X, Y, Z, W_, k1, k2,
-                                      check_tangency=False))
+    return _curvature_quadruple(spec, a * a, X, Y, Z, W_, k1, k2)
 
 
 def quadric_inclusion_gauss_residual(spec: SignatureSpec, w: WarpingFunction,
-                                     point, X, Y, Z, W_,
-                                     first_coeff="as_printed") -> float:
+                                     t, X, Y, Z, W_,
+                                     first_coeff="as_printed"):
     """Gap in the Gauss equation reducing the flat-fiber curvature to the
     quadric-fiber one through the totally umbilical inclusion.
 
@@ -470,19 +438,17 @@ def quadric_inclusion_gauss_residual(spec: SignatureSpec, w: WarpingFunction,
     vanishes exactly when the flat-fiber tensor is evaluated with the
     "squared" leading coefficient; the acceptance suite records this.
     """
-    t, p = float(point[0]), np.asarray(point[1], dtype=float)
-    a, _, _ = (float(v) for v in w.eval(t))
-    dt = AmbientVector.dt(t, p)
-
-    def ip(u, v):
-        return ambient_inner(spec, w, point, u, v, check_tangency=False)
+    a = w.eval(t)[0]
+    a2 = a * a
+    nd = np.ndim(a2)
 
     def afac(u, v):
-        # coefficient of eta in alpha(u, v)
-        return -(spec.c / a) * (ip(u, v) - spec.epsilon * ip(u, dt) * ip(v, dt))
+        # coefficient of eta in alpha(u, v); eps <u, dt><v, dt> = eps u0 v0
+        (u0, _), (v0, _) = _split(nd, u, v)
+        return -(spec.c / a) * (warped_dot(spec, a2, u, v)
+                                - spec.epsilon * u0 * v0)
 
-    lhs = curvature_bar(spec, w, point, X, Y, Z, W_)
-    flat = curvature_tilde(spec, w, point, X, Y, Z, W_,
-                           first_coeff=first_coeff)
+    lhs = curvature_bar(spec, w, t, X, Y, Z, W_)
+    flat = curvature_tilde(spec, w, t, X, Y, Z, W_, first_coeff=first_coeff)
     corr = spec.c * (afac(X, Z) * afac(Y, W_) - afac(X, W_) * afac(Y, Z))
-    return abs(lhs - (flat - corr))
+    return np.abs(lhs - (flat - corr))

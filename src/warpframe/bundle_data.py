@@ -6,7 +6,7 @@ components), the tangent and bundle connection coefficients against
 coordinate directions, the symmetric bilinear form alpha with values in the
 bundle, the tangent/bundle split (T, xi) of the vertical direction, and the
 height function pi. Derived objects (the delta covector, shape operators,
-the S tensor, the Whitney-sum covariant derivative) are computed on demand.
+the S tensor) are computed on demand.
 
 Connection data is stored against coordinate directions d/dx_k on purpose:
 exterior derivatives on the grid then reduce to plain componentwise finite
@@ -15,12 +15,12 @@ differences.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .ambient import SignatureSpec, WarpingFunction, validate_signature
-from .errors import DegenerateDataError, InvariantViolation, SchemaError
+from .errors import InvariantViolation, SchemaError
 from .stencils import grad1
 
 FIELD_NAMES = ("frame", "omega_tangent", "omega_bundle", "alpha",
@@ -68,10 +68,6 @@ class ChartGrid:
         """Node coordinate arrays, one (*extents) array per axis."""
         return np.meshgrid(*self.axes(), indexing="ij")
 
-    def node_coords(self, node):
-        return tuple(self.origin[k] + self.spacing[k] * node[k]
-                     for k in range(self.n))
-
     def refine(self, factor: int) -> "ChartGrid":
         """Same chart span with spacing divided by `factor`."""
         if factor == 1:
@@ -98,18 +94,9 @@ class ChartGrid:
             raise SchemaError(f"grid document missing {exc}") from exc
 
 
-@dataclass
-class FVector:
-    """Section value of the Whitney sum TM + E at one node."""
-
-    tangent: np.ndarray
-    bundle: np.ndarray
-    node: tuple[int, ...]
-
-    def __post_init__(self):
-        self.tangent = np.asarray(self.tangent, dtype=float)
-        self.bundle = np.asarray(self.bundle, dtype=float)
-
+# Tolerance of the exact invariants validate checks (alpha symmetry,
+# connection skewness) and the least drift it flags.
+_VALIDATE_TOL = 1e-10
 
 _FIELD_SHAPES = {
     "frame": lambda n, m: (n, n),
@@ -215,7 +202,8 @@ class GeometricData:
         return spec.tangent_signs[:, None] * inner
 
     def s_tensor(self, node, X):
-        """S applied to the tangent vector X (frame components)."""
+        """S applied to the tangent vector X (frame components): its
+        tangent and bundle components."""
         node = tuple(node)
         spec = self.spec
         X = np.asarray(X, dtype=float)
@@ -226,38 +214,11 @@ class GeometricData:
         fac = -1.0 / (a * spec.c)
         tangent = fac * (X - spec.epsilon * dX * T)
         bundle = fac * (-spec.epsilon * dX * xi)
-        return FVector(tangent, bundle, node)
-
-    def whitney_derivative(self, node, k, section):
-        """Covariant derivative along d/dx_k of a section field of TM + E.
-
-        section: array (*extents, n + m), tangent components first. Finite
-        differences supply the raw component derivative; connection
-        coefficients and the alpha / shape-operator cross terms do the rest.
-        """
-        node = tuple(node)
-        spec = self.spec
-        n, m = spec.n, spec.m
-        section = np.asarray(section, dtype=float)
-        if section.shape != self.grid.extents + (n + m,):
-            raise SchemaError("section field has wrong shape")
-        dsec = grad1(section, k, self.grid.spacing[k])[node]
-        tan, bun = section[node][:n], section[node][n:]
-        C = self.inv_frame[node]
-        ot = self.omega_tangent[node]
-        ob = self.omega_bundle[node]
-        al = self.alpha[node]
-        out_t = dsec[:n] + ot[:, :, k] @ tan
-        # -A_eta(d/dx_k) for the bundle part eta of the section
-        Aeta = np.einsum("u,u,uij->ij", spec.bundle_signs, bun, al)
-        out_t = out_t - spec.tangent_signs * (C[k] @ Aeta)
-        out_b = dsec[n:] + ob[:, :, k] @ bun
-        out_b = out_b + np.einsum("i,j,uij->u", C[k], tan, al)
-        return FVector(out_t, out_b, node)
+        return tangent, bundle
 
     # -- validation -----------------------------------------------------------
 
-    def validate(self, tol=1e-10, raise_on_error=True):
+    def validate(self, raise_on_error=True):
         """Check structural invariants; returns a list of findings.
 
         Hard violations (alpha symmetry, connection skewness, pi domain,
@@ -267,7 +228,7 @@ class GeometricData:
         spec, grid = self.spec, self.grid
         problems = validate_signature(spec)
         sym = np.abs(self.alpha - np.swapaxes(self.alpha, -1, -2))
-        if sym.max() > tol:
+        if sym.max() > _VALIDATE_TOL:
             worst = np.unravel_index(np.argmax(sym.max(axis=(-1, -2, -3))),
                                      grid.extents)
             problems.append(
@@ -275,13 +236,13 @@ class GeometricData:
         et = spec.tangent_signs
         skew = self.omega_tangent + np.einsum(
             "i,j,...jik->...ijk", et, et, self.omega_tangent)
-        if np.abs(skew).max() > tol:
+        if np.abs(skew).max() > _VALIDATE_TOL:
             problems.append(
                 f"tangent connection not metric-skew, worst {np.abs(skew).max():.3e}")
         eb = spec.bundle_signs
         skewb = self.omega_bundle + np.einsum(
             "u,v,...vuk->...uvk", eb, eb, self.omega_bundle)
-        if np.abs(skewb).max() > tol:
+        if np.abs(skewb).max() > _VALIDATE_TOL:
             problems.append(
                 f"bundle connection not metric-skew, worst {np.abs(skewb).max():.3e}")
         lo, hi = self.warping.domain
@@ -304,7 +265,7 @@ class GeometricData:
         tt = np.einsum("i,...i,...i->...", et, self.T_comp, self.T_comp)
         xx = np.einsum("u,...u,...u->...", eb, self.xi_comp, self.xi_comp)
         drift = np.abs(tt + xx - spec.epsilon)
-        bad = np.argwhere(drift > max(tol, gtol))
+        bad = np.argwhere(drift > max(_VALIDATE_TOL, gtol))
         self.flagged_nodes = [tuple(ix) for ix in bad]
         return problems
 
@@ -338,7 +299,7 @@ def _require_finite(what, arr, n):
                           f"{tuple(int(i) for i in node)}")
 
 
-def load_data(document: dict, tol=1e-10, validate=True) -> GeometricData:
+def load_data(document: dict, validate=True) -> GeometricData:
     """Parse and validate a dataset document (already JSON-decoded).
 
     validate=False skips the invariant pass (schema checks still run), for
@@ -386,37 +347,5 @@ def load_data(document: dict, tol=1e-10, validate=True) -> GeometricData:
     data = GeometricData(spec, warping, grid, derivs=derivs,
                          generator=document.get("generator"), **fields)
     if validate:
-        data.validate(tol=tol)
+        data.validate()
     return data
-
-
-def gram_schmidt_signed(vectors, gram, signs, tol=1e-10):
-    """Sign-aware Gram-Schmidt repair of near-orthonormal vector sets.
-
-    vectors: (..., r, d) stacks of row vectors; gram: (..., d, d) the
-    quadratic form they should be orthonormal against; signs: the target
-    squared norms (+-1 per slot). Off by default everywhere: the library
-    never repairs user frames on load, because in this data model the frame
-    *defines* the metric of M and silently reworking it would mask
-    inconsistent inputs. The utility serves callers who carry an external
-    coordinate metric.
-    """
-    V = np.array(vectors, dtype=float)
-    G = np.asarray(gram, dtype=float)
-    signs = np.asarray(signs, dtype=float)
-    r = V.shape[-2]
-    out = np.empty_like(V)
-    for i in range(r):
-        w = V[..., i, :]
-        for j in range(i):
-            u = out[..., j, :]
-            proj = signs[j] * np.einsum("...a,...ab,...b->...", w, G, u)
-            w = w - proj[..., None] * u
-        q = np.einsum("...a,...ab,...b->...", w, G, w)
-        if np.any(signs[i] * q <= tol):
-            raise DegenerateDataError(
-                f"gram_schmidt_signed: slot {i} degenerates or has the "
-                f"wrong sign (needed {int(signs[i])})")
-        out[..., i, :] = w / np.sqrt(signs[i] * q)[..., None]
-    return out
-

@@ -238,12 +238,19 @@ def _group_defect(Z, g):
     return np.abs(ztgz - np.diag(g)).max(axis=(-1, -2)), ztgz
 
 
-def pseudo_orthonormalize(Z, G, tol: float = 1e-12, max_iter: int = 50):
+# Group defect at which pseudo_orthonormalize stops, and its iteration limit.
+_PROJ_TOL = 1e-12
+_PROJ_ITER = 50
+
+
+def pseudo_orthonormalize(Z, G):
     """Project Z (or a stack of Z) onto {Z : Z^t G Z = G}.
 
     Newton-type iteration Z <- Z (3I - G Z^t G Z) / 2; members of the group
     are exactly its fixed points and convergence is quadratic from
-    near-membership. Far inputs (initial defect >= 0.5) are refused.
+    near-membership. Far inputs (initial defect >= 0.5) raise
+    NonConvergence, and so do inputs that _PROJ_ITER steps leave off the
+    group by more than _PROJ_TOL.
     """
     Z = np.array(Z, dtype=float)
     single = (Z.ndim == 2)
@@ -258,17 +265,17 @@ def pseudo_orthonormalize(Z, G, tol: float = 1e-12, max_iter: int = 50):
             f"pseudo_orthonormalize: initial defect {float(d0.max()):.3f} "
             ">= 0.5, too far from the group")
     d = d0
-    for _ in range(max_iter):
-        active = d > tol
+    for _ in range(_PROJ_ITER):
+        active = d > _PROJ_TOL
         if not np.any(active):
             break
         GM = g[:, None] * ztgz[active]
         Z[active] = Z[active] @ (1.5 * eye - 0.5 * GM)
         d, ztgz = _group_defect(Z, g)
-    if np.any(d > tol):
+    if np.any(d > _PROJ_TOL):
         raise NonConvergence(
             f"pseudo_orthonormalize: defect {float(d.max()):.3e} after "
-            f"{max_iter} iterations")
+            f"{_PROJ_ITER} iterations")
     return Z[0] if single else Z
 
 
@@ -403,7 +410,11 @@ def _first_nonfinite(frames):
     return int(np.argmax(bad)) if bad.any() else None
 
 
-def integrate_frame(data: GeometricData, B0, b0_tol: float = 1e-8,
+# Largest group and row defect of an accepted base frame B0.
+_B0_TOL = 1e-8
+
+
+def integrate_frame(data: GeometricData, B0,
                     upsilon: np.ndarray | None = None) -> FrameField:
     """Propagate B across the grid from the base node.
 
@@ -436,10 +447,10 @@ def integrate_frame(data: GeometricData, B0, b0_tol: float = 1e-8,
     fm = FrameMatrix(B=B0m, node=node0)
     gd = fm.group_defect(spec.G)
     rd = fm.row_defect(data)
-    if gd > b0_tol or rd > b0_tol:
+    if gd > _B0_TOL or rd > _B0_TOL:
         raise InvariantViolation(
             f"B0 violates its invariants: group defect {gd:.3e}, "
-            f"row defect {rd:.3e} (tolerance {b0_tol:.1e})")
+            f"row defect {rd:.3e} (tolerance {_B0_TOL:.1e})")
 
     Ups = upsilon if upsilon is not None else assemble_all(data)["Upsilon"]
     B = np.full(tuple(grid.extents) + (M, M), np.nan)
@@ -528,16 +539,13 @@ def _integrate_path(data, Ups, B0, order):
     return frames[-1]
 
 
-def path_independence_defect(data: GeometricData, B0, target=None,
+def path_independence_defect(data: GeometricData, B0,
                              upsilon: np.ndarray | None = None) -> float:
     """Max-entry difference between the frames transported along the two
     extremal monotone lattice paths (axis order 0..n-1 versus reversed)
     from the base node to the far corner."""
     if isinstance(B0, FrameMatrix):
         B0 = B0.B
-    if target is not None and tuple(target) != tuple(
-            e - 1 for e in data.grid.extents):
-        raise NotImplementedError("only the far-corner target is supported")
     Ups = upsilon if upsilon is not None else assemble_all(data)["Upsilon"]
     n = data.spec.n
     Ba = _integrate_path(data, Ups, B0, list(range(n)))

@@ -7,10 +7,11 @@ scaled ambient basis (adapted_frames; ImmersionField.frame_matrices inverts
 it). verify_immersion then measures, entirely numerically, every conclusion
 the reconstruction is supposed to deliver: isometry, the vertical-direction
 split, the height projection, the second-fundamental-form match, and the
-normal-connection match; the last two share one normal projection of the
-warped covariant derivative (_normal_part). congruence_align fits an ambient
-isometry between two reconstructions from the d x d moments of their point
-clouds.
+normal-connection match. The last two differentiate the map and its normals
+on the grid and apply the warped metric and connection of the ambient
+module (warped_dot, warped_nabla), the same kernel from which the oracle
+induces the hypothesis data. congruence_align fits an ambient isometry
+between two reconstructions from the d x d moments of their point clouds.
 """
 
 from __future__ import annotations
@@ -19,10 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ambient import SignatureSpec, WarpingFunction
+from .ambient import SignatureSpec, WarpingFunction, warped_dot, warped_nabla
 from .bundle_data import ChartGrid, GeometricData
 from .errors import AlignmentDegenerate, NonConvergence
-from .frame_solver import expm, pseudo_orthonormalize
+from .frame_solver import _grid_last, _pattern, expm, pseudo_orthonormalize
 from .stencils import grad1, grad2_pure, interior_mask
 from .verifier import ResidualReport
 
@@ -90,29 +91,6 @@ def extract_immersion(B, data: GeometricData) -> ImmersionField:
                           t=data.pi.copy(), frames=frames)
 
 
-def _normal_part(spec, a, a1, Vk, Y, dY, normals):
-    """eps_u <nabla_{V_k} Y, E_u> for every normal u, stacked last.
-
-    Vk is the map's tangent along coordinate k and dY the coordinate
-    derivative of the ambient field Y along it (all (*ext, N+2), fiber then
-    vertical); normals is (*ext, m, N+2). nabla is the warped-product
-    connection: dY plus the a'/a terms that mix the vertical and fiber parts.
-    """
-    Np1, fs = spec.N + 1, spec.fiber_signs
-    rat = (a1 / a)[..., None]
-    D = np.empty_like(dY)
-    D[..., :Np1] = dY[..., :Np1] + rat * (
-        Vk[..., Np1:] * Y[..., :Np1] + Y[..., Np1:] * Vk[..., :Np1])
-    fib = np.einsum("g,...g,...g->...", fs, Vk[..., :Np1], Y[..., :Np1])
-    D[..., Np1] = dY[..., Np1] - spec.epsilon * a * a1 * fib
-    a2 = a * a
-    return np.stack([
-        eb * (spec.epsilon * D[..., Np1] * E[..., Np1] + a2 * np.einsum(
-            "g,...g,...g->...", fs, D[..., :Np1], E[..., :Np1]))
-        for eb, E in zip(spec.bundle_signs, np.moveaxis(normals, -2, 0))],
-        axis=-1)
-
-
 def verify_immersion(imm: ImmersionField, data: GeometricData,
                      tol: float | None = None) -> ResidualReport:
     """Residuals of the five reconstruction conclusions.
@@ -120,15 +98,17 @@ def verify_immersion(imm: ImmersionField, data: GeometricData,
     isometry and the vertical split are measured through the frame identity
     (separating integrator drift from discretization error); the second
     fundamental form and the normal connection are re-derived from finite
-    differences of the immersion itself as an independent cross-check.
+    differences of the immersion itself as an independent cross-check,
+    with the warped connection ambient.warped_nabla that the oracle uses.
     """
     spec, grid = imm.spec, data.grid
-    n, Np1 = spec.n, spec.N + 1
+    n, nd, Np1 = spec.n, grid.n, spec.N + 1
     h = grid.max_spacing
     if tol is None:
         tol = 10.0 * h * h
     B = imm.frame_matrices()
     a, a1, _ = data.warp_values()
+    a2 = a * a
     report = ResidualReport()
 
     # (1) isometry: tangent block of B^t G B - G.
@@ -149,24 +129,30 @@ def verify_immersion(imm: ImmersionField, data: GeometricData,
     # (3) height projection (f's vertical coordinate is pi by construction).
     report.add("projection", np.abs(imm.t - data.pi), tol)
 
-    # The map's coordinate tangents, shared by (4) and (5).
-    comps = np.concatenate([imm.spatial, imm.t[..., None]], axis=-1)
-    V = [grad1(comps, k, grid.spacing[k]) for k in range(n)]
+    # The map f = (t, spatial) (N+2, *ext) and the normals (m, N+2, *ext)
+    # as t-first ambient vectors, and f's coordinate tangents V[k], shared
+    # by (4) and (5). eps_u <nabla, E_u> is the normal part of nabla.
+    f = _grid_last(np.concatenate([imm.t[..., None], imm.spatial], axis=-1),
+                   nd)
+    Nu = _grid_last(np.roll(normals, 1, axis=-1), nd)
+    eb = _pattern(spec.bundle_signs, nd)
+    V = [grad1(f, k - nd, grid.spacing[k]) for k in range(n)]
 
     # (4) second fundamental form from second differences of f.
     if min(grid.extents) >= 5:
-        C = data.inv_frame
+        C = _grid_last(data.inv_frame, nd)
+        alpha = _grid_last(data.alpha, nd)
         worst = np.zeros(grid.extents)
         for k in range(n):
             for l in range(k, n):
                 if k == l:
-                    H = grad2_pure(comps, k, grid.spacing[k])
+                    H = grad2_pure(f, k - nd, grid.spacing[k])
                 else:
-                    H = grad1(V[l], k, grid.spacing[k])
-                got = _normal_part(spec, a, a1, V[k], V[l], H, normals)
-                want = np.einsum("...i,...j,...uij->...u",
-                                 C[..., k, :], C[..., l, :], data.alpha)
-                worst = np.maximum(worst, np.abs(got - want).max(axis=-1))
+                    H = grad1(V[l], k - nd, grid.spacing[k])
+                nab = warped_nabla(spec, a, a1, V[k], V[l], H)
+                got = eb * warped_dot(spec, a2, nab, Nu)
+                want = np.einsum("i...,j...,uij...->u...", C[k], C[l], alpha)
+                worst = np.maximum(worst, np.abs(got - want).max(axis=0))
         report.add("alpha_match",
                    np.where(interior_mask(grid.extents, 2), worst, 0.0), tol)
     else:
@@ -174,14 +160,14 @@ def verify_immersion(imm: ImmersionField, data: GeometricData,
                    note="grid too small for second-derivative stencils; skipped")
 
     # (5) normal connection: Phi nabla^E  vs  projected ambient derivative.
+    omega_b = _grid_last(data.omega_bundle, nd)
     worst = np.zeros(grid.extents)
-    for u in range(spec.m):
-        Eu = normals[..., u, :]
-        for k in range(n):
-            got = _normal_part(spec, a, a1, V[k], Eu,
-                               grad1(Eu, k, grid.spacing[k]), normals)
-            want = data.omega_bundle[..., :, u, k]
-            worst = np.maximum(worst, np.abs(got - want).max(axis=-1))
+    for k in range(n):
+        nab = warped_nabla(spec, a, a1, V[k], Nu,
+                           grad1(Nu, k - nd, grid.spacing[k]))
+        got = eb[:, None] * warped_dot(spec, a2, nab[None], Nu[:, None])
+        worst = np.maximum(worst,
+                           np.abs(got - omega_b[:, :, k]).max(axis=(0, 1)))
     report.add("normal_connection",
                np.where(interior_mask(grid.extents, 1), worst, 0.0), tol)
     return report
@@ -227,8 +213,13 @@ def _group_basis(G0):
     return np.array(basis)
 
 
-def congruence_align(f: ImmersionField, g: ImmersionField,
-                     max_rounds: int = 50, tol: float = 1e-14):
+# Round limit of the Gauss-Newton polish, and the step max |theta| below
+# which it has converged.
+_ALIGN_ROUNDS = 50
+_ALIGN_TOL = 1e-14
+
+
+def congruence_align(f: ImmersionField, g: ImmersionField):
     """Fit tau = id_I x O minimizing the summed squared spatial mismatch.
 
     Solves the unconstrained least-squares problem for O, projects onto the
@@ -243,7 +234,8 @@ def congruence_align(f: ImmersionField, g: ImmersionField,
     J^t r_i = tr(O H_i (P^t Q - S O^t)).
 
     Returns (Isometry, defect) with defect the post-alignment sup over nodes
-    and components (spatial and vertical).
+    and components (spatial and vertical). Raises NonConvergence when the
+    polish reaches its round limit or takes a non-finite step.
     """
     if f.grid.extents != g.grid.extents or f.spec != g.spec:
         raise ValueError("congruence_align needs fields over one grid and spec")
@@ -275,17 +267,21 @@ def congruence_align(f: ImmersionField, g: ImmersionField,
 
     # Gauss-Newton polish along the group.
     basis = _group_basis(G0)
-    rounds = 0
-    for rounds in range(1, max_rounds + 1):
+    for rounds in range(1, _ALIGN_ROUNDS + 1):
         A = O @ basis                                   # O H_i
         JtJ = np.einsum("iab,bc,jac->ij", A, S, A)
         Jtr = np.einsum("iab,ba->i", A, PQ - S @ O.T)
         theta = np.linalg.lstsq(JtJ, Jtr, rcond=None)[0]
-        if not np.all(np.isfinite(theta)):
+        step = float(np.abs(theta).max())
+        if not np.isfinite(step):
             break
         O = O @ expm(np.einsum("i,iab->ab", theta, basis))
-        if np.abs(theta).max() < tol:
+        if step < _ALIGN_TOL:
             break
+    if not step < _ALIGN_TOL:
+        raise NonConvergence(
+            f"congruence_align: Gauss-Newton fit not converged after "
+            f"{rounds} rounds (last |theta| {step:.3e})")
     t_shift = 0.0
     if f.warping.is_constant and g.warping.is_constant:
         t_shift = float(np.mean(g.t - f.t))

@@ -12,8 +12,11 @@ sampled map and frames.
 The stages are tensor code in the style of frame_solver._assemble: an
 ambient vector is one (N+2, *ext) array or jets.Jet with index 0 its t
 component, a frame is (n+m, N+2, *ext), and the connection coefficients
-come out component-major, grid axes last. The normal-completion candidate is
-picked on plain float values; only the accepted one is built as a jet.
+come out component-major, grid axes last. The warped metric and connection
+are ambient.warped_dot, warped_lower and warped_nabla, the kernel that
+verify_immersion applies to the reconstructed immersion. The
+normal-completion candidate is picked on plain float values; only the
+accepted one is built as a jet.
 
 The canonical example library lives here too; each named family doubles as a
 serializable fixture (datasets carry a generator tag so they can be re-made
@@ -28,7 +31,8 @@ from typing import Callable
 import numpy as np
 
 from . import jets
-from .ambient import SignatureSpec, WarpingFunction, validate_signature
+from .ambient import (SignatureSpec, WarpingFunction, validate_signature,
+                      warped_dot, warped_lower, warped_nabla)
 from .bundle_data import ChartGrid, GeometricData
 from .errors import DegenerateDataError
 from .frame_solver import _grid_first, _pattern
@@ -45,18 +49,11 @@ from .stencils import grad1
 _TOL = 1e-8
 
 
-def _wdot(spec, a2, u, v):
-    """Warped metric eps u_0 v_0 + a^2 g0(u_fib, v_fib) of (N+2, *ext)
-    vectors; a2 is a^2."""
-    return spec.epsilon * (u[0] * v[0]) + a2 * jets.einsum(
-        "g,g...,g...->...", spec.fiber_signs, u[1:], v[1:])
-
-
 def _reject(spec, a2, w, E, count):
     """w minus its components along the frame vectors E[:count], one at a
     time (modified Gram-Schmidt)."""
     for j in range(count):
-        w = w - (spec.signs[1 + j] * _wdot(spec, a2, w, E[j])) * E[j]
+        w = w - (spec.signs[1 + j] * warped_dot(spec, a2, w, E[j])) * E[j]
     return w
 
 
@@ -100,10 +97,10 @@ def _stage1(spec, warping, P, V):
     for i in range(n):
         w, cf = V[i], eye[i]
         for j in range(i):
-            proj = sgn[1 + j] * _wdot(spec, a2, w, E[j])
+            proj = sgn[1 + j] * warped_dot(spec, a2, w, E[j])
             w = w - proj * E[j]
             cf = cf - proj * F[j]
-        Q = _wdot(spec, a2, w, w)
+        Q = warped_dot(spec, a2, w, w)
         need = sgn[1 + i]
         ok = need * value(Q) > _TOL
         if not ok.all():
@@ -128,7 +125,7 @@ def _stage1(spec, warping, P, V):
         fails = []  # (first failing node, Q there) per rejected candidate
         for pos in free:
             w = _reject(spec, a2v, _candidate(spec, pv, pos), Ev, slot)
-            Q = _wdot(spec, a2v, w, w)
+            Q = warped_dot(spec, a2v, w, w)
             ok = need * Q > _TOL
             if ok.all():
                 break
@@ -142,7 +139,7 @@ def _stage1(spec, warping, P, V):
                 f"norm {q:.3e} at node {bad}")
         free.remove(pos)
         w = _reject(spec, a2, _candidate(spec, p, pos), E, slot)
-        E[slot] = (1.0 / sqrt(need * _wdot(spec, a2, w, w))) * w
+        E[slot] = (1.0 / sqrt(need * warped_dot(spec, a2, w, w))) * w
 
     eps_slot = spec.epsilon * np.asarray(sgn[1:], dtype=float)
     Tx = _pattern(eps_slot, nd) * E[:, 0]
@@ -154,29 +151,20 @@ def _stage2(spec, warping, t, V, E, F, dE):
     (m, n, n, *ext) from stage-1 quantities t, V, E, F taken one derivative
     level below stage 1; dE[k] is dE/dx_k at that level."""
     n, m = spec.n, spec.m
-    eps, fs = spec.epsilon, spec.fiber_signs
     sgn = np.asarray(spec.signs, dtype=float)
     nd = np.ndim(value(t))
     a = warping.value_generic(t)
     a1 = warping.deriv1_generic(t)
 
-    # nab[j, k]: ambient covariant derivative of e_j along x_k, d_k e_j plus
-    # the warped metric's Christoffel term: (a'/a)(V_k^0 e_j + e_j^0 V_k)
-    # on the fiber, -eps a a' g0(V_k, e_j) on the t component.
-    nab = jets.zeros((n + m, n) + np.shape(value(E))[1:], like=E)
+    # nab[j, k]: ambient covariant derivative of e_j along x_k.
+    dEk = jets.zeros((n + m, n) + np.shape(value(E))[1:], like=E)
     for k in range(n):
-        nab[:, k] = dE[k]
-    Vr = (a1 / a) * V
-    nab[:, :, 1:] = nab[:, :, 1:] + (Vr[None, :, :1] * E[:, None, 1:]
-                                     + E[:, None, :1] * Vr[None, :, 1:])
-    nab[:, :, 0] = nab[:, :, 0] - eps * (a * a1) * jets.einsum(
-        "g,kg...,jg...->jk...", fs, V[:, 1:], E[:, 1:])
+        dEk[:, k] = dE[k]
+    nab = warped_nabla(spec, a, a1, V[None], E[:, None], dEk)
 
     # coef[i, j, k] = eps_i <e_i, nab[j, k]>: omega, and alpha(d/dx_k, e_j),
     # against the frame lowered by the metric and signed.
-    low = jets.zeros(np.shape(value(E)), like=E)
-    low[:, 0] = _pattern(eps * sgn[1:], nd) * E[:, 0]
-    low[:, 1:] = (a * a) * (_pattern(sgn[1:, None] * fs, nd) * E[:, 1:])
+    low = _pattern(sgn[1:], nd + 1) * warped_lower(spec, a * a, E)
     coef = jets.einsum("iA...,jkA...->ijk...", low, nab)
 
     def skew(w, s):

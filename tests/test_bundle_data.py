@@ -39,8 +39,10 @@ class TestChartGrid:
         g = ChartGrid((5, 9), (0.2, 0.1), (-0.4, 0.0), (2, 4))
         f = g.refine(2)
         assert f.extents == (9, 17)
-        assert f.node_coords((8, 16)) == g.node_coords((4, 8))
-        assert f.node_coords(f.base_node) == g.node_coords(g.base_node)
+        fa, ga = f.axes(), g.axes()
+        assert (fa[0][8], fa[1][16]) == (ga[0][4], ga[1][8])
+        assert all(fa[k][f.base_node[k]] == ga[k][g.base_node[k]]
+                   for k in range(2))
 
 
 class TestValidation:
@@ -162,16 +164,16 @@ class TestDerivedObjects:
         data = trivial_data(xi_comp=np.zeros((5, 1)),
                             T_comp=np.zeros((5, 1)))
         # S X = -X/(a c) with a = c = 1 and no vertical projection term
-        sv = data.s_tensor((2,), np.array([2.0]))
-        np.testing.assert_array_equal(sv.tangent, [-2.0])
-        np.testing.assert_array_equal(sv.bundle, [0.0])
+        tangent, bundle = data.s_tensor((2,), np.array([2.0]))
+        np.testing.assert_array_equal(tangent, [-2.0])
+        np.testing.assert_array_equal(bundle, [0.0])
 
     def test_s_tensor_kills_T_when_xi_vanishes(self):
         data = trivial_data(T_comp=np.ones((5, 1)),
                             xi_comp=np.zeros((5, 1)),
                             pi=np.linspace(0.1, 0.5, 5))
-        sv = data.s_tensor((2,), np.array([1.0]))
-        np.testing.assert_allclose(sv.tangent, [0.0], atol=1e-15)
+        tangent, _ = data.s_tensor((2,), np.array([1.0]))
+        np.testing.assert_allclose(tangent, [0.0], atol=1e-15)
 
     def test_s_tensor_output_orthogonal_to_vertical(self, slice17, rng):
         imm, data = slice17
@@ -179,61 +181,10 @@ class TestDerivedObjects:
         for _ in range(10):
             node = tuple(rng.integers(0, 17, size=2))
             X = rng.normal(size=2)
-            sv = data.s_tensor(node, X)
-            ip = (np.dot(spec.tangent_signs * sv.tangent, data.T_comp[node])
-                  + np.dot(spec.bundle_signs * sv.bundle, data.xi_comp[node]))
+            tangent, bundle = data.s_tensor(node, X)
+            ip = (np.dot(spec.tangent_signs * tangent, data.T_comp[node])
+                  + np.dot(spec.bundle_signs * bundle, data.xi_comp[node]))
             assert abs(ip) <= 1e-12
-
-
-class TestWhitneyDerivative:
-    def test_constant_flat_section_is_parallel(self):
-        data = trivial_data()
-        sec = np.ones((5, 2))
-        out = data.whitney_derivative((2,), 0, sec)
-        assert np.abs(out.tangent).max() == 0.0
-        assert np.abs(out.bundle).max() == 0.0
-
-    def test_bundle_part_is_alpha_exactly(self, slice17):
-        imm, data = slice17
-        n, m = data.spec.n, data.spec.m
-        sec = np.zeros(data.grid.extents + (n + m,))
-        sec[..., 0] = 1.0  # the tangent frame field e_1
-        node = (8, 8)
-        for k in range(n):
-            out = data.whitney_derivative(node, k, sec)
-            want = np.einsum("i,uij,j->u", data.inv_frame[node][k],
-                             data.alpha[node], sec[node][:n])
-            np.testing.assert_allclose(out.bundle, want, atol=1e-15)
-
-    def test_metric_compatibility(self, slice17, rng):
-        imm, data = slice17
-        spec = data.spec
-        n, m = spec.n, spec.m
-        xs = data.grid.coordinates()
-        # two smooth section fields
-        s1 = np.stack([np.sin(xs[0] + 0.3), np.cos(xs[1]),
-                       np.cos(xs[0] - xs[1])], axis=-1)
-        s2 = np.stack([np.cos(2 * xs[1]), np.sin(xs[0] * xs[1] + 0.4),
-                       np.sin(xs[0] + xs[1])], axis=-1)
-        sig = np.concatenate([spec.tangent_signs, spec.bundle_signs])
-        ip = np.einsum("c,...c,...c->...", sig, s1, s2)
-        from warpframe.stencils import grad1
-        h = data.grid.spacing[0]
-        node = (8, 8)
-        for k in range(n):
-            d_ip = grad1(ip, k, data.grid.spacing[k])[node]
-            o1 = data.whitney_derivative(node, k, s1)
-            o2 = data.whitney_derivative(node, k, s2)
-            v1 = np.concatenate([o1.tangent, o1.bundle])
-            v2 = np.concatenate([o2.tangent, o2.bundle])
-            rhs = (np.einsum("c,c,c->", sig, v1, s2[node])
-                   + np.einsum("c,c,c->", sig, s1[node], v2))
-            assert abs(d_ip - rhs) < 10 * h ** 2
-
-    def test_boundary_node_rejected_shape(self, slice17):
-        _, data = slice17
-        with pytest.raises(SchemaError):
-            data.whitney_derivative((0, 0), 0, np.zeros((3, 3, 3)))
 
 
 def test_fields_are_read_only_after_construction():
@@ -241,34 +192,3 @@ def test_fields_are_read_only_after_construction():
     with pytest.raises(ValueError):
         data.alpha[0, 0, 0, 0] = 1.0
 
-
-class TestSignedGramSchmidt:
-    def test_repairs_near_orthonormal_lorentz_pair(self, rng):
-        G = np.diag([1.0, -1.0, 1.0])
-        th = 0.6
-        exact = np.array([[np.cosh(th), np.sinh(th), 0.0],
-                          [np.sinh(th), np.cosh(th), 0.0],
-                          [0.0, 0.0, 1.0]])
-        from warpframe import gram_schmidt_signed
-        noisy = exact + 1e-5 * rng.standard_normal((3, 3))
-        out = gram_schmidt_signed(noisy, G, [1.0, -1.0, 1.0])
-        ip = out @ G @ out.T
-        np.testing.assert_allclose(ip, np.diag([1.0, -1.0, 1.0]), atol=1e-12)
-        assert np.abs(out - exact).max() < 1e-3
-
-    def test_wrong_sign_slot_rejected(self):
-        from warpframe import gram_schmidt_signed
-        from warpframe.errors import DegenerateDataError
-        G = np.eye(2)
-        with pytest.raises(DegenerateDataError):
-            gram_schmidt_signed(np.eye(2), G, [1.0, -1.0])
-
-    def test_batched_over_nodes(self, rng):
-        from warpframe import gram_schmidt_signed
-        G = np.broadcast_to(np.eye(2), (5, 2, 2))
-        V = np.broadcast_to(np.eye(2), (5, 2, 2)) \
-            + 1e-4 * rng.standard_normal((5, 2, 2))
-        out = gram_schmidt_signed(V, G, [1.0, 1.0])
-        ip = np.einsum("...ia,...ab,...jb->...ij", out, G, out)
-        np.testing.assert_allclose(ip, np.broadcast_to(np.eye(2), (5, 2, 2)),
-                                   atol=1e-12)

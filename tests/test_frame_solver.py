@@ -157,13 +157,13 @@ def reference_forms(data, node):
     Om = np.zeros((M, M, n))
     X = np.zeros((M, M, n))
     for k in range(n):
-        S = data.s_tensor(node, C[k])        # S(d/dx_k)
+        S_tan, S_bun = data.s_tensor(node, C[k])     # S(d/dx_k)
         for i in range(n):
-            Om[1 + i, 0, k] = -S.tangent[i]
+            Om[1 + i, 0, k] = -S_tan[i]
             for j in range(n):
                 Om[1 + i, 1 + j, k] = data.omega_tangent[node][i, j, k]
         for u in range(m):
-            Om[1 + n + u, 0, k] = -S.bundle[u]
+            Om[1 + n + u, 0, k] = -S_bun[u]
             for v in range(m):
                 Om[1 + n + u, 1 + n + v, k] = data.omega_bundle[node][u, v, k]
             for i in range(n):
