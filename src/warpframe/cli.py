@@ -262,12 +262,14 @@ def _cmd_roundtrip(args):
             print("induced data failed verification: "
                   + ", ".join(rep.failing()))
             return EXIT_FAIL
-        B0 = FrameMatrix(B=oracle.exact_base_frame(imm),
+        # One exact frame field gives both B0 and the reference frames.
+        Bx = oracle.exact_frame_field(imm)
+        B0 = FrameMatrix(B=Bx[imm.grid.base_node],
                          node=tuple(grid.base_node))
         ff = integrate_frame(data, B0)
         rec = extract_immersion(ff, data)
         crep = verify_immersion(rec, data, tol=args.tol)
-        ref = oracle.reference_field(imm)
+        ref = oracle.reference_field(imm, Bx)
         tau, defect = congruence_align(rec, ref)
         defects.append(defect)
         h = grid.max_spacing

@@ -23,8 +23,9 @@ per-step midpoint-sampled matrix exponentials (a second-order Lie-group
 scheme). The step generators depend on Upsilon only, never on B, so every
 propagator of an axis is computed before the sweep in one call of the
 batched exponential `expm`; the sweep then only multiplies, a block of
-16 steps at a time, re-projects onto the pseudo-orthogonal group at each
-block end, and records drift diagnostics.
+16 steps at a time, re-projects onto the pseudo-orthogonal group the block
+ends that have drifted off it (one batched check finds them), and records
+drift diagnostics.
 The path-independence probe steps with the same kernel. The row constraint
 B_{N+1, beta} = T_beta is never enforced, only measured: it must emerge from
 the equations themselves.
@@ -248,19 +249,25 @@ def pseudo_orthonormalize(Z, G):
 
     Newton-type iteration Z <- Z (3I - G Z^t G Z) / 2; members of the group
     are exactly its fixed points and convergence is quadratic from
-    near-membership. Far inputs (initial defect >= 0.5) raise
-    NonConvergence, and so do inputs that _PROJ_ITER steps leave off the
-    group by more than _PROJ_TOL.
+    near-membership. Non-finite inputs and far inputs (initial defect
+    >= 0.5) raise NonConvergence, and so do inputs that _PROJ_ITER steps
+    leave off the group by more than _PROJ_TOL.
     """
     Z = np.array(Z, dtype=float)
     single = (Z.ndim == 2)
     if single:
         Z = Z[None]
+    finite = np.isfinite(Z).all(axis=(-1, -2))
+    if not finite.all():
+        bad = tuple(int(i) for i in np.argwhere(~finite)[0])
+        raise NonConvergence(
+            "pseudo_orthonormalize: non-finite input"
+            + ("" if single else f" (matrix {bad} of the stack)"))
     g = np.diag(np.asarray(G, dtype=float)).copy()
     M = Z.shape[-1]
     eye = np.eye(M)
     d0, ztgz = _group_defect(Z, g)
-    if np.any(d0 >= 0.5):
+    if not np.all(d0 < 0.5):
         raise NonConvergence(
             f"pseudo_orthonormalize: initial defect {float(d0.max()):.3f} "
             ">= 0.5, too far from the group")
@@ -358,8 +365,8 @@ class FrameField:
 
 
 # Re-projection interval of the sweep. The drift it corrects stays below the
-# projection tolerance (1e-12) on every fixture and benchmark grid, where the
-# frames come out bit-identical with and without it.
+# projection tolerance (1e-12) on every fixture and benchmark grid, so no
+# block end is re-projected there at all.
 _RENORM_INTERVAL = 16
 
 
@@ -369,14 +376,20 @@ def _chain(B0, P, block, G=None):
 
     The steps are cut into blocks of `block`. The prefix products inside
     every block are formed with `block` batched matmuls across all blocks;
-    the blocks are then walked in order, one matmul each. With the metric G
-    every full block ends with a re-projection onto the group, that is
-    steps `block`, 2 `block`, ... as counted from B0. A block end that
-    is non-finite stops the walk without being re-projected; the frames
-    after it stay NaN.
+    a serial walk then carries the frame from block start to block start,
+    one matmul per block, and one batched matmul fills every frame from its
+    block start. With the metric G every full block end (steps `block`,
+    2 `block`, ... from B0) is re-projected onto the group only when it is
+    off the group by more than _PROJ_TOL (the largest defect over the
+    front): below that tolerance pseudo_orthonormalize returns its input
+    unchanged, so this is exactly a re-projection at every block end. One
+    batched check over the walked block ends finds the first that needs
+    it; the walk is projected there and resumes, checking ever longer runs
+    of ends. A block end that is non-finite stops the walk without being
+    re-projected; the frames after it stay NaN.
 
-    Returns the L frames and the largest group defect seen just before a
-    re-projection (0.0 when none happened).
+    Returns the L frames and the largest group defect at a full block end,
+    taken before any re-projection (0.0 without G or a full block).
     """
     L = P.shape[0]
     nb = -(-L // block)
@@ -387,20 +400,39 @@ def _chain(B0, P, block, G=None):
     Q = P.reshape((nb, block) + P.shape[1:]).copy()
     for i in range(1, block):
         Q[:, i] = Q[:, i - 1] @ Q[:, i]
-    out = np.full(Q.shape, np.nan)
-    pre = []
-    Bk = B0
-    for b in range(nb):
-        blk = np.matmul(Bk, Q[b], out=out[b])
-        Bk = blk[-1]
-        if G is not None and (b + 1) * block <= L:
-            if not np.all(np.isfinite(Bk)):
-                break
-            pre.append(Bk.copy())
-            Bk = blk[-1] = pseudo_orthonormalize(Bk, G)
-    worst = 0.0
-    if pre:
-        worst = float(_group_defect(np.stack(pre), np.diag(G))[0].max())
+    # S[c] is the frame at the start of block c, S[c + 1] its end.
+    S = np.empty((nb + 1,) + Q.shape[2:])
+    S[0] = B0
+    full = L // block if G is not None else 0
+    defects, projected = [], []
+    stop, c0, run = nb, 0, nb
+    while c0 < nb:
+        lo, c0 = c0, min(nb, c0 + run)
+        for c in range(lo, c0):
+            np.matmul(S[c], Q[c, -1], out=S[c + 1])
+        ends = S[lo + 1:min(c0, full) + 1]      # ends of blocks lo, lo + 1, ...
+        if len(ends) == 0:
+            continue
+        finite = np.isfinite(ends.reshape(len(ends), -1)).all(axis=1)
+        k = len(ends) if finite.all() else int(np.argmin(finite))
+        d = _group_defect(ends[:k], np.diag(G))[0]
+        d = d.max(axis=tuple(range(1, d.ndim)))
+        off = ~(d <= _PROJ_TOL)
+        if off.any():
+            k = int(np.argmax(off))
+            S[lo + k + 1] = pseudo_orthonormalize(S[lo + k + 1], G)
+            projected.append(lo + k)
+            c0, run = lo + k + 1, 1
+        elif k < len(ends):
+            stop, c0 = lo + k + 1, nb
+        else:
+            run *= 2
+        defects.append(d[:k + 1])
+    out = np.full(Q.shape, np.nan) if stop < nb else np.empty(Q.shape)
+    np.matmul(S[:stop, None], Q[:stop], out=out[:stop])
+    for c in projected:
+        out[c, -1] = S[c + 1]
+    worst = float(np.concatenate([[0.0], *defects]).max())
     return out.reshape((nb * block,) + out.shape[2:])[:L], worst
 
 
@@ -428,10 +460,14 @@ def integrate_frame(data: GeometricData, B0,
     The generators depend on Upsilon only, so the propagators of both
     directions of an axis come from one call of the batched `expm` before
     the axis is swept. Each direction is then chained in blocks of
-    _RENORM_INTERVAL steps, and the frame is re-projected onto the group at
-    every block end (steps 16, 32, ... from the base node). One finiteness
-    scan per direction raises IntegrationBlowup naming the first non-finite
-    (axis, index); no re-projection is fed a non-finite frame.
+    _RENORM_INTERVAL steps. A block end (steps 16, 32, ... from the base
+    node) is re-projected onto the group only when it is off the group by
+    more than 1e-12: exactly the behaviour of re-projecting every block
+    end, because below that tolerance the projection is the identity. On
+    a grid whose ends all stay on the group, pseudo_orthonormalize is not
+    called at all. One finiteness scan per direction raises
+    IntegrationBlowup naming the first non-finite (axis, index); no
+    re-projection is fed a non-finite frame.
 
     upsilon overrides the assembled form matrices (propagator testing and
     reuse of precomputed assemblies).

@@ -334,12 +334,15 @@ def induce_data(imm: ExplicitImmersion, frame_seed=None,
 # Reference fields and base frames straight from the oracle
 
 
-def reference_field(imm: ExplicitImmersion) -> ImmersionField:
+def reference_field(imm: ExplicitImmersion,
+                    B: np.ndarray | None = None) -> ImmersionField:
     """ImmersionField of the generating immersion (positions and exact
-    adapted frames), for round-trip comparisons."""
+    adapted frames), for round-trip comparisons. B is exact_frame_field(imm)
+    where the caller has it already."""
     t, p = imm.sample()
-    frames = adapted_frames(imm.spec, imm.warping.eval(t)[0],
-                            exact_frame_field(imm))
+    if B is None:
+        B = exact_frame_field(imm)
+    frames = adapted_frames(imm.spec, imm.warping.eval(t)[0], B)
     return ImmersionField(spec=imm.spec, warping=imm.warping, grid=imm.grid,
                           spatial=p, t=t, frames=frames)
 

@@ -1,4 +1,5 @@
 import functools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,9 +7,10 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import chain_reference
 from warpframe import (ChartGrid, ExplicitImmersion, GeometricData,
                        SignatureSpec, WarpingFunction, canonical_example,
-                       example_names, jets, make_example)
+                       example_names, frame_solver, jets, make_example)
 from warpframe.errors import (IntegrationBlowup, InvariantViolation,
                               NonConvergence)
 from warpframe.frame_solver import (_ASSEMBLY_FIELDS, _assemble, _chain,
@@ -401,6 +403,14 @@ class TestPseudoOrthonormalize:
         with pytest.raises(NonConvergence):
             pseudo_orthonormalize(Z, np.eye(3))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_refused(self, bad):
+        with pytest.raises(NonConvergence, match="non-finite input"):
+            pseudo_orthonormalize(np.diag([bad, 1.0, 1.0]), np.eye(3))
+        stack = np.stack([np.eye(3), np.diag([1.0, bad, 1.0])])
+        with pytest.raises(NonConvergence, match=r"matrix \(1,\)"):
+            pseudo_orthonormalize(stack, np.eye(3))
+
     def test_indefinite_metric(self, rng):
         G = np.diag([1.0, -1.0, 1.0, 1.0])
         th = 0.4
@@ -587,6 +597,137 @@ class TestIntegrateFrame:
         ff = integrate_frame(data, B0)
         assert ff.diagnostics["max_group_defect"] <= 1e-8
         assert ff.diagnostics["steps"] == 128
+
+
+# A Lorentzian metric for the chain comparisons below.
+_G4 = np.diag([1.0, -1.0, 1.0, 1.0])
+
+
+def _steps(rng, shape, off=(), drift=1e-3, G=_G4):
+    """Step propagators (*shape, 4, 4): exponentials of G-skew generators,
+    which stay on the group to roundoff, except at the indices in `off`
+    (along the first axis), whose generators leave the algebra by `drift`
+    per entry: at 1e-3 a block of 16 of them moves the frame off the group
+    by about 2e-2, far enough that its re-projection lands well below the
+    projection tolerance."""
+    A = 0.05 * rng.standard_normal(tuple(shape) + (4, 4))
+    K = G @ (A - np.swapaxes(A, -1, -2))
+    for i in off:
+        K[i] += drift * rng.standard_normal(K.shape[1:])
+    return expm(K)
+
+
+def _assert_same_chain(B0, P, block, G):
+    frames, pre = _chain(B0, P, block, G)
+    ref_frames, ref_pre = chain_reference._chain(B0, P, block, G)
+    np.testing.assert_array_equal(frames, ref_frames)
+    assert pre == ref_pre
+    return frames, pre
+
+
+class TestChainMatchesBlockwiseReference:
+    """The batched walk re-projects only block ends off the group by more
+    than the projection tolerance; everywhere else the projection was the
+    identity, so frames and pre-projection defect equal the block-by-block
+    reference bit for bit."""
+
+    def test_helix_long_grid(self, monkeypatch):
+        imm = make_example("helix", {"grid_extents": [16385],
+                                     "grid_spacing": [0.0005], "beta": 0.6})
+        data = induce_data(imm)
+        B0 = exact_base_frame(imm)
+        ff = integrate_frame(data, B0)
+        monkeypatch.setattr(frame_solver, "_chain", chain_reference._chain)
+        ref = integrate_frame(data, B0)
+        np.testing.assert_array_equal(ff.B, ref.B)
+        assert ff.diagnostics == ref.diagnostics
+        assert 0.0 < ff.diagnostics["max_preprojection_defect"] <= 1e-12
+
+    @pytest.mark.parametrize("renorm", [True, False])
+    def test_walk_restarts_after_each_drifting_block(self, monkeypatch,
+                                                     renorm):
+        # 20 blocks of 16 on-algebra steps, except off-algebra steps in
+        # blocks 3 and 12: the walk is re-projected twice and resumes.
+        rng = np.random.default_rng(3)
+        P = _steps(rng, (320,), off=list(range(48, 64))
+                   + list(range(192, 208)))
+        counter = mock.Mock(wraps=pseudo_orthonormalize)
+        monkeypatch.setattr(frame_solver, "pseudo_orthonormalize", counter)
+        G = _G4 if renorm else None
+        _, pre = _assert_same_chain(np.eye(4), P, 16, G)
+        assert counter.call_count == (2 if renorm else 0)
+        assert (pre > 1e-6) if renorm else (pre == 0.0)
+
+    def test_every_block_drifts(self):
+        rng = np.random.default_rng(4)
+        P = _steps(rng, (100,), off=range(100))
+        _assert_same_chain(np.eye(4), P, 6, _G4)
+
+    def test_non_finite_step_in_a_middle_block(self, monkeypatch):
+        data = flat_strip_data(extent=101)
+        ups = np.zeros(data.grid.extents + (3, 3, 1))
+        ups[80] = np.nan      # step 30 of the forward pass: block 1
+        B0 = build_base_frame(data)
+        P = expm(np.concatenate([np.zeros((29, 3, 3)),
+                                 np.full((1, 3, 3), np.nan),
+                                 np.zeros((20, 3, 3))]))
+        frames, _ = _assert_same_chain(B0.B, P, 16, data.spec.G)
+        assert np.isfinite(frames[:29]).all()
+        assert np.isnan(frames[29:]).all()
+        with pytest.raises(IntegrationBlowup) as info:
+            integrate_frame(data, B0, upsilon=ups)
+        monkeypatch.setattr(frame_solver, "_chain", chain_reference._chain)
+        with pytest.raises(IntegrationBlowup) as ref_info:
+            integrate_frame(data, B0, upsilon=ups)
+        assert info.value.node == ref_info.value.node == (0, 80)
+
+    def test_far_drift_refused_by_both(self):
+        rng = np.random.default_rng(5)
+        P = _steps(rng, (64,))
+        P[37] = 1.5 * P[37]                 # block 2 ends with defect ~1.25
+        for chain in (_chain, chain_reference._chain):
+            with pytest.raises(NonConvergence, match=">= 0.5"):
+                chain(np.eye(4), P, 16, _G4)
+
+    def test_front_with_some_drifting_members(self):
+        # A front of five frames; members 1 and 3 take off-algebra steps
+        # in blocks 2 and 5, the others stay on the group.
+        rng = np.random.default_rng(6)
+        P = _steps(rng, (100, 5))
+        for i in (1, 3):
+            P[:, i] = _steps(rng, (100,), off=list(range(32, 48))
+                             + list(range(80, 96)))
+        B0 = _steps(rng, (5,))
+        _, pre = _assert_same_chain(B0, P, 16, _G4)
+        assert pre > 1e-6
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 70),
+           st.integers(1, 12), st.sampled_from([(), (3,)]),
+           st.sets(st.integers(0, 69), max_size=8),
+           st.sampled_from([1e-3, 1e-8, 1e-12]))
+    def test_random_schedules(self, seed, L, block, front, off, drift):
+        # Drifts of 1e-8 and 1e-12 leave block ends just above and around
+        # the projection tolerance.
+        rng = np.random.default_rng(seed)
+        P = _steps(rng, (L,) + front, off=[i for i in off if i < L],
+                   drift=drift)
+        B0 = _steps(rng, front)
+        _assert_same_chain(B0, P, block, _G4)
+        _assert_same_chain(B0, P, block, None)
+
+    def test_on_group_sweep_never_projects(self, helix65, monkeypatch):
+        _, data = helix65
+        B0 = build_base_frame(data)
+        counter = mock.Mock(wraps=pseudo_orthonormalize)
+        monkeypatch.setattr(frame_solver, "pseudo_orthonormalize", counter)
+        integrate_frame(data, B0)
+        assert counter.call_count == 0
+        # The block-by-block reference projects all four block ends.
+        monkeypatch.setattr(chain_reference, "pseudo_orthonormalize", counter)
+        monkeypatch.setattr(frame_solver, "_chain", chain_reference._chain)
+        integrate_frame(data, B0)
+        assert counter.call_count == 4
 
 
 class TestPathIndependence:

@@ -11,7 +11,8 @@ from warpframe import (ExplicitImmersion, SignatureSpec,
                        structure_residuals)
 from warpframe import oracle
 from warpframe.errors import DegenerateDataError
-from warpframe.oracle import exact_base_frame, exact_frame_field
+from warpframe.oracle import (exact_base_frame, exact_frame_field,
+                              reference_field)
 
 ALL_FAMILIES = ["slice", "vertical_geodesic", "great_subsphere", "helix",
                 "desitter_slice", "lorentz_cylinder"]
@@ -174,6 +175,19 @@ class TestExactFrames:
         assert np.abs(ztgz - np.diag(g)).max() <= 1e-12
         # row N+1 carries the vertical components
         assert np.abs(B[..., -1, :] - data.delta_all()).max() <= 1e-12
+
+    @pytest.mark.parametrize("fixture", ["slice17", "helix65"])
+    def test_reference_field_from_given_frame_field(self, fixture, request):
+        # roundtrip builds the exact frame field once and takes both B0 and
+        # the reference frames from it.
+        imm, _ = request.getfixturevalue(fixture)
+        B = exact_frame_field(imm)
+        np.testing.assert_array_equal(B[imm.grid.base_node],
+                                      exact_base_frame(imm))
+        shared, fresh = reference_field(imm, B), reference_field(imm)
+        for name in ("spatial", "t", "frames"):
+            np.testing.assert_array_equal(getattr(shared, name),
+                                          getattr(fresh, name))
 
 
 def test_unknown_example_name():
