@@ -6,9 +6,8 @@ from .ambient import (SignatureSpec, WarpingFunction, curvature_bar,
                       validate_signature, warped_dot, warped_lower,
                       warped_nabla)
 from .bundle_data import ChartGrid, GeometricData, load_data
-from .frame_solver import (FrameField, FrameMatrix, build_base_frame,
-                           integrate_frame, path_independence_defect,
-                           pseudo_orthonormalize)
+from .frame_solver import (FrameField, build_base_frame, integrate_frame,
+                           path_independence_defect, pseudo_orthonormalize)
 from .immersion import (ImmersionField, Isometry, congruence_align,
                         extract_immersion, verify_immersion)
 from .oracle import (ExplicitImmersion, canonical_example, exact_base_frame,

@@ -15,6 +15,7 @@ differences.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,8 +43,10 @@ class ChartGrid:
             raise SchemaError("grid extents/spacing/origin/base_node lengths differ")
         if any(e < 3 for e in self.extents):
             raise SchemaError("grid extents must be >= 3 per axis")
-        if any(h <= 0 for h in self.spacing):
-            raise SchemaError("grid spacing must be positive")
+        # 10 h^2 is the finite-difference tolerance of validate and verify.
+        if not all(0 < h and math.isfinite(10.0 * h * h) for h in self.spacing):
+            raise SchemaError("grid spacing must be positive and finite "
+                              "(with 10 h^2 finite)")
         if any(not (0 <= b < e) for b, e in zip(self.base_node, self.extents)):
             raise SchemaError("base node outside the grid")
 
@@ -188,9 +191,6 @@ class GeometricData:
         return self._cache["tk"]
 
     # -- spec-level operations ----------------------------------------------
-
-    def delta_components(self, node):
-        return self.delta_all()[tuple(node)]
 
     def shape_operator(self, node, eta):
         """Matrix of A_eta in the frame: column j holds the components of

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -23,7 +24,7 @@ from . import io as wio
 from . import oracle
 from .bundle_data import GeometricData
 from .errors import (IntegrationBlowup, SchemaError, WarpframeError)
-from .frame_solver import (FrameMatrix, build_base_frame, integrate_frame,
+from .frame_solver import (build_base_frame, integrate_frame,
                            path_independence_defect)
 from .immersion import congruence_align, extract_immersion, verify_immersion
 from .verifier import (ResidualReport, aux_identity_residuals,
@@ -37,8 +38,9 @@ EXIT_BLOWUP = 3
 
 def _positive_float(text):
     val = float(text)
-    if val <= 0:
-        raise argparse.ArgumentTypeError("tolerance must be positive")
+    if not (0 < val < math.inf):
+        raise argparse.ArgumentTypeError(
+            "tolerance must be positive and finite")
     return val
 
 
@@ -194,11 +196,8 @@ def _cmd_verify(args):
 
 
 def _reconstruct_once(data, args, outdir, suffix=""):
-    if args.base_frame:
-        B0 = FrameMatrix(B=wio.load_frame_matrix(args.base_frame),
-                         node=tuple(data.grid.base_node))
-    else:
-        B0 = build_base_frame(data)
+    B0 = (wio.load_frame_matrix(args.base_frame) if args.base_frame
+          else build_base_frame(data))
     ff = integrate_frame(data, B0)
     imm = extract_immersion(ff, data)
     rep = verify_immersion(imm, data, tol=args.tol)
@@ -264,9 +263,7 @@ def _cmd_roundtrip(args):
             return EXIT_FAIL
         # One exact frame field gives both B0 and the reference frames.
         Bx = oracle.exact_frame_field(imm)
-        B0 = FrameMatrix(B=Bx[imm.grid.base_node],
-                         node=tuple(grid.base_node))
-        ff = integrate_frame(data, B0)
+        ff = integrate_frame(data, Bx[imm.grid.base_node])
         rec = extract_immersion(ff, data)
         crep = verify_immersion(rec, data, tol=args.tol)
         ref = oracle.reference_field(imm, Bx)
@@ -282,7 +279,6 @@ def _cmd_roundtrip(args):
         if not ok:
             return EXIT_FAIL
     if len(defects) == 2 and defects[1] > 0:
-        import math
         order = math.log(defects[0] / defects[1], args.h_refine)
         print(f"congruence defect order: {order:.2f}")
         if order < 1.8:

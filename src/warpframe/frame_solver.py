@@ -39,7 +39,8 @@ import numpy as np
 
 from .bundle_data import GeometricData
 from . import jets
-from .errors import IntegrationBlowup, InvariantViolation, NonConvergence
+from .errors import (IntegrationBlowup, InvariantViolation, NonConvergence,
+                     SchemaError)
 from .stencils import DerivativeSource, grad1
 
 
@@ -290,35 +291,19 @@ def pseudo_orthonormalize(Z, G):
 # Base frames
 
 
-@dataclass
-class FrameMatrix:
-    """Frame matrix at one node, constrained to the group and to the
-    vertical-component row."""
-
-    B: np.ndarray
-    node: tuple
-
-    def group_defect(self, G):
-        g = np.diag(np.asarray(G, dtype=float))
-        return float(_group_defect(self.B, g)[0])
-
-    def row_defect(self, data: GeometricData):
-        Ta = data.delta_components(self.node)
-        return float(np.abs(self.B[-1, :] - Ta).max())
-
-
-def build_base_frame(data: GeometricData, node=None) -> FrameMatrix:
-    """Complete the vertical-component row to a G-orthonormal matrix.
+def build_base_frame(data: GeometricData) -> np.ndarray:
+    """B0 at the grid base node: the vertical-component row completed to a
+    G-orthonormal (N+2) x (N+2) matrix.
 
     The last row is pinned to (T_0, ..., T_{N+1}); the remaining rows come
     from sign-aware Gram-Schmidt over the canonical basis vectors taken in
     index order. Deterministic.
     """
     spec = data.spec
-    node = tuple(node if node is not None else data.grid.base_node)
+    node = tuple(data.grid.base_node)
     M = spec.size
     sgn = np.asarray(spec.signs, dtype=float)
-    Ta = data.delta_components(node).astype(float)
+    Ta = data.delta_all()[node].astype(float)
     q = float(np.dot(sgn * Ta, Ta))
     if abs(q - spec.epsilon) > 1e-8:
         raise InvariantViolation(
@@ -347,9 +332,8 @@ def build_base_frame(data: GeometricData, node=None) -> FrameMatrix:
             raise InvariantViolation(
                 f"cannot complete a base frame with sign {int(need)} "
                 f"in slot {slot}")
-    fm = FrameMatrix(B=rows, node=node)
-    assert fm.group_defect(spec.G) < 1e-10
-    return fm
+    assert _group_defect(rows, sgn)[0] < 1e-10
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +430,7 @@ def _first_nonfinite(frames):
 _B0_TOL = 1e-8
 
 
-def integrate_frame(data: GeometricData, B0,
+def integrate_frame(data: GeometricData, B0: np.ndarray,
                     upsilon: np.ndarray | None = None) -> FrameField:
     """Propagate B across the grid from the base node.
 
@@ -469,29 +453,31 @@ def integrate_frame(data: GeometricData, B0,
     IntegrationBlowup naming the first non-finite (axis, index); no
     re-projection is fed a non-finite frame.
 
+    B0 is the (M, M) frame matrix at the base node. A B0 of another shape
+    raises SchemaError; one off the group, with a last row other than the
+    vertical components T_beta, or with non-finite entries raises
+    InvariantViolation.
+
     upsilon overrides the assembled form matrices (propagator testing and
     reuse of precomputed assemblies).
     """
     spec, grid = data.spec, data.grid
     n, M = spec.n, spec.size
-    if isinstance(B0, FrameMatrix):
-        node0, B0m = B0.node, B0.B
-    else:
-        node0, B0m = tuple(grid.base_node), np.asarray(B0, dtype=float)
-    if node0 != tuple(grid.base_node):
-        raise ValueError("B0 must live at the grid base node")
-    fm = FrameMatrix(B=B0m, node=node0)
-    gd = fm.group_defect(spec.G)
-    rd = fm.row_defect(data)
-    if gd > _B0_TOL or rd > _B0_TOL:
+    node0 = tuple(grid.base_node)
+    B0 = np.asarray(B0, dtype=float)
+    if B0.shape != (M, M):
+        raise SchemaError(f"B0 has shape {B0.shape}, expected ({M}, {M})")
+    g = np.diag(spec.G)
+    gd = float(_group_defect(B0, g)[0])
+    rd = float(np.abs(B0[-1] - data.delta_all()[node0]).max())
+    if not (gd <= _B0_TOL and rd <= _B0_TOL):
         raise InvariantViolation(
             f"B0 violates its invariants: group defect {gd:.3e}, "
             f"row defect {rd:.3e} (tolerance {_B0_TOL:.1e})")
 
     Ups = upsilon if upsilon is not None else assemble_all(data)["Upsilon"]
     B = np.full(tuple(grid.extents) + (M, M), np.nan)
-    B[node0] = B0m
-    g = np.diag(spec.G)
+    B[node0] = B0
     worst_pre = 0.0
 
     for axis in range(n):
@@ -524,7 +510,7 @@ def integrate_frame(data: GeometricData, B0,
     group_defect, _ = _group_defect(B, g)
     row_defect = np.abs(B[..., M - 1, :] - data.delta_all()).max(axis=-1)
     detB = np.linalg.det(B)
-    det_drift = float(np.abs(np.abs(detB) - abs(np.linalg.det(B0m))).max())
+    det_drift = float(np.abs(np.abs(detB) - abs(np.linalg.det(B0))).max())
     Binv = np.linalg.inv(B)
     theta = 0.0
     for k in range(n):
@@ -575,13 +561,11 @@ def _integrate_path(data, Ups, B0, order):
     return frames[-1]
 
 
-def path_independence_defect(data: GeometricData, B0,
+def path_independence_defect(data: GeometricData, B0: np.ndarray,
                              upsilon: np.ndarray | None = None) -> float:
     """Max-entry difference between the frames transported along the two
     extremal monotone lattice paths (axis order 0..n-1 versus reversed)
-    from the base node to the far corner."""
-    if isinstance(B0, FrameMatrix):
-        B0 = B0.B
+    from the base node B0 to the far corner."""
     Ups = upsilon if upsilon is not None else assemble_all(data)["Upsilon"]
     n = data.spec.n
     Ba = _integrate_path(data, Ups, B0, list(range(n)))

@@ -23,7 +23,8 @@ import numpy as np
 from .ambient import SignatureSpec, WarpingFunction, warped_dot, warped_nabla
 from .bundle_data import ChartGrid, GeometricData
 from .errors import AlignmentDegenerate, NonConvergence
-from .frame_solver import _grid_last, _pattern, expm, pseudo_orthonormalize
+from .frame_solver import (FrameField, _grid_last, _pattern, expm,
+                           pseudo_orthonormalize)
 from .stencils import grad1, grad2_pure, interior_mask
 from .verifier import ResidualReport
 
@@ -79,9 +80,9 @@ def adapted_frames(spec, a, B):
     return frames
 
 
-def extract_immersion(B, data: GeometricData) -> ImmersionField:
+def extract_immersion(ff: FrameField, data: GeometricData) -> ImmersionField:
     """Immersion and adapted frames from a frame field over the data grid."""
-    B = np.asarray(getattr(B, "B", B), dtype=float)
+    B = ff.B
     spec = data.spec
     if B.shape != tuple(data.grid.extents) + (spec.size, spec.size):
         raise ValueError("frame field has wrong shape for this grid")

@@ -173,13 +173,10 @@ def _load_array(path, kind, key):
                           f"({exc!r})") from exc
 
 
-def save_frame_matrix(B, path, node=None):
-    B = np.asarray(getattr(B, "B", B), dtype=float)
-    doc = {"format_version": 1, "kind": "warpframe.frame",
-           "shape": list(B.shape), "matrix": B.ravel().tolist()}
-    if node is not None:
-        doc["node"] = list(node)
-    _write_json(doc, path)
+def save_frame_matrix(B, path):
+    B = np.asarray(B, dtype=float)
+    _write_json({"format_version": 1, "kind": "warpframe.frame",
+                 "shape": list(B.shape), "matrix": B.ravel().tolist()}, path)
 
 
 def load_frame_matrix(path):

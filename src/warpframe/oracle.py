@@ -379,14 +379,11 @@ def exact_base_frame(imm: ExplicitImmersion) -> np.ndarray:
 # Canonical example library
 
 
-def _grid_from_params(params, n, extent, spacing, centered=True):
+def _grid_from_params(params, n, extent, spacing):
     ext = tuple(params.get("grid_extents", (extent,) * n))
     sp = tuple(params.get("grid_spacing", (spacing,) * n))
-    if centered:
-        origin = tuple(params.get(
-            "grid_origin", tuple(-h * (e - 1) / 2 for e, h in zip(ext, sp))))
-    else:
-        origin = tuple(params.get("grid_origin", (0.0,) * n))
+    origin = tuple(params.get(
+        "grid_origin", tuple(-h * (e - 1) / 2 for e, h in zip(ext, sp))))
     base = tuple(params.get("grid_base", tuple(e // 2 for e in ext)))
     return ChartGrid(ext, sp, origin, base)
 

@@ -202,7 +202,7 @@ def test_criterion_8_base_frame_independence():
     K = np.eye(4)
     K[:3, :3] = O
     r1 = extract_immersion(integrate_frame(data, B0), data)
-    r2 = extract_immersion(integrate_frame(data, K @ B0.B), data)
+    r2 = extract_immersion(integrate_frame(data, K @ B0), data)
     _, defect = congruence_align(r1, r2)
     dt = time.perf_counter() - t0
     _report(8, "base-frame independence", defect <= 10 * h * h and dt < 30.0,

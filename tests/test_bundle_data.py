@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -32,8 +33,9 @@ class TestChartGrid:
             ChartGrid((2, 5), (0.1, 0.1), (0.0, 0.0), (0, 0))
 
     def test_positive_spacing(self):
-        with pytest.raises(SchemaError):
-            ChartGrid((5,), (0.0,), (0.0,), (0,))
+        for h in (0.0, -0.1, math.nan, math.inf, 1e200):
+            with pytest.raises(SchemaError):
+                ChartGrid((5,), (h,), (0.0,), (0,))
 
     def test_refine_preserves_span(self):
         g = ChartGrid((5, 9), (0.2, 0.1), (-0.4, 0.0), (2, 4))
@@ -120,9 +122,9 @@ class TestSerialization:
 
 
 class TestDerivedObjects:
-    def test_delta_components_slice_pattern(self):
+    def test_delta_all_slice_pattern(self):
         data = trivial_data()
-        np.testing.assert_array_equal(data.delta_components((2,)), [0, 0, 1])
+        np.testing.assert_array_equal(data.delta_all()[2], [0, 0, 1])
 
     def test_delta_zero_slot(self, slice17):
         _, data = slice17

@@ -111,6 +111,34 @@ class TestReconstructCommand:
         capsys.readouterr()
         assert rc == 2
 
+    @pytest.mark.parametrize("B, code", [
+        (np.eye(3), 1),                       # wrong shape for the 4x4 helix
+        (np.full((4, 4), np.nan), 2)],        # NaN defects must not pass
+        ids=["wrong_shape", "nan"])
+    def test_malformed_base_frame_exit_code(self, helix_file, tmp_path,
+                                            capsys, B, code):
+        bf = tmp_path / "B0.json"
+        save_frame_matrix(B, bf)
+        rc = main(["reconstruct", str(helix_file), "--base-frame", str(bf)])
+        assert rc == code
+        assert "B0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["helix_file", "slice_file"])
+    def test_saved_base_frame_reproduces_default(self, name, request,
+                                                 tmp_path, capsys):
+        from warpframe.frame_solver import build_base_frame
+        path = request.getfixturevalue(name)
+        bf = tmp_path / "b0.json"
+        save_frame_matrix(build_base_frame(load_dataset(path)), bf)
+        assert main(["reconstruct", str(path), "--base-frame", str(bf),
+                     "-o", str(tmp_path / "A")]) == 0
+        assert main(["reconstruct", str(path),
+                     "-o", str(tmp_path / "B")]) == 0
+        capsys.readouterr()
+        for f in ("immersion.csv", "frames.json", "bfield.json"):
+            assert ((tmp_path / "A" / f).read_bytes()
+                    == (tmp_path / "B" / f).read_bytes()), f
+
     def test_refinement_ratio_recorded(self, helix_file, tmp_path, capsys):
         out = tmp_path / "out"
         rc = main(["reconstruct", str(helix_file), "--h-refine", "2",
@@ -290,8 +318,23 @@ def test_h_refine_needs_generator_tag(slice_file, tmp_path):
 
 
 def test_nonpositive_tolerance_rejected(slice_file):
-    with pytest.raises(SystemExit):
-        main(["verify", str(slice_file), "--tol", "-1.0"])
+    for tol in ("-1.0", "nan", "inf"):
+        with pytest.raises(SystemExit):
+            main(["verify", str(slice_file), "--tol", tol])
+
+
+@pytest.mark.parametrize("command", ["validate", "verify"])
+def test_infinite_spacing_exits_one(command, slice_file, tmp_path, capsys):
+    # Corrupted alpha fails verify; an infinite spacing would make every
+    # 10 h^2 tolerance infinite and let it pass.
+    doc = json.loads(slice_file.read_text())
+    doc["fields"]["alpha"] = [v + 0.3 for v in doc["fields"]["alpha"]]
+    doc.pop("derivatives")
+    doc["grid"]["spacing"] = [float("inf")] * 2
+    bad = tmp_path / "inf_spacing.json"
+    bad.write_text(json.dumps(doc))
+    assert main([command, str(bad)]) == 1
+    assert "spacing" in capsys.readouterr().err
 
 
 def test_removed_renorm_flags_rejected(slice_file, capsys):

@@ -14,13 +14,20 @@ from warpframe import (ChartGrid, ExplicitImmersion, GeometricData,
 from warpframe.errors import (IntegrationBlowup, InvariantViolation,
                               NonConvergence)
 from warpframe.frame_solver import (_ASSEMBLY_FIELDS, _assemble, _chain,
-                                    _grid_first, _grid_last, assemble_all,
-                                    assembled_derivatives, build_base_frame,
-                                    expm, integrate_frame,
+                                    _grid_first, _grid_last, _group_defect,
+                                    assemble_all, assembled_derivatives,
+                                    build_base_frame, expm, integrate_frame,
                                     path_independence_defect,
                                     pseudo_orthonormalize)
 from warpframe.oracle import (_grid_tag, exact_base_frame, exact_frame_field,
                               induce_data)
+
+
+def assert_base_frame(B0, data, group_tol, row_tol):
+    """B0 is on the group and its last row is T_beta at the base node."""
+    assert _group_defect(B0, np.diag(data.spec.G))[0] <= group_tol
+    row = data.delta_all()[tuple(data.grid.base_node)]
+    assert np.abs(B0[-1] - row).max() <= row_tol
 
 
 def taylor_expm(K, terms=40):
@@ -150,7 +157,7 @@ def reference_forms(data, node):
     n, m, M = spec.n, spec.m, spec.size
     eps, sgn = spec.epsilon, spec.signs
     C = data.inv_frame[node]                 # d/dx_k = sum_i C[k, i] e_i
-    Ta = data.delta_components(node)
+    Ta = data.delta_all()[node]
     a, a1, _ = (float(v[node]) for v in data.warp_values())
 
     def coframe(al, k):
@@ -426,27 +433,23 @@ class TestPseudoOrthonormalize:
 class TestBaseFrame:
     def test_invariants(self, slice17):
         _, data = slice17
-        fm = build_base_frame(data)
-        assert fm.group_defect(data.spec.G) <= 1e-10
-        assert fm.row_defect(data) <= 1e-8
+        assert_base_frame(build_base_frame(data), data, 1e-10, 1e-8)
 
     def test_slice_base_is_signed_identity(self, slice17):
         # T = 0, xi the unit vertical: completion picks the canonical basis
         _, data = slice17
-        fm = build_base_frame(data)
-        assert np.abs(np.abs(fm.B) - np.eye(4)).max() <= 1e-12
+        B0 = build_base_frame(data)
+        assert np.abs(np.abs(B0) - np.eye(4)).max() <= 1e-12
 
     def test_lorentzian_signature_completion(self):
         _, data = canonical_example("lorentz_cylinder", {})
-        fm = build_base_frame(data)
-        assert fm.group_defect(data.spec.G) <= 1e-10
-        assert fm.row_defect(data) <= 1e-8
+        assert_base_frame(build_base_frame(data), data, 1e-10, 1e-8)
 
     def test_helix_nontrivial_row(self, helix65):
         _, data = helix65
-        fm = build_base_frame(data)
-        assert fm.group_defect(data.spec.G) <= 1e-10
-        assert abs(fm.B[-1, 1]) > 0.1  # T has a genuine tangent component
+        B0 = build_base_frame(data)
+        assert _group_defect(B0, np.diag(data.spec.G))[0] <= 1e-10
+        assert abs(B0[-1, 1]) > 0.1  # T has a genuine tangent component
 
 
 class TestIntegrateFrame:
@@ -457,7 +460,7 @@ class TestIntegrateFrame:
         zero = np.zeros(data.grid.extents + (3, 3, 1))
         ff = integrate_frame(data, B0, upsilon=zero)
         np.testing.assert_array_equal(
-            ff.B, np.broadcast_to(B0.B, ff.B.shape))
+            ff.B, np.broadcast_to(B0, ff.B.shape))
 
     def test_constant_upsilon_matches_expm_oracle(self):
         # On the vertical geodesic the assembled Upsilon is constant in s,
@@ -472,7 +475,7 @@ class TestIntegrateFrame:
         B0 = build_base_frame(data)
         ff = integrate_frame(data, B0)
         s_total = 0.03 * 16
-        want = B0.B @ taylor_expm(s_total * Ups[16][..., 0])
+        want = B0 @ taylor_expm(s_total * Ups[16][..., 0])
         got = ff.B[32]
         assert np.abs(got - want).max() <= 1e-10
 
@@ -535,7 +538,7 @@ class TestIntegrateFrame:
         _, data = request.getfixturevalue(fixture)
         B0 = build_base_frame(data)
         ff = integrate_frame(data, B0)
-        assert np.abs(ff.B - serial_sweep(data, B0.B)).max() <= 1e-12
+        assert np.abs(ff.B - serial_sweep(data, B0)).max() <= 1e-12
 
     def test_sweep_reprojects_every_16_steps(self):
         # Generators off the algebra make B leave the group by ~1e-3 per
@@ -545,7 +548,7 @@ class TestIntegrateFrame:
         ups = 0.05 * rng.standard_normal(data.grid.extents + (3, 3, 1))
         B0 = build_base_frame(data)
         ff = integrate_frame(data, B0, upsilon=ups)
-        ref = serial_sweep(data, B0.B, upsilon=ups)
+        ref = serial_sweep(data, B0, upsilon=ups)
         assert np.abs(ff.B - ref).max() <= 1e-12
         assert ff.diagnostics["max_preprojection_defect"] > 1e-6
 
@@ -561,7 +564,7 @@ class TestIntegrateFrame:
         ax = data.spec.n - 1
         U = np.moveaxis(assemble_all(data)["Upsilon"][..., ax], ax, 0)
         P = scipy.linalg.expm(0.5 * data.grid.spacing[ax] * (U[:-1] + U[1:]))
-        B0 = np.broadcast_to(build_base_frame(data).B, P.shape[1:])
+        B0 = np.broadcast_to(build_base_frame(data), P.shape[1:])
         G = data.spec.G if renorm else None
         frames, _ = _chain(B0, P, interval, G)
         ref = serial_chain(B0, P, interval, G)
@@ -574,7 +577,7 @@ class TestIntegrateFrame:
         data = flat_strip_data()
         rng = np.random.default_rng(7)
         P = scipy.linalg.expm(0.005 * rng.standard_normal((20, 3, 3)))
-        B0 = build_base_frame(data).B
+        B0 = build_base_frame(data)
         frames, pre = _chain(B0, P, interval, data.spec.G)
         ref = serial_chain(B0, P, interval, data.spec.G)
         assert np.abs(frames - ref).max() <= 1e-12
@@ -587,8 +590,8 @@ class TestIntegrateFrame:
         pre = ff.diagnostics["max_preprojection_defect"]
         assert 0.0 < pre <= 1e-12
         # Without G the chain re-projects nothing and records nothing.
-        P = expm(np.zeros((40,) + B0.B.shape))
-        assert _chain(B0.B, P, 8)[1] == 0.0
+        P = expm(np.zeros((40,) + B0.shape))
+        assert _chain(B0, P, 8)[1] == 0.0
 
     def test_renormalization_engages_on_long_runs(self):
         _, data = canonical_example("helix", {"grid_extents": [129],
@@ -671,7 +674,7 @@ class TestChainMatchesBlockwiseReference:
         P = expm(np.concatenate([np.zeros((29, 3, 3)),
                                  np.full((1, 3, 3), np.nan),
                                  np.zeros((20, 3, 3))]))
-        frames, _ = _assert_same_chain(B0.B, P, 16, data.spec.G)
+        frames, _ = _assert_same_chain(B0, P, 16, data.spec.G)
         assert np.isfinite(frames[:29]).all()
         assert np.isnan(frames[29:]).all()
         with pytest.raises(IntegrationBlowup) as info:
@@ -734,7 +737,7 @@ class TestPathIndependence:
     def test_flat_defect_zero(self):
         data = flat_strip_data_2d()
         zero = np.zeros((5, 5, 4, 4, 2))
-        defect = path_independence_defect(data, build_base_frame(data).B,
+        defect = path_independence_defect(data, build_base_frame(data),
                                           upsilon=zero)
         assert defect == 0.0
 
@@ -743,7 +746,7 @@ class TestPathIndependence:
         ups = np.zeros((5, 5, 4, 4, 2))
         ups[2, 0] = np.nan          # reached by the axis-0-first path
         with pytest.raises(IntegrationBlowup) as info:
-            path_independence_defect(data, build_base_frame(data).B,
+            path_independence_defect(data, build_base_frame(data),
                                      upsilon=ups)
         assert info.value.node == (2, 0)
 
@@ -761,7 +764,7 @@ class TestPathIndependence:
     def test_codazzi_violation_blows_up_holonomy(self):
         _, data = canonical_example("slice", {
             "n": 2, "grid_extents": [33, 33], "grid_spacing": [0.02, 0.02]})
-        B0 = build_base_frame(data).B
+        B0 = build_base_frame(data)
         base = path_independence_defect(data, B0)
         al = data.alpha.copy()
         al[..., 0, 0, 1] += 0.1

@@ -142,7 +142,7 @@ class TestCongruence:
         K = np.eye(4)
         K[:3, :3] = O
         r1 = extract_immersion(integrate_frame(data, B0), data)
-        r2 = extract_immersion(integrate_frame(data, K @ B0.B), data)
+        r2 = extract_immersion(integrate_frame(data, K @ B0), data)
         tau, defect = congruence_align(r1, r2)
         h = data.grid.max_spacing
         assert defect <= 10 * h * h

@@ -97,10 +97,13 @@ class TestJsonWriter:
     def test_frame_matrix_document(self, tmp_path):
         B = np.random.default_rng(3).standard_normal((5, 5))
         path = tmp_path / "B.json"
-        wio.save_frame_matrix(B, path, node=(1, 2))
-        assert path.read_bytes() == stdlib_json(
-            {"format_version": 1, "kind": "warpframe.frame",
-             "shape": [5, 5], "matrix": B.ravel().tolist(), "node": [1, 2]})
+        wio.save_frame_matrix(B, path)
+        doc = {"format_version": 1, "kind": "warpframe.frame",
+               "shape": [5, 5], "matrix": B.ravel().tolist()}
+        assert path.read_bytes() == stdlib_json(doc)
+        # Older documents carry the base node; the reader ignores it.
+        path.write_bytes(stdlib_json({**doc, "node": [1, 2]}))
+        np.testing.assert_array_equal(wio.load_frame_matrix(path), B)
 
     @pytest.mark.parametrize("doc", [
         EDGE_FLOATS,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracle_reference
-from test_frame_solver import SIGNATURE_CASES
+from test_frame_solver import SIGNATURE_CASES, assert_base_frame
 from warpframe import (ExplicitImmersion, SignatureSpec,
                        aux_identity_residuals, canonical_example,
                        flatness_residual, induce_data, make_example,
@@ -161,11 +161,7 @@ class TestInduceData:
 class TestExactFrames:
     def test_base_frame_invariants(self, helix65):
         imm, data = helix65
-        from warpframe.frame_solver import FrameMatrix
-        B0 = exact_base_frame(imm)
-        fm = FrameMatrix(B=B0, node=tuple(data.grid.base_node))
-        assert fm.group_defect(data.spec.G) <= 1e-12
-        assert fm.row_defect(data) <= 1e-12
+        assert_base_frame(exact_base_frame(imm), data, 1e-12, 1e-12)
 
     def test_frame_field_in_group_everywhere(self, slice17):
         imm, data = slice17
