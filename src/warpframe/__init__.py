@@ -1,8 +1,7 @@
 """Verify-and-reconstruct engine for submanifolds of semi-Riemannian
 warped products over space forms."""
 
-from .ambient import (SignatureSpec, WarpingFunction, curvature_bar,
-                      curvature_coefficients, curvature_tilde,
+from .ambient import (SignatureSpec, WarpingFunction, curvature_coefficients,
                       validate_signature, warped_dot, warped_lower,
                       warped_nabla)
 from .bundle_data import ChartGrid, GeometricData, load_data

@@ -12,8 +12,8 @@ connection (warped_dot, warped_lower, warped_nabla) that both sides of the
 theorem use: the oracle induces its hypothesis data with them, and
 verify_immersion checks the reconstructed immersion's conclusions with
 them. They act on t-first vectors (..., N+2, *ext), arrays or jets, over a
-whole grid at once. The closed-form curvature tensors (flat fiber and
-quadric fiber) are built on warped_dot. Grid machinery lives elsewhere.
+whole grid at once. curvature_coefficients gives the two coefficients of
+the quadric-fiber curvature tensor. Grid machinery lives elsewhere.
 """
 
 from __future__ import annotations
@@ -363,7 +363,7 @@ def warped_nabla(spec: SignatureSpec, a, a1, V, Y, dY):
 
 
 # ---------------------------------------------------------------------------
-# Closed-form curvature tensors
+# Curvature coefficients
 
 
 def curvature_coefficients(spec: SignatureSpec, w: WarpingFunction, t):
@@ -377,78 +377,3 @@ def curvature_coefficients(spec: SignatureSpec, w: WarpingFunction, t):
     k1 = spec.epsilon * (a1 / a) ** 2 - spec.c / a ** 2
     k2 = a2 / a - (a1 / a) ** 2 + spec.epsilon * spec.c / a ** 2
     return k1, k2
-
-
-def _curvature_quadruple(spec, a2, X, Y, Z, W_, k1, k2):
-    """k1 (<X,Z><Y,W> - <Y,Z><X,W>) + k2 (<X,Z> y w - <Y,Z> x w
-    - <X,W> y z + <Y,W> x z), with x = <X, dt> and so on."""
-    def ip(u, v):
-        return warped_dot(spec, a2, u, v)
-
-    first = ip(X, Z) * ip(Y, W_) - ip(Y, Z) * ip(X, W_)
-    # <v, dt> = eps v_0, read off the t component.
-    nd = np.ndim(a2)
-    xt, yt, zt, wt = (spec.epsilon * v0
-                      for v0, _ in _split(nd, X, Y, Z, W_))
-    second = (ip(X, Z) * yt * wt - ip(Y, Z) * xt * wt
-              - ip(X, W_) * yt * zt + ip(Y, W_) * xt * zt)
-    return k1 * first + k2 * second
-
-
-def curvature_bar(spec: SignatureSpec, w: WarpingFunction, t,
-                  X, Y, Z, W_):
-    """Curvature quadruple <R(X,Y)Z, W> of eps*I x_a M^N(c) at height t,
-    for vectors tangent to the quadric."""
-    k1, k2 = curvature_coefficients(spec, w, t)
-    a = w.eval(t)[0]
-    return _curvature_quadruple(spec, a * a, X, Y, Z, W_, k1, k2)
-
-
-def curvature_tilde(spec: SignatureSpec, w: WarpingFunction, t,
-                    X, Y, Z, W_, first_coeff="as_printed"):
-    """Curvature quadruple of the flat-fiber warped product eps*I x_a E^{N+1}.
-
-    first_coeff selects the leading coefficient: "as_printed" uses
-    eps*(a')^2/a, "squared" uses eps*(a')^2/a^2. The squared variant is the
-    one consistent with the quadric-fiber tensor through the Gauss equation
-    of the umbilical inclusion; both are kept so the acceptance suite can
-    demonstrate which one closes the algebra.
-    """
-    if first_coeff not in ("as_printed", "squared"):
-        raise ValueError("first_coeff must be 'as_printed' or 'squared'")
-    a, a1, a2 = w.eval(t)
-    k1 = spec.epsilon * a1 ** 2 / (a if first_coeff == "as_printed" else a * a)
-    k2 = a2 / a - (a1 / a) ** 2
-    return _curvature_quadruple(spec, a * a, X, Y, Z, W_, k1, k2)
-
-
-def quadric_inclusion_gauss_residual(spec: SignatureSpec, w: WarpingFunction,
-                                     t, X, Y, Z, W_,
-                                     first_coeff="as_printed"):
-    """Gap in the Gauss equation reducing the flat-fiber curvature to the
-    quadric-fiber one through the totally umbilical inclusion.
-
-    The inclusion of the quadric into flat space has second fundamental
-    form -(c/a) <X_0, Y_0> eta with eta the scaled position direction,
-    <eta, eta> = c, and X_0 the fiber part of X. The residual
-
-        R_quadric(X,Y,Z,W) - [R_flat(X,Y,Z,W)
-            - <alpha(X,Z), alpha(Y,W)> + <alpha(X,W), alpha(Y,Z)>]
-
-    vanishes exactly when the flat-fiber tensor is evaluated with the
-    "squared" leading coefficient; the acceptance suite records this.
-    """
-    a = w.eval(t)[0]
-    a2 = a * a
-    nd = np.ndim(a2)
-
-    def afac(u, v):
-        # coefficient of eta in alpha(u, v); eps <u, dt><v, dt> = eps u0 v0
-        (u0, _), (v0, _) = _split(nd, u, v)
-        return -(spec.c / a) * (warped_dot(spec, a2, u, v)
-                                - spec.epsilon * u0 * v0)
-
-    lhs = curvature_bar(spec, w, t, X, Y, Z, W_)
-    flat = curvature_tilde(spec, w, t, X, Y, Z, W_, first_coeff=first_coeff)
-    corr = spec.c * (afac(X, Z) * afac(Y, W_) - afac(X, W_) * afac(Y, Z))
-    return np.abs(lhs - (flat - corr))

@@ -5,8 +5,8 @@ equations talk about: an orthonormal tangent frame (as coordinate
 components), the tangent and bundle connection coefficients against
 coordinate directions, the symmetric bilinear form alpha with values in the
 bundle, the tangent/bundle split (T, xi) of the vertical direction, and the
-height function pi. Derived objects (the delta covector, shape operators,
-the S tensor) are computed on demand.
+height function pi. Derived objects (the delta covector, the warp values,
+the coordinate components of T) are computed on demand.
 
 Connection data is stored against coordinate directions d/dx_k on purpose:
 exterior derivatives on the grid then reduce to plain componentwise finite
@@ -47,6 +47,8 @@ class ChartGrid:
         if not all(0 < h and math.isfinite(10.0 * h * h) for h in self.spacing):
             raise SchemaError("grid spacing must be positive and finite "
                               "(with 10 h^2 finite)")
+        if not all(math.isfinite(x) for x in self.origin):
+            raise SchemaError("grid origin must be finite")
         if any(not (0 <= b < e) for b, e in zip(self.base_node, self.extents)):
             raise SchemaError("base node outside the grid")
 
@@ -189,32 +191,6 @@ class GeometricData:
             self._cache["tk"] = np.einsum(
                 "...ki,i,...i->...k", self.inv_frame, eps, self.T_comp)
         return self._cache["tk"]
-
-    # -- spec-level operations ----------------------------------------------
-
-    def shape_operator(self, node, eta):
-        """Matrix of A_eta in the frame: column j holds the components of
-        A_eta(e_j)."""
-        eta = np.asarray(eta, dtype=float)
-        spec = self.spec
-        al = self.alpha[tuple(node)]
-        inner = np.einsum("u,u,uij->ij", spec.bundle_signs, eta, al)
-        return spec.tangent_signs[:, None] * inner
-
-    def s_tensor(self, node, X):
-        """S applied to the tangent vector X (frame components): its
-        tangent and bundle components."""
-        node = tuple(node)
-        spec = self.spec
-        X = np.asarray(X, dtype=float)
-        a = float(self.warp_values()[0][node])
-        T = self.T_comp[node]
-        xi = self.xi_comp[node]
-        dX = float(np.dot(spec.tangent_signs * X, T))
-        fac = -1.0 / (a * spec.c)
-        tangent = fac * (X - spec.epsilon * dX * T)
-        bundle = fac * (-spec.epsilon * dX * xi)
-        return tangent, bundle
 
     # -- validation -----------------------------------------------------------
 

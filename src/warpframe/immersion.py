@@ -23,8 +23,8 @@ import numpy as np
 from .ambient import SignatureSpec, WarpingFunction, warped_dot, warped_nabla
 from .bundle_data import ChartGrid, GeometricData
 from .errors import AlignmentDegenerate, NonConvergence
-from .frame_solver import (FrameField, _grid_last, _pattern, expm,
-                           pseudo_orthonormalize)
+from .frame_solver import (FrameField, _grid_last, _group_defect, _pattern,
+                           expm, pseudo_orthonormalize)
 from .stencils import grad1, grad2_pure, interior_mask
 from .verifier import ResidualReport
 
@@ -113,8 +113,7 @@ def verify_immersion(imm: ImmersionField, data: GeometricData,
     report = ResidualReport()
 
     # (1) isometry: tangent block of B^t G B - G.
-    g = np.asarray(spec.signs, dtype=float)
-    btgb = np.einsum("...ai,a,...aj->...ij", B, g, B)
+    btgb = _group_defect(B, np.asarray(spec.signs, dtype=float))[1]
     tangent = btgb[..., 1:n + 1, 1:n + 1] - np.diag(spec.tangent_signs)
     report.add("isometry", np.abs(tangent).max(axis=(-1, -2)), tol)
 

@@ -11,13 +11,13 @@ import numpy as np
 import pytest
 
 from classical_oracle import classical_residual_fields
+from geometry_reference import quadric_inclusion_gauss_residual
 from warpframe import (GeometricData, SignatureSpec, WarpingFunction,
                        aux_identity_residuals, canonical_example,
                        congruence_align, curvature_coefficients,
                        extract_immersion, flatness_residual, make_example,
                        structure_residual_fields, structure_residuals,
                        verify_immersion)
-from warpframe.ambient import quadric_inclusion_gauss_residual
 from warpframe.cli import main as cli_main
 from warpframe.frame_solver import (build_base_frame, integrate_frame,
                                     path_independence_defect)

@@ -3,12 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from warpframe import (SignatureSpec, WarpingFunction, curvature_bar,
-                       curvature_coefficients, curvature_tilde,
+from geometry_reference import (curvature_bar, curvature_tilde,
+                                quadric_inclusion_gauss_residual)
+from warpframe import (SignatureSpec, WarpingFunction, curvature_coefficients,
                        validate_signature, warped_dot, warped_lower,
                        warped_nabla)
 from warpframe import jets
-from warpframe.ambient import quadric_inclusion_gauss_residual
 from warpframe.errors import DomainError
 
 

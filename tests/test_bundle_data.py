@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from geometry_reference import s_tensor, shape_operator
 from warpframe import (ChartGrid, GeometricData, SignatureSpec,
                        WarpingFunction, canonical_example, load_data)
 from warpframe.errors import InvariantViolation, SchemaError
@@ -36,6 +37,11 @@ class TestChartGrid:
         for h in (0.0, -0.1, math.nan, math.inf, 1e200):
             with pytest.raises(SchemaError):
                 ChartGrid((5,), (h,), (0.0,), (0,))
+
+    def test_finite_origin(self):
+        for x in (math.nan, math.inf, -math.inf):
+            with pytest.raises(SchemaError, match="origin"):
+                ChartGrid((5,), (0.1,), (x,), (0,))
 
     def test_refine_preserves_span(self):
         g = ChartGrid((5, 9), (0.2, 0.1), (-0.4, 0.0), (2, 4))
@@ -132,13 +138,13 @@ class TestDerivedObjects:
 
     def test_shape_operator_zero_alpha(self):
         data = trivial_data()
-        assert np.all(data.shape_operator((2,), [3.0]) == 0.0)
+        assert np.all(shape_operator(data, (2,), [3.0]) == 0.0)
 
     def test_shape_operator_umbilic(self, slice17):
         _, data = slice17
         a, a1, _ = data.warp_values()
         node = (8, 8)
-        A = data.shape_operator(node, data.xi_comp[node])
+        A = shape_operator(data, node, data.xi_comp[node])
         np.testing.assert_allclose(A, -(a1 / a)[node] * np.eye(2), atol=1e-12)
 
     def test_shape_operator_linearity_and_adjunction(self, slice17, rng):
@@ -149,9 +155,9 @@ class TestDerivedObjects:
             e1 = rng.normal(size=1)
             e2 = rng.normal(size=1)
             c1, c2 = rng.normal(size=2)
-            A = data.shape_operator(node, c1 * e1 + c2 * e2)
-            A12 = c1 * data.shape_operator(node, e1) \
-                + c2 * data.shape_operator(node, e2)
+            A = shape_operator(data, node, c1 * e1 + c2 * e2)
+            A12 = c1 * shape_operator(data, node, e1) \
+                + c2 * shape_operator(data, node, e2)
             np.testing.assert_allclose(A, A12, atol=1e-13)
             # <A_eta e_i, e_j> = <alpha(e_i, e_j), eta> for all frame pairs
             for i in range(2):
@@ -166,7 +172,7 @@ class TestDerivedObjects:
         data = trivial_data(xi_comp=np.zeros((5, 1)),
                             T_comp=np.zeros((5, 1)))
         # S X = -X/(a c) with a = c = 1 and no vertical projection term
-        tangent, bundle = data.s_tensor((2,), np.array([2.0]))
+        tangent, bundle = s_tensor(data, (2,), np.array([2.0]))
         np.testing.assert_array_equal(tangent, [-2.0])
         np.testing.assert_array_equal(bundle, [0.0])
 
@@ -174,7 +180,7 @@ class TestDerivedObjects:
         data = trivial_data(T_comp=np.ones((5, 1)),
                             xi_comp=np.zeros((5, 1)),
                             pi=np.linspace(0.1, 0.5, 5))
-        tangent, _ = data.s_tensor((2,), np.array([1.0]))
+        tangent, _ = s_tensor(data, (2,), np.array([1.0]))
         np.testing.assert_allclose(tangent, [0.0], atol=1e-15)
 
     def test_s_tensor_output_orthogonal_to_vertical(self, slice17, rng):
@@ -183,7 +189,7 @@ class TestDerivedObjects:
         for _ in range(10):
             node = tuple(rng.integers(0, 17, size=2))
             X = rng.normal(size=2)
-            tangent, bundle = data.s_tensor(node, X)
+            tangent, bundle = s_tensor(data, node, X)
             ip = (np.dot(spec.tangent_signs * tangent, data.T_comp[node])
                   + np.dot(spec.bundle_signs * bundle, data.xi_comp[node]))
             assert abs(ip) <= 1e-12

@@ -337,6 +337,18 @@ def test_infinite_spacing_exits_one(command, slice_file, tmp_path, capsys):
     assert "spacing" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["verify", "reconstruct"])
+def test_infinite_origin_exits_one(command, slice_file, tmp_path, capsys):
+    # No residual reads the origin, so without the load-time check such a
+    # dataset verifies and reconstructs as if the origin were finite.
+    doc = json.loads(slice_file.read_text())
+    doc["grid"]["origin"] = [float("inf")] * 2
+    bad = tmp_path / "inf_origin.json"
+    bad.write_text(json.dumps(doc))
+    assert main([command, str(bad)]) == 1
+    assert "origin" in capsys.readouterr().err
+
+
 def test_removed_renorm_flags_rejected(slice_file, capsys):
     # Re-projection runs every 16 steps, always; the knobs are gone.
     for flags in (["--renorm-interval", "8"], ["--no-renorm"]):

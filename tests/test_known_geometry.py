@@ -15,6 +15,7 @@ implementations, so agreement pins the conventions of the whole chain:
 import numpy as np
 import pytest
 
+from geometry_reference import shape_operator
 from warpframe import canonical_example
 from warpframe.stencils import grad1
 
@@ -90,5 +91,5 @@ def test_slice_vertical_shape_operator_closed_form():
     _, data = canonical_example("slice", {"n": 2, "t0": t0})
     want = -np.tanh(t0)  # -(a'/a) for the cosh scale factor
     node = (3, 12)
-    A = data.shape_operator(node, data.xi_comp[node])
+    A = shape_operator(data, node, data.xi_comp[node])
     np.testing.assert_allclose(A, want * np.eye(2), atol=1e-10)
