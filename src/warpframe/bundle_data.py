@@ -26,6 +26,8 @@ from .stencils import grad1
 
 FIELD_NAMES = ("frame", "omega_tangent", "omega_bundle", "alpha",
                "T_comp", "xi_comp", "pi")
+# A dataset holds the coordinate derivatives of all of these or of none.
+_DERIVATIVE_NAMES = tuple(name for name in FIELD_NAMES if name != "pi")
 
 
 @dataclass(frozen=True)
@@ -43,8 +45,8 @@ class ChartGrid:
             raise SchemaError("grid extents/spacing/origin/base_node lengths differ")
         if any(e < 3 for e in self.extents):
             raise SchemaError("grid extents must be >= 3 per axis")
-        # 10 h^2 is the finite-difference tolerance of validate and verify.
-        if not all(0 < h and math.isfinite(10.0 * h * h) for h in self.spacing):
+        if not (all(0 < h for h in self.spacing)
+                and math.isfinite(self.fd_tolerance)):
             raise SchemaError("grid spacing must be positive and finite "
                               "(with 10 h^2 finite)")
         if not all(math.isfinite(x) for x in self.origin):
@@ -63,6 +65,13 @@ class ChartGrid:
     @property
     def max_spacing(self):
         return max(self.spacing)
+
+    @property
+    def fd_tolerance(self):
+        """10 h^2 with h the largest spacing: the tolerance of every check
+        driven by second-order finite differences on this grid."""
+        h = self.max_spacing
+        return 10.0 * h * h
 
     def axes(self):
         """Per-axis coordinate arrays."""
@@ -116,7 +125,10 @@ _FIELD_SHAPES = {
 
 class GeometricData:
     """Immutable-after-load bundle of grid fields. See the module docstring
-    for the index conventions of each field."""
+    for the index conventions of each field.
+
+    derivs holds the coordinate derivatives (n, *ext, ...) of all six
+    fields other than pi, or is empty; a partial set is a SchemaError."""
 
     def __init__(self, spec: SignatureSpec, warping: WarpingFunction,
                  grid: ChartGrid, frame, omega_tangent, omega_bundle,
@@ -147,7 +159,7 @@ class GeometricData:
         self.derivs = {}
         if derivs:
             for name, arr in derivs.items():
-                if name not in _FIELD_SHAPES or name == "pi":
+                if name not in _DERIVATIVE_NAMES:
                     raise SchemaError(f"unknown derivative field {name}")
                 arr = np.asarray(arr, dtype=float)
                 want = (n,) + ext + _FIELD_SHAPES[name](n, m)
@@ -155,6 +167,12 @@ class GeometricData:
                     raise SchemaError(
                         f"derivative {name}: shape {arr.shape}, want {want}")
                 self.derivs[name] = arr
+            missing = [name for name in _DERIVATIVE_NAMES
+                       if name not in self.derivs]
+            if missing:
+                raise SchemaError(
+                    f"derivative fields missing {', '.join(missing)}: a "
+                    f"dataset holds all {len(_DERIVATIVE_NAMES)} or none")
         self.generator = generator
         self.flagged_nodes: list[tuple] = []
         self._cache = {}
@@ -225,7 +243,7 @@ class GeometricData:
         if np.any(self.pi < lo) or np.any(self.pi > hi):
             problems.append("pi leaves the warping domain I")
         # T = eps * grad(pi): d(pi)(d/dx_k) must equal eps * <T, d/dx_k>.
-        gtol = 10.0 * grid.max_spacing ** 2
+        gtol = grid.fd_tolerance
         tk = self.coord_T()
         worst_grad = 0.0
         for k in range(grid.n):
@@ -310,7 +328,7 @@ def load_data(document: dict, validate=True) -> GeometricData:
     if "derivatives" in document:
         derivs = {}
         for name, vals in document["derivatives"].items():
-            if name not in _FIELD_SHAPES or name == "pi":
+            if name not in _DERIVATIVE_NAMES:
                 raise SchemaError(f"unknown derivative field {name}")
             shape = (n,) + ext + _FIELD_SHAPES[name](n, m)
             arr = np.asarray(vals, dtype=float)

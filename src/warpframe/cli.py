@@ -269,9 +269,9 @@ def _cmd_roundtrip(args):
         ref = oracle.reference_field(imm, Bx)
         tau, defect = congruence_align(rec, ref)
         defects.append(defect)
-        h = grid.max_spacing
-        ok = crep.passed and defect <= 10.0 * h * h
-        print(f"level {level}: h={h:.5f} congruence defect {defect:.3e} "
+        ok = crep.passed and defect <= grid.fd_tolerance
+        print(f"level {level}: h={grid.max_spacing:.5f} "
+              f"congruence defect {defect:.3e} "
               f"conclusions {'pass' if crep.passed else 'FAIL'}")
         if args.output_dir is not None:
             wio.write_immersion_csv(

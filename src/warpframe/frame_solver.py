@@ -44,7 +44,7 @@ from .bundle_data import GeometricData
 from . import jets
 from .errors import (IntegrationBlowup, InvariantViolation, NonConvergence,
                      SchemaError)
-from .stencils import DerivativeSource, grad1
+from .stencils import grad1
 
 
 # ---------------------------------------------------------------------------
@@ -141,37 +141,28 @@ def assemble_all(data: GeometricData) -> dict:
 
 
 def inv_frame_derivatives(data: GeometricData) -> list:
-    """d(inv_frame)/dx_k = -C dF/dx_k C from the dataset's frame derivatives
-    (finite differences of the frame where the dataset carries none), one
-    (*ext, n, n) array per k. Computed once per dataset."""
+    """d(inv_frame)/dx_k = -C dF/dx_k C from the dataset's analytic frame
+    derivatives, one (*ext, n, n) array per k. Computed once per dataset."""
     if "d_inv_frame" not in data._cache:
         C = data.inv_frame
-        ds = DerivativeSource(data)
-        dC = [-(C @ ds.field("frame", k) @ C) for k in range(data.grid.n)]
+        dC = [-(C @ dF @ C) for dF in data.derivs["frame"]]
         for v in dC:
             v.setflags(write=False)
         data._cache["d_inv_frame"] = dC
     return data._cache["d_inv_frame"]
 
 
-def assembled_derivatives(data: GeometricData, force_fd: bool = False) -> dict:
-    """Coordinate derivatives of the assembled matrices.
+def assembled_derivatives(data: GeometricData) -> dict:
+    """Exact coordinate derivatives of the assembled matrices, on a dataset
+    with analytic derivative fields.
 
-    Returns {"Omega": [dOmega/dx_k ...], "X": [...], "Upsilon": [...]},
-    each entry shaped like the assembled array (grid-major views of
-    component-major memory, as there). With analytic dataset derivatives
-    the assembly is re-run on jets (exact chain rule through the S tensor
-    and the warp factors); otherwise finite differences of the memoized
-    assembly are used.
+    Returns {"Omega": [dOmega/dx_k ...], "X": [...]}, each entry shaped like
+    the assembled array (grid-major views of component-major memory, as
+    there). The assembly is re-run on jets: exact chain rule through the S
+    tensor and the warp factors.
     """
     spec = data.spec
     n = spec.n
-    if not DerivativeSource(data, force_fd).analytic:
-        forms = assemble_all(data)
-        return {name: [grad1(forms[name], k, data.grid.spacing[k])
-                       for k in range(n)]
-                for name in ("Omega", "X", "Upsilon")}
-
     dv = dict(data.derivs, inv_frame=inv_frame_derivatives(data))
     # pi as a jet: d(pi)/dx_k = eps <T, d/dx_k> exactly.
     tk = data.coord_T()
@@ -181,9 +172,7 @@ def assembled_derivatives(data: GeometricData, force_fd: bool = False) -> dict:
         for name in _ASSEMBLY_FIELDS),
         data.warping.value_generic(pij), data.warping.deriv1_generic(pij))
     return {"Omega": [_grid_first(p, n) for p in Om.parts],
-            "X": [_grid_first(p, n) for p in X.parts],
-            "Upsilon": [_grid_first(p - q, n)
-                        for p, q in zip(Om.parts, X.parts)]}
+            "X": [_grid_first(p, n) for p in X.parts]}
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +387,7 @@ def _chain(B0, P, block, G=None):
 
     The steps are cut into blocks of `block`. The prefix products inside
     every block are formed with `block` batched matmuls across all blocks;
-    a serial walk then carries the frame from block start to block start,
+    a serial walk then takes the frame from block start to block start,
     one matmul per block, and one batched matmul fills every frame from its
     block start. With the metric G every full block end (steps `block`,
     2 `block`, ... from B0) is re-projected onto the group only when it is

@@ -57,7 +57,7 @@ class ImmersionField:
         """Recover B from the stored frames (exact inversion of the scaled
         basis change)."""
         if self.frames is None:
-            raise ValueError("immersion field carries no frames")
+            raise ValueError("immersion field has no frames")
         spec = self.spec
         a = self.warping.eval(self.t)[0]
         Np1 = spec.N + 1
@@ -104,9 +104,8 @@ def verify_immersion(imm: ImmersionField, data: GeometricData,
     """
     spec, grid = imm.spec, data.grid
     n, nd, Np1 = spec.n, grid.n, spec.N + 1
-    h = grid.max_spacing
     if tol is None:
-        tol = 10.0 * h * h
+        tol = grid.fd_tolerance
     B = imm.frame_matrices()
     a, a1, _ = data.warp_values()
     a2 = a * a

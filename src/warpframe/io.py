@@ -241,7 +241,7 @@ def read_immersion_csv(path):
 
 def save_frames_json(imm: ImmersionField, path):
     if imm.frames is None:
-        raise ValueError("immersion field carries no frames")
+        raise ValueError("immersion field has no frames")
     doc = {"format_version": 1, "kind": "warpframe.adapted_frames",
            "grid": imm.grid.to_dict(),
            "shape": list(imm.frames.shape),

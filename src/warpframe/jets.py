@@ -1,6 +1,6 @@
 """Forward-mode jets: values bundled with directional derivatives.
 
-A ``Jet`` carries a value and one partial derivative per chart direction.
+A ``Jet`` holds a value and one partial derivative per chart direction.
 Values and partials may be numpy arrays (so a single jet evaluates a whole
 grid of nodes at once) or further ``Jet`` instances: nesting one level gives
 exact first derivatives of quantities that are themselves first derivatives,

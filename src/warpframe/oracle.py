@@ -351,7 +351,7 @@ def exact_frame_field(imm: ExplicitImmersion) -> np.ndarray:
     """Frame matrices B(x) of the generating immersion at every node.
 
     Column 0 comes from the scaled position direction, columns 1..N+1 from
-    the induced adapted frame; row N+1 automatically carries the vertical
+    the induced adapted frame; row N+1 automatically holds the vertical
     components T_beta. Only the frame values are read, so stage 1 runs on
     plain arrays (the map on one-level jets).
     """

@@ -51,28 +51,3 @@ def interior_mask(extents, margin=1):
         mask[tuple(sl)] = False
     return mask
 
-
-class DerivativeSource:
-    """Uniform access to field derivatives: analytic when the dataset
-    carries them (and analytic mode is not disabled), finite differences
-    otherwise."""
-
-    def __init__(self, data, force_fd=False):
-        self.data = data
-        self.force_fd = force_fd
-
-    @property
-    def analytic(self):
-        return (not self.force_fd) and bool(self.data.derivs)
-
-    def carries(self, name):
-        """True when the derivatives of a named field come from the
-        dataset rather than from finite differences."""
-        return self.analytic and name in self.data.derivs
-
-    def field(self, name, axis):
-        """d/dx_axis of a named field (frame, omega_tangent, ...)."""
-        if self.carries(name):
-            return self.data.derivs[name][axis]
-        arr = getattr(self.data, name)
-        return grad1(arr, axis, self.data.grid.spacing[axis])

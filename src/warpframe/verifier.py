@@ -14,9 +14,11 @@ Three entry points:
   (d X, X^X, the Omega/X cross terms, and d Omega + Omega^Omega), which
   localize a failure to one term of the computation.
 
-When a dataset carries analytic derivative fields they are used (residuals
-then sit at roundoff for exact data); force_fd switches every exterior
-derivative to second-order finite differences, which is what grid
+Which derivatives drive the checks is decided once: a dataset holds the
+analytic derivatives of all six non-pi fields or of none. With them every
+residual uses them (and sits at roundoff for exact data, judged against
+1e-8); without them, or with force_fd, every exterior derivative is a
+second-order finite difference, judged against 10 h^2, which is what grid
 convergence studies measure.
 
 The kernels work component-major: every per-node tensor is held as
@@ -41,7 +43,7 @@ from .ambient import curvature_coefficients
 from .bundle_data import GeometricData
 from .frame_solver import (_grid_last, _pattern, assemble_all,
                            assembled_derivatives, inv_frame_derivatives)
-from .stencils import DerivativeSource, grad1, interior_mask
+from .stencils import grad1, interior_mask
 
 
 @dataclass
@@ -149,13 +151,15 @@ class ResidualReport:
         return out
 
 
+def _analytic(data, force_fd):
+    """True when the dataset's derivative fields drive every check, False
+    when finite differences do (no derivative fields, or force_fd)."""
+    return bool(data.derivs) and not force_fd
+
+
 def default_tolerance(data: GeometricData, force_fd: bool) -> float:
     """1e-8 when analytic derivatives drive the check, 10 h^2 on FD data."""
-    ds = DerivativeSource(data, force_fd)
-    if ds.analytic:
-        return 1e-8
-    h = data.grid.max_spacing
-    return 10.0 * h * h
+    return 1e-8 if _analytic(data, force_fd) else data.grid.fd_tolerance
 
 
 # ---------------------------------------------------------------------------
@@ -176,12 +180,9 @@ def _wedge(A, B, k, l):
     return _mm(A[:, :, k], B[:, :, l]) - _mm(A[:, :, l], B[:, :, k])
 
 
-def _field_parts(data, ds, name):
-    """The analytic coordinate derivatives of a dataset field,
-    component-major, or None where finite differences stand in."""
-    if ds.carries(name):
-        return [_grid_last(d, data.grid.n) for d in data.derivs[name]]
-    return None
+def _field_derivatives(data, name):
+    """The analytic d/dx_k of a dataset field, component-major, one per k."""
+    return [_grid_last(d, data.grid.n) for d in data.derivs[name]]
 
 
 def _derivatives(value, parts, spacing):
@@ -237,7 +238,12 @@ def structure_residual_fields(data: GeometricData,
     spec, grid = data.spec, data.grid
     n, eps = spec.n, spec.epsilon
     h = grid.spacing
-    ds = DerivativeSource(data, force_fd)
+    analytic = _analytic(data, force_fd)
+    # d/dx_k of the fields, component-major; None on FD data, where the
+    # kernels difference the fields themselves
+    dv = {name: _field_derivatives(data, name) if analytic else None
+          for name in ("T_comp", "xi_comp", "alpha", "omega_tangent",
+                       "omega_bundle")}
     inner = interior_mask(grid.extents)
     fields = {}
     et = _pattern(spec.tangent_signs, n)
@@ -256,7 +262,7 @@ def structure_residual_fields(data: GeometricData,
 
     # (B) derivative of T.
     axk = np.einsum("ki...,uij...->kju...", C, al)    # alpha(dk, e_j)^u
-    dT = np.stack(_derivatives(T, _field_parts(data, ds, "T_comp"), h))
+    dT = np.stack(_derivatives(T, dv["T_comp"], h))
     resB = (dT + np.einsum("jik...,i...->kj...", ot, T)
             - rat * (C - eps * tk[:, None] * T)
             - et * np.einsum("u,u...,kju...->kj...", spec.bundle_signs, xi,
@@ -264,14 +270,14 @@ def structure_residual_fields(data: GeometricData,
     fields["B"] = np.where(inner, np.abs(resB).max(axis=(0, 1)), 0.0)
 
     # (C) derivative of xi.  alpha(T, d/dx_k)^u = sum_{i,j} T^i C_kj alpha^u_{ij}
-    dxi = np.stack(_derivatives(xi, _field_parts(data, ds, "xi_comp"), h))
+    dxi = np.stack(_derivatives(xi, dv["xi_comp"], h))
     resC = (dxi + np.einsum("vuk...,u...->kv...", ob, xi)
             + (eps * rat * tk)[:, None] * xi
             + np.einsum("i...,kj...,uij...->ku...", T, C, al))
     fields["C"] = np.where(inner, np.abs(resC).max(axis=(0, 1)), 0.0)
 
     # (D) Gauss. Tangent curvature from the omega_{ij} block.
-    curv = _curvature_block(ot, _field_parts(data, ds, "omega_tangent"), h)
+    curv = _curvature_block(ot, dv["omega_tangent"], h)
     te = et * T                               # <e_j, T>
     worstD = np.zeros(grid.extents)
     for (k, l), R2 in curv.items():
@@ -288,7 +294,7 @@ def structure_residual_fields(data: GeometricData,
     fields["D"] = np.where(inner, worstD, 0.0)
 
     # (E) Codazzi via the covariant derivative of alpha on frame arguments.
-    dal = _derivatives(al, _field_parts(data, ds, "alpha"), h)
+    dal = _derivatives(al, dv["alpha"], h)
     Dal = [dal[k]
            + np.einsum("uv...,vij...->uij...", ob[:, :, k], al)
            - np.einsum("li...,ulj...->uij...", ot[:, :, k], al)
@@ -304,7 +310,7 @@ def structure_residual_fields(data: GeometricData,
     fields["E"] = np.where(inner, worstE, 0.0)
 
     # (F) Ricci via the omega_{uv} block curvature.
-    curvb = _curvature_block(ob, _field_parts(data, ds, "omega_bundle"), h)
+    curvb = _curvature_block(ob, dv["omega_bundle"], h)
     Aev = np.einsum("j,v,kjv...->kvj...", spec.tangent_signs,
                     spec.bundle_signs, axk)
     Cal = np.einsum("ki...,uji...->kuj...", C, al)
@@ -338,7 +344,7 @@ def aux_identity_fields(data: GeometricData, force_fd: bool = False) -> dict:
     aux4 zeroed outside the interior)."""
     spec, grid = data.spec, data.grid
     n, eps = spec.n, spec.epsilon
-    ds = DerivativeSource(data, force_fd)
+    analytic = _analytic(data, force_fd)
     inner = interior_mask(grid.extents)
     forms = _forms(data)
     Om, W = forms["Omega"], forms["W"]
@@ -358,7 +364,7 @@ def aux_identity_fields(data: GeometricData, force_fd: bool = False) -> dict:
 
     # aux3: dT_alpha = sum T_gamma omega_{gamma alpha}
     #        + (a'/a) eps_alpha omega_alpha - eps (a'/a) T_alpha delta.
-    dTa = _delta_derivatives(data, ds, Ta)
+    dTa = _delta_derivatives(data, analytic, Ta)
     worst = np.zeros(grid.extents)
     for k in range(n):
         rhs = (np.einsum("g...,ga...->a...", Ta, Om[:, :, k])
@@ -368,7 +374,7 @@ def aux_identity_fields(data: GeometricData, force_fd: bool = False) -> dict:
     fields["aux3"] = np.where(inner, worst, 0.0)
 
     # aux4: dW = -Omega ^ W on every coordinate 2-plane.
-    dW = _coframe_derivatives(data, ds)
+    dW = _coframe_derivatives(data, analytic)
     worst = np.zeros(grid.extents)
     for k, l in _coordinate_pairs(n):
         wedge = (np.einsum("ag...,g...->a...", Om[:, :, k], W[:, l])
@@ -390,14 +396,13 @@ def aux_identity_residuals(data: GeometricData, tol: float | None = None,
     return report
 
 
-def _delta_derivatives(data, ds, Ta):
+def _delta_derivatives(data, analytic, Ta):
     """dT_alpha(d/dx_k) for every alpha: list over k of (N+2, *ext), from
     the component-major Ta."""
     spec, n = data.spec, data.spec.n
-    if not ds.analytic:
+    if not analytic:
         return _derivatives(Ta, None, data.grid.spacing)
-    dT, dxi = (_derivatives(_grid_last(getattr(data, name), n),
-                            _field_parts(data, ds, name), data.grid.spacing)
+    dT, dxi = (_field_derivatives(data, name)
                for name in ("T_comp", "xi_comp"))
     out = []
     for k in range(n):
@@ -408,11 +413,11 @@ def _delta_derivatives(data, ds, Ta):
     return out
 
 
-def _coframe_derivatives(data, ds):
+def _coframe_derivatives(data, analytic):
     """d/dx_k of W (the coframe column, coordinate components),
     component-major (N+2, n, *ext) for every k; None on FD data, where
     _dform differences W itself."""
-    if not ds.analytic:
+    if not analytic:
         return None
     n = data.spec.n
     out = []
@@ -436,10 +441,10 @@ def flatness_fields(data: GeometricData, force_fd: bool = False) -> dict:
     X, one plane and one component at a time. d Upsilon = d Omega - d X."""
     spec, grid = data.spec, data.grid
     n, eps, h = spec.n, spec.epsilon, grid.spacing
-    ds = DerivativeSource(data, force_fd)
+    analytic = _analytic(data, force_fd)
     forms = _forms(data)
     Om, X, Up, W = forms["Omega"], forms["X"], forms["Upsilon"], forms["W"]
-    if ds.analytic:
+    if analytic:
         dforms = assembled_derivatives(data)
         dOm, dX = ([_grid_last(p, n) for p in dforms[key]]
                    for key in ("Omega", "X"))
@@ -450,8 +455,8 @@ def flatness_fields(data: GeometricData, force_fd: bool = False) -> dict:
     a, a1, a2 = data.warp_values()
     rat = a1 / a
     sgn = np.asarray(spec.signs, dtype=float)
-    dTa = _delta_derivatives(data, ds, Ta)
-    dW = _coframe_derivatives(data, ds)
+    dTa = _delta_derivatives(data, analytic, Ta)
+    dW = _coframe_derivatives(data, analytic)
 
     # Xi = X without its eps a'/a prefactor (keeps a' = 0 regular).
     ee = _pattern(sgn[:, None] * sgn, n)

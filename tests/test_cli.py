@@ -5,8 +5,10 @@ import sys
 import numpy as np
 import pytest
 
-from warpframe import canonical_example
+from warpframe import ChartGrid, GeometricData, canonical_example
+from warpframe.bundle_data import FIELD_NAMES
 from warpframe.cli import main
+from warpframe.errors import SchemaError
 from warpframe.io import (load_dataset, load_frame_matrix, load_report,
                           read_immersion_csv, save_dataset, save_frame_matrix,
                           save_report)
@@ -307,6 +309,62 @@ def test_non_finite_dataset_exits_one(command, section, name, index, node,
     assert main([command, str(bad)]) == 1
     err = capsys.readouterr().err
     assert name in err and f"node {node}" in err
+
+
+# Derivative fields come all or none. A partial set would let finite
+# differences of one field be judged against the analytic 1e-8, or leave a
+# field the jet assembly needs missing.
+_DERIVED = tuple(name for name in FIELD_NAMES if name != "pi")
+_PARTIAL = {"one": ("T_comp",),
+            "five": tuple(n for n in _DERIVED if n != "omega_bundle")}
+
+
+def _missing(keep):
+    return ", ".join(name for name in _DERIVED if name not in keep)
+
+
+@pytest.mark.parametrize("keep", list(_PARTIAL.values()), ids=list(_PARTIAL))
+@pytest.mark.parametrize("fixture", ["helix_file", "slice_file"])
+class TestPartialDerivativeSet:
+    @pytest.mark.parametrize("command", ["verify", "reconstruct"])
+    def test_command_exits_one(self, fixture, keep, command, request,
+                               tmp_path, capsys):
+        doc = json.loads(request.getfixturevalue(fixture).read_text())
+        doc["derivatives"] = {k: doc["derivatives"][k] for k in keep}
+        partial = tmp_path / "partial.json"
+        partial.write_text(json.dumps(doc))
+        assert main([command, str(partial)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("schema error:")
+        assert f"derivative fields missing {_missing(keep)}:" in err
+
+    def test_constructor_raises(self, fixture, keep, request):
+        data = load_dataset(request.getfixturevalue(fixture))
+        with pytest.raises(SchemaError) as exc:
+            GeometricData(data.spec, data.warping, data.grid,
+                          derivs={k: data.derivs[k] for k in keep},
+                          **{name: getattr(data, name)
+                             for name in FIELD_NAMES})
+        assert f"derivative fields missing {_missing(keep)}:" in str(
+            exc.value)
+
+
+def test_empty_derivatives_verify_as_fd(slice_file, tmp_path, capsys):
+    doc = json.loads(slice_file.read_text())
+    path = tmp_path / "fd.json"
+    reports = []
+    for derivs in ({}, None):
+        if derivs is None:
+            doc.pop("derivatives")
+        else:
+            doc["derivatives"] = derivs
+        path.write_text(json.dumps(doc))
+        assert main(["verify", str(path), "--report", "json"]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+    tol = ChartGrid.from_dict(doc["grid"]).fd_tolerance
+    residuals = json.loads(reports[0])["residuals"]
+    assert all(e["tolerance"] == tol for e in residuals.values())
 
 
 def test_h_refine_needs_generator_tag(slice_file, tmp_path):

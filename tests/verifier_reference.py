@@ -5,13 +5,55 @@ arrays: every field is indexed (*ext, ...) and every expression broadcasts
 over the trailing component axes. It reads only the public grid-major API
 (dataset fields, assemble_all, assembled_derivatives) and is kept as the
 reference the component-major kernels are compared against, node by node.
+It keeps its own derivative source: per field, analytic when the dataset
+holds that field's derivatives, finite differences otherwise, and finite
+differences of the memoized assembly where the package uses jets.
 """
 
 import numpy as np
 
 from warpframe.ambient import curvature_coefficients
 from warpframe.frame_solver import assemble_all, assembled_derivatives
-from warpframe.stencils import DerivativeSource, grad1, interior_mask
+from warpframe.stencils import grad1, interior_mask
+
+
+class DerivativeSource:
+    """Field derivatives: analytic when the dataset holds them (and
+    force_fd is off), finite differences otherwise."""
+
+    def __init__(self, data, force_fd=False):
+        self.data = data
+        self.force_fd = force_fd
+
+    @property
+    def analytic(self):
+        return (not self.force_fd) and bool(self.data.derivs)
+
+    def field(self, name, axis):
+        """d/dx_axis of a named field (frame, omega_tangent, ...)."""
+        if self.analytic and name in self.data.derivs:
+            return self.data.derivs[name][axis]
+        arr = getattr(self.data, name)
+        return grad1(arr, axis, self.data.grid.spacing[axis])
+
+
+def fd_assembled_derivatives(data):
+    """Finite differences of the memoized assembly along every grid axis:
+    {"Omega": [...], "X": [...], "Upsilon": [...]}, grid-major."""
+    forms = assemble_all(data)
+    return {name: [grad1(forms[name], k, data.grid.spacing[k])
+                   for k in range(data.grid.n)]
+            for name in ("Omega", "X", "Upsilon")}
+
+
+def _assembled_derivatives(data, force_fd):
+    """Jet derivatives of the assembly on analytic data, with dUpsilon =
+    dOmega - dX; finite differences of it otherwise."""
+    if not DerivativeSource(data, force_fd).analytic:
+        return fd_assembled_derivatives(data)
+    d = assembled_derivatives(data)
+    d["Upsilon"] = [o - x for o, x in zip(d["Omega"], d["X"])]
+    return d
 
 
 def _coordinate_pairs(n):
@@ -244,7 +286,7 @@ def flatness_fields(data, force_fd=False):
     keys = ("flatness", "flat_dX", "flat_XX", "flat_cross", "flat_dOmega")
 
     forms = assemble_all(data)
-    dforms = assembled_derivatives(data, force_fd=force_fd)
+    dforms = _assembled_derivatives(data, force_fd)
     Om, X, Up, W = forms["Omega"], forms["X"], forms["Upsilon"], forms["W"]
     dOm, dX, dUp = dforms["Omega"], dforms["X"], dforms["Upsilon"]
     Ta = data.delta_all()
