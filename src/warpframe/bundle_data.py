@@ -266,17 +266,20 @@ class GeometricData:
     # -- serialization ----------------------------------------------------------
 
     def to_document(self):
+        """The dataset document for warpframe.io to write. Fields and
+        derivatives are flattened (row-major) float64 arrays, which
+        warpframe.io writes as the JSON lists of their floats."""
         doc = {
             "format_version": 1,
             "kind": "warpframe.dataset",
             "signature": self.spec.to_dict(),
             "warping": self.warping.to_dict(),
             "grid": self.grid.to_dict(),
-            "fields": {name: getattr(self, name).ravel().tolist()
+            "fields": {name: getattr(self, name).ravel()
                        for name in FIELD_NAMES},
         }
         if self.derivs:
-            doc["derivatives"] = {name: arr.ravel().tolist()
+            doc["derivatives"] = {name: arr.ravel()
                                   for name, arr in self.derivs.items()}
         if self.generator:
             doc["generator"] = dict(self.generator)

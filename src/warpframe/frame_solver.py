@@ -243,7 +243,8 @@ def expm(K):
         s = np.ceil(np.log2(norm / _THETA7))
     bad = ~(s <= _MAX_SQUARINGS)
     s = np.where(bad | (s < 0), 0, s).astype(int)
-    A = np.ldexp(np.where(bad[:, None, None], 0.0, A), -s[:, None, None])
+    if bad.any() or s.any():    # ldexp(x, 0) == x: skip the copy
+        A = np.ldexp(np.where(bad[:, None, None], 0.0, A), -s[:, None, None])
     b = _PADE7
     eye = np.eye(M)
     A2 = A @ A

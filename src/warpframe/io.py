@@ -7,11 +7,16 @@ parser. The readers of reports, frames and immersion tables raise
 SchemaError naming the file on malformed input.
 
 The writers produce exactly the bytes of ``json.dump(doc, fh, indent=1)``
-plus a newline, and of ``csv.writer`` rows, faster. The cost floor is
-``float.__repr__`` (about a microsecond per value), so a list of floats is
-formatted once per distinct bit pattern (``-0.0`` and ``0.0`` stay apart)
-and the texts are gathered by index: a grid field repeats most of its
-values. NaN and infinities take json's own path (``NaN``, ``Infinity``).
+plus a newline, and of ``csv.writer`` rows, faster. Float data reaches the
+JSON writer as arrays: a 1-D float64 ndarray in a document is written as
+the list of its floats, byte for byte what ``json.dump`` writes for
+``a.tolist()``; any other ndarray is a TypeError, as in json. The cost
+floor is ``float.__repr__`` (about a microsecond per value), so each
+distinct bit pattern of the whole array is formatted once (``-0.0`` and
+``0.0`` stay apart) and the texts are gathered by index: a grid field
+repeats most of its values. The gathered texts go out in pieces of
+``_PIECE`` values, so no array-sized string is built. An array holding a
+NaN or an infinity takes json's own path (``NaN``, ``Infinity``).
 """
 
 from __future__ import annotations
@@ -90,6 +95,9 @@ def _json_chunks(o, level):
         yield from _json_list(o, level)
     elif isinstance(o, dict):
         yield from _json_dict(o, level)
+    elif (isinstance(o, np.ndarray) and o.ndim == 1
+          and o.dtype == np.float64):
+        yield from _json_floats(o, level)
     else:
         raise TypeError(f"Object of type {o.__class__.__name__} "
                         f"is not JSON serializable")
@@ -102,16 +110,30 @@ def _json_list(o, level):
     inner = "\n" + " " * (level + 1)
     sep = "," + inner
     yield "[" + inner
-    floats = None
-    if set(map(type, o)) == {float}:
-        floats = np.array(o, dtype=np.float64)
-    if floats is not None and np.isfinite(floats).all():
-        yield sep.join(_float_texts(floats).tolist())
-    else:
-        for i, value in enumerate(o):
-            if i:
-                yield sep
-            yield from _json_chunks(value, level + 1)
+    for i, value in enumerate(o):
+        if i:
+            yield sep
+        yield from _json_chunks(value, level + 1)
+    yield "\n" + " " * level + "]"
+
+
+# Values per piece that _json_floats joins into one string.
+_PIECE = 32768
+
+
+def _json_floats(a, level):
+    """A 1-D float64 array as json writes ``a.tolist()``, in pieces."""
+    if not (a.size and np.isfinite(a).all()):
+        yield from _json_list(a.tolist(), level)
+        return
+    inner = "\n" + " " * (level + 1)
+    sep = "," + inner
+    texts = _float_texts(a)
+    yield "[" + inner
+    for start in range(0, a.size, _PIECE):
+        if start:
+            yield sep
+        yield sep.join(texts[start:start + _PIECE].tolist())
     yield "\n" + " " * level + "]"
 
 
@@ -176,7 +198,7 @@ def _load_array(path, kind, key):
 def save_frame_matrix(B, path):
     B = np.asarray(B, dtype=float)
     _write_json({"format_version": 1, "kind": "warpframe.frame",
-                 "shape": list(B.shape), "matrix": B.ravel().tolist()}, path)
+                 "shape": list(B.shape), "matrix": B.ravel()}, path)
 
 
 def load_frame_matrix(path):
@@ -245,7 +267,7 @@ def save_frames_json(imm: ImmersionField, path):
     doc = {"format_version": 1, "kind": "warpframe.adapted_frames",
            "grid": imm.grid.to_dict(),
            "shape": list(imm.frames.shape),
-           "frames": imm.frames.ravel().tolist()}
+           "frames": np.asarray(imm.frames, dtype=float).ravel()}
     _write_json(doc, path)
 
 

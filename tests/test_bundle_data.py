@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from geometry_reference import s_tensor, shape_operator
+from json_reference import float64_list
 from warpframe import (ChartGrid, GeometricData, SignatureSpec,
                        WarpingFunction, canonical_example, load_data)
 from warpframe.errors import InvariantViolation, SchemaError
@@ -104,7 +105,7 @@ class TestValidation:
 class TestSerialization:
     def test_bit_exact_round_trip(self, slice17):
         _, data = slice17
-        doc = json.loads(json.dumps(data.to_document()))
+        doc = json.loads(json.dumps(data.to_document(), default=float64_list))
         again = load_data(doc)
         for name in ("frame", "omega_tangent", "omega_bundle", "alpha",
                      "T_comp", "xi_comp", "pi"):

@@ -4,6 +4,7 @@ import sys
 
 import numpy as np
 import pytest
+from json_reference import float64_list
 
 from warpframe import ChartGrid, GeometricData, canonical_example
 from warpframe.bundle_data import FIELD_NAMES
@@ -302,7 +303,7 @@ def test_non_finite_dataset_exits_one(command, section, name, index, node,
     # A NaN compares False against every tolerance; only the load-time
     # gate keeps it from passing.
     _, data = canonical_example("slice", {"n": 2, "grid_extents": [9, 9]})
-    doc = data.to_document()
+    doc = json.loads(json.dumps(data.to_document(), default=float64_list))
     doc[section][name][index] = float("nan")
     bad = tmp_path / "nan.json"
     bad.write_text(json.dumps(doc))

@@ -9,11 +9,13 @@ import csv
 import io
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from json_reference import float64_list
 
 from warpframe import ChartGrid, canonical_example
 from warpframe import io as wio
@@ -25,7 +27,7 @@ from warpframe.oracle import example_names
 
 def stdlib_json(doc):
     buf = io.StringIO()
-    json.dump(doc, buf, indent=1)
+    json.dump(doc, buf, indent=1, default=float64_list)
     buf.write("\n")
     return buf.getvalue().encode("utf-8")
 
@@ -59,6 +61,12 @@ def written(doc, tmp_path):
 EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308,
                -1.7976931348623157e308, 1e16, 9999999999999998.0, 1e-7,
                1e-4, 0.0001234, 0.1, 1 / 3, -2.5, 123456789.0]
+
+# Floats with any bit pattern, and the ones json spells NaN and Infinity.
+FINITE = st.sampled_from(EDGE_FLOATS) | st.integers(0, 2 ** 64 - 1).map(
+    lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0]).filter(
+    math.isfinite)
+NON_FINITE = st.sampled_from([math.nan, -math.nan, math.inf, -math.inf])
 
 
 class TestJsonWriter:
@@ -133,7 +141,8 @@ class TestJsonWriter:
 
     @pytest.mark.parametrize("doc", [
         [1.0, np.int64(3)], {"a": np.arange(3)}, {(1, 2): 1.0}, [{1, 2}],
-        object()])
+        object(), np.zeros((2, 2)), [np.zeros(3, dtype=np.float32)],
+        np.zeros((0, 1))])
     def test_unserializable_raises_type_error(self, doc, tmp_path):
         with pytest.raises(TypeError):
             stdlib_json(doc)
@@ -153,6 +162,27 @@ class TestJsonWriter:
         max_leaves=12))
     def test_nested_documents(self, doc, tmp_path):
         assert written(doc, tmp_path) == stdlib_json(doc)
+
+    # A 1-D float64 array is written as json writes a.tolist(), at any depth.
+    @settings(max_examples=200, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(values=st.lists(FINITE) | st.lists(FINITE | NON_FINITE))
+    def test_float64_arrays(self, values, tmp_path):
+        a = np.array(values, dtype=np.float64)
+        assert written(a, tmp_path) == stdlib_json(a.tolist())
+        assert (written({"a": [a, a[::-1]]}, tmp_path)
+                == stdlib_json({"a": [a.tolist(), a[::-1].tolist()]}))
+
+    @pytest.mark.parametrize("size", [
+        0, 1, wio._PIECE - 1, wio._PIECE, wio._PIECE + 1, 3 * wio._PIECE + 1])
+    def test_float64_array_pieces(self, size, tmp_path):
+        rng = np.random.default_rng(size)
+        pool = np.array(EDGE_FLOATS)
+        a = np.where(rng.random(size) < 0.5, rng.choice(pool, size),
+                     rng.standard_normal(size).round(3))
+        assert written({"x": a}, tmp_path) == stdlib_json({"x": a.tolist()})
+        pieces = list(wio._json_chunks(a, 0))
+        assert max(piece.count(",") for piece in pieces) < wio._PIECE
 
 
 class TestImmersionCsv:
