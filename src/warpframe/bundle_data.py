@@ -128,7 +128,8 @@ class GeometricData:
     for the index conventions of each field.
 
     derivs holds the coordinate derivatives (n, *ext, ...) of all six
-    fields other than pi, or is empty; a partial set is a SchemaError."""
+    fields other than pi, or is empty; a partial set is a SchemaError. Like
+    the fields, they are private read-only copies of the arrays passed."""
 
     def __init__(self, spec: SignatureSpec, warping: WarpingFunction,
                  grid: ChartGrid, frame, omega_tangent, omega_bundle,
@@ -161,11 +162,12 @@ class GeometricData:
             for name, arr in derivs.items():
                 if name not in _DERIVATIVE_NAMES:
                     raise SchemaError(f"unknown derivative field {name}")
-                arr = np.asarray(arr, dtype=float)
+                arr = np.array(arr, dtype=float)  # private copy
                 want = (n,) + ext + _FIELD_SHAPES[name](n, m)
                 if arr.shape != want:
                     raise SchemaError(
                         f"derivative {name}: shape {arr.shape}, want {want}")
+                arr.setflags(write=False)
                 self.derivs[name] = arr
             missing = [name for name in _DERIVATIVE_NAMES
                        if name not in self.derivs]

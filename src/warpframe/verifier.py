@@ -31,6 +31,19 @@ views) without a copy. Exterior derivatives are formed plane by plane:
 full list of derivative arrays is held, and d Upsilon = d Omega - d X.
 Each family has a *_fields function returning the per-node residual
 magnitudes and a report function reducing them.
+
+The flatness kernel takes each plane's 2-forms on the whole grid, where
+the stencils need neighbours, and then runs its algebra in node blocks:
+slabs of whole rows along the first grid axis, about _BLOCK_NODES nodes
+each, so its (N+2) x (N+2) temporaries stay small. Per plane and block it
+forms three wedge products, Upsilon^Upsilon, Omega^Omega and X^X (six
+matrix products), and gets the cross term Omega^X + X^Omega from
+bilinearity. Against the earlier kernel, which formed all five wedge
+products on the whole grid, flatness and flat_XX are bit-identical;
+flat_dX and flat_dOmega are too wherever T = 0 (every oracle fixture and
+the 25^3 slice), and otherwise differ at roundoff, since their delta ^ Xi
+and dT ^ omega + T d omega terms are summed in another order; flat_cross
+differs at roundoff (at most 9e-16 on the test signature cases).
 """
 
 from __future__ import annotations
@@ -432,13 +445,38 @@ def _coframe_derivatives(data, analytic):
 # flatness
 
 
+# Grid nodes per slab of flatness_fields, about: see _slabs.
+_BLOCK_NODES = 4096
+
+
+def _slabs(extents):
+    """Grid index tuples of the slabs along the first grid axis, each of
+    whole rows and about _BLOCK_NODES nodes (at least one row)."""
+    rest = (slice(None),) * (len(extents) - 1)
+    rows = max(1, _BLOCK_NODES // int(np.prod(extents[1:], dtype=int)))
+    for i in range(0, extents[0], rows):
+        yield (slice(i, i + rows),) + rest
+
+
 def flatness_fields(data: GeometricData, force_fd: bool = False) -> dict:
     """Per-node fields of d Upsilon + Upsilon ^ Upsilon and of its four
     pieces, zeroed outside the interior; requires n >= 2.
 
     On analytic data the 2-forms d Omega and d X come from the jet
     assembly; on FD data from finite differences of the memoized Omega and
-    X, one plane and one component at a time. d Upsilon = d Omega - d X."""
+    X, one plane and one component at a time. d Upsilon = d Omega - d X.
+
+    Each coordinate plane takes its 2-forms d Omega, d X and d W on the
+    whole grid (the stencils need neighbours); the algebra then runs slab
+    by slab along the first grid axis (see the module docstring), and the
+    slab size changes no bit of the result. flat_cross takes
+    Omega^X + X^Omega = Omega^Omega + X^X - Upsilon^Upsilon from
+    bilinearity, as Upsilon = Omega - X. The right-hand sides are outer
+    products of (N+2)-vectors with T_alpha, minus their ee-transposed
+    partners; W^W, its r2s multiple, coef_reg (delta ^ Xi) and
+    er (delta ^ X) are formed once per plane and slab and shared by the
+    pieces.
+    """
     spec, grid = data.spec, data.grid
     n, eps, h = spec.n, spec.epsilon, grid.spacing
     analytic = _analytic(data, force_fd)
@@ -457,14 +495,7 @@ def flatness_fields(data: GeometricData, force_fd: bool = False) -> dict:
     sgn = np.asarray(spec.signs, dtype=float)
     dTa = _delta_derivatives(data, analytic, Ta)
     dW = _coframe_derivatives(data, analytic)
-
-    # Xi = X without its eps a'/a prefactor (keeps a' = 0 regular), formed
-    # one coordinate plane j at a time.
     ee = _pattern(sgn[:, None] * sgn, n)
-
-    def xi(j):
-        return Ta[None, :] * W[:, None, j] - ee * Ta[:, None] * W[None, :, j]
-
     er = eps * rat
     r2s = _pattern(sgn, n) * (eps * rat * rat)     # eps (a'/a)^2 eps_beta
     coef_reg = (a * a2 - a1 * a1) / (a * a)
@@ -472,40 +503,71 @@ def flatness_fields(data: GeometricData, force_fd: bool = False) -> dict:
     keys = ("flatness", "flat_dX", "flat_XX", "flat_cross", "flat_dOmega")
     worst = {key: np.zeros(grid.extents) for key in keys}
 
-    def track(key, x):
-        np.maximum(worst[key], np.abs(x, out=x).max(axis=(0, 1)),
-                   out=worst[key])
+    def minus_ee_transpose(P):
+        """P[a, b] - ee[a, b] P[b, a]."""
+        return P - ee * np.swapaxes(P, 0, 1)
 
-    # Residuals are tracked as soon as formed and dOmkl, dXkl, dxi_wedge are
-    # dropped after their last use. The other planes wait for the next pair:
-    # freeing them here made the allocator re-fault their pages (10% slower).
+    def track(key, g, x):
+        np.maximum(worst[key][g], np.abs(x, out=x).max(axis=(0, 1)),
+                   out=worst[key][g])
+
     for k, l in _coordinate_pairs(n):
         dOmkl = _dform(Om, dOm, h, k, l)
         dXkl = _dform(X, dX, h, k, l)
-        track("flatness", dOmkl - dXkl + _wedge(Up, Up, k, l))
+        dWkl = _dform(W, dW, h, k, l)
+        for g in _slabs(grid.extents):
+            s = (Ellipsis,) + g
+            Wk, Wl, T, dk, dl = (W[:, k][s], W[:, l][s], Ta[s],
+                                 delta_k[k][s], delta_k[l][s])
+            Xs = X[s]
 
-        # shared 2-form ingredients on the (k, l) plane
-        dxi_wedge = delta_k[k] * xi(l) - delta_k[l] * xi(k)
-        ww = W[:, None, k] * W[None, :, l] - W[:, None, l] * W[None, :, k]
-        track("flat_dOmega", dOmkl + _wedge(Om, Om, k, l)
-              - (-r2s * ww + coef_reg * dxi_wedge))
-        del dOmkl
-        # (dT_beta ^ omega_alpha)(k, l) indexed [alpha, beta], minus ee
-        # times its transpose-pattern partner (dT_alpha ^ omega_beta)(k, l)
-        dT_w = dTa[k][None] * W[:, None, l] - dTa[l][None] * W[:, None, k]
-        dT_w = dT_w - ee * np.swapaxes(dT_w, 0, 1)
-        # T_beta domega_alpha - ee T_alpha domega_beta on (k, l)
-        dW_kl = _dform(W, dW, h, k, l)
-        T_dw = Ta[None] * dW_kl[:, None]
-        T_dw = T_dw - ee * np.swapaxes(T_dw, 0, 1)
-        track("flat_dX", dXkl - (coef_reg * dxi_wedge + er * dT_w
-                                 + er * T_dw))
-        del dXkl, dxi_wedge
+            wUU = _wedge(Up[s], Up[s], k, l)
+            res = dOmkl[s] - dXkl[s]
+            res += wUU
+            track("flatness", g, res)
+            wOO = _wedge(Om[s], Om[s], k, l)
+            wXX = _wedge(Xs, Xs, k, l)
+            cross = wOO + wXX                # Omega ^ X + X ^ Omega
+            cross -= wUU
 
-        dx_wedge = delta_k[k] * X[:, :, l] - delta_k[l] * X[:, :, k]
-        track("flat_XX", _wedge(X, X, k, l) - (-er * dx_wedge - r2s * ww))
-        track("flat_cross", _wedge(Om, X, k, l) + _wedge(X, Om, k, l)
-              - (-er * T_dw - er * dT_w - er * dx_wedge - 2.0 * r2s * ww))
+            # shared 2-form ingredients on the (k, l) plane
+            ww = Wk[:, None] * Wl[None] - Wl[:, None] * Wk[None]
+            r2s_ww = r2s[s] * ww
+            # coef_reg (delta ^ Xi)(k, l), Xi = X without its eps a'/a
+            # prefactor (keeps a' = 0 regular): the outer product of
+            # v = delta_k W_l - delta_l W_k with T, minus ee times its
+            # transpose
+            cd = minus_ee_transpose((dk * Wl - dl * Wk)[:, None] * T[None])
+            cd *= coef_reg[g]
+            # er (dT_beta ^ omega_alpha + T_beta domega_alpha)(k, l) indexed
+            # [alpha, beta], minus ee times its transpose-pattern partner
+            P = dTa[k][s][None] * Wl[:, None] - dTa[l][s][None] * Wk[:, None]
+            P += T[None] * dWkl[s][:, None]
+            q = minus_ee_transpose(P)
+            q *= er[g]
+            # er (delta ^ X)(k, l)
+            er_dx = dk * Xs[:, :, l] - dl * Xs[:, :, k]
+            er_dx *= er[g]
+
+            # d Omega + Omega ^ Omega - (-r2s ww + cd)
+            wOO += dOmkl[s]
+            wOO -= cd - r2s_ww
+            track("flat_dOmega", g, wOO)
+            # d X - (cd + q)
+            cd += q
+            res = dXkl[s] - cd
+            track("flat_dX", g, res)
+            # X ^ X - (-er_dx - r2s ww)
+            res = -er_dx
+            res -= r2s_ww
+            wXX -= res
+            track("flat_XX", g, wXX)
+            # Omega ^ X + X ^ Omega - (-q - er_dx - 2 r2s ww)
+            cross += q
+            cross += er_dx
+            r2s_ww *= 2.0
+            cross += r2s_ww
+            track("flat_cross", g, cross)
 
     inner = interior_mask(grid.extents)
     return {key: np.where(inner, worst[key], 0.0) for key in keys}

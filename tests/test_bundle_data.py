@@ -9,6 +9,7 @@ from json_reference import float64_list
 from warpframe import (ChartGrid, GeometricData, SignatureSpec,
                        WarpingFunction, canonical_example, load_data)
 from warpframe.errors import InvariantViolation, SchemaError
+from warpframe.io import load_dataset, save_dataset
 
 
 def trivial_data(**overrides):
@@ -201,3 +202,25 @@ def test_fields_are_read_only_after_construction():
     with pytest.raises(ValueError):
         data.alpha[0, 0, 0, 0] = 1.0
 
+
+def test_derivatives_are_private_read_only_copies(slice17, tmp_path):
+    _, data = slice17
+    path = tmp_path / "slice.json"
+    save_dataset(data, path)
+    for held in (data, load_dataset(path)):
+        assert held.derivs
+        for arr in held.derivs.values():
+            with pytest.raises(ValueError):
+                arr[...] = 5.0
+        with pytest.raises(ValueError):
+            held.derivs["T_comp"][...] = 5.0
+    given = {name: arr.copy() for name, arr in data.derivs.items()}
+    fields = {name: getattr(data, name) for name in (
+        "frame", "omega_tangent", "omega_bundle", "alpha", "T_comp",
+        "xi_comp", "pi")}
+    copy = GeometricData(data.spec, data.warping, data.grid, derivs=given,
+                         **fields)
+    for arr in given.values():
+        arr[...] = 5.0
+    for name, arr in copy.derivs.items():
+        assert np.array_equal(arr, data.derivs[name]), name

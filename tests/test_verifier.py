@@ -6,7 +6,8 @@ from classical_oracle import classical_residual_fields
 from test_frame_solver import SIGNATURE_CASES, signature_case
 from warpframe import (GeometricData, aux_identity_residuals, canonical_example,
                        flatness_residual, structure_residual_fields,
-                       structure_residuals)
+                       structure_residuals, verifier)
+from warpframe.bundle_data import FIELD_NAMES
 from warpframe.verifier import (ResidualReport, aux_identity_fields,
                                 default_tolerance, flatness_fields)
 
@@ -172,6 +173,79 @@ class TestFlatness:
         assert pert > 10.0 * base
 
 
+def with_fields(data, **fields):
+    """data with some fields replaced; derivative fields are kept as they
+    are, so on analytic data the replaced fields no longer match them."""
+    kw = {name: getattr(data, name) for name in FIELD_NAMES}
+    kw.update(fields)
+    return GeometricData(data.spec, data.warping, data.grid,
+                         derivs=data.derivs, **kw)
+
+
+def bumped(data, name, entries, amount=1e-2):
+    """data with a smooth bump of height amount, centred on the grid, added
+    to the entries of field name, each with its sign: [(index, sign)]."""
+    ext = data.grid.extents
+    x = np.indices(ext, dtype=float)
+    mid = (np.array(ext, dtype=float) - 1.0) / 2.0
+    r2 = sum((x[k] - mid[k]) ** 2 for k in range(len(ext)))
+    bump = amount * np.exp(-r2 / (2.0 * (ext[0] / 4.0) ** 2))
+    arr = getattr(data, name).copy()
+    for index, sign in entries:
+        arr[(Ellipsis,) + index] += sign * bump
+    return with_fields(data, **{name: arr})
+
+
+class TestFlatnessBlocks:
+    """flatness_fields runs its algebra in slabs of whole rows along the
+    first grid axis, about verifier._BLOCK_NODES nodes a slab. The slab
+    size must not change a bit of the result."""
+
+    CASES = ("slice_n2", "slice_n3")
+
+    @staticmethod
+    def row(data):
+        return int(np.prod(data.grid.extents[1:]))
+
+    @pytest.mark.parametrize("force_fd", [False, True], ids=["jets", "fd"])
+    @pytest.mark.parametrize("key", CASES)
+    def test_fields_equal_across_block_sizes(self, key, force_fd,
+                                             monkeypatch):
+        _, data = signature_case(key)
+        row = self.row(data)
+        assert data.grid.extents[0] % 3 != 0
+        # the default; one node (one row a slab); three rows and a node
+        # (slabs that do not divide the first extent); more than the grid
+        sizes = (verifier._BLOCK_NODES, 1, 3 * row + 1,
+                 10 * row * data.grid.extents[0])
+        runs = []
+        for size in sizes:
+            monkeypatch.setattr(verifier, "_BLOCK_NODES", size)
+            runs.append(flatness_fields(data, force_fd))
+        for size, run in zip(sizes[1:], runs[1:]):
+            assert sorted(run) == sorted(runs[0])
+            for name in runs[0]:
+                assert np.array_equal(run[name], runs[0][name]), (size, name)
+
+    @pytest.mark.parametrize("edge", [2, 3], ids=["last-row", "first-row"])
+    @pytest.mark.parametrize("key", CASES)
+    def test_bump_on_block_edge_is_worst_node(self, key, edge, monkeypatch):
+        # slabs of three rows: rows 2 and 3 sit on either side of the first
+        # slab boundary. On analytic data the derivative fields keep their
+        # values, so a one-node alpha bump moves flatness at that node only.
+        # On these T = 0 slices flatness sees an alpha bump in second order
+        # (it lights B and D in first), hence 1e-2 on an off-diagonal entry.
+        _, data = signature_case(key)
+        monkeypatch.setattr(verifier, "_BLOCK_NODES", 3 * self.row(data))
+        node = (edge,) + tuple(e // 2 for e in data.grid.extents[1:])
+        al = data.alpha.copy()
+        al[node + (0, 0, 1)] += 1e-2
+        al[node + (0, 1, 0)] += 1e-2
+        rep = flatness_residual(with_fields(data, alpha=al))
+        assert rep["flatness"].sup > 1e-6
+        assert rep["flatness"].worst_node == node
+
+
 class TestReportPlumbing:
     def test_json_round_trip(self, slice17):
         from warpframe.verifier import ResidualReport
@@ -228,6 +302,37 @@ class TestGridMajorReference:
                 if sup > 1e-13:
                     assert mine[name].worst_node == theirs[name].worst_node, (
                         name, sup)
+
+
+    # Bumps of about 1e-2 in one field at a time light the pieces well above
+    # roundoff, where a slip in a right-hand side could not hide under the
+    # absolute floor above. Each bump keeps alpha symmetric and omega skew.
+    BUMPS = {
+        "alpha": ("alpha", [((0, 0, 1), 1.0), ((0, 1, 0), 1.0)]),
+        "omega_tangent": ("omega_tangent", [((0, 1, 0), 1.0),
+                                            ((1, 0, 0), None)]),
+        "T_comp": ("T_comp", [((0,), 1.0)]),
+    }
+
+    @pytest.mark.parametrize("force_fd", [False, True], ids=["jets", "fd"])
+    @pytest.mark.parametrize("bump", sorted(BUMPS))
+    @pytest.mark.parametrize("key", ["lorentz_cylinder", "slice_n3"])
+    def test_flatness_pieces_on_perturbed_data(self, key, bump, force_fd):
+        _, data = signature_case(key)
+        name, entries = self.BUMPS[bump]
+        et = data.spec.tangent_signs
+        # omega_ij = -eps_i eps_j omega_ji
+        entries = [(index, -et[0] * et[1] if sign is None else sign)
+                   for index, sign in entries]
+        bad = bumped(data, name, entries)
+        new = flatness_fields(bad, force_fd)
+        ref = grid_major.flatness_fields(bad, force_fd)
+        assert sorted(new) == sorted(ref)
+        scale = max(float(ref[field].max()) for field in ref)
+        assert scale > 1e-3
+        for field in ref:
+            gap = float(np.abs(new[field] - ref[field]).max())
+            assert gap <= 1e-12 * scale, (field, gap, scale)
 
 
 class TestNonFinite:
