@@ -136,11 +136,9 @@ def _sup_ratios(coarse: ResidualReport, fine: ResidualReport) -> dict:
 
 def _emit_report(report: ResidualReport, args, name, outdir, meta=None):
     if args.report == "json":
-        doc = {"kind": "warpframe.report", "format_version": 1}
-        doc.update(report.to_dict())
-        if meta:
-            doc["meta"] = meta
-        print(json.dumps(doc, indent=1))
+        doc = wio.report_document(report, meta)
+        # On stdout "kind" comes first; in the file, "format_version".
+        print(json.dumps({"kind": doc["kind"], **doc}, indent=1))
     else:
         for line in report.summary_lines():
             print(line)

@@ -565,24 +565,21 @@ def _integrate_path(data, Ups, B0, order):
     """Single-path integration from the base node to the far corner,
     consuming axes in the given order, with the sweep's step kernel."""
     grid = data.grid
-    cur = list(grid.base_node)
+    cur = tuple(grid.base_node)
     K, nodes = [], []
     for axis in order:
-        h = grid.spacing[axis]
-        target = grid.extents[axis] - 1
-        while cur[axis] != target:
-            direction = 1 if target > cur[axis] else -1
-            nxt = list(cur)
-            nxt[axis] += direction
-            K.append(0.5 * direction * h * (Ups[tuple(cur)][..., axis]
-                                            + Ups[tuple(nxt)][..., axis]))
-            nodes.append(tuple(nxt))
-            cur = nxt
+        h, last = grid.spacing[axis], grid.extents[axis] - 1
+        U = Ups[cur[:axis] + (slice(cur[axis], None),) + cur[axis + 1:]
+                + (Ellipsis, axis)]
+        K.append(0.5 * h * (U[:-1] + U[1:]))     # generator of edge i -> i+1
+        nodes += [cur[:axis] + (i,) + cur[axis + 1:]
+                  for i in range(cur[axis] + 1, last + 1)]
+        cur = cur[:axis] + (last,) + cur[axis + 1:]
     B = np.asarray(B0, dtype=float)
-    if not K:
+    if not nodes:
         return B
     # The sweep's blocking, without G: the probe is never re-projected.
-    frames, _ = _chain(B, expm(np.stack(K)), _RENORM_INTERVAL)
+    frames, _ = _chain(B, expm(np.concatenate(K)), _RENORM_INTERVAL)
     bad = _first_nonfinite(frames)
     if bad is not None:
         raise IntegrationBlowup("non-finite frame on lattice path",

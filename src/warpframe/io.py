@@ -7,23 +7,26 @@ parser. The readers of reports, frames and immersion tables raise
 SchemaError naming the file on malformed input.
 
 The writers produce exactly the bytes of ``json.dump(doc, fh, indent=1)``
-plus a newline, and of ``csv.writer`` rows, faster. Float data reaches the
-JSON writer as arrays: a 1-D float64 ndarray in a document is written as
-the list of its floats, byte for byte what ``json.dump`` writes for
-``a.tolist()``; any other ndarray is a TypeError, as in json. The cost
-floor is ``float.__repr__`` (about a microsecond per value), so each
-distinct bit pattern of the whole array is formatted once (``-0.0`` and
-``0.0`` stay apart) and the texts are gathered by index: a grid field
-repeats most of its values. The gathered texts go out in pieces of
-``_PIECE`` values, so no array-sized string is built. An array holding a
-NaN or an infinity takes json's own path (``NaN``, ``Infinity``).
+plus a newline, and of ``csv.writer`` rows, faster. Stdlib json lays out
+every document; warpframe formats only its float arrays. A 1-D float64
+ndarray in a document is written as json writes ``a.tolist()``; any other
+ndarray is a TypeError, as in json. Each finite, non-empty one becomes a
+placeholder string with a per-call random nonce, ``json.dumps`` writes the
+rest, and the arrays are spliced in at their placeholders (empty and
+non-finite arrays go to json as lists). A document string that reproduces
+the placeholder is a ValueError, and nothing is written. The cost floor of
+an array is ``float.__repr__`` (about a microsecond per value), so each
+distinct bit pattern is formatted once (``-0.0`` and ``0.0`` stay apart)
+and the texts are gathered by index: a grid field repeats most of its
+values. They go out in pieces of ``_PIECE`` values, so no array-sized
+string is built.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from json.encoder import encode_basestring_ascii as _json_str
+import secrets
 from pathlib import Path
 
 import numpy as np
@@ -59,73 +62,13 @@ def _float_texts(values):
     return texts[inverse].reshape(a.shape)
 
 
-_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _json_float(x):
-    text = float.__repr__(x)
-    return _NON_FINITE.get(text, text)
-
-
-def _json_key(key):
-    if isinstance(key, str):
-        return key
-    if key is None or isinstance(key, (int, float)):
-        return next(_json_chunks(key, 0))   # null, true, false or a number
-    raise TypeError(f"keys must be str, int, float, bool or None, "
-                    f"not {key.__class__.__name__}")
-
-
-def _json_chunks(o, level):
-    """The text of ``json.dump(o, fh, indent=1)`` at nesting depth `level`,
-    in pieces."""
-    if isinstance(o, str):
-        yield _json_str(o)
-    elif o is None:
-        yield "null"
-    elif o is True:
-        yield "true"
-    elif o is False:
-        yield "false"
-    elif isinstance(o, int):
-        yield int.__repr__(o)
-    elif isinstance(o, float):
-        yield _json_float(o)
-    elif isinstance(o, (list, tuple)):
-        yield from _json_list(o, level)
-    elif isinstance(o, dict):
-        yield from _json_dict(o, level)
-    elif (isinstance(o, np.ndarray) and o.ndim == 1
-          and o.dtype == np.float64):
-        yield from _json_floats(o, level)
-    else:
-        raise TypeError(f"Object of type {o.__class__.__name__} "
-                        f"is not JSON serializable")
-
-
-def _json_list(o, level):
-    if not o:
-        yield "[]"
-        return
-    inner = "\n" + " " * (level + 1)
-    sep = "," + inner
-    yield "[" + inner
-    for i, value in enumerate(o):
-        if i:
-            yield sep
-        yield from _json_chunks(value, level + 1)
-    yield "\n" + " " * level + "]"
-
-
 # Values per piece that _json_floats joins into one string.
 _PIECE = 32768
 
 
 def _json_floats(a, level):
-    """A 1-D float64 array as json writes ``a.tolist()``, in pieces."""
-    if not (a.size and np.isfinite(a).all()):
-        yield from _json_list(a.tolist(), level)
-        return
+    """A finite, non-empty 1-D float64 array at nesting depth `level` as json
+    writes ``a.tolist()``, in pieces."""
     inner = "\n" + " " * (level + 1)
     sep = "," + inner
     texts = _float_texts(a)
@@ -137,23 +80,47 @@ def _json_floats(a, level):
     yield "\n" + " " * level + "]"
 
 
-def _json_dict(o, level):
-    if not o:
-        yield "{}"
-        return
-    inner = "\n" + " " * (level + 1)
-    yield "{"
-    for i, (key, value) in enumerate(o.items()):
-        yield ("," if i else "") + inner + _json_str(_json_key(key)) + ": "
-        yield from _json_chunks(value, level + 1)
-    yield "\n" + " " * level + "}"
+def _skeleton(o, placeholder, arrays):
+    """`o` with each finite, non-empty 1-D float64 array replaced by
+    `placeholder` and appended to `arrays`, in the order json visits them."""
+    if isinstance(o, np.ndarray) and o.ndim == 1 and o.dtype == np.float64:
+        if o.size and np.isfinite(o).all():
+            arrays.append(o)
+            return placeholder
+        return o.tolist()
+    if isinstance(o, dict):
+        return {k: _skeleton(v, placeholder, arrays) for k, v in o.items()}
+    if isinstance(o, (list, tuple)):
+        return [_skeleton(v, placeholder, arrays) for v in o]
+    return o
+
+
+def _json_chunks(doc):
+    """The text of ``json.dump(doc, fh, indent=1)``, in pieces. Raises
+    before returning the pieces if the document cannot be written."""
+    placeholder = "warpframe-array-" + secrets.token_hex(8)
+    arrays = []
+    text = json.dumps(_skeleton(doc, placeholder, arrays), indent=1)
+    parts = text.split(json.dumps(placeholder))
+    if len(parts) != len(arrays) + 1:
+        raise ValueError("a document string reproduces the placeholder")
+    return _spliced(parts, arrays)
+
+
+def _spliced(parts, arrays):
+    yield parts[0]
+    for before, a, after in zip(parts, arrays, parts[1:]):
+        line = before[before.rfind("\n") + 1:]
+        yield from _json_floats(a, len(line) - len(line.lstrip(" ")))
+        yield after
 
 
 def _write_json(doc, path):
+    chunks = _json_chunks(doc)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(_json_chunks(doc, 0))
+        fh.writelines(chunks)
         fh.write("\n")
 
 
@@ -165,12 +132,17 @@ def save_dataset(data: GeometricData, path):
     _write_json(data.to_document(), path)
 
 
-def save_report(report: ResidualReport, path, meta=None):
+def report_document(report: ResidualReport, meta=None) -> dict:
+    """The warpframe.report document of `report`, with `meta` if given."""
     doc = {"format_version": 1, "kind": "warpframe.report"}
     doc.update(report.to_dict())
     if meta:
         doc["meta"] = meta
-    _write_json(doc, path)
+    return doc
+
+
+def save_report(report: ResidualReport, path, meta=None):
+    _write_json(report_document(report, meta), path)
 
 
 def load_report(path) -> ResidualReport:

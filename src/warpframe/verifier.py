@@ -38,12 +38,7 @@ slabs of whole rows along the first grid axis, about _BLOCK_NODES nodes
 each, so its (N+2) x (N+2) temporaries stay small. Per plane and block it
 forms three wedge products, Upsilon^Upsilon, Omega^Omega and X^X (six
 matrix products), and gets the cross term Omega^X + X^Omega from
-bilinearity. Against the earlier kernel, which formed all five wedge
-products on the whole grid, flatness and flat_XX are bit-identical;
-flat_dX and flat_dOmega are too wherever T = 0 (every oracle fixture and
-the 25^3 slice), and otherwise differ at roundoff, since their delta ^ Xi
-and dT ^ omega + T d omega terms are summed in another order; flat_cross
-differs at roundoff (at most 9e-16 on the test signature cases).
+bilinearity.
 """
 
 from __future__ import annotations
@@ -173,6 +168,17 @@ def _analytic(data, force_fd):
 def default_tolerance(data: GeometricData, force_fd: bool) -> float:
     """1e-8 when analytic derivatives drive the check, 10 h^2 on FD data."""
     return 1e-8 if _analytic(data, force_fd) else data.grid.fd_tolerance
+
+
+def _report(fields, tol, data, force_fd, note=""):
+    """The report of per-node residual fields (None for a skipped check),
+    judged against tol, by default the dataset's default_tolerance."""
+    if tol is None:
+        tol = default_tolerance(data, force_fd)
+    report = ResidualReport()
+    for key, arr in fields.items():
+        report.add(key, arr, tol, note=note)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -340,12 +346,8 @@ def structure_residual_fields(data: GeometricData,
 def structure_residuals(data: GeometricData, tol: float | None = None,
                         force_fd: bool = False) -> ResidualReport:
     """Residual report for the six structure equations, keys "A".."F"."""
-    if tol is None:
-        tol = default_tolerance(data, force_fd)
-    report = ResidualReport()
-    for key, arr in structure_residual_fields(data, force_fd).items():
-        report.add(key, arr, tol)
-    return report
+    return _report(structure_residual_fields(data, force_fd), tol, data,
+                   force_fd)
 
 
 # ---------------------------------------------------------------------------
@@ -401,12 +403,7 @@ def aux_identity_fields(data: GeometricData, force_fd: bool = False) -> dict:
 def aux_identity_residuals(data: GeometricData, tol: float | None = None,
                            force_fd: bool = False) -> ResidualReport:
     """Keys aux1..aux4; see the module docstring."""
-    if tol is None:
-        tol = default_tolerance(data, force_fd)
-    report = ResidualReport()
-    for key, arr in aux_identity_fields(data, force_fd).items():
-        report.add(key, arr, tol)
-    return report
+    return _report(aux_identity_fields(data, force_fd), tol, data, force_fd)
 
 
 def _delta_derivatives(data, analytic, Ta):
@@ -578,15 +575,9 @@ def flatness_residual(data: GeometricData, tol: float | None = None,
     """d Upsilon + Upsilon ^ Upsilon on all coordinate 2-planes, plus the
     closed-form checks of its four pieces. One-dimensional charts have no
     coordinate 2-planes; every entry is then reported as zero with a note."""
-    if tol is None:
-        tol = default_tolerance(data, force_fd)
-    report = ResidualReport()
     if data.spec.n < 2:
-        for key in ("flatness", "flat_dX", "flat_XX", "flat_cross",
-                    "flat_dOmega"):
-            report.add(key, None, tol,
+        return _report(dict.fromkeys(("flatness", "flat_dX", "flat_XX",
+                                      "flat_cross", "flat_dOmega")),
+                       tol, data, force_fd,
                        note="no coordinate 2-planes on a 1-dimensional chart")
-        return report
-    for key, arr in flatness_fields(data, force_fd).items():
-        report.add(key, arr, tol)
-    return report
+    return _report(flatness_fields(data, force_fd), tol, data, force_fd)

@@ -9,6 +9,7 @@ import csv
 import io
 import json
 import math
+import secrets
 import struct
 
 import numpy as np
@@ -67,6 +68,12 @@ FINITE = st.sampled_from(EDGE_FLOATS) | st.integers(0, 2 ** 64 - 1).map(
     lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0]).filter(
     math.isfinite)
 NON_FINITE = st.sampled_from([math.nan, -math.nan, math.inf, -math.inf])
+# 1-D float64 arrays: mostly finite and non-empty (spliced in by the
+# writer), sometimes empty or non-finite (left to json as lists).
+ARRAYS = (st.lists(FINITE, min_size=1) | st.lists(FINITE | NON_FINITE)).map(
+    lambda values: np.array(values, dtype=np.float64))
+KEYS = st.text() | st.integers() | st.floats() | st.booleans() | st.none()
+PLACEHOLDER_PREFIX = "warpframe-array-"
 
 
 class TestJsonWriter:
@@ -181,8 +188,41 @@ class TestJsonWriter:
         a = np.where(rng.random(size) < 0.5, rng.choice(pool, size),
                      rng.standard_normal(size).round(3))
         assert written({"x": a}, tmp_path) == stdlib_json({"x": a.tolist()})
-        pieces = list(wio._json_chunks(a, 0))
+        pieces = list(wio._json_chunks(a))
         assert max(piece.count(",") for piece in pieces) < wio._PIECE
+
+    @settings(max_examples=200, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(inner=st.recursive(
+        ARRAYS | st.none() | st.floats() | st.text(),
+        lambda kids: (st.lists(st.dictionaries(KEYS, kids, min_size=1),
+                               min_size=1)
+                      | st.tuples(kids, kids)
+                      | st.dictionaries(KEYS, kids, min_size=1)),
+        max_leaves=10), key=KEYS, a=ARRAYS)
+    def test_arrays_in_nested_documents(self, inner, key, a, tmp_path):
+        """Arrays in lists of dicts, in tuples and under non-string keys,
+        at depth 3 or more, land where json.dump puts their lists."""
+        doc = [{key: (inner, a)}, {"x": [{None: a, 1.5: [a]}]}]
+        assert written(doc, tmp_path) == stdlib_json(doc)
+
+    def test_strings_like_the_placeholder(self, tmp_path):
+        doc = {"s": PLACEHOLDER_PREFIX, "t": PLACEHOLDER_PREFIX + "0" * 16,
+               PLACEHOLDER_PREFIX: [np.array([0.5, -1.5])],
+               "u": [PLACEHOLDER_PREFIX + "x", np.array([2.0])]}
+        assert written(doc, tmp_path) == stdlib_json(doc)
+
+    @pytest.mark.parametrize("as_key", [False, True])
+    def test_string_equal_to_placeholder_raises(self, as_key, tmp_path,
+                                                monkeypatch):
+        monkeypatch.setattr(secrets, "token_hex", lambda n: "ab" * n)
+        placeholder = PLACEHOLDER_PREFIX + "ab" * 8
+        doc = {"a": np.array([1.0, 2.0])}
+        doc.update({placeholder: 1.0} if as_key else {"s": placeholder})
+        path = tmp_path / "out" / "bfield.json"
+        with pytest.raises(ValueError, match="placeholder"):
+            wio.save_diagnostics(doc, path)
+        assert not path.parent.exists()
 
 
 class TestImmersionCsv:
