@@ -109,7 +109,7 @@ class ChartGrid:
 
 
 # Tolerance of the exact invariants validate checks (alpha symmetry,
-# connection skewness) and the least drift it flags.
+# connection skewness).
 _VALIDATE_TOL = 1e-10
 
 _FIELD_SHAPES = {
@@ -176,7 +176,6 @@ class GeometricData:
                     f"derivative fields missing {', '.join(missing)}: a "
                     f"dataset holds all {len(_DERIVATIVE_NAMES)} or none")
         self.generator = generator
-        self.flagged_nodes: list[tuple] = []
         self._cache = {}
 
     # -- cached derived arrays ---------------------------------------------
@@ -217,9 +216,11 @@ class GeometricData:
     def validate(self, raise_on_error=True):
         """Check structural invariants; returns a list of findings.
 
-        Hard violations (alpha symmetry, connection skewness, pi domain,
-        T = eps * grad(pi)) raise when raise_on_error is set. Nodes where
-        <T,T> + <xi,xi> drifts from eps are flagged, not treated as errors.
+        Violations (alpha symmetry, connection skewness, pi domain,
+        T = eps * grad(pi)) raise when raise_on_error is set. The
+        vertical-norm identity <T,T> + <xi,xi> = eps is not checked here:
+        it is the residual family (A) of verifier.structure_residuals,
+        which names the worst node.
         """
         spec, grid = self.spec, self.grid
         problems = validate_signature(spec)
@@ -257,12 +258,6 @@ class GeometricData:
                 f"T is not eps*grad(pi): defect {worst_grad:.3e} > {gtol:.3e}")
         if problems and raise_on_error:
             raise InvariantViolation("; ".join(problems))
-        # Soft flags: vertical-norm drift.
-        tt = np.einsum("i,...i,...i->...", et, self.T_comp, self.T_comp)
-        xx = np.einsum("u,...u,...u->...", eb, self.xi_comp, self.xi_comp)
-        drift = np.abs(tt + xx - spec.epsilon)
-        bad = np.argwhere(drift > max(_VALIDATE_TOL, gtol))
-        self.flagged_nodes = [tuple(ix) for ix in bad]
         return problems
 
     # -- serialization ----------------------------------------------------------

@@ -136,9 +136,7 @@ def _sup_ratios(coarse: ResidualReport, fine: ResidualReport) -> dict:
 
 def _emit_report(report: ResidualReport, args, name, outdir, meta=None):
     if args.report == "json":
-        doc = wio.report_document(report, meta)
-        # On stdout "kind" comes first; in the file, "format_version".
-        print(json.dumps({"kind": doc["kind"], **doc}, indent=1))
+        print(json.dumps(wio.report_document(report, meta), indent=1))
     else:
         for line in report.summary_lines():
             print(line)
@@ -161,17 +159,11 @@ def _cmd_validate(args):
             raise SchemaError("either an input file or --example is required")
         data = wio.load_dataset(args.input, validate=False)
     problems = data.validate(raise_on_error=False)
-    out = {"problems": problems,
-           "flagged_nodes": [list(nd) for nd in data.flagged_nodes]}
     if args.report == "json":
-        print(json.dumps(out, indent=1))
+        print(json.dumps({"problems": problems}, indent=1))
     else:
-        if problems:
-            for p in problems:
-                print(f"violation: {p}")
-        if data.flagged_nodes:
-            print(f"flagged nodes (vertical-norm drift): "
-                  f"{len(data.flagged_nodes)}")
+        for p in problems:
+            print(f"violation: {p}")
         if not problems:
             print("all structural invariants hold")
     return EXIT_FAIL if problems else EXIT_OK

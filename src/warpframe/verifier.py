@@ -6,13 +6,20 @@ Three entry points:
   coordinate/frame inputs at every node. Curvatures come from the stored
   connection coefficients through d(omega) + omega ^ omega, never from
   second derivatives of a metric.
-* aux_identity_residuals: the four first-order identities tying the dual
-  coframe, the vertical components T_alpha, and the connection matrix
-  together (items aux1..aux4).
+* aux_identity_residuals: the one first-order identity that (A)-(F) do
+  not already state, the torsion-free equation dW = -Omega ^ W of the dual
+  coframe (item aux4).
 * flatness_residual: d(Upsilon) + Upsilon ^ Upsilon on every coordinate
-  2-plane, plus closed-form checks of its four constituent pieces
-  (d X, X^X, the Omega/X cross terms, and d Omega + Omega^Omega), which
-  localize a failure to one term of the computation.
+  2-plane, plus closed-form checks of three of its pieces (d X, the
+  Omega/X cross terms, and d Omega + Omega^Omega), which localize a
+  failure to one term of the computation: four entries in all.
+
+Each entry is independent evidence, so no identity that restates another
+is computed: sum eps_alpha T_alpha^2 = eps is (A); the derivative of
+T_alpha is (B) on tangent rows, (C) on normal rows and (A) rescaled on
+row 0; delta = sum T_gamma omega_gamma holds by construction of W; and
+X ^ X sees (T, xi) only through <vert, vert>, so its closed form fails
+only where (A) does.
 
 Which derivatives drive the checks is decided once: a dataset holds the
 analytic derivatives of all six non-pi fields or of none. With them every
@@ -355,54 +362,24 @@ def structure_residuals(data: GeometricData, tol: float | None = None,
 
 
 def aux_identity_fields(data: GeometricData, force_fd: bool = False) -> dict:
-    """Per-node residual fields of aux1..aux4 (the derivative-based aux3 and
-    aux4 zeroed outside the interior)."""
-    spec, grid = data.spec, data.grid
-    n, eps = spec.n, spec.epsilon
-    analytic = _analytic(data, force_fd)
-    inner = interior_mask(grid.extents)
+    """Per-node residual field of aux4, the torsion-free identity
+    dW = -Omega ^ W, zeroed outside the interior."""
+    grid = data.grid
     forms = _forms(data)
     Om, W = forms["Omega"], forms["W"]
-    Ta = _grid_last(data.delta_all(), n)
-    delta_k = _grid_last(data.coord_T(), n)          # <T, d/dx_k>
-    a, a1, _ = data.warp_values()
-    rat = a1 / a
-    sgn = _pattern(np.asarray(spec.signs, dtype=float), n)
-    fields = {}
-
-    # aux1: vertical-norm identity expressed through T_alpha.
-    fields["aux1"] = np.abs((sgn * Ta * Ta).sum(axis=0) - eps)
-
-    # aux2: delta = sum_gamma T_gamma omega_gamma evaluated on d/dx_k.
-    fields["aux2"] = np.abs(delta_k - np.einsum("a...,ak...->k...", Ta, W)
-                            ).max(axis=0)
-
-    # aux3: dT_alpha = sum T_gamma omega_{gamma alpha}
-    #        + (a'/a) eps_alpha omega_alpha - eps (a'/a) T_alpha delta.
-    dTa = _delta_derivatives(data, analytic, Ta)
+    dW = _coframe_derivatives(data, _analytic(data, force_fd))
     worst = np.zeros(grid.extents)
-    for k in range(n):
-        rhs = (np.einsum("g...,ga...->a...", Ta, Om[:, :, k])
-               + rat * sgn * W[:, k]
-               - eps * rat * Ta * delta_k[k])
-        worst = np.maximum(worst, np.abs(dTa[k] - rhs).max(axis=0))
-    fields["aux3"] = np.where(inner, worst, 0.0)
-
-    # aux4: dW = -Omega ^ W on every coordinate 2-plane.
-    dW = _coframe_derivatives(data, analytic)
-    worst = np.zeros(grid.extents)
-    for k, l in _coordinate_pairs(n):
+    for k, l in _coordinate_pairs(data.spec.n):
         wedge = (np.einsum("ag...,g...->a...", Om[:, :, k], W[:, l])
                  - np.einsum("ag...,g...->a...", Om[:, :, l], W[:, k]))
         worst = np.maximum(worst, np.abs(
             _dform(W, dW, grid.spacing, k, l) + wedge).max(axis=0))
-    fields["aux4"] = np.where(inner, worst, 0.0)
-    return fields
+    return {"aux4": np.where(interior_mask(grid.extents), worst, 0.0)}
 
 
 def aux_identity_residuals(data: GeometricData, tol: float | None = None,
                            force_fd: bool = False) -> ResidualReport:
-    """Keys aux1..aux4; see the module docstring."""
+    """Key aux4; see the module docstring."""
     return _report(aux_identity_fields(data, force_fd), tol, data, force_fd)
 
 
@@ -445,6 +422,9 @@ def _coframe_derivatives(data, analytic):
 # Grid nodes per slab of flatness_fields, about: see _slabs.
 _BLOCK_NODES = 4096
 
+# The entries of flatness_fields and flatness_residual, in report order.
+_FLATNESS_KEYS = ("flatness", "flat_dX", "flat_cross", "flat_dOmega")
+
 
 def _slabs(extents):
     """Grid index tuples of the slabs along the first grid axis, each of
@@ -456,7 +436,7 @@ def _slabs(extents):
 
 
 def flatness_fields(data: GeometricData, force_fd: bool = False) -> dict:
-    """Per-node fields of d Upsilon + Upsilon ^ Upsilon and of its four
+    """Per-node fields of d Upsilon + Upsilon ^ Upsilon and of three of its
     pieces, zeroed outside the interior; requires n >= 2.
 
     On analytic data the 2-forms d Omega and d X come from the jet
@@ -497,8 +477,7 @@ def flatness_fields(data: GeometricData, force_fd: bool = False) -> dict:
     r2s = _pattern(sgn, n) * (eps * rat * rat)     # eps (a'/a)^2 eps_beta
     coef_reg = (a * a2 - a1 * a1) / (a * a)
 
-    keys = ("flatness", "flat_dX", "flat_XX", "flat_cross", "flat_dOmega")
-    worst = {key: np.zeros(grid.extents) for key in keys}
+    worst = {key: np.zeros(grid.extents) for key in _FLATNESS_KEYS}
 
     def minus_ee_transpose(P):
         """P[a, b] - ee[a, b] P[b, a]."""
@@ -554,11 +533,6 @@ def flatness_fields(data: GeometricData, force_fd: bool = False) -> dict:
             cd += q
             res = dXkl[s] - cd
             track("flat_dX", g, res)
-            # X ^ X - (-er_dx - r2s ww)
-            res = -er_dx
-            res -= r2s_ww
-            wXX -= res
-            track("flat_XX", g, wXX)
             # Omega ^ X + X ^ Omega - (-q - er_dx - 2 r2s ww)
             cross += q
             cross += er_dx
@@ -567,17 +541,15 @@ def flatness_fields(data: GeometricData, force_fd: bool = False) -> dict:
             track("flat_cross", g, cross)
 
     inner = interior_mask(grid.extents)
-    return {key: np.where(inner, worst[key], 0.0) for key in keys}
+    return {key: np.where(inner, worst[key], 0.0) for key in _FLATNESS_KEYS}
 
 
 def flatness_residual(data: GeometricData, tol: float | None = None,
                       force_fd: bool = False) -> ResidualReport:
     """d Upsilon + Upsilon ^ Upsilon on all coordinate 2-planes, plus the
-    closed-form checks of its four pieces. One-dimensional charts have no
+    closed-form checks of three of its pieces. One-dimensional charts have no
     coordinate 2-planes; every entry is then reported as zero with a note."""
     if data.spec.n < 2:
-        return _report(dict.fromkeys(("flatness", "flat_dX", "flat_XX",
-                                      "flat_cross", "flat_dOmega")),
-                       tol, data, force_fd,
+        return _report(dict.fromkeys(_FLATNESS_KEYS), tol, data, force_fd,
                        note="no coordinate 2-planes on a 1-dimensional chart")
     return _report(flatness_fields(data, force_fd), tol, data, force_fd)

@@ -78,27 +78,28 @@ def test_criterion_3_slice_analytic():
 
 def test_criterion_4_flatness_convergence():
     # The helix chart is one-dimensional, so the flatness 2-form vanishes
-    # identically there; its first-order identities carry the convergence
-    # content, and the flatness ratio itself is measured on a 2-d slice.
+    # identically there; the first-order equations (B) and (C) for T and xi
+    # carry the convergence content, and the flatness ratio itself is
+    # measured on a 2-d slice.
     t0 = time.perf_counter()
-    aux_sups, flat_sups = [], []
+    bc_sups, flat_sups = [], []
     for ext in (65, 129):
         _, d = canonical_example("helix", {"grid_extents": [ext],
                                            "grid_spacing": [2.0 / (ext - 1)]})
-        rep = aux_identity_residuals(d, force_fd=True)
-        aux_sups.append(rep["aux3"].sup)
+        rep = structure_residuals(d, force_fd=True)
+        bc_sups.append(max(rep["B"].sup, rep["C"].sup))
         assert flatness_residual(d, force_fd=True)["flatness"].sup == 0.0
     for ext in (33, 65):
         _, d = canonical_example("slice", {
             "n": 2, "grid_extents": [ext, ext],
             "grid_spacing": [0.64 / (ext - 1)] * 2})
         flat_sups.append(flatness_residual(d, force_fd=True)["flatness"].sup)
-    r_aux = aux_sups[0] / aux_sups[1]
+    r_bc = bc_sups[0] / bc_sups[1]
     r_flat = flat_sups[0] / flat_sups[1]
     dt = time.perf_counter() - t0
-    ok = 3.4 <= r_aux <= 4.6 and 3.4 <= r_flat <= 4.6 and dt < 30.0
-    _report(4, "flatness/aux convergence",
-            ok, f"aux ratio {r_aux:.2f}, flatness ratio {r_flat:.2f}, {dt:.1f}s")
+    ok = 3.4 <= r_bc <= 4.6 and 3.4 <= r_flat <= 4.6 and dt < 30.0
+    _report(4, "flatness/first-order convergence",
+            ok, f"B/C ratio {r_bc:.2f}, flatness ratio {r_flat:.2f}, {dt:.1f}s")
 
 
 def test_criterion_5_frame_integrity():

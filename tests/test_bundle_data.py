@@ -7,7 +7,8 @@ import pytest
 from geometry_reference import s_tensor, shape_operator
 from json_reference import float64_list
 from warpframe import (ChartGrid, GeometricData, SignatureSpec,
-                       WarpingFunction, canonical_example, load_data)
+                       WarpingFunction, canonical_example, load_data,
+                       structure_residuals)
 from warpframe.errors import InvariantViolation, SchemaError
 from warpframe.io import load_dataset, save_dataset
 
@@ -59,7 +60,6 @@ class TestValidation:
     def test_clean_data_passes(self):
         data = trivial_data()
         assert data.validate() == []
-        assert data.flagged_nodes == []
 
     def test_alpha_symmetry_violation(self, slice17):
         _, data = slice17
@@ -91,10 +91,14 @@ class TestValidation:
             data.validate()
 
     def test_vertical_norm_drift_flagged_not_raised(self):
+        # validate leaves the vertical-norm identity to residual (A), which
+        # fails the drifted data and names its worst node
         data = trivial_data(xi_comp=np.full((5, 1), 1.1))
-        problems = data.validate(raise_on_error=False)
-        assert problems == []
-        assert len(data.flagged_nodes) == 5
+        assert data.validate(raise_on_error=False) == []
+        rep = structure_residuals(data)
+        assert rep.failing() == ["A"]
+        assert rep["A"].sup == pytest.approx(0.21, abs=1e-12)
+        assert rep["A"].worst_node == (0,)
 
     def test_skewness_violation(self):
         ot = np.zeros((5, 1, 1, 1))

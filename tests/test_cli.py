@@ -72,6 +72,26 @@ class TestVerifyCommand:
         assert doc["passed"] is True
         assert "A" in doc["residuals"]
 
+    @pytest.mark.parametrize("fixture", ["slice_file", "helix_file"])
+    def test_report_entries_one_per_identity(self, fixture, request, capsys):
+        path = request.getfixturevalue(fixture)
+        assert main(["verify", str(path), "--report", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert list(doc["residuals"]) == [
+            "A", "B", "C", "D", "E", "F", "aux4",
+            "flatness", "flat_dX", "flat_cross", "flat_dOmega"]
+
+    @pytest.mark.parametrize("extra", [[], ["--force-fd", "--h-refine", "2"]],
+                             ids=["plain", "refined"])
+    def test_json_stdout_equals_report_file(self, slice_file, extra,
+                                            tmp_path, capsys):
+        out = tmp_path / "vout"
+        assert main(["verify", str(slice_file), "--report", "json",
+                     "-o", str(out)] + extra) == 0
+        stdout = capsys.readouterr().out
+        assert stdout.startswith('{\n "format_version": 1,\n')
+        assert stdout.encode() == (out / "residuals.json").read_bytes()
+
     def test_h_refine_records_ratios(self, slice_file, capsys):
         rc = main(["verify", str(slice_file), "--h-refine", "2",
                    "--force-fd", "--report", "json"])
@@ -282,6 +302,10 @@ class TestValidateCommand:
         bad.write_text(json.dumps(doc))
         assert main(["validate", str(bad)]) == 2
         assert "alpha symmetry" in capsys.readouterr().out
+
+    def test_json_output(self, slice_file, tmp_path, capsys):
+        assert main(["validate", str(slice_file), "--report", "json"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"problems": []}
 
     def test_pi_outside_domain(self, slice_file, tmp_path, capsys):
         doc = json.loads(slice_file.read_text())

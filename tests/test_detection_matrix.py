@@ -49,7 +49,6 @@ def test_T_perturbation_fires_A_and_B(codim2, baseline):
     sups = _sups(_mutate(codim2, T_comp=T))
     assert _fires(baseline, sups, "A")
     assert _fires(baseline, sups, "B")
-    assert _fires(baseline, sups, "aux1")
 
 
 def test_xi_perturbation_fires_A_and_C(codim2, baseline):
@@ -86,6 +85,20 @@ def test_tangent_connection_perturbation_fires_gauss_and_torsion(codim2,
     assert _fires(baseline, sups, "D")
     assert _fires(baseline, sups, "aux4")
     assert _fires(baseline, sups, "flatness")
+
+
+def test_frame_perturbation_fails_torsion_not_structure(codim2, baseline):
+    # A frame entry bent along the chart leaves the coframe with torsion:
+    # dW = -Omega ^ W fails while every structure equation still passes, so
+    # aux4 is evidence that (A)-(F) do not give. (The bent frame also
+    # breaks flatness, through d Omega.)
+    frame = codim2.frame.copy()
+    xs = codim2.grid.coordinates()
+    frame[..., 0, 1] += 1e-2 * np.sin(3.0 * xs[1])
+    sups = _sups(_mutate(codim2, frame=frame))
+    tol = codim2.grid.fd_tolerance
+    assert sups["aux4"] > tol
+    assert all(sups[key] <= tol for key in "ABCDEF")
 
 
 def test_bundle_connection_perturbation_fires_ricci(codim2, baseline):

@@ -101,26 +101,26 @@ class TestAuxIdentities:
     def test_keys(self, slice17):
         _, data = slice17
         rep = aux_identity_residuals(data)
-        assert sorted(rep.entries) == ["aux1", "aux2", "aux3", "aux4"]
+        assert sorted(rep.entries) == ["aux4"]
 
     def test_vertical_norm_identity_scaling(self, slice17):
-        # scaling xi by 2 on T = 0 data moves aux1 to |4 eps - eps| = 3
+        # scaling xi by 2 on T = 0 data moves A to |4 eps - eps| = 3
         _, data = slice17
         scaled = GeometricData(
             data.spec, data.warping, data.grid, frame=data.frame,
             omega_tangent=data.omega_tangent, omega_bundle=data.omega_bundle,
             alpha=data.alpha, T_comp=data.T_comp,
             xi_comp=2.0 * data.xi_comp, pi=data.pi)
-        rep = aux_identity_residuals(scaled, tol=10.0)
-        assert rep["aux1"].sup == pytest.approx(3.0, abs=1e-12)
+        rep = structure_residuals(scaled, tol=10.0)
+        assert rep["A"].sup == pytest.approx(3.0, abs=1e-12)
 
     def test_helix_fd_convergence(self):
         sups = {}
         for ext in (65, 129):
             _, d = canonical_example("helix", {
                 "grid_extents": [ext], "grid_spacing": [2.0 / (ext - 1)]})
-            rep = aux_identity_residuals(d, force_fd=True)
-            sups[ext] = rep["aux3"].sup
+            rep = structure_residuals(d, force_fd=True)
+            sups[ext] = max(rep["B"].sup, rep["C"].sup)
         assert 3.4 <= sups[65] / sups[129] <= 4.6
 
 
@@ -130,7 +130,7 @@ class TestFlatness:
         rep = flatness_residual(data)
         assert rep.passed
         assert rep["flatness"].sup <= 1e-10
-        for key in ("flat_dX", "flat_XX", "flat_cross", "flat_dOmega"):
+        for key in ("flat_dX", "flat_cross", "flat_dOmega"):
             assert rep[key].sup <= 1e-10
 
     def test_one_dimensional_chart_noted(self, helix65):

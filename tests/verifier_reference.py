@@ -198,30 +198,6 @@ def aux_identity_fields(data, force_fd=False):
     fields = {}
     forms = assemble_all(data)
     Om, W = forms["Omega"], forms["W"]
-    Ta = data.delta_all()
-    a, a1, _ = data.warp_values()
-    rat = a1 / a
-    delta_k = data.coord_T()
-    sgn = np.asarray(spec.signs, dtype=float)
-
-    # aux1: vertical-norm identity expressed through T_alpha.
-    q = np.einsum("a,...a,...a->...", sgn, Ta, Ta)
-    fields["aux1"] = np.abs(q - spec.epsilon)
-
-    # aux2: delta = sum_gamma T_gamma omega_gamma evaluated on d/dx_k.
-    recon = np.einsum("...a,...ak->...k", Ta, W)
-    fields["aux2"] = np.abs(delta_k - recon).max(axis=-1)
-
-    # aux3: dT_alpha = sum T_gamma omega_{gamma alpha}
-    #        + (a'/a) eps_alpha omega_alpha - eps (a'/a) T_alpha delta.
-    dTa = _delta_derivatives(data, force_fd)
-    worst = np.zeros(grid.extents)
-    for k in range(n):
-        rhs = (np.einsum("...g,...ga->...a", Ta, Om[..., k])
-               + rat[..., None] * sgn * W[..., k]
-               - spec.epsilon * rat[..., None] * Ta * delta_k[..., k, None])
-        worst = np.maximum(worst, np.abs(dTa[k] - rhs).max(axis=-1))
-    fields["aux3"] = np.where(inner, worst, 0.0)
 
     # aux4: dW = -Omega ^ W on every coordinate 2-plane.
     dW = _coframe_derivatives(data, force_fd)
@@ -283,7 +259,7 @@ def _coframe_derivatives(data, force_fd):
 def flatness_fields(data, force_fd=False):
     spec, grid = data.spec, data.grid
     n = spec.n
-    keys = ("flatness", "flat_dX", "flat_XX", "flat_cross", "flat_dOmega")
+    keys = ("flatness", "flat_dX", "flat_cross", "flat_dOmega")
 
     forms = assemble_all(data)
     dforms = _assembled_derivatives(data, force_fd)
@@ -340,12 +316,6 @@ def flatness_fields(data, force_fd=False):
         lhs1 = dXkl
         worst["flat_dX"] = np.maximum(worst["flat_dX"],
                                       np.abs(lhs1 - rhs1).max(axis=(-1, -2)))
-
-        lhs2 = wedge_mm(X, X, k, l)
-        rhs2 = (-(eps * rat)[..., None, None] * dx_wedge
-                - (rat * rat)[..., None, None] * eps * sgn[None, :] * ww)
-        worst["flat_XX"] = np.maximum(worst["flat_XX"],
-                                      np.abs(lhs2 - rhs2).max(axis=(-1, -2)))
 
         lhs3 = wedge_mm(Om, X, k, l) + wedge_mm(X, Om, k, l)
         rhs3 = (-(eps * rat)[..., None, None] * (T_dw - ee * T_dw2)
