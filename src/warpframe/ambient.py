@@ -145,7 +145,16 @@ def validate_signature(spec: SignatureSpec) -> list[str]:
 # Warping functions
 
 
-_ANALYTIC_KINDS = ("constant", "cosh", "cos", "exp")
+# (f, f', f'') of each closed form amplitude * f(rate * (t - shift)), as
+# (sign, function) pairs: the j-th derivative of a is
+# sign * amplitude * rate^j * function(u). The functions take floats,
+# arrays and jets.
+_CLOSED_FORMS = {
+    "cosh": ((1.0, jets.cosh), (1.0, jets.sinh), (1.0, jets.cosh)),
+    "cos": ((1.0, jets.cos), (-1.0, jets.sin), (-1.0, jets.cos)),
+    "exp": ((1.0, jets.exp),) * 3,
+}
+_ANALYTIC_KINDS = ("constant",) + tuple(_CLOSED_FORMS)
 
 
 @dataclass(frozen=True)
@@ -188,82 +197,57 @@ class WarpingFunction:
     def _u(self, t):
         return self.rate * (t - self.shift)
 
+    def _derivative(self, t, j):
+        """d^j a/dt^j at t for j = 0, 1, 2; t a float, an ndarray or a Jet
+        (j < 2 for a Jet), so derivative bookkeeping flows through."""
+        if self.kind == "tabulated":
+            return self._tab_poly(t)[j]
+        if self.kind == "constant":
+            return ((self.amplitude + 0.0 * t, 0.0 * t)[j] if j < 2
+                    else np.zeros_like(t))
+        sign, f = _CLOSED_FORMS[self.kind][j]
+        scale = (1.0, self.rate, self.rate * self.rate)[j]
+        return sign * self.amplitude * scale * f(self._u(t))
+
     # Generic evaluation: t may be a float, an ndarray, or a Jet. Used by the
     # forward pipeline so derivative bookkeeping flows through automatically.
     def value_generic(self, t):
-        if self.kind == "constant":
-            return self.amplitude + 0.0 * t
-        u = self._u(t)
-        if self.kind == "cosh":
-            return self.amplitude * jets.cosh(u)
-        if self.kind == "cos":
-            return self.amplitude * jets.cos(u)
-        if self.kind == "exp":
-            return self.amplitude * jets.exp(u)
-        return self._tab_poly(t)[0]
+        return self._derivative(t, 0)
 
     def deriv1_generic(self, t):
-        if self.kind == "constant":
-            return 0.0 * t
-        u = self._u(t)
-        r = self.rate
-        if self.kind == "cosh":
-            return self.amplitude * r * jets.sinh(u)
-        if self.kind == "cos":
-            return -self.amplitude * r * jets.sin(u)
-        if self.kind == "exp":
-            return self.amplitude * r * jets.exp(u)
-        return self._tab_poly(t)[1]
-
-    def _tab_segments(self, t):
-        ts = np.asarray(self.table_t)
-        idx = np.searchsorted(ts, jets.value(t))
-        idx = np.clip(idx, 1, len(ts) - 2)
-        return idx
+        return self._derivative(t, 1)
 
     def _tab_poly(self, t):
         # Local quadratic through the three nearest samples, in Newton form:
-        # (a, a', a''/2) from one segment lookup. Polynomial arithmetic, so
+        # (a, a', a'') from one segment lookup. Polynomial arithmetic, so
         # jet arguments flow through unchanged.
         ts = np.asarray(self.table_t)
         avals = np.asarray(self.table_a)
-        idx = self._tab_segments(t)
+        idx = np.clip(np.searchsorted(ts, jets.value(t)), 1, len(ts) - 2)
         t0, t1, t2 = ts[idx - 1], ts[idx], ts[idx + 1]
         a0, a1, a2 = avals[idx - 1], avals[idx], avals[idx + 1]
         d01 = (a1 - a0) / (t1 - t0)
         d12 = (a2 - a1) / (t2 - t1)
         dd = (d12 - d01) / (t2 - t0)
         return (a0 + d01 * (t - t0) + dd * ((t - t0) * (t - t1)),
-                d01 + dd * ((t - t0) + (t - t1)), dd)
+                d01 + dd * ((t - t0) + (t - t1)), 2.0 * dd)
 
     def eval(self, t):
         """Return (a, a', a'') at t, vectorized over t."""
         self._check_domain(t)
         t = np.asarray(t, dtype=float)
         if self.kind == "tabulated":
-            val, der, dd = self._tab_poly(t)
+            val, der, dd2 = self._tab_poly(t)
             if np.any(val <= 0):
                 raise DomainError(
                     "tabulated warping interpolant went nonpositive")
-            return val, der, 2.0 * dd * np.ones_like(t)
-        a = jets.value(self.value_generic(t))
-        a1 = jets.value(self.deriv1_generic(t))
-        u = self._u(t)
-        r2 = self.rate * self.rate
-        if self.kind == "constant":
-            a2 = np.zeros_like(t)
-        elif self.kind == "cosh":
-            a2 = self.amplitude * r2 * np.cosh(u)
-        elif self.kind == "cos":
-            a2 = -self.amplitude * r2 * np.cos(u)
-        else:
-            a2 = self.amplitude * r2 * np.exp(u)
-        a = np.broadcast_to(np.asarray(a, dtype=float), t.shape).copy()
+            return val, der, dd2 * np.ones_like(t)
+        a, a1, a2 = (np.broadcast_to(np.asarray(
+            self._derivative(t, j), dtype=float), t.shape).copy()
+            for j in range(3))
         if np.any(a <= 0):
             raise DomainError("warping function must stay positive on I")
-        return (a,
-                np.broadcast_to(np.asarray(a1, dtype=float), t.shape).copy(),
-                np.broadcast_to(np.asarray(a2, dtype=float), t.shape).copy())
+        return a, a1, a2
 
     def to_dict(self):
         # Unbounded domain ends serialize as null (strict-JSON friendly).

@@ -224,38 +224,38 @@ class GeometricData:
         """
         spec, grid = self.spec, self.grid
         problems = validate_signature(spec)
+        nd = grid.n
         sym = np.abs(self.alpha - np.swapaxes(self.alpha, -1, -2))
         if sym.max() > _VALIDATE_TOL:
-            worst = np.unravel_index(np.argmax(sym.max(axis=(-1, -2, -3))),
-                                     grid.extents)
-            problems.append(
-                f"alpha symmetry violated, worst {sym.max():.3e} at node {worst}")
+            problems.append(f"alpha symmetry violated, worst {sym.max():.3e} "
+                            f"at node {_worst_node(sym, nd)}")
         et = spec.tangent_signs
-        skew = self.omega_tangent + np.einsum(
-            "i,j,...jik->...ijk", et, et, self.omega_tangent)
-        if np.abs(skew).max() > _VALIDATE_TOL:
+        skew = np.abs(self.omega_tangent + np.einsum(
+            "i,j,...jik->...ijk", et, et, self.omega_tangent))
+        if skew.max() > _VALIDATE_TOL:
             problems.append(
-                f"tangent connection not metric-skew, worst {np.abs(skew).max():.3e}")
+                f"tangent connection not metric-skew, worst {skew.max():.3e} "
+                f"at node {_worst_node(skew, nd)}")
         eb = spec.bundle_signs
-        skewb = self.omega_bundle + np.einsum(
-            "u,v,...vuk->...uvk", eb, eb, self.omega_bundle)
-        if np.abs(skewb).max() > _VALIDATE_TOL:
+        skewb = np.abs(self.omega_bundle + np.einsum(
+            "u,v,...vuk->...uvk", eb, eb, self.omega_bundle))
+        if skewb.max() > _VALIDATE_TOL:
             problems.append(
-                f"bundle connection not metric-skew, worst {np.abs(skewb).max():.3e}")
+                f"bundle connection not metric-skew, worst {skewb.max():.3e} "
+                f"at node {_worst_node(skewb, nd)}")
         lo, hi = self.warping.domain
         if np.any(self.pi < lo) or np.any(self.pi > hi):
             problems.append("pi leaves the warping domain I")
         # T = eps * grad(pi): d(pi)(d/dx_k) must equal eps * <T, d/dx_k>.
         gtol = grid.fd_tolerance
         tk = self.coord_T()
-        worst_grad = 0.0
-        for k in range(grid.n):
-            dpi = grad1(self.pi, k, grid.spacing[k])
-            worst_grad = max(worst_grad,
-                             float(np.abs(dpi - spec.epsilon * tk[..., k]).max()))
-        if worst_grad > gtol:
+        dev = np.stack([np.abs(grad1(self.pi, k, grid.spacing[k])
+                               - spec.epsilon * tk[..., k])
+                        for k in range(nd)], axis=-1)
+        if dev.max() > gtol:
             problems.append(
-                f"T is not eps*grad(pi): defect {worst_grad:.3e} > {gtol:.3e}")
+                f"T is not eps*grad(pi): defect {dev.max():.3e} > {gtol:.3e} "
+                f"at node {_worst_node(dev, nd)}")
         if problems and raise_on_error:
             raise InvariantViolation("; ".join(problems))
         return problems
@@ -283,14 +283,20 @@ class GeometricData:
         return doc
 
 
+def _worst_node(arr, n):
+    """The first grid node (row-major order, plain ints) at which the
+    per-node array arr (*extents, ...) takes its largest value."""
+    at = np.unravel_index(int(np.argmax(arr)), arr.shape)[:n]
+    return tuple(int(i) for i in at)
+
+
 def _require_finite(what, arr, n):
     """SchemaError naming the first grid node (row-major order) at which
     the per-node array arr (*extents, ...) holds a NaN or an inf."""
     bad = ~np.isfinite(arr)
     if bad.any():
-        node = np.unravel_index(int(np.argmax(bad)), arr.shape)[:n]
         raise SchemaError(f"{what}: non-finite value at node "
-                          f"{tuple(int(i) for i in node)}")
+                          f"{_worst_node(bad, n)}")
 
 
 def load_data(document: dict, validate=True) -> GeometricData:

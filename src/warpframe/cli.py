@@ -103,14 +103,16 @@ def _build_parser():
     return ap
 
 
-def _load_input(args) -> GeometricData:
+def _load_input(args, validate=True) -> GeometricData:
+    """The dataset of --example or of the input file; validate=False loads
+    a file without its invariant pass (schema checks still run)."""
     if args.example:
         params = json.loads(args.params) if args.params else {}
         _, data = oracle.canonical_example(args.example, params)
         return data
     if not args.input:
         raise SchemaError("either an input file or --example is required")
-    return wio.load_dataset(args.input)
+    return wio.load_dataset(args.input, validate=validate)
 
 
 def _refined_data(data: GeometricData, factor: int) -> GeometricData:
@@ -152,12 +154,7 @@ def _all_residuals(data, tol, force_fd):
 
 
 def _cmd_validate(args):
-    if args.example:
-        data = _load_input(args)
-    else:
-        if not args.input:
-            raise SchemaError("either an input file or --example is required")
-        data = wio.load_dataset(args.input, validate=False)
+    data = _load_input(args, validate=False)
     problems = data.validate(raise_on_error=False)
     if args.report == "json":
         print(json.dumps({"problems": problems}, indent=1))

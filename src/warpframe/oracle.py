@@ -305,7 +305,7 @@ def induce_data(imm: ExplicitImmersion, frame_seed=None,
     eig = np.linalg.eigvalsh(_grid_first(gram, nd))
     negs = (eig < 0).sum(axis=-1)
     if np.any(negs != spec.p):
-        bad = tuple(np.argwhere(negs != spec.p)[0])
+        bad = _node(negs == spec.p)
         raise DegenerateDataError(
             f"induced metric has index {int(negs[bad])} at node {bad}, "
             f"declared p={spec.p}")

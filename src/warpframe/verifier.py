@@ -1,6 +1,6 @@
 """Residuals of the structure equations and their integrability identities.
 
-Three entry points:
+Three entry points, eight report entries in all (A-F, aux4, flatness):
 
 * structure_residuals: the six defining equations (A)-(F) evaluated on
   coordinate/frame inputs at every node. Curvatures come from the stored
@@ -10,16 +10,16 @@ Three entry points:
   not already state, the torsion-free equation dW = -Omega ^ W of the dual
   coframe (item aux4).
 * flatness_residual: d(Upsilon) + Upsilon ^ Upsilon on every coordinate
-  2-plane, plus closed-form checks of three of its pieces (d X, the
-  Omega/X cross terms, and d Omega + Omega^Omega), which localize a
-  failure to one term of the computation: four entries in all.
+  2-plane, the integrability condition of the frame equations.
 
 Each entry is independent evidence, so no identity that restates another
 is computed: sum eps_alpha T_alpha^2 = eps is (A); the derivative of
 T_alpha is (B) on tangent rows, (C) on normal rows and (A) rescaled on
-row 0; delta = sum T_gamma omega_gamma holds by construction of W; and
-X ^ X sees (T, xi) only through <vert, vert>, so its closed form fails
-only where (A) does.
+row 0; delta = sum T_gamma omega_gamma holds by construction of W. Nor are
+closed forms of pieces of the flatness 2-form: d X is the product rule on
+(T_alpha, W), the Omega/X cross terms are (A)-(C) and the torsion-free
+coframe, and d Omega + Omega ^ Omega is Gauss, Codazzi and Ricci, so each
+piece's residual is a combination of the A-F and aux4 residuals.
 
 Which derivatives drive the checks is decided once: a dataset holds the
 analytic derivatives of all six non-pi fields or of none. With them every
@@ -31,21 +31,18 @@ convergence studies measure.
 The kernels work component-major: every per-node tensor is held as
 (*comp, *ext), component axes first and grid axes last, so each
 elementwise operation and each einsum contraction runs its inner loop over
-the grid. Omega, X, Upsilon and W come from the assemble_all memo (one
+the grid. Omega, Upsilon and W come from the assemble_all memo (one
 assembly per dataset, read-only, component-major memory behind grid-major
 views) without a copy. Exterior derivatives are formed plane by plane:
 (d v)(k, l) from the two directional derivatives it needs, so on FD data no
-full list of derivative arrays is held, and d Upsilon = d Omega - d X.
-Each family has a *_fields function returning the per-node residual
-magnitudes and a report function reducing them.
+full list of derivative arrays is held. Each family has a *_fields
+function returning the per-node residual magnitudes and a report function
+reducing them.
 
-The flatness kernel takes each plane's 2-forms on the whole grid, where
-the stencils need neighbours, and then runs its algebra in node blocks:
-slabs of whole rows along the first grid axis, about _BLOCK_NODES nodes
-each, so its (N+2) x (N+2) temporaries stay small. Per plane and block it
-forms three wedge products, Upsilon^Upsilon, Omega^Omega and X^X (six
-matrix products), and gets the cross term Omega^X + X^Omega from
-bilinearity.
+The flatness kernel takes each plane's d Upsilon on the whole grid, where
+the stencils need neighbours, and then adds Upsilon ^ Upsilon in node
+blocks: slabs of whole rows along the first grid axis, about _BLOCK_NODES
+nodes each, so its (N+2) x (N+2) temporaries stay small.
 """
 
 from __future__ import annotations
@@ -383,23 +380,6 @@ def aux_identity_residuals(data: GeometricData, tol: float | None = None,
     return _report(aux_identity_fields(data, force_fd), tol, data, force_fd)
 
 
-def _delta_derivatives(data, analytic, Ta):
-    """dT_alpha(d/dx_k) for every alpha: list over k of (N+2, *ext), from
-    the component-major Ta."""
-    spec, n = data.spec, data.spec.n
-    if not analytic:
-        return _derivatives(Ta, None, data.grid.spacing)
-    dT, dxi = (_field_derivatives(data, name)
-               for name in ("T_comp", "xi_comp"))
-    out = []
-    for k in range(n):
-        dTa = np.zeros(Ta.shape)
-        dTa[1:n + 1] = _pattern(spec.tangent_signs, n) * dT[k]
-        dTa[n + 1:] = _pattern(spec.bundle_signs, n) * dxi[k]
-        out.append(dTa)
-    return out
-
-
 def _coframe_derivatives(data, analytic):
     """d/dx_k of W (the coframe column, coordinate components),
     component-major (N+2, n, *ext) for every k; None on FD data, where
@@ -422,9 +402,6 @@ def _coframe_derivatives(data, analytic):
 # Grid nodes per slab of flatness_fields, about: see _slabs.
 _BLOCK_NODES = 4096
 
-# The entries of flatness_fields and flatness_residual, in report order.
-_FLATNESS_KEYS = ("flatness", "flat_dX", "flat_cross", "flat_dOmega")
-
 
 def _slabs(extents):
     """Grid index tuples of the slabs along the first grid axis, each of
@@ -436,120 +413,41 @@ def _slabs(extents):
 
 
 def flatness_fields(data: GeometricData, force_fd: bool = False) -> dict:
-    """Per-node fields of d Upsilon + Upsilon ^ Upsilon and of three of its
-    pieces, zeroed outside the interior; requires n >= 2.
+    """Per-node field of d Upsilon + Upsilon ^ Upsilon, zeroed outside the
+    interior; requires n >= 2.
 
-    On analytic data the 2-forms d Omega and d X come from the jet
-    assembly; on FD data from finite differences of the memoized Omega and
-    X, one plane and one component at a time. d Upsilon = d Omega - d X.
-
-    Each coordinate plane takes its 2-forms d Omega, d X and d W on the
-    whole grid (the stencils need neighbours); the algebra then runs slab
-    by slab along the first grid axis (see the module docstring), and the
-    slab size changes no bit of the result. flat_cross takes
-    Omega^X + X^Omega = Omega^Omega + X^X - Upsilon^Upsilon from
-    bilinearity, as Upsilon = Omega - X. The right-hand sides are outer
-    products of (N+2)-vectors with T_alpha, minus their ee-transposed
-    partners; W^W, its r2s multiple, coef_reg (delta ^ Xi) and
-    er (delta ^ X) are formed once per plane and slab and shared by the
-    pieces.
+    d Upsilon comes from one _dform call per plane: finite differences of
+    the memoized Upsilon, one component at a time, or on analytic data
+    dOmega/dx_k - dX/dx_k from the jet assembly. Each plane takes d Upsilon
+    on the whole grid (the stencils need neighbours) and adds the wedge
+    slab by slab along the first grid axis (see the module docstring); the
+    slab size changes no bit of the result.
     """
-    spec, grid = data.spec, data.grid
-    n, eps, h = spec.n, spec.epsilon, grid.spacing
-    analytic = _analytic(data, force_fd)
-    forms = _forms(data)
-    Om, X, Up, W = forms["Omega"], forms["X"], forms["Upsilon"], forms["W"]
-    if analytic:
-        dforms = assembled_derivatives(data)
-        dOm, dX = ([_grid_last(p, n) for p in dforms[key]]
-                   for key in ("Omega", "X"))
-    else:
-        dOm = dX = None
-    Ta = _grid_last(data.delta_all(), n)
-    delta_k = _grid_last(data.coord_T(), n)          # <T, d/dx_k>
-    a, a1, a2 = data.warp_values()
-    rat = a1 / a
-    sgn = np.asarray(spec.signs, dtype=float)
-    dTa = _delta_derivatives(data, analytic, Ta)
-    dW = _coframe_derivatives(data, analytic)
-    ee = _pattern(sgn[:, None] * sgn, n)
-    er = eps * rat
-    r2s = _pattern(sgn, n) * (eps * rat * rat)     # eps (a'/a)^2 eps_beta
-    coef_reg = (a * a2 - a1 * a1) / (a * a)
-
-    worst = {key: np.zeros(grid.extents) for key in _FLATNESS_KEYS}
-
-    def minus_ee_transpose(P):
-        """P[a, b] - ee[a, b] P[b, a]."""
-        return P - ee * np.swapaxes(P, 0, 1)
-
-    def track(key, g, x):
-        np.maximum(worst[key][g], np.abs(x, out=x).max(axis=(0, 1)),
-                   out=worst[key][g])
-
+    grid, n = data.grid, data.spec.n
+    Up = _forms(data)["Upsilon"]
+    dUp = None
+    if _analytic(data, force_fd):
+        d = assembled_derivatives(data)
+        dUp = [_grid_last(o, n) - _grid_last(x, n)
+               for o, x in zip(d["Omega"], d["X"])]
+    worst = np.zeros(grid.extents)
     for k, l in _coordinate_pairs(n):
-        dOmkl = _dform(Om, dOm, h, k, l)
-        dXkl = _dform(X, dX, h, k, l)
-        dWkl = _dform(W, dW, h, k, l)
+        res = _dform(Up, dUp, grid.spacing, k, l)
         for g in _slabs(grid.extents):
             s = (Ellipsis,) + g
-            Wk, Wl, T, dk, dl = (W[:, k][s], W[:, l][s], Ta[s],
-                                 delta_k[k][s], delta_k[l][s])
-            Xs = X[s]
-
-            wUU = _wedge(Up[s], Up[s], k, l)
-            res = dOmkl[s] - dXkl[s]
-            res += wUU
-            track("flatness", g, res)
-            wOO = _wedge(Om[s], Om[s], k, l)
-            wXX = _wedge(Xs, Xs, k, l)
-            cross = wOO + wXX                # Omega ^ X + X ^ Omega
-            cross -= wUU
-
-            # shared 2-form ingredients on the (k, l) plane
-            ww = Wk[:, None] * Wl[None] - Wl[:, None] * Wk[None]
-            r2s_ww = r2s[s] * ww
-            # coef_reg (delta ^ Xi)(k, l), Xi = X without its eps a'/a
-            # prefactor (keeps a' = 0 regular): the outer product of
-            # v = delta_k W_l - delta_l W_k with T, minus ee times its
-            # transpose
-            cd = minus_ee_transpose((dk * Wl - dl * Wk)[:, None] * T[None])
-            cd *= coef_reg[g]
-            # er (dT_beta ^ omega_alpha + T_beta domega_alpha)(k, l) indexed
-            # [alpha, beta], minus ee times its transpose-pattern partner
-            P = dTa[k][s][None] * Wl[:, None] - dTa[l][s][None] * Wk[:, None]
-            P += T[None] * dWkl[s][:, None]
-            q = minus_ee_transpose(P)
-            q *= er[g]
-            # er (delta ^ X)(k, l)
-            er_dx = dk * Xs[:, :, l] - dl * Xs[:, :, k]
-            er_dx *= er[g]
-
-            # d Omega + Omega ^ Omega - (-r2s ww + cd)
-            wOO += dOmkl[s]
-            wOO -= cd - r2s_ww
-            track("flat_dOmega", g, wOO)
-            # d X - (cd + q)
-            cd += q
-            res = dXkl[s] - cd
-            track("flat_dX", g, res)
-            # Omega ^ X + X ^ Omega - (-q - er_dx - 2 r2s ww)
-            cross += q
-            cross += er_dx
-            r2s_ww *= 2.0
-            cross += r2s_ww
-            track("flat_cross", g, cross)
-
-    inner = interior_mask(grid.extents)
-    return {key: np.where(inner, worst[key], 0.0) for key in _FLATNESS_KEYS}
+            r = res[s]
+            r += _wedge(Up[s], Up[s], k, l)
+            np.maximum(worst[g], np.abs(r, out=r).max(axis=(0, 1)),
+                       out=worst[g])
+    return {"flatness": np.where(interior_mask(grid.extents), worst, 0.0)}
 
 
 def flatness_residual(data: GeometricData, tol: float | None = None,
                       force_fd: bool = False) -> ResidualReport:
-    """d Upsilon + Upsilon ^ Upsilon on all coordinate 2-planes, plus the
-    closed-form checks of three of its pieces. One-dimensional charts have no
-    coordinate 2-planes; every entry is then reported as zero with a note."""
+    """d Upsilon + Upsilon ^ Upsilon on all coordinate 2-planes, key
+    "flatness". One-dimensional charts have no coordinate 2-planes; the
+    entry is then reported as zero with a note."""
     if data.spec.n < 2:
-        return _report(dict.fromkeys(_FLATNESS_KEYS), tol, data, force_fd,
+        return _report({"flatness": None}, tol, data, force_fd,
                        note="no coordinate 2-planes on a 1-dimensional chart")
     return _report(flatness_fields(data, force_fd), tol, data, force_fd)

@@ -96,6 +96,33 @@ class TestWarping:
         assert abs(a2 - np.cosh(0.37)) < 10 * h
 
 
+    @pytest.mark.parametrize("kind, f", [
+        ("cosh", (np.cosh, np.sinh, np.cosh)),
+        ("cos", (np.cos, lambda u: -np.sin(u), lambda u: -np.cos(u))),
+        ("exp", (np.exp, np.exp, np.exp))])
+    def test_closed_forms_and_jets(self, kind, f):
+        # amplitude * rate^j * f_j(u), and the jet entry points carry the
+        # same values as eval
+        w = WarpingFunction(kind, amplitude=1.7, rate=0.6, shift=-0.3)
+        t = np.linspace(-0.9, 0.9, 7)
+        u = 0.6 * (t + 0.3)
+        for j, got in enumerate(w.eval(t)):
+            np.testing.assert_allclose(got, 1.7 * 0.6 ** j * f[j](u),
+                                       rtol=1e-15, atol=1e-15)
+        tj = jets.Jet(t, [np.ones_like(t)])
+        a, a1, _ = w.eval(t)
+        assert np.array_equal(jets.value(w.value_generic(tj)), a)
+        assert np.array_equal(jets.value(w.deriv1_generic(tj)), a1)
+        np.testing.assert_allclose(w.value_generic(tj).parts[0], a1,
+                                   rtol=1e-15)
+
+    def test_constant_signed_zeros(self):
+        # a' = 0 t keeps the sign of t; a'' is +0 everywhere
+        a, a1, a2 = WarpingFunction("constant").eval(np.array([-0.5, 0.5]))
+        assert np.array_equal(a, [1.0, 1.0])
+        assert np.signbit(a1).tolist() == [True, False]
+        assert not np.signbit(a2).any()
+
 class TestInnerProduct:
     def setup_method(self):
         self.spec = riemannian_spec()

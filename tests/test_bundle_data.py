@@ -107,6 +107,36 @@ class TestValidation:
             trivial_data(omega_tangent=ot).validate()
 
 
+
+def _slice_with(data, name, index, amount):
+    """data (n = 2 slice, 17^2) with amount added to one entry of a field."""
+    fields = {f: getattr(data, f) for f in ("frame", "omega_tangent",
+                                            "omega_bundle", "alpha",
+                                            "T_comp", "xi_comp", "pi")}
+    fields[name] = fields[name].copy()
+    fields[name][index] += amount
+    return GeometricData(data.spec, data.warping, data.grid, **fields)
+
+
+class TestValidateNodes:
+    """Every structural violation names its worst node as plain ints."""
+
+    @pytest.mark.parametrize("name, index, amount, text", [
+        ("alpha", (3, 4, 0, 0, 1), 1e-3, "alpha symmetry violated"),
+        ("omega_tangent", (3, 4, 0, 1, 0), 1e-3,
+         "tangent connection not metric-skew"),
+        ("omega_bundle", (3, 4, 0, 0, 1), 1e-3,
+         "bundle connection not metric-skew"),
+        ("T_comp", (3, 4, 0), 0.1, "T is not eps*grad(pi)")],
+        ids=["alpha", "omega_tangent", "omega_bundle", "T_comp"])
+    def test_violation_names_node(self, slice17, name, index, amount, text):
+        _, data = slice17
+        problems = _slice_with(data, name, index, amount).validate(
+            raise_on_error=False)
+        assert len(problems) == 1
+        assert problems[0].startswith(text)
+        assert problems[0].endswith(" at node (3, 4)")
+
 class TestSerialization:
     def test_bit_exact_round_trip(self, slice17):
         _, data = slice17

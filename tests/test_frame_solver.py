@@ -13,7 +13,8 @@ import expm_reference
 from geometry_reference import s_tensor
 from warpframe import (ChartGrid, ExplicitImmersion, GeometricData,
                        SignatureSpec, WarpingFunction, canonical_example,
-                       example_names, frame_solver, jets, make_example)
+                       example_names, frame_solver, jets, make_example,
+                       oracle)
 from warpframe.errors import (IntegrationBlowup, InvariantViolation,
                               NonConvergence)
 from warpframe.frame_solver import (_ASSEMBLY_FIELDS, _PADE7, _THETA7,
@@ -131,9 +132,28 @@ def _tilted_desitter(refine, warping):
                              grid.refine(refine), map_fn)
 
 
+def _graph_surface(refine, warping):
+    """A surface in eps I x_cosh H^3 (n = m = 2, eps = +1, c = -1) on a
+    graph over the quadric, with the height varying in both directions: a
+    curved normal bundle (omega_bundle != 0) with T != 0, which no oracle
+    family has."""
+    c = -1
+    spec = SignatureSpec.from_counts(2, 2, 1, c, (1, 1), (1, 1))
+    grid = ChartGrid((13, 13), (0.03, 0.03), (-0.18, -0.18), (6, 6))
+    chart = oracle._graph_chart((c, 1, 1, 1), c)
+
+    def map_fn(x):
+        u, v = x
+        return (0.2 + 0.35 * u + 0.25 * v * v,
+                chart([u, v, 0.8 * u * v + 0.3 * u * u]))
+
+    return ExplicitImmersion(spec, WarpingFunction(warping or "cosh"),
+                             grid.refine(refine), map_fn)
+
+
 # One dataset per corner of the signature space: n = 1, 2 and 3, a
-# Lorentzian chart, eps = -1 with and without a vertical tangent part, and
-# a bundle of rank m = 2.
+# Lorentzian chart, eps = -1 with and without a vertical tangent part, a
+# bundle of rank m = 2, and a curved normal bundle in a c = -1 fiber.
 SIGNATURE_CASES = {
     "slice_n2": _oracle_case("slice", n=2),
     "slice_n3": _oracle_case("slice", n=3, grid_extents=[7, 7, 7],
@@ -141,6 +161,7 @@ SIGNATURE_CASES = {
     "lorentz_cylinder": _oracle_case("lorentz_cylinder"),
     "desitter_slice": _oracle_case("desitter_slice"),
     "tilted_desitter": _tilted_desitter,
+    "graph_surface": _graph_surface,
     "great_subsphere": _oracle_case("great_subsphere"),
     "helix": _oracle_case("helix"),
 }
@@ -234,6 +255,12 @@ class TestAssembly:
                                           forms["Omega"][node]
                                           - forms["X"][node])
 
+    # The FD error constant C of the gap bound C h^2. graph_surface's forms
+    # have large third derivatives (|omega_bundle| reaches 2.2): its gap is
+    # 41.8 h^2 at h = 0.015 and falls 3.95x per halving; the other cases
+    # stay below 2.5 h^2.
+    FD_CONSTANT = {"graph_surface": 50.0}
+
     @pytest.mark.parametrize("key", SIGNATURE_CASES)
     def test_analytic_derivatives_match_fd(self, key):
         # Jet assembly against second-order differences of the numeric
@@ -252,7 +279,8 @@ class TestAssembly:
             gaps.append(max(np.abs(e - f).max()
                             for name in exact
                             for e, f in zip(exact[name], fd[name])))
-        assert gaps[1] <= 10.0 * data.grid.max_spacing ** 2
+        assert gaps[1] <= (self.FD_CONSTANT.get(key, 10.0)
+                           * data.grid.max_spacing ** 2)
         assert 3.3 <= gaps[0] / gaps[1] <= 4.7
 
 

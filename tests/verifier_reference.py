@@ -37,23 +37,16 @@ class DerivativeSource:
         return grad1(arr, axis, self.data.grid.spacing[axis])
 
 
-def fd_assembled_derivatives(data):
-    """Finite differences of the memoized assembly along every grid axis:
-    {"Omega": [...], "X": [...], "Upsilon": [...]}, grid-major."""
-    forms = assemble_all(data)
-    return {name: [grad1(forms[name], k, data.grid.spacing[k])
-                   for k in range(data.grid.n)]
-            for name in ("Omega", "X", "Upsilon")}
-
-
-def _assembled_derivatives(data, force_fd):
-    """Jet derivatives of the assembly on analytic data, with dUpsilon =
-    dOmega - dX; finite differences of it otherwise."""
+def _upsilon_derivatives(data, force_fd):
+    """dUpsilon/dx_k for every k, grid-major: dOmega - dX from the jet
+    assembly on analytic data, finite differences of the memoized Upsilon
+    otherwise."""
     if not DerivativeSource(data, force_fd).analytic:
-        return fd_assembled_derivatives(data)
+        Up = assemble_all(data)["Upsilon"]
+        return [grad1(Up, k, data.grid.spacing[k])
+                for k in range(data.grid.n)]
     d = assembled_derivatives(data)
-    d["Upsilon"] = [o - x for o, x in zip(d["Omega"], d["X"])]
-    return d
+    return [o - x for o, x in zip(d["Omega"], d["X"])]
 
 
 def _coordinate_pairs(n):
@@ -211,25 +204,6 @@ def aux_identity_fields(data, force_fd=False):
     return fields
 
 
-def _delta_derivatives(data, force_fd):
-    """dT_alpha(d/dx_k) for every alpha: list over k of (*ext, N+2)."""
-    spec = data.spec
-    n = spec.n
-    ds = DerivativeSource(data, force_fd)
-    out = []
-    if ds.analytic:
-        for k in range(n):
-            dTa = np.zeros(data.grid.extents + (spec.size,))
-            dTa[..., 1:n + 1] = spec.tangent_signs * ds.field("T_comp", k)
-            dTa[..., n + 1:] = spec.bundle_signs * ds.field("xi_comp", k)
-            out.append(dTa)
-    else:
-        Ta = data.delta_all()
-        for k in range(n):
-            out.append(grad1(Ta, k, data.grid.spacing[k]))
-    return out
-
-
 def _coframe_derivatives(data, force_fd):
     """d/dx_k of W (the coframe column, coordinate components):
     list over k of (*ext, N+2, n)."""
@@ -257,79 +231,12 @@ def _coframe_derivatives(data, force_fd):
 
 
 def flatness_fields(data, force_fd=False):
-    spec, grid = data.spec, data.grid
-    n = spec.n
-    keys = ("flatness", "flat_dX", "flat_cross", "flat_dOmega")
-
-    forms = assemble_all(data)
-    dforms = _assembled_derivatives(data, force_fd)
-    Om, X, Up, W = forms["Omega"], forms["X"], forms["Upsilon"], forms["W"]
-    dOm, dX, dUp = dforms["Omega"], dforms["X"], dforms["Upsilon"]
-    Ta = data.delta_all()
-    a, a1, a2 = data.warp_values()
-    rat = a1 / a
-    eps = spec.epsilon
-    sgn = np.asarray(spec.signs, dtype=float)
-    delta_k = data.coord_T()
-    dTa = _delta_derivatives(data, force_fd)
-    dW = _coframe_derivatives(data, force_fd)
-
-    # Xi = X without its eps a'/a prefactor (keeps a' = 0 regular).
-    ee = sgn[:, None] * sgn[None, :]
-    Xi = (Ta[..., None, :, None] * W[..., :, None, :]
-          - ee[..., None] * Ta[..., :, None, None] * W[..., None, :, :])
-
-    def wedge_mm(A, B, k, l):
-        return A[..., k] @ B[..., l] - A[..., l] @ B[..., k]
-
-    worst = {key: np.zeros(grid.extents) for key in keys}
+    grid, n = data.grid, data.spec.n
+    Up = assemble_all(data)["Upsilon"]
+    dUp = _upsilon_derivatives(data, force_fd)
+    worst = np.zeros(grid.extents)
     for k, l in _coordinate_pairs(n):
-        dUpkl = dUp[k][..., l] - dUp[l][..., k]
-        flat = dUpkl + wedge_mm(Up, Up, k, l)
-        worst["flatness"] = np.maximum(worst["flatness"],
-                                       np.abs(flat).max(axis=(-1, -2)))
-
-        # shared 2-form ingredients on the (k, l) plane
-        dXkl = dX[k][..., l] - dX[l][..., k]
-        dOmkl = dOm[k][..., l] - dOm[l][..., k]
-        dxi_wedge = (delta_k[..., k, None, None] * Xi[..., l]
-                     - delta_k[..., l, None, None] * Xi[..., k])
-        dx_wedge = (delta_k[..., k, None, None] * X[..., l]
-                    - delta_k[..., l, None, None] * X[..., k])
-        ww = (W[..., :, None, k] * W[..., None, :, l]
-              - W[..., :, None, l] * W[..., None, :, k])
-        # (dT_beta ^ omega_alpha)(k, l) indexed [alpha, beta], and its
-        # transpose-pattern partner (dT_alpha ^ omega_beta)(k, l)
-        dT_w = (dTa[k][..., None, :] * W[..., :, None, l]
-                - dTa[l][..., None, :] * W[..., :, None, k])
-        dT_w2 = (dTa[k][..., :, None] * W[..., None, :, l]
-                 - dTa[l][..., :, None] * W[..., None, :, k])
-        # T_beta domega_alpha - ee T_alpha domega_beta on (k, l)
-        dW_kl = dW[k][..., l] - dW[l][..., k]
-        T_dw = Ta[..., None, :] * dW_kl[..., :, None]
-        T_dw2 = Ta[..., :, None] * dW_kl[..., None, :]
-
-        coef_reg = (a * a2 - a1 * a1) / (a * a)
-        rhs1 = (coef_reg[..., None, None] * dxi_wedge
-                + (eps * rat)[..., None, None] * (dT_w - ee * dT_w2)
-                + (eps * rat)[..., None, None] * (T_dw - ee * T_dw2))
-        lhs1 = dXkl
-        worst["flat_dX"] = np.maximum(worst["flat_dX"],
-                                      np.abs(lhs1 - rhs1).max(axis=(-1, -2)))
-
-        lhs3 = wedge_mm(Om, X, k, l) + wedge_mm(X, Om, k, l)
-        rhs3 = (-(eps * rat)[..., None, None] * (T_dw - ee * T_dw2)
-                - (eps * rat)[..., None, None] * (dT_w - ee * dT_w2)
-                - (eps * rat)[..., None, None] * dx_wedge
-                - 2.0 * (rat * rat)[..., None, None] * eps * sgn[None, :] * ww)
-        worst["flat_cross"] = np.maximum(
-            worst["flat_cross"], np.abs(lhs3 - rhs3).max(axis=(-1, -2)))
-
-        lhs4 = dOmkl + wedge_mm(Om, Om, k, l)
-        rhs4 = (-(rat * rat)[..., None, None] * eps * sgn[None, :] * ww
-                + coef_reg[..., None, None] * dxi_wedge)
-        worst["flat_dOmega"] = np.maximum(
-            worst["flat_dOmega"], np.abs(lhs4 - rhs4).max(axis=(-1, -2)))
-
-    inner = interior_mask(grid.extents)
-    return {key: np.where(inner, worst[key], 0.0) for key in keys}
+        flat = (dUp[k][..., l] - dUp[l][..., k]
+                + Up[..., k] @ Up[..., l] - Up[..., l] @ Up[..., k])
+        worst = np.maximum(worst, np.abs(flat).max(axis=(-1, -2)))
+    return {"flatness": np.where(interior_mask(grid.extents), worst, 0.0)}
