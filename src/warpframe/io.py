@@ -16,10 +16,14 @@ rest, and the arrays are spliced in at their placeholders (empty and
 non-finite arrays go to json as lists). A document string that reproduces
 the placeholder is a ValueError, and nothing is written. The cost floor of
 an array is ``float.__repr__`` (about a microsecond per value), so each
-distinct bit pattern is formatted once (``-0.0`` and ``0.0`` stay apart)
-and the texts are gathered by index: a grid field repeats most of its
-values. They go out in pieces of ``_PIECE`` values, so no array-sized
-string is built.
+array gets one text table: a grid field repeats most of its values, and the
+skew connection forms and symmetric grids hold most of them with both
+signs. Each distinct magnitude is formatted once; a negative value reuses
+the text of its positive behind a "-" (never a NaN, whose ``repr`` drops
+the sign), and ``-0.0`` and ``0.0`` stay apart. The texts are gathered by
+index one piece of ``_PIECE`` values at a time, so neither an array-sized
+string nor an array-sized list of texts is built. The immersion CSV writer
+formats its floats through the same table.
 """
 
 from __future__ import annotations
@@ -52,13 +56,42 @@ def _read_doc(path, kind):
     return doc
 
 
+_MAGNITUDE = np.int64(0x7FFFFFFFFFFFFFFF)  # every bit but the sign
+_INF = np.int64(0x7FF0000000000000)  # the bit pattern of inf; above it, NaNs
+
+
+def _text_table(a):
+    """``(texts, inverse)`` of a float64 array: the ``float.__repr__`` of
+    each distinct bit pattern, and the index into `texts` of each value of
+    the flattened array.
+
+    The patterns sort as int64, so the negative ones come first in
+    ascending magnitude. A negative whose magnitude also occurs as a
+    positive reuses its text behind a "-" (``repr(-x) == "-" + repr(x)``),
+    except a NaN, whose ``repr`` drops the sign; only the rest are
+    formatted."""
+    bits, inverse = np.unique(a.view(np.int64).ravel(), return_inverse=True)
+    k = int(np.searchsorted(bits, 0))
+    pos = bits[k:]
+    floats = bits.view(np.float64)
+    texts = np.empty(bits.size, dtype=object)
+    texts[k:] = list(map(float.__repr__, floats[k:].tolist()))
+    mag = bits[:k] & _MAGNITUDE
+    at = np.searchsorted(pos, mag)
+    shared = at < pos.size
+    shared[shared] = pos[at[shared]] == mag[shared]
+    shared &= mag <= _INF
+    own = np.flatnonzero(~shared)
+    texts[own] = list(map(float.__repr__, floats[own].tolist()))
+    texts[:k][shared] = ["-" + s for s in texts[k + at[shared]].tolist()]
+    return texts, inverse
+
+
 def _float_texts(values):
     """``float.__repr__`` of every value of a float array, as an object array
-    of its shape; each distinct bit pattern is formatted once."""
+    of its shape (see `_text_table`)."""
     a = np.asarray(values, dtype=np.float64)
-    bits, inverse = np.unique(a.view(np.int64), return_inverse=True)
-    texts = np.array(list(map(float.__repr__, bits.view(np.float64).tolist())),
-                     dtype=object)
+    texts, inverse = _text_table(a)
     return texts[inverse].reshape(a.shape)
 
 
@@ -71,12 +104,12 @@ def _json_floats(a, level):
     writes ``a.tolist()``, in pieces."""
     inner = "\n" + " " * (level + 1)
     sep = "," + inner
-    texts = _float_texts(a)
+    texts, inverse = _text_table(a)
     yield "[" + inner
     for start in range(0, a.size, _PIECE):
         if start:
             yield sep
-        yield sep.join(texts[start:start + _PIECE].tolist())
+        yield sep.join(texts[inverse[start:start + _PIECE]].tolist())
     yield "\n" + " " * level + "]"
 
 

@@ -295,20 +295,10 @@ def induce_data(imm: ExplicitImmersion, frame_seed=None,
             raise DegenerateDataError(
                 "frame seed must be an invertible n x n matrix")
         V = jets.einsum("kl,l...->k...", Mseed, V)
+    # The induced metric needs no separate inertia check: _stage1 raises
+    # unless every tangent slot's squared norm has its declared sign, and
+    # validate_signature ties those signs to p (Sylvester's law).
     s1, s2 = _stages(spec, warping, grid, P, V)
-
-    # Nondegeneracy: induced metric inertia must match (p, n - p).
-    Vv, a = value(V), value(s1["a"])
-    gram = spec.epsilon * (Vv[:, None, 0] * Vv[None, :, 0]) + (a * a) * (
-        np.einsum("g,kg...,lg...->kl...", spec.fiber_signs,
-                  Vv[:, 1:], Vv[:, 1:]))
-    eig = np.linalg.eigvalsh(_grid_first(gram, nd))
-    negs = (eig < 0).sum(axis=-1)
-    if np.any(negs != spec.p):
-        bad = _node(negs == spec.p)
-        raise DegenerateDataError(
-            f"induced metric has index {int(negs[bad])} at node {bad}, "
-            f"declared p={spec.p}")
 
     F = s1["F"]
     if Mseed is not None:

@@ -14,7 +14,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from json_reference import float64_list
 
@@ -63,10 +63,14 @@ EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308,
                -1.7976931348623157e308, 1e16, 9999999999999998.0, 1e-7,
                1e-4, 0.0001234, 0.1, 1 / 3, -2.5, 123456789.0]
 
+
+def from_bits(bits):
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
 # Floats with any bit pattern, and the ones json spells NaN and Infinity.
 FINITE = st.sampled_from(EDGE_FLOATS) | st.integers(0, 2 ** 64 - 1).map(
-    lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0]).filter(
-    math.isfinite)
+    from_bits).filter(math.isfinite)
 NON_FINITE = st.sampled_from([math.nan, -math.nan, math.inf, -math.inf])
 # 1-D float64 arrays: mostly finite and non-empty (spliced in by the
 # writer), sometimes empty or non-finite (left to json as lists).
@@ -225,6 +229,42 @@ class TestJsonWriter:
         assert not path.parent.exists()
 
 
+# NaNs of either sign, with and without a payload: repr drops both.
+SIGNED_NANS = [math.nan, -math.nan, from_bits(0x7FF0000000000001),
+               from_bits(0xFFF0000000000001)]
+SIGNED_EDGES = [0.0, 5e-324, 1.7976931348623157e308, math.inf] + SIGNED_NANS
+
+
+class TestFloatTexts:
+    """The text table formats each magnitude once and gives a negative the
+    text of its positive behind a "-"; every text must still be repr's."""
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(values=st.lists(FINITE | NON_FINITE | st.sampled_from(SIGNED_EDGES),
+                           min_size=1), wide=st.booleans())
+    @example(values=SIGNED_EDGES, wide=False)
+    def test_signed_pairs_match_repr(self, values, wide):
+        values = values + [-v for v in values]
+        a = np.array(values, dtype=np.float64)
+        if wide:
+            a = a.reshape(2, -1)
+        texts = wio._float_texts(a)
+        assert texts.shape == a.shape
+        assert texts.ravel().tolist() == list(map(float.__repr__, values))
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_pairs_across_a_piece_boundary(self, offset, tmp_path):
+        """A value and its negative on either side of a piece boundary, in
+        both orders, and a magnitude whose negative lies pieces away."""
+        rng = np.random.default_rng(7)
+        a = rng.standard_normal(2 * wio._PIECE + 3).round(4)
+        at = wio._PIECE + offset
+        a[at - 1], a[at] = 0.3125, -0.3125
+        a[at + 1], a[at + 2] = -1e-300, 1e-300
+        a[0], a[-1] = 123.456, -123.456
+        assert written({"x": a}, tmp_path) == stdlib_json({"x": a.tolist()})
+
+
 class TestImmersionCsv:
     @pytest.mark.parametrize("extents", [(5,), (3, 4), (3, 4, 5)])
     def test_grids(self, extents, helix65, tmp_path):
@@ -244,6 +284,21 @@ class TestImmersionCsv:
         wio.write_immersion_csv(imm, fast)
         stdlib_write_immersion_csv(imm, ref)
         assert fast.read_bytes() == ref.read_bytes()
+
+    def test_nan_next_to_negative_nan(self, helix65, tmp_path):
+        """csv.writer prints repr, and repr spells NaN of either sign
+        "nan": a negative NaN never borrows a text with a "-"."""
+        _, data = helix65
+        grid = ChartGrid((4,), (0.1,), (0.0,), (0,))
+        spatial = np.array(SIGNED_NANS + [1.5, -1.5, -math.nan, math.nan]
+                           + [-0.0, 0.0, math.inf, -math.inf]).reshape(4, 3)
+        t = np.array([-math.nan, math.nan, -2.0, 2.0])
+        imm = ImmersionField(data.spec, data.warping, grid, spatial, t)
+        fast, ref = tmp_path / "fast.csv", tmp_path / "ref.csv"
+        wio.write_immersion_csv(imm, fast)
+        stdlib_write_immersion_csv(imm, ref)
+        assert fast.read_bytes() == ref.read_bytes()
+        assert b"-nan" not in fast.read_bytes()
 
 
 class TestMalformedInput:
