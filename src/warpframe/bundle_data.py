@@ -211,6 +211,14 @@ class GeometricData:
                 "...ki,i,...i->...k", self.inv_frame, eps, self.T_comp)
         return self._cache["tk"]
 
+    def release_forms(self):
+        """Free the memoized Omega, X and W of frame_solver.assemble_all;
+        Upsilon, the one form frame integration reads, stays. A later
+        assemble_all that asks for a freed form assembles all four again."""
+        forms = self._cache.get("assembly")
+        if forms is not None:
+            self._cache["assembly"] = {"Upsilon": forms["Upsilon"]}
+
     # -- validation -----------------------------------------------------------
 
     def validate(self, raise_on_error=True):

@@ -211,6 +211,7 @@ def _cmd_reconstruct(args):
         if outdir is not None:
             wio.save_report(pre, Path(outdir) / "residuals.json")
         return EXIT_FAIL
+    data.release_forms()
     imm, rep, diag = _reconstruct_once(data, args, outdir, suffix="")
     meta = {"diagnostics": diag}
     if args.h_refine > 1:
@@ -248,6 +249,7 @@ def _cmd_roundtrip(args):
             print("induced data failed verification: "
                   + ", ".join(rep.failing()))
             return EXIT_FAIL
+        data.release_forms()
         # One exact frame field gives both B0 and the reference frames.
         Bx = oracle.exact_frame_field(imm)
         ff = integrate_frame(data, Bx[imm.grid.base_node])

@@ -13,8 +13,9 @@ jets of arrays for their exact coordinate derivatives. It works
 component-major (component axes first, grid axes last), so every broadcast
 runs its inner loop over the grid. assemble_all runs it once per dataset:
 the result is kept in GeometricData._cache (the data never changes after
-load), every array is read-only, and each call returns the same arrays as
-grid-major views (*ext, M, M, n) of that component-major memory. The
+load) until GeometricData.release_forms frees all but Upsilon, every
+array is read-only, and each call returns the same arrays as grid-major
+views (*ext, M, M, n) of that component-major memory. The
 verifier moves the axes back and reads the component-major blocks without
 a copy.
 
@@ -52,6 +53,7 @@ from .stencils import grad1
 
 _ASSEMBLY_FIELDS = ("inv_frame", "T_comp", "xi_comp", "alpha",
                     "omega_tangent", "omega_bundle")
+_FORMS = ("Omega", "X", "Upsilon", "W")
 
 
 def _grid_last(x, nd):
@@ -119,14 +121,19 @@ def _assemble(spec, C, T, xi, alpha, omega_t, omega_b, a, a1):
     return Om, X, W
 
 
-def assemble_all(data: GeometricData) -> dict:
-    """Omega, X, Upsilon (*ext, M, M, n) and W (*ext, M, n) at every node.
+def assemble_all(data: GeometricData, *names) -> dict:
+    """The forms `names` among Omega, X, Upsilon (*ext, M, M, n) and W
+    (*ext, M, n) at every node; all four if no name is given.
 
     Assembled on the first call for a dataset and kept in data._cache;
-    every later call returns the same read-only arrays. They are grid-major
-    views of component-major memory (_grid_last of one is a view again).
+    every later call returns the same read-only arrays, until
+    GeometricData.release_forms frees some: asking for a freed form
+    assembles all four again. They are grid-major views of component-major
+    memory (_grid_last of one is a view again).
     """
-    if "assembly" not in data._cache:
+    names = names or _FORMS
+    memo = data._cache.get("assembly", {})
+    if not all(k in memo for k in names):
         nd = data.grid.n
         a, a1, _ = data.warp_values()
         Om, X, W = _assemble(data.spec, *(
@@ -135,9 +142,9 @@ def assemble_all(data: GeometricData) -> dict:
         forms = {"Omega": Om, "X": X, "Upsilon": Om - X, "W": W}
         for v in forms.values():
             v.setflags(write=False)
-        data._cache["assembly"] = {k: _grid_first(v, nd)
-                                   for k, v in forms.items()}
-    return dict(data._cache["assembly"])
+        memo = {k: _grid_first(v, nd) for k, v in forms.items()}
+        data._cache["assembly"] = memo
+    return {k: memo[k] for k in names}
 
 
 def inv_frame_derivatives(data: GeometricData) -> list:
@@ -503,7 +510,8 @@ def integrate_frame(data: GeometricData, B0: np.ndarray,
             f"B0 violates its invariants: group defect {gd:.3e}, "
             f"row defect {rd:.3e} (tolerance {_B0_TOL:.1e})")
 
-    Ups = upsilon if upsilon is not None else assemble_all(data)["Upsilon"]
+    Ups = (upsilon if upsilon is not None
+           else assemble_all(data, "Upsilon")["Upsilon"])
     B = np.full(tuple(grid.extents) + (M, M), np.nan)
     B[node0] = B0
     worst_pre = 0.0
@@ -592,7 +600,8 @@ def path_independence_defect(data: GeometricData, B0: np.ndarray,
     """Max-entry difference between the frames transported along the two
     extremal monotone lattice paths (axis order 0..n-1 versus reversed)
     from the base node B0 to the far corner."""
-    Ups = upsilon if upsilon is not None else assemble_all(data)["Upsilon"]
+    Ups = (upsilon if upsilon is not None
+           else assemble_all(data, "Upsilon")["Upsilon"])
     n = data.spec.n
     Ba = _integrate_path(data, Ups, B0, list(range(n)))
     Bb = _integrate_path(data, Ups, B0, list(reversed(range(n))))

@@ -6,6 +6,12 @@ decimals, so write -> parse is bit-exact; every writer here has a matching
 parser. The readers of reports, frames and immersion tables raise
 SchemaError naming the file on malformed input.
 
+The JSON reader parses with orjson and returns what ``json.load`` returns.
+A file orjson refuses (NaN and Infinity literals, which json writes for
+non-finite floats, a byte order mark, malformed text), and a document in
+which it may have read an integer beyond 64 bits as a float, is parsed
+again by json, so its outcome and its error message are json's.
+
 The writers produce exactly the bytes of ``json.dump(doc, fh, indent=1)``
 plus a newline, and of ``csv.writer`` rows, faster. Stdlib json lays out
 every document; warpframe formats only its float arrays. A 1-D float64
@@ -14,34 +20,66 @@ ndarray is a TypeError, as in json. Each finite, non-empty one becomes a
 placeholder string with a per-call random nonce, ``json.dumps`` writes the
 rest, and the arrays are spliced in at their placeholders (empty and
 non-finite arrays go to json as lists). A document string that reproduces
-the placeholder is a ValueError, and nothing is written. The cost floor of
-an array is ``float.__repr__`` (about a microsecond per value), so each
-array gets one text table: a grid field repeats most of its values, and the
-skew connection forms and symmetric grids hold most of them with both
-signs. Each distinct magnitude is formatted once; a negative value reuses
-the text of its positive behind a "-" (never a NaN, whose ``repr`` drops
-the sign), and ``-0.0`` and ``0.0`` stay apart. The texts are gathered by
-index one piece of ``_PIECE`` values at a time, so neither an array-sized
-string nor an array-sized list of texts is built. The immersion CSV writer
-formats its floats through the same table.
+the placeholder is a ValueError, and nothing is written.
+
+The arrays are formatted by orjson, one piece of ``_PIECE`` values per
+call, so no array-sized text is built. orjson prints the shortest
+round-trip digits, as ``float.__repr__`` does, in about 40 ns a value
+against repr's microsecond, so every value is formatted: sorting out the
+distinct values first, or the signs, would cost more than it saves. Only
+the spelling differs, and only here. From 1e-9 to 1e-5 and from 1e16 up
+orjson writes the exponent without repr's zero padding or sign (``1.5e-7``,
+``1e16``), which a table rewrites (``e-07``, ``e+16``); from 1e-5 to 1e-4
+it writes the digits positionally, and a non-finite value as ``null``, so
+those values go through ``float.__repr__``. The immersion CSV writer takes
+its texts from the same kernel.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 import secrets
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from .bundle_data import GeometricData, load_data
 from .errors import SchemaError
 from .immersion import ImmersionField
 from .verifier import ResidualReport
 
+# orjson reads an integer literal beyond 64 bits as a float, where json
+# keeps the int; a float of this magnitude may be one.
+_WIDE = 2.0 ** 63
+
+
+def _wide(o):
+    """Whether the parsed document `o` holds a number of magnitude at least
+    2**63. ``math.hypot`` of a list of numbers is at least its largest
+    magnitude, in one pass at C speed."""
+    if isinstance(o, dict):
+        return any(map(_wide, o.values()))
+    if isinstance(o, list):
+        try:
+            return math.hypot(*o) >= _WIDE
+        except TypeError:  # not all numbers
+            return any(map(_wide, o))
+    return isinstance(o, (int, float)) and abs(o) >= _WIDE
+
 
 def _read_json(path):
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        doc = orjson.loads(raw)
+    except orjson.JSONDecodeError:
+        pass
+    else:
+        if not _wide(doc):
+            return doc
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
@@ -56,61 +94,59 @@ def _read_doc(path, kind):
     return doc
 
 
-_MAGNITUDE = np.int64(0x7FFFFFFFFFFFFFFF)  # every bit but the sign
-_INF = np.int64(0x7FF0000000000000)  # the bit pattern of inf; above it, NaNs
+# orjson's exponent -> repr's, where they differ: 1e-9 <= |x| < 1e-5 and
+# 1e16 <= |x| < inf (below 1e-9 both write it alike).
+_EXPONENTS = {b"-%d" % k: b"e-%02d" % k for k in range(6, 10)}
+_EXPONENTS.update({b"%d" % k: b"e+%d" % k for k in range(16, 309)})
 
 
-def _text_table(a):
-    """``(texts, inverse)`` of a float64 array: the ``float.__repr__`` of
-    each distinct bit pattern, and the index into `texts` of each value of
-    the flattened array.
-
-    The patterns sort as int64, so the negative ones come first in
-    ascending magnitude. A negative whose magnitude also occurs as a
-    positive reuses its text behind a "-" (``repr(-x) == "-" + repr(x)``),
-    except a NaN, whose ``repr`` drops the sign; only the rest are
-    formatted."""
-    bits, inverse = np.unique(a.view(np.int64).ravel(), return_inverse=True)
-    k = int(np.searchsorted(bits, 0))
-    pos = bits[k:]
-    floats = bits.view(np.float64)
-    texts = np.empty(bits.size, dtype=object)
-    texts[k:] = list(map(float.__repr__, floats[k:].tolist()))
-    mag = bits[:k] & _MAGNITUDE
-    at = np.searchsorted(pos, mag)
-    shared = at < pos.size
-    shared[shared] = pos[at[shared]] == mag[shared]
-    shared &= mag <= _INF
-    own = np.flatnonzero(~shared)
-    texts[own] = list(map(float.__repr__, floats[own].tolist()))
-    texts[:k][shared] = ["-" + s for s in texts[k + at[shared]].tolist()]
-    return texts, inverse
+def _float_reprs(f, sep):
+    """``sep.join`` of the ``float.__repr__`` texts of the values of a 1-D
+    float64 array, as bytes. orjson formats them all; the few it spells
+    differently are rewritten (see the module docstring)."""
+    f = np.ascontiguousarray(f)
+    text = orjson.dumps(f, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1]
+    mag = np.abs(f)
+    finite = np.isfinite(f)
+    exponent = np.flatnonzero(((mag >= 1e-9) & (mag < 1e-5))
+                              | ((mag >= 1e16) & finite))
+    spelled = np.flatnonzero(((mag >= 1e-5) & (mag < 1e-4)) | ~finite)
+    if not (exponent.size or spelled.size):
+        return text.replace(b",", sep)
+    texts = text.split(b",")
+    for i in exponent.tolist():
+        digits, _, e = texts[i].partition(b"e")
+        texts[i] = digits + _EXPONENTS[e]
+    for i, x in zip(spelled.tolist(), f[spelled].tolist()):
+        texts[i] = float.__repr__(x).encode()
+    return sep.join(texts)
 
 
 def _float_texts(values):
     """``float.__repr__`` of every value of a float array, as an object array
-    of its shape (see `_text_table`)."""
+    of its shape."""
     a = np.asarray(values, dtype=np.float64)
-    texts, inverse = _text_table(a)
-    return texts[inverse].reshape(a.shape)
+    texts = np.empty(a.size, dtype=object)
+    if a.size:
+        texts[:] = _float_reprs(a.ravel(), b",").decode().split(",")
+    return texts.reshape(a.shape)
 
 
-# Values per piece that _json_floats joins into one string.
+# Values per piece that _json_floats formats in one call.
 _PIECE = 32768
 
 
 def _json_floats(a, level):
     """A finite, non-empty 1-D float64 array at nesting depth `level` as json
-    writes ``a.tolist()``, in pieces."""
-    inner = "\n" + " " * (level + 1)
-    sep = "," + inner
-    texts, inverse = _text_table(a)
-    yield "[" + inner
+    writes ``a.tolist()``, in pieces of UTF-8."""
+    inner = b"\n" + b" " * (level + 1)
+    sep = b"," + inner
+    yield b"[" + inner
     for start in range(0, a.size, _PIECE):
         if start:
             yield sep
-        yield sep.join(texts[inverse[start:start + _PIECE]].tolist())
-    yield "\n" + " " * level + "]"
+        yield _float_reprs(a[start:start + _PIECE], sep)
+    yield b"\n" + b" " * level + b"]"
 
 
 def _skeleton(o, placeholder, arrays):
@@ -129,8 +165,9 @@ def _skeleton(o, placeholder, arrays):
 
 
 def _json_chunks(doc):
-    """The text of ``json.dump(doc, fh, indent=1)``, in pieces. Raises
-    before returning the pieces if the document cannot be written."""
+    """The text of ``json.dump(doc, fh, indent=1)`` as UTF-8, in pieces.
+    Raises before returning the pieces if the document cannot be
+    written."""
     placeholder = "warpframe-array-" + secrets.token_hex(8)
     arrays = []
     text = json.dumps(_skeleton(doc, placeholder, arrays), indent=1)
@@ -141,20 +178,20 @@ def _json_chunks(doc):
 
 
 def _spliced(parts, arrays):
-    yield parts[0]
+    yield parts[0].encode()
     for before, a, after in zip(parts, arrays, parts[1:]):
         line = before[before.rfind("\n") + 1:]
         yield from _json_floats(a, len(line) - len(line.lstrip(" ")))
-        yield after
+        yield after.encode()
 
 
 def _write_json(doc, path):
     chunks = _json_chunks(doc)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "wb") as fh:
         fh.writelines(chunks)
-        fh.write("\n")
+        fh.write(b"\n")
 
 
 def load_dataset(path, validate=True) -> GeometricData:

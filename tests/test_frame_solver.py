@@ -1,5 +1,6 @@
 import functools
 import itertools
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -331,6 +332,25 @@ class TestAssemblyMemo:
                 assert memo[name].shape == ref[name].shape, (key, name)
                 assert memo[name].tobytes() == ref[name].tobytes(), (key,
                                                                     name)
+
+    def test_release_frees_all_but_the_kept_forms(self):
+        _, data = canonical_example("slice", {"n": 2})
+        first = assemble_all(data)
+        omega = weakref.ref(first.pop("Omega"))
+        data.release_forms()
+        assert omega() is None
+        # Integration asks for Upsilon alone and gets the memoized array.
+        assert assemble_all(data, "Upsilon")["Upsilon"] is first["Upsilon"]
+        again = assemble_all(data)
+        assert again["X"] is not first["X"]
+        for name in first:
+            assert again[name].tobytes() == first[name].tobytes(), name
+        B0 = build_base_frame(data)
+        data.release_forms()
+        after = integrate_frame(data, B0)
+        assert data._cache["assembly"].keys() == {"Upsilon"}
+        assert after.B.tobytes() == integrate_frame(
+            data, B0, upsilon=fresh_assembly(data)["Upsilon"]).B.tobytes()
 
     def test_integrate_frame_matches_fresh_upsilon(self):
         for key, data in memo_cases():

@@ -1,8 +1,8 @@
 """The writers of warpframe.io against the standard library, byte for byte.
 
 The references are the writers the module used before it formatted floats
-once per distinct value: ``json.dump(doc, fh, indent=1)`` plus a newline,
-and one ``csv.writer`` row per node. Every file must come out identical.
+itself: ``json.dump(doc, fh, indent=1)`` plus a newline, and one
+``csv.writer`` row per node. Every file must come out identical.
 """
 
 import csv
@@ -193,7 +193,7 @@ class TestJsonWriter:
                      rng.standard_normal(size).round(3))
         assert written({"x": a}, tmp_path) == stdlib_json({"x": a.tolist()})
         pieces = list(wio._json_chunks(a))
-        assert max(piece.count(",") for piece in pieces) < wio._PIECE
+        assert max(piece.count(b",") for piece in pieces) < wio._PIECE
 
     @settings(max_examples=200, deadline=None, database=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -235,9 +235,46 @@ SIGNED_NANS = [math.nan, -math.nan, from_bits(0x7FF0000000000001),
 SIGNED_EDGES = [0.0, 5e-324, 1.7976931348623157e308, math.inf] + SIGNED_NANS
 
 
+def boundary_floats():
+    """Every power of ten from 1e-324 to 1e308 with its neighbours 1 to 4
+    ulps away (1e-9, 1e-5, 1e-4 and 1e16 among them: orjson's spelling
+    changes there), subnormals, NaNs with payloads and inf, of both signs.
+    """
+    powers = np.array([float(f"1e{k}") for k in range(-324, 309)])
+    values = [powers]
+    up = down = powers
+    for _ in range(4):
+        up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+        values += [up, down]
+    specials = [from_bits(b) for b in (
+        1, 2, 0x000FFFFFFFFFFFFF, 0x0008000000000000, 0x0010000000000000,
+        0x7FF0000000000000, 0x7FF0000000000001, 0x7FF8000000000000,
+        0x7FF8000000000001, 0x7FFFFFFFFFFFFFFF)]
+    a = np.concatenate(values + [np.array(specials)])
+    return np.concatenate([a, -a])
+
+
 class TestFloatTexts:
-    """The text table formats each magnitude once and gives a negative the
-    text of its positive behind a "-"; every text must still be repr's."""
+    """orjson formats the floats; every text must be repr's, where orjson
+    spells a value differently too."""
+
+    def test_boundary_sweep(self, tmp_path):
+        a = boundary_floats()
+        assert (wio._float_texts(a).tolist()
+                == list(map(float.__repr__, a.tolist())))
+        finite = a[np.isfinite(a)]
+        assert (written({"x": finite}, tmp_path)
+                == stdlib_json({"x": finite.tolist()}))
+
+    # Uniform bit patterns (FINITE) seldom land in the ranges where
+    # orjson's spelling differs from repr's.
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(values=st.lists(
+        st.floats(1e-10, 1e-3) | st.floats(1e15, 1e18)
+        | st.floats(-1e-3, -1e-10) | st.floats(-1e18, -1e15), min_size=1))
+    def test_respelled_ranges_match_repr(self, values):
+        texts = wio._float_texts(np.array(values, dtype=np.float64))
+        assert texts.tolist() == list(map(float.__repr__, values))
 
     @settings(max_examples=200, deadline=None, database=None)
     @given(values=st.lists(FINITE | NON_FINITE | st.sampled_from(SIGNED_EDGES),
@@ -299,6 +336,73 @@ class TestImmersionCsv:
         stdlib_write_immersion_csv(imm, ref)
         assert fast.read_bytes() == ref.read_bytes()
         assert b"-nan" not in fast.read_bytes()
+
+
+class TestReader:
+    """_read_json returns what json.load returns: through orjson, or
+    through json itself for what orjson refuses or may read otherwise."""
+
+    @pytest.fixture
+    def json_loads(self, monkeypatch):
+        """The number of documents json itself parsed."""
+        calls = []
+        load = json.load
+
+        def counted(fh):
+            calls.append(fh.name)
+            return load(fh)
+        monkeypatch.setattr(json, "load", counted)
+        return calls
+
+    @pytest.mark.parametrize("name", example_names())
+    def test_fixtures(self, name, tmp_path, json_loads):
+        _, data = canonical_example(name, {})
+        path = tmp_path / f"{name}.json"
+        wio.save_dataset(data, path)
+        with open(path, encoding="utf-8") as fh:
+            want = json.loads(fh.read())
+        assert wio._read_json(path) == want
+        assert json_loads == []
+
+    @pytest.mark.parametrize("text", [
+        '{"a": [1.5, NaN, -0.0]}',
+        '[Infinity, -Infinity, 2]',
+        '{"n": 18446744073709551617}',
+        '[0.5, -18446744073709551617, 0.25]',
+        '[[1.0, 36893488147419103232]]',
+        '18446744073709551616',
+        '{"k": 9223372036854775808}',
+    ])
+    def test_json_reads_what_orjson_cannot(self, text, tmp_path, json_loads):
+        path = tmp_path / "doc.json"
+        path.write_text(text, encoding="utf-8")
+        got = wio._read_json(path)
+        want = json.loads(text)
+        assert json.dumps(got) == json.dumps(want)
+        assert repr(got) == repr(want)  # the types too: an int stays an int
+        assert json_loads == [str(path)]
+
+    @pytest.mark.parametrize("reader", [
+        wio.load_frames_json, wio.load_frame_matrix, wio.load_report,
+        wio.load_dataset])
+    def test_byte_order_mark(self, reader, tmp_path):
+        path = tmp_path / "bom.json"
+        path.write_bytes(b"\xef\xbb\xbf" + stdlib_json(
+            {"kind": "warpframe.frame", "shape": [1], "matrix": [1.0]}))
+        with pytest.raises(SchemaError, match=f"{path.name}.*BOM"):
+            reader(path)
+
+    @pytest.mark.parametrize("text", ['{"kind": 1,}', "[1 2]", "\r\n\r\n{",
+                                      '"\\x41"', "[1e5"])
+    def test_malformed_text_has_json_message(self, text, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(text.encode())
+        with pytest.raises(json.JSONDecodeError) as want:
+            with open(path, encoding="utf-8") as fh:
+                json.load(fh)
+        with pytest.raises(SchemaError) as got:
+            wio._read_json(path)
+        assert str(got.value) == f"{path}: not valid JSON ({want.value})"
 
 
 class TestMalformedInput:
