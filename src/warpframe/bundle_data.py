@@ -307,6 +307,20 @@ def _require_finite(what, arr, n):
                           f"{_worst_node(bad, n)}")
 
 
+def _float_array(values):
+    return np.asarray(values, dtype=float)
+
+
+def _parsed(what, parse, value):
+    """parse(value), with the TypeError or ValueError of a malformed
+    section (an unknown warping kind, a string where a number belongs, a
+    ragged list) raised as a SchemaError naming `what`."""
+    try:
+        return parse(value)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{what}: {exc}") from exc
+
+
 def load_data(document: dict, validate=True) -> GeometricData:
     """Parse and validate a dataset document (already JSON-decoded).
 
@@ -319,9 +333,11 @@ def load_data(document: dict, validate=True) -> GeometricData:
     if document.get("format_version") != 1:
         raise SchemaError("unsupported format_version")
     try:
-        spec = SignatureSpec.from_dict(document["signature"])
-        warping = WarpingFunction.from_dict(document["warping"])
-        grid = ChartGrid.from_dict(document["grid"])
+        spec = _parsed("signature", SignatureSpec.from_dict,
+                       document["signature"])
+        warping = _parsed("warping", WarpingFunction.from_dict,
+                          document["warping"])
+        grid = _parsed("grid", ChartGrid.from_dict, document["grid"])
         raw = document["fields"]
     except KeyError as exc:
         raise SchemaError(f"dataset document missing {exc}") from exc
@@ -332,7 +348,7 @@ def load_data(document: dict, validate=True) -> GeometricData:
         if name not in raw:
             raise SchemaError(f"fields missing {name!r}")
         shape = ext + _FIELD_SHAPES[name](n, m)
-        arr = np.asarray(raw[name], dtype=float)
+        arr = _parsed(f"field {name}", _float_array, raw[name])
         if arr.size != int(np.prod(shape)):
             raise SchemaError(f"field {name}: {arr.size} values, want "
                               f"{int(np.prod(shape))}")
@@ -345,7 +361,7 @@ def load_data(document: dict, validate=True) -> GeometricData:
             if name not in _DERIVATIVE_NAMES:
                 raise SchemaError(f"unknown derivative field {name}")
             shape = (n,) + ext + _FIELD_SHAPES[name](n, m)
-            arr = np.asarray(vals, dtype=float)
+            arr = _parsed(f"derivative {name}", _float_array, vals)
             if arr.size != int(np.prod(shape)):
                 raise SchemaError(f"derivative {name}: wrong size")
             derivs[name] = arr.reshape(shape)

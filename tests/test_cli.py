@@ -1,4 +1,6 @@
+import ctypes
 import json
+import platform
 import subprocess
 import sys
 
@@ -7,6 +9,7 @@ import pytest
 from json_reference import float64_list
 
 from warpframe import ChartGrid, GeometricData, canonical_example
+from warpframe import cli
 from warpframe.bundle_data import FIELD_NAMES
 from warpframe.cli import main
 from warpframe.errors import SchemaError
@@ -454,3 +457,95 @@ def test_removed_renorm_flags_rejected(slice_file, capsys):
         with pytest.raises(SystemExit):
             main(["reconstruct", str(slice_file)] + flags)
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, key, value, named", [
+    ("warping", None, {"kind": "sinh"}, "warping"),
+    ("grid", "extents", ["a"], "grid"),
+    ("grid", "extents", 65, "grid"),
+    ("grid", "spacing", [None], "grid"),
+    ("fields", "pi", "abc", "field pi"),
+    ("fields", "pi", [[0.0], [0.0, 1.0]], "field pi"),
+    ("derivatives", "T_comp", [[0.0], [0.0, 1.0]], "derivative T_comp"),
+], ids=["warping-kind", "extents-string", "extents-int", "spacing-null",
+        "field-string", "field-ragged", "derivative-ragged"])
+def test_malformed_section_exits_one(section, key, value, named, slice_file,
+                                     tmp_path, capsys):
+    # The parse of each section raises TypeError or ValueError on these;
+    # load_data names the section or field instead of a traceback.
+    doc = json.loads(slice_file.read_text())
+    if key is None:
+        doc[section] = value
+    else:
+        doc[section][key] = value
+    bad = tmp_path / "malformed.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["verify", str(bad)]) == 1
+    assert capsys.readouterr().err.startswith(f"schema error: {named}:")
+
+
+# Three helix verifies at 16,385 nodes in one process; prints the minor page
+# faults each one adds.
+_FAULTS_PER_COMMAND = """
+import contextlib, io, json, resource
+from warpframe.cli import main
+argv = ["verify", "--example", "helix", "--params",
+        json.dumps({"grid_extents": [16385], "grid_spacing": [0.0005]})]
+faults = []
+for _ in range(3):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(json.dumps(faults))
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the allocator policy is glibc's mallopt")
+def test_repeated_command_reuses_freed_memory():
+    # With glibc's defaults the third call faults about 12.5k pages in
+    # again: its temporaries were unmapped or trimmed after the second.
+    proc = subprocess.run([sys.executable, "-c", _FAULTS_PER_COMMAND],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    faults = json.loads(proc.stdout)
+    assert faults[2] < 1000, faults
+
+
+@pytest.fixture
+def fresh_policy(monkeypatch):
+    """_keep_freed_memory runs again on the next main; the platform reads
+    as Linux, so the ctypes path is taken whatever the host."""
+    monkeypatch.setattr(sys, "platform", "linux")
+    cli._keep_freed_memory.cache_clear()
+    yield
+    cli._keep_freed_memory.cache_clear()
+
+
+def _no_libc(name):
+    raise OSError("no C library")
+
+
+@pytest.mark.parametrize("cdll", [_no_libc, lambda name: object()],
+                         ids=["cdll-raises", "no-mallopt"])
+def test_missing_mallopt_is_a_noop(cdll, fresh_policy, monkeypatch, capsys):
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    assert main(["examples"]) == 0
+    assert "helix" in capsys.readouterr().out
+
+
+def test_allocation_policy_set_once(fresh_policy, monkeypatch, capsys):
+    calls = []
+
+    class Libc:
+        @staticmethod
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: Libc)
+    assert main(["examples"]) == 0
+    assert main(["examples"]) == 0
+    # M_MMAP_THRESHOLD to 32 MiB, M_TRIM_THRESHOLD off.
+    assert calls == [(-3, 32 * 1024 * 1024), (-1, -1)]
