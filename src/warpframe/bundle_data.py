@@ -182,9 +182,18 @@ class GeometricData:
 
     @property
     def inv_frame(self):
-        """C with d/dx_k = sum_i C[k, i] e_i (inverse of the frame rows)."""
+        """C with d/dx_k = sum_i C[k, i] e_i (inverse of the frame rows).
+        Raises InvariantViolation naming the first node whose frame is
+        singular."""
         if "inv_frame" not in self._cache:
-            self._cache["inv_frame"] = np.linalg.inv(self.frame)
+            try:
+                self._cache["inv_frame"] = np.linalg.inv(self.frame)
+            except np.linalg.LinAlgError:
+                # The first node of smallest |det|: the first with det 0.
+                bad = _worst_node(-np.abs(np.linalg.det(self.frame)),
+                                  self.grid.n)
+                raise InvariantViolation(
+                    f"frame is singular at node {bad}") from None
         return self._cache["inv_frame"]
 
     def warp_values(self):
@@ -254,16 +263,21 @@ class GeometricData:
         lo, hi = self.warping.domain
         if np.any(self.pi < lo) or np.any(self.pi > hi):
             problems.append("pi leaves the warping domain I")
-        # T = eps * grad(pi): d(pi)(d/dx_k) must equal eps * <T, d/dx_k>.
+        # T = eps * grad(pi): d(pi)(d/dx_k) must equal eps * <T, d/dx_k>,
+        # which needs the inverse frame.
         gtol = grid.fd_tolerance
-        tk = self.coord_T()
-        dev = np.stack([np.abs(grad1(self.pi, k, grid.spacing[k])
-                               - spec.epsilon * tk[..., k])
-                        for k in range(nd)], axis=-1)
-        if dev.max() > gtol:
-            problems.append(
-                f"T is not eps*grad(pi): defect {dev.max():.3e} > {gtol:.3e} "
-                f"at node {_worst_node(dev, nd)}")
+        try:
+            tk = self.coord_T()
+        except InvariantViolation as exc:
+            problems.append(str(exc))
+        else:
+            dev = np.stack([np.abs(grad1(self.pi, k, grid.spacing[k])
+                                   - spec.epsilon * tk[..., k])
+                            for k in range(nd)], axis=-1)
+            if dev.max() > gtol:
+                problems.append(
+                    f"T is not eps*grad(pi): defect {dev.max():.3e} > "
+                    f"{gtol:.3e} at node {_worst_node(dev, nd)}")
         if problems and raise_on_error:
             raise InvariantViolation("; ".join(problems))
         return problems

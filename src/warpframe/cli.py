@@ -94,7 +94,10 @@ def _add_common(p):
                    help="directory for emitted files")
 
 
+@functools.cache
 def _build_parser():
+    """The argument parser, built once per process (a build takes about
+    2 ms); parse_args leaves it unchanged."""
     ap = argparse.ArgumentParser(
         prog="warpframe",
         description="verify structure equations and reconstruct immersions "

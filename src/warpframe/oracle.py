@@ -4,10 +4,11 @@ Given a map x -> (t(x), p(x)) into eps*I x_a M^N(c) written with analytic
 primitives, this module induces everything the verifier consumes: an
 orthonormal adapted frame, connection coefficients, the second fundamental
 form, the (T, xi) split and the height function. Derivatives are exact:
-the map is evaluated on nested forward-mode jets, so frame fields obtained
-through Gram-Schmidt still differentiate to machine precision. The finite
-difference engine feeds the same stages with stencil derivatives of the
-sampled map and frames.
+the map is evaluated on truncated Taylor jets (jets.Jet: every partial
+derivative up to order 2, or 3 with derivative fields, in one array), so
+frame fields obtained through Gram-Schmidt still differentiate to machine
+precision. The finite difference engine feeds the same stages with
+stencil derivatives of the sampled map and frames.
 
 The stages are tensor code in the style of frame_solver._assemble: an
 ambient vector is one (N+2, *ext) array or jets.Jet with index 0 its t
@@ -149,7 +150,7 @@ def _stage1(spec, warping, P, V):
 def _stage2(spec, warping, t, V, E, F, dE):
     """omega_tangent (n, n, n, *ext), omega_bundle (m, m, n, *ext) and alpha
     (m, n, n, *ext) from stage-1 quantities t, V, E, F taken one derivative
-    level below stage 1; dE[k] is dE/dx_k at that level."""
+    order below stage 1; dE[k] is dE/dx_k at that order."""
     n, m = spec.n, spec.m
     sgn = np.asarray(spec.signs, dtype=float)
     nd = np.ndim(value(t))
@@ -193,7 +194,7 @@ def _stack(items, like):
 
 def _map_jets(grid, map_fn, levels):
     """Values P (N+2, *ext) and coordinate tangents V (n, N+2, *ext) of the
-    map, as jets carrying levels - 1 derivative levels (arrays for 1)."""
+    map, as jets of order levels - 1 (arrays for 1)."""
     X = seed(list(grid.coordinates()), levels)
     t, p = map_fn(X)
     Y = _stack([t, *p], X[0])
@@ -210,7 +211,7 @@ def _map_fd(grid, map_fn):
 
 
 def _stages(spec, warping, grid, P, V):
-    """Both stages. On jets stage 2 runs one level below stage 1 and
+    """Both stages. On jets stage 2 runs one order below stage 1 and
     differentiates the frames exactly; on arrays it differentiates them by
     finite differences."""
     s1 = _stage1(spec, warping, P, V)
@@ -343,7 +344,7 @@ def exact_frame_field(imm: ExplicitImmersion) -> np.ndarray:
     Column 0 comes from the scaled position direction, columns 1..N+1 from
     the induced adapted frame; row N+1 automatically holds the vertical
     components T_beta. Only the frame values are read, so stage 1 runs on
-    plain arrays (the map on one-level jets).
+    plain arrays (the map on first-order jets).
     """
     spec, grid = imm.spec, imm.grid
     nd, Np1 = grid.n, spec.N + 1

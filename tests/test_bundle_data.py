@@ -90,6 +90,17 @@ class TestValidation:
         with pytest.raises(InvariantViolation, match="grad"):
             data.validate()
 
+    def test_singular_frame_listed_and_gradient_check_skipped(self):
+        # pi varies with T = 0, so the T = eps grad(pi) check would fail;
+        # it needs the inverse frame, which does not exist at node 3.
+        frame = np.ones((5, 1, 1))
+        frame[3] = 0.0
+        data = trivial_data(frame=frame, pi=np.linspace(0.0, 1.0, 5))
+        assert data.validate(raise_on_error=False) == [
+            "frame is singular at node (3,)"]
+        with pytest.raises(InvariantViolation, match=r"node \(3,\)"):
+            data.inv_frame
+
     def test_vertical_norm_drift_flagged_not_raised(self):
         # validate leaves the vertical-norm identity to residual (A), which
         # fails the drifted data and names its worst node

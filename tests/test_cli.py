@@ -336,6 +336,40 @@ def test_asymmetric_alpha_names_node(command, stream, code, slice_file,
     assert "alpha symmetry violated" in text
     assert "at node (3, 4)" in text
 
+@pytest.mark.parametrize("command, stream", [
+    ("validate", "out"), ("verify", "err"), ("reconstruct", "err")])
+def test_singular_frame_names_node(command, stream, slice_file, tmp_path,
+                                   capsys):
+    # A zero frame at one node: the inverse frame does not exist there,
+    # which is an invariant violation (exit 2), not a crash in the solver.
+    data = load_dataset(slice_file)
+    doc = json.loads(json.dumps(data.to_document(), default=float64_list))
+    frame = np.array(doc["fields"]["frame"]).reshape(data.frame.shape)
+    frame[0, 5] = 0.0
+    doc["fields"]["frame"] = frame.ravel().tolist()
+    bad = tmp_path / "singular.json"
+    bad.write_text(json.dumps(doc))
+    assert main([command, str(bad)]) == 2
+    assert "frame is singular at node (0, 5)" in getattr(
+        capsys.readouterr(), stream)
+
+
+def test_parser_built_once(capsys):
+    cli._build_parser.cache_clear()
+    try:
+        assert main(["examples"]) == 0
+        assert main(["examples"]) == 0
+        info = cli._build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        # A usage error still exits 2, from argparse, with the cached parser.
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--report", "yaml"])
+        assert exc.value.code == 2
+    finally:
+        cli._build_parser.cache_clear()
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("command", ["validate", "verify"])
 @pytest.mark.parametrize("section, name, index, node", [
     ("fields", "alpha", 0, "(0, 0)"),
