@@ -123,13 +123,25 @@ _FIELD_SHAPES = {
 }
 
 
+def _field_shape(name, spec, grid, derivative=False):
+    """The shape of field `name`, or of its coordinate derivatives
+    (n, *ext, ...); SchemaError for a derivative of pi or of no field."""
+    if derivative and name not in _DERIVATIVE_NAMES:
+        raise SchemaError(f"unknown derivative field {name}")
+    lead = (spec.n,) if derivative else ()
+    return lead + tuple(grid.extents) + _FIELD_SHAPES[name](spec.n, spec.m)
+
+
 class GeometricData:
     """Immutable-after-load bundle of grid fields. See the module docstring
     for the index conventions of each field.
 
-    derivs holds the coordinate derivatives (n, *ext, ...) of all six
-    fields other than pi, or is empty; a partial set is a SchemaError. Like
-    the fields, they are private read-only copies of the arrays passed."""
+    The constructor is the schema gate of every dataset, loaded, induced
+    or built from arrays: a field of the wrong shape or with a non-finite
+    value is a SchemaError naming it (and the first such node). derivs
+    holds the coordinate derivatives (n, *ext, ...) of all six fields but
+    pi, or none. Each is kept as a private read-only component-major copy
+    (grid axes last), of which the attribute is a grid-major view."""
 
     def __init__(self, spec: SignatureSpec, warping: WarpingFunction,
                  grid: ChartGrid, frame, omega_tangent, omega_bundle,
@@ -137,46 +149,47 @@ class GeometricData:
         self.spec = spec
         self.warping = warping
         self.grid = grid
-        ext = tuple(grid.extents)
-        n, m = spec.n, spec.m
-        if grid.n != n:
-            raise SchemaError(f"grid dimension {grid.n} != spec n={n}")
-
-        def _shape(name, arr):
-            arr = np.array(arr, dtype=float)  # private copy
-            want = ext + _FIELD_SHAPES[name](n, m)
-            if arr.shape != want:
-                raise SchemaError(f"field {name}: shape {arr.shape}, want {want}")
-            arr.setflags(write=False)
-            return arr
-
-        self.frame = _shape("frame", frame)
-        self.omega_tangent = _shape("omega_tangent", omega_tangent)
-        self.omega_bundle = _shape("omega_bundle", omega_bundle)
-        self.alpha = _shape("alpha", alpha)
-        self.T_comp = _shape("T_comp", T_comp)
-        self.xi_comp = _shape("xi_comp", xi_comp)
-        self.pi = _shape("pi", pi)
-        self.derivs = {}
-        if derivs:
-            for name, arr in derivs.items():
-                if name not in _DERIVATIVE_NAMES:
-                    raise SchemaError(f"unknown derivative field {name}")
-                arr = np.array(arr, dtype=float)  # private copy
-                want = (n,) + ext + _FIELD_SHAPES[name](n, m)
-                if arr.shape != want:
-                    raise SchemaError(
-                        f"derivative {name}: shape {arr.shape}, want {want}")
-                arr.setflags(write=False)
-                self.derivs[name] = arr
-            missing = [name for name in _DERIVATIVE_NAMES
-                       if name not in self.derivs]
-            if missing:
-                raise SchemaError(
-                    f"derivative fields missing {', '.join(missing)}: a "
-                    f"dataset holds all {len(_DERIVATIVE_NAMES)} or none")
+        if grid.n != spec.n:
+            raise SchemaError(f"grid dimension {grid.n} != spec n={spec.n}")
+        self.frame = self._private("frame", frame)
+        self.omega_tangent = self._private("omega_tangent", omega_tangent)
+        self.omega_bundle = self._private("omega_bundle", omega_bundle)
+        self.alpha = self._private("alpha", alpha)
+        self.T_comp = self._private("T_comp", T_comp)
+        self.xi_comp = self._private("xi_comp", xi_comp)
+        self.pi = self._private("pi", pi)
+        self.derivs = {name: self._private(name, arr, derivative=True)
+                       for name, arr in (derivs or {}).items()}
+        missing = [name for name in _DERIVATIVE_NAMES
+                   if name not in self.derivs]
+        if self.derivs and missing:
+            raise SchemaError(
+                f"derivative fields missing {', '.join(missing)}: a "
+                f"dataset holds all {len(_DERIVATIVE_NAMES)} or none")
         self.generator = generator
         self._cache = {}
+
+    def _private(self, name, arr, derivative=False):
+        """The private copy of field `name` (or of its derivatives) as a
+        grid-major view, or SchemaError; see the class docstring."""
+        want = _field_shape(name, self.spec, self.grid, derivative)
+        arr = np.asarray(arr, dtype=float)
+        what = f"derivative {name}" if derivative else f"field {name}"
+        if arr.shape != want:
+            raise SchemaError(f"{what}: shape {arr.shape}, want {want}")
+        nd, lead = self.grid.n, int(derivative)
+        # The leading derivative axis, the components, then the grid axes.
+        order = (*range(lead), *range(lead + nd, arr.ndim),
+                 *range(lead, lead + nd))
+        private = np.array(arr.transpose(order), order="C")
+        private.setflags(write=False)
+        view = private.transpose(np.argsort(order))
+        finite = np.isfinite(view)
+        if not finite.all():
+            at = _worst_node(~finite, lead + nd)
+            where = f"derivative d{name}/dx_{at[0]}" if derivative else what
+            raise SchemaError(f"{where}: non-finite value at node {at[lead:]}")
+        return view
 
     # -- cached derived arrays ---------------------------------------------
 
@@ -230,14 +243,15 @@ class GeometricData:
 
     # -- validation -----------------------------------------------------------
 
-    def validate(self, raise_on_error=True):
-        """Check structural invariants; returns a list of findings.
+    def validate(self):
+        """Check the structural invariants: returns [] or raises
+        InvariantViolation, whose problems list every finding.
 
-        Violations (alpha symmetry, connection skewness, pi domain,
-        T = eps * grad(pi)) raise when raise_on_error is set. The
-        vertical-norm identity <T,T> + <xi,xi> = eps is not checked here:
-        it is the residual family (A) of verifier.structure_residuals,
-        which names the worst node.
+        The invariants are the signature, alpha symmetry, connection
+        skewness, the pi domain and T = eps * grad(pi). The vertical-norm
+        identity <T,T> + <xi,xi> = eps is not checked here: it is the
+        residual family (A) of verifier.structure_residuals, which names
+        the worst node.
         """
         spec, grid = self.spec, self.grid
         problems = validate_signature(spec)
@@ -278,9 +292,9 @@ class GeometricData:
                 problems.append(
                     f"T is not eps*grad(pi): defect {dev.max():.3e} > "
                     f"{gtol:.3e} at node {_worst_node(dev, nd)}")
-        if problems and raise_on_error:
-            raise InvariantViolation("; ".join(problems))
-        return problems
+        if problems:
+            raise InvariantViolation("; ".join(problems), problems)
+        return []
 
     # -- serialization ----------------------------------------------------------
 
@@ -312,17 +326,14 @@ def _worst_node(arr, n):
     return tuple(int(i) for i in at)
 
 
-def _require_finite(what, arr, n):
-    """SchemaError naming the first grid node (row-major order) at which
-    the per-node array arr (*extents, ...) holds a NaN or an inf."""
-    bad = ~np.isfinite(arr)
-    if bad.any():
-        raise SchemaError(f"{what}: non-finite value at node "
-                          f"{_worst_node(bad, n)}")
-
-
-def _float_array(values):
-    return np.asarray(values, dtype=float)
+def _document_array(what, values, shape):
+    """The float array of a document's list `values`, reshaped to `shape`;
+    SchemaError naming `what` if it does not parse or has another size."""
+    arr = _parsed(what, lambda v: np.asarray(v, dtype=float), values)
+    if arr.size != math.prod(shape):
+        raise SchemaError(f"{what}: {arr.size} values, want "
+                          f"{math.prod(shape)}")
+    return arr.reshape(shape)
 
 
 def _parsed(what, parse, value):
@@ -335,11 +346,10 @@ def _parsed(what, parse, value):
         raise SchemaError(f"{what}: {exc}") from exc
 
 
-def load_data(document: dict, validate=True) -> GeometricData:
-    """Parse and validate a dataset document (already JSON-decoded).
-
-    validate=False skips the invariant pass (schema checks still run), for
-    callers that want to report violations instead of failing on them."""
+def load_data(document: dict) -> GeometricData:
+    """The dataset of a JSON-decoded document. It passes the GeometricData
+    schema gate and validate(), or raises SchemaError or
+    InvariantViolation."""
     if not isinstance(document, dict):
         raise SchemaError("dataset document must be a JSON object")
     if document.get("kind") != "warpframe.dataset":
@@ -355,35 +365,16 @@ def load_data(document: dict, validate=True) -> GeometricData:
         raw = document["fields"]
     except KeyError as exc:
         raise SchemaError(f"dataset document missing {exc}") from exc
-    ext = tuple(grid.extents)
-    n, m = spec.n, spec.m
     fields = {}
     for name in FIELD_NAMES:
         if name not in raw:
             raise SchemaError(f"fields missing {name!r}")
-        shape = ext + _FIELD_SHAPES[name](n, m)
-        arr = _parsed(f"field {name}", _float_array, raw[name])
-        if arr.size != int(np.prod(shape)):
-            raise SchemaError(f"field {name}: {arr.size} values, want "
-                              f"{int(np.prod(shape))}")
-        fields[name] = arr.reshape(shape)
-        _require_finite(f"field {name}", fields[name], len(ext))
-    derivs = None
-    if "derivatives" in document:
-        derivs = {}
-        for name, vals in document["derivatives"].items():
-            if name not in _DERIVATIVE_NAMES:
-                raise SchemaError(f"unknown derivative field {name}")
-            shape = (n,) + ext + _FIELD_SHAPES[name](n, m)
-            arr = _parsed(f"derivative {name}", _float_array, vals)
-            if arr.size != int(np.prod(shape)):
-                raise SchemaError(f"derivative {name}: wrong size")
-            derivs[name] = arr.reshape(shape)
-            for k in range(n):
-                _require_finite(f"derivative d{name}/dx_{k}",
-                                derivs[name][k], len(ext))
+        fields[name] = _document_array(f"field {name}", raw[name],
+                                       _field_shape(name, spec, grid))
+    derivs = {name: _document_array(f"derivative {name}", values,
+                                    _field_shape(name, spec, grid, True))
+              for name, values in document.get("derivatives", {}).items()}
     data = GeometricData(spec, warping, grid, derivs=derivs,
                          generator=document.get("generator"), **fields)
-    if validate:
-        data.validate()
+    data.validate()
     return data

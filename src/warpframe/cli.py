@@ -8,6 +8,10 @@ Commands:
   warpframe roundtrip --example NAME  induce -> verify -> reconstruct -> align
   warpframe examples                  list or write the fixture library
 
+INPUT is a dataset file or --example NAME (--params JSON), validated as it
+is built: validate prints every finding, the other commands stop with the
+findings joined on stderr. Each command takes only the options it reads.
+
 Exit codes: 0 pass, 1 I/O or schema error, 2 invariant or residual failure,
 3 integrator blow-up.
 
@@ -38,7 +42,8 @@ from pathlib import Path
 from . import io as wio
 from . import oracle
 from .bundle_data import GeometricData
-from .errors import (IntegrationBlowup, SchemaError, WarpframeError)
+from .errors import (IntegrationBlowup, InvariantViolation, SchemaError,
+                     WarpframeError)
 from .frame_solver import (build_base_frame, integrate_frame,
                            path_independence_defect)
 from .immersion import congruence_align, extract_immersion, verify_immersion
@@ -83,58 +88,44 @@ def _positive_float(text):
     return val
 
 
-def _add_common(p):
-    p.add_argument("--tol", type=_positive_float, default=None,
-                   help="override the pass tolerance for every residual")
-    p.add_argument("--report", choices=("json", "text"), default="text",
-                   help="stdout report format")
-    p.add_argument("--force-fd", action="store_true",
-                   help="ignore stored analytic derivatives")
-    p.add_argument("-o", "--output-dir", default=None,
-                   help="directory for emitted files")
-
-
 @functools.cache
 def _build_parser():
     """The argument parser, built once per process (a build takes about
-    2 ms); parse_args leaves it unchanged."""
+    2 ms); parse_args leaves it unchanged. Each command takes only the
+    options it reads."""
     ap = argparse.ArgumentParser(
         prog="warpframe",
         description="verify structure equations and reconstruct immersions "
                     "into warped products over space forms")
     sub = ap.add_subparsers(dest="command", required=True)
-
     pv = sub.add_parser("validate", help="check structural data invariants")
-    pv.add_argument("input", nargs="?", default=None)
-    pv.add_argument("--example", default=None)
-    pv.add_argument("--params", default=None, help="example parameters, JSON")
-    _add_common(pv)
-
     pf = sub.add_parser("verify", help="evaluate every residual family")
-    pf.add_argument("input", nargs="?", default=None)
-    pf.add_argument("--example", default=None)
-    pf.add_argument("--params", default=None)
-    pf.add_argument("--h-refine", type=int, choices=(1, 2, 4), default=1)
-    _add_common(pf)
-
     pr = sub.add_parser("reconstruct",
                         help="integrate the frame field and emit the immersion")
-    pr.add_argument("input", nargs="?", default=None)
-    pr.add_argument("--example", default=None)
-    pr.add_argument("--params", default=None)
-    pr.add_argument("--base-frame", default=None,
-                    help="JSON file with the base frame matrix B0")
-    pr.add_argument("--h-refine", type=int, choices=(1, 2, 4), default=1)
-    pr.add_argument("--force", action="store_true",
-                    help="reconstruct even if verification fails")
-    _add_common(pr)
-
     pt = sub.add_parser("roundtrip",
                         help="induce from an example, reconstruct, align")
+    for p in (pv, pf, pr):
+        p.add_argument("input", nargs="?", default=None)
+        p.add_argument("--example", default=None)
     pt.add_argument("--example", required=True)
-    pt.add_argument("--params", default=None)
-    pt.add_argument("--h-refine", type=int, choices=(1, 2, 4), default=1)
-    _add_common(pt)
+    for p in (pv, pf, pr, pt):
+        p.add_argument("--params", default=None,
+                       help="example parameters, JSON")
+    pr.add_argument("--base-frame", default=None,
+                    help="JSON file with the base frame matrix B0")
+    pr.add_argument("--force", action="store_true",
+                    help="reconstruct even if verification fails")
+    for p in (pf, pr, pt):
+        p.add_argument("--h-refine", type=int, choices=(1, 2, 4), default=1)
+        p.add_argument("--tol", type=_positive_float, default=None,
+                       help="override the pass tolerance for every residual")
+        p.add_argument("--force-fd", action="store_true",
+                       help="ignore stored analytic derivatives")
+        p.add_argument("-o", "--output-dir", default=None,
+                       help="directory for emitted files")
+    for p in (pv, pf, pr):
+        p.add_argument("--report", choices=("json", "text"), default="text",
+                       help="stdout report format")
 
     pe = sub.add_parser("examples", help="list or write fixture datasets")
     pe.add_argument("--example", default=None,
@@ -145,16 +136,15 @@ def _build_parser():
     return ap
 
 
-def _load_input(args, validate=True) -> GeometricData:
-    """The dataset of --example or of the input file; validate=False loads
-    a file without its invariant pass (schema checks still run)."""
+def _load_input(args) -> GeometricData:
+    """The validated dataset of --example or of the input file."""
     if args.example:
         params = json.loads(args.params) if args.params else {}
         _, data = oracle.canonical_example(args.example, params)
         return data
     if not args.input:
         raise SchemaError("either an input file or --example is required")
-    return wio.load_dataset(args.input, validate=validate)
+    return wio.load_dataset(args.input)
 
 
 def _refined_data(data: GeometricData, factor: int) -> GeometricData:
@@ -196,8 +186,11 @@ def _all_residuals(data, tol, force_fd):
 
 
 def _cmd_validate(args):
-    data = _load_input(args, validate=False)
-    problems = data.validate(raise_on_error=False)
+    try:
+        _load_input(args)
+        problems = []
+    except InvariantViolation as exc:
+        problems = exc.problems
     if args.report == "json":
         print(json.dumps({"problems": problems}, indent=1))
     else:

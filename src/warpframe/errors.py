@@ -15,7 +15,12 @@ class SchemaError(WarpframeError):
 
 
 class InvariantViolation(WarpframeError):
-    """Data violates a structural invariant (symmetry, skewness, domain)."""
+    """Data violates a structural invariant (symmetry, skewness, domain).
+    problems lists every finding, or is [message] if none is given."""
+
+    def __init__(self, message, problems=None):
+        super().__init__(message)
+        self.problems = list(problems) if problems else [message]
 
 
 class DomainError(WarpframeError):

@@ -545,8 +545,6 @@ def integrate_frame(data: GeometricData, B0: np.ndarray,
 
     group_defect, _ = _group_defect(B, g)
     row_defect = np.abs(B[..., M - 1, :] - data.delta_all()).max(axis=-1)
-    detB = np.linalg.det(B)
-    det_drift = float(np.abs(np.abs(detB) - abs(np.linalg.det(B0))).max())
     # On the group B^-1 = G B^t G, to within the group defect just measured.
     Binv = (g[:, None] * g) * np.swapaxes(B, -1, -2)
     theta = 0.0
@@ -560,7 +558,6 @@ def integrate_frame(data: GeometricData, B0: np.ndarray,
         "worst_group_node": wg,
         "max_preprojection_defect": worst_pre,
         "max_row_defect": float(row_defect.max()),
-        "det_drift": det_drift,
         "theta_defect": theta,
         "steps": steps_total,
         "renorm": True,

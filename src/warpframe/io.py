@@ -194,8 +194,9 @@ def _write_json(doc, path):
         fh.write(b"\n")
 
 
-def load_dataset(path, validate=True) -> GeometricData:
-    return load_data(_read_json(path), validate=validate)
+def load_dataset(path) -> GeometricData:
+    """The dataset of a JSON file, checked as load_data checks it."""
+    return load_data(_read_json(path))
 
 
 def save_dataset(data: GeometricData, path):

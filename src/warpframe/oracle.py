@@ -258,13 +258,14 @@ class ExplicitImmersion:
 
 
 def induce_data(imm: ExplicitImmersion, frame_seed=None,
-                derivatives: str = "jet", attach_derivatives: bool = True,
-                validate: bool = True) -> GeometricData:
+                derivatives: str = "jet",
+                attach_derivatives: bool = True) -> GeometricData:
     """Induce the full hypothesis bundle from an explicit immersion.
 
     derivatives: 'jet' uses exact forward-mode jets throughout; 'fd' uses
     second-order finite differences of the sampled map and frame fields
-    (no derivative fields are attached in that mode).
+    (no derivative fields are attached in that mode). The dataset is
+    checked as load_data checks a document's.
     """
     spec, warping, grid = imm.spec, imm.warping, imm.grid
     problems = validate_signature(spec)
@@ -316,8 +317,7 @@ def induce_data(imm: ExplicitImmersion, frame_seed=None,
     fields["pi"] = value(P)[0]
     data = GeometricData(spec, warping, grid, derivs=derivs,
                          generator=imm.generator_tag(), **fields)
-    if validate:
-        data.validate()
+    data.validate()
     return data
 
 

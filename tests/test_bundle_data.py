@@ -9,6 +9,7 @@ from json_reference import float64_list
 from warpframe import (ChartGrid, GeometricData, SignatureSpec,
                        WarpingFunction, canonical_example, load_data,
                        structure_residuals)
+from warpframe.bundle_data import FIELD_NAMES
 from warpframe.errors import InvariantViolation, SchemaError
 from warpframe.io import load_dataset, save_dataset
 
@@ -96,8 +97,9 @@ class TestValidation:
         frame = np.ones((5, 1, 1))
         frame[3] = 0.0
         data = trivial_data(frame=frame, pi=np.linspace(0.0, 1.0, 5))
-        assert data.validate(raise_on_error=False) == [
-            "frame is singular at node (3,)"]
+        with pytest.raises(InvariantViolation) as exc:
+            data.validate()
+        assert exc.value.problems == ["frame is singular at node (3,)"]
         with pytest.raises(InvariantViolation, match=r"node \(3,\)"):
             data.inv_frame
 
@@ -105,7 +107,7 @@ class TestValidation:
         # validate leaves the vertical-norm identity to residual (A), which
         # fails the drifted data and names its worst node
         data = trivial_data(xi_comp=np.full((5, 1), 1.1))
-        assert data.validate(raise_on_error=False) == []
+        assert data.validate() == []
         rep = structure_residuals(data)
         assert rep.failing() == ["A"]
         assert rep["A"].sup == pytest.approx(0.21, abs=1e-12)
@@ -116,6 +118,34 @@ class TestValidation:
         ot[..., 0, 0, 0] = 0.2  # omega_11 must vanish
         with pytest.raises(InvariantViolation, match="skew"):
             trivial_data(omega_tangent=ot).validate()
+
+    def test_every_finding_listed(self):
+        # Two faults: both are found, in validate's order, and the message
+        # is their join.
+        alpha = np.zeros((5, 1, 2, 2))
+        alpha[2, 0, 0, 1] = 0.5
+        spec = SignatureSpec.from_counts(2, 1, 1, 1, (1, 1), (1,))
+        grid = ChartGrid((5, 5), (0.1, 0.1), (0.0, 0.0), (2, 2))
+        data = GeometricData(
+            spec, WarpingFunction("cosh", domain=(-1.0, 1.0)), grid,
+            frame=np.broadcast_to(np.eye(2), (5, 5, 2, 2)),
+            omega_tangent=np.zeros((5, 5, 2, 2, 2)),
+            omega_bundle=np.zeros((5, 5, 1, 1, 2)),
+            alpha=np.broadcast_to(alpha, (5, 5, 1, 2, 2)),
+            T_comp=np.zeros((5, 5, 2)), xi_comp=np.ones((5, 5, 1)),
+            pi=np.full((5, 5), 3.0))
+        with pytest.raises(InvariantViolation) as exc:
+            data.validate()
+        problems = exc.value.problems
+        assert len(problems) == 2
+        assert problems[0].startswith("alpha symmetry violated")
+        assert problems[0].endswith("at node (0, 2)")
+        assert problems[1] == "pi leaves the warping domain I"
+        assert str(exc.value) == "; ".join(problems)
+
+    def test_single_message_is_its_own_finding(self):
+        exc = InvariantViolation("frame is singular at node (3,)")
+        assert exc.problems == ["frame is singular at node (3,)"]
 
 
 
@@ -142,8 +172,9 @@ class TestValidateNodes:
         ids=["alpha", "omega_tangent", "omega_bundle", "T_comp"])
     def test_violation_names_node(self, slice17, name, index, amount, text):
         _, data = slice17
-        problems = _slice_with(data, name, index, amount).validate(
-            raise_on_error=False)
+        with pytest.raises(InvariantViolation) as exc:
+            _slice_with(data, name, index, amount).validate()
+        problems = exc.value.problems
         assert len(problems) == 1
         assert problems[0].startswith(text)
         assert problems[0].endswith(" at node (3, 4)")
@@ -172,6 +203,58 @@ class TestSerialization:
         doc["fields"]["pi"] = doc["fields"]["pi"][:-1]
         with pytest.raises(SchemaError):
             load_data(doc)
+
+
+class TestSchemaGate:
+    """The constructor checks every dataset, however it was built."""
+
+    def test_nan_in_field_named_with_node(self):
+        pi = np.full((5,), 0.3)
+        pi[3] = np.nan
+        with pytest.raises(SchemaError,
+                           match=r"field pi: non-finite value at node \(3,\)"):
+            trivial_data(pi=pi)
+
+    def test_nan_in_derivative_named_with_node(self, slice17):
+        _, data = slice17
+        derivs = dict(data.derivs)
+        dT = data.derivs["T_comp"].copy()
+        dT[1, 3, 4, 0] = np.inf
+        derivs["T_comp"] = dT
+        with pytest.raises(SchemaError,
+                           match=r"derivative dT_comp/dx_1: non-finite "
+                                 r"value at node \(3, 4\)"):
+            GeometricData(data.spec, data.warping, data.grid, derivs=derivs,
+                          **{name: getattr(data, name)
+                             for name in FIELD_NAMES})
+
+    def test_unknown_derivative_field(self, slice17):
+        _, data = slice17
+        with pytest.raises(SchemaError, match="unknown derivative field pi"):
+            GeometricData(data.spec, data.warping, data.grid,
+                          derivs={**data.derivs,
+                                  "pi": np.zeros((2,) + data.pi.shape)},
+                          **{name: getattr(data, name)
+                             for name in FIELD_NAMES})
+
+    def test_private_copies_are_component_major(self, slice17, tmp_path):
+        # Loaded or induced, each field is a read-only grid-major view of a
+        # component-major copy of the values passed.
+        _, data = slice17
+        path = tmp_path / "slice.json"
+        save_dataset(data, path)
+        loaded = load_dataset(path)
+        nd = data.grid.n
+        for d in (data, loaded):
+            arrays = [getattr(d, name) for name in FIELD_NAMES]
+            arrays += [part for v in d.derivs.values() for part in v]
+            for arr in arrays:
+                assert not arr.flags.writeable
+                assert np.moveaxis(arr, range(nd),
+                                   range(-nd, 0)).flags.c_contiguous
+        for name in FIELD_NAMES:
+            assert (getattr(loaded, name).tobytes()
+                    == getattr(data, name).tobytes())
 
 
 class TestDerivedObjects:

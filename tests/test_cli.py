@@ -318,6 +318,39 @@ class TestValidateCommand:
         out = capsys.readouterr().out
         assert "pi leaves" in out
 
+    # pi sits at 0.3, outside the declared domain: the oracle's dataset is
+    # rejected with its findings on stdout, as a file's is.
+    DOMAIN = ["--example", "slice", "--params",
+              '{"warping": {"kind": "cosh", "domain": [-0.1, 0.1]}}']
+
+    def test_example_outside_domain_prints_findings(self, capsys):
+        assert main(["validate", *self.DOMAIN]) == 2
+        out, err = capsys.readouterr()
+        assert out == "violation: pi leaves the warping domain I\n"
+        assert err == ""
+
+    def test_example_outside_domain_json(self, capsys):
+        assert main(["validate", *self.DOMAIN, "--report", "json"]) == 2
+        assert json.loads(capsys.readouterr().out) == {
+            "problems": ["pi leaves the warping domain I"]}
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "FILE", "--tol", "1e-3"],
+    ["validate", "FILE", "--force-fd"],
+    ["validate", "FILE", "-o", "DIR"],
+    ["roundtrip", "--example", "helix", "--report", "json"]],
+    ids=["validate-tol", "validate-force-fd", "validate-o",
+         "roundtrip-report"])
+def test_unread_options_are_usage_errors(argv, slice_file, tmp_path, capsys):
+    # Each command takes only the options it reads.
+    argv = [str(slice_file) if a == "FILE" else
+            str(tmp_path / "out") if a == "DIR" else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command, stream, code", [
