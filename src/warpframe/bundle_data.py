@@ -197,16 +197,22 @@ class GeometricData:
     def inv_frame(self):
         """C with d/dx_k = sum_i C[k, i] e_i (inverse of the frame rows).
         Raises InvariantViolation naming the first node whose frame is
-        singular."""
+        singular. For n = 1 C is 1.0 / frame, the bits LAPACK's solve
+        gives, without its per-matrix call."""
         if "inv_frame" not in self._cache:
-            try:
-                self._cache["inv_frame"] = np.linalg.inv(self.frame)
-            except np.linalg.LinAlgError:
+            frame = self.frame
+            if self.spec.n > 1:
+                try:
+                    inv = np.linalg.inv(frame)
+                except np.linalg.LinAlgError:
+                    inv = None
+            else:
+                inv = None if (frame == 0.0).any() else 1.0 / frame
+            if inv is None:
                 # The first node of smallest |det|: the first with det 0.
-                bad = _worst_node(-np.abs(np.linalg.det(self.frame)),
-                                  self.grid.n)
-                raise InvariantViolation(
-                    f"frame is singular at node {bad}") from None
+                bad = _worst_node(-np.abs(np.linalg.det(frame)), self.grid.n)
+                raise InvariantViolation(f"frame is singular at node {bad}")
+            self._cache["inv_frame"] = inv
         return self._cache["inv_frame"]
 
     def warp_values(self):

@@ -186,8 +186,12 @@ class Isometry:
     rounds: int = 0
     used_frames: bool = False
 
+    def _points(self, spatial, t):
+        """The moved points: O applied to the spatial part, t shifted."""
+        return np.einsum("ab,...b->...a", self.O, spatial), t + self.t_shift
+
     def apply(self, imm: ImmersionField) -> ImmersionField:
-        spatial = np.einsum("ab,...b->...a", self.O, imm.spatial)
+        spatial, t = self._points(imm.spatial, imm.t)
         frames = None
         if imm.frames is not None:
             frames = imm.frames.copy()
@@ -195,7 +199,7 @@ class Isometry:
                                             imm.frames[..., :, :-1])
         return ImmersionField(spec=imm.spec, warping=imm.warping,
                               grid=imm.grid, spatial=spatial,
-                              t=imm.t + self.t_shift, frames=frames)
+                              t=t, frames=frames)
 
 
 def _group_basis(G0):
@@ -233,7 +237,8 @@ def congruence_align(f: ImmersionField, g: ImmersionField):
     J^t r_i = tr(O H_i (P^t Q - S O^t)).
 
     Returns (Isometry, defect) with defect the post-alignment sup over nodes
-    and components (spatial and vertical). Raises NonConvergence when the
+    and components (spatial and vertical), of the points that tau.apply(f)
+    would give; the frames are not moved. Raises NonConvergence when the
     polish reaches its round limit or takes a non-finite step.
     """
     if f.grid.extents != g.grid.extents or f.spec != g.spec:
@@ -286,7 +291,8 @@ def congruence_align(f: ImmersionField, g: ImmersionField):
         t_shift = float(np.mean(g.t - f.t))
     tau = Isometry(O=O, t_shift=t_shift, rounds=rounds,
                    used_frames=used_frames)
-    moved = tau.apply(f)
-    defect = max(float(np.abs(moved.spatial - g.spatial).max()),
-                 float(np.abs(moved.t - g.t).max()))
+    # The defect reads no frames, so only the points are moved.
+    spatial, t = tau._points(f.spatial, f.t)
+    defect = max(float(np.abs(spatial - g.spatial).max()),
+                 float(np.abs(t - g.t).max()))
     return tau, defect

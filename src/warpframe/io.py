@@ -122,16 +122,6 @@ def _float_reprs(f, sep):
     return sep.join(texts)
 
 
-def _float_texts(values):
-    """``float.__repr__`` of every value of a float array, as an object array
-    of its shape."""
-    a = np.asarray(values, dtype=np.float64)
-    texts = np.empty(a.size, dtype=object)
-    if a.size:
-        texts[:] = _float_reprs(a.ravel(), b",").decode().split(",")
-    return texts.reshape(a.shape)
-
-
 # Values per piece that _json_floats formats in one call.
 _PIECE = 32768
 
@@ -262,20 +252,22 @@ def write_immersion_csv(imm: ImmersionField, path):
     """Point set as CSV: node multi-index, spatial coordinates, height.
 
     One row per node in row-major order, ending in CRLF as ``csv.writer``
-    writes them; floats as ``repr``."""
+    writes them; floats as ``repr``. Each column's texts come from one
+    _float_reprs call, and the rows are joined as bytes."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     ext = tuple(imm.grid.extents)
     d = imm.spatial.shape[-1]
-    index_texts = np.array([str(i) for i in range(max(ext))], dtype=object)
-    indices = index_texts[np.indices(ext).reshape(len(ext), -1).T]
-    values = _float_texts(np.concatenate(
-        [imm.spatial.reshape(-1, d), imm.t.reshape(-1, 1)], axis=1))
-    rows = [_immersion_header(len(ext), d)]
-    rows += np.concatenate([indices, values], axis=1).tolist()
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("\r\n".join(map(",".join, rows)))
-        fh.write("\r\n")
+    index_texts = np.array([b"%d" % i for i in range(max(ext))], dtype=object)
+    index_cols = [index_texts[i].tolist()
+                  for i in np.indices(ext).reshape(len(ext), -1)]
+    value_cols = [_float_reprs(col, b",").split(b",") for col in
+                  (*imm.spatial.reshape(-1, d).T, imm.t.ravel())]
+    header = ",".join(_immersion_header(len(ext), d)).encode()
+    with open(path, "wb") as fh:
+        fh.write(header + b"\r\n")
+        fh.write(b"\r\n".join(map(b",".join, zip(*index_cols, *value_cols))))
+        fh.write(b"\r\n")
 
 
 def read_immersion_csv(path):

@@ -13,7 +13,8 @@ as a partial derivative rather than a Taylor coefficient.
 
 ``val`` is the jet of order L-1 (a prefix view of d; the plain array d[0]
 at L = 1) and ``parts[k]`` the jet of order L-1 of df/dx_k, an index
-gather of rows of d, so reading it adds no rounding. ``seed`` promotes
+gather of rows of d, so reading it adds no rounding; ``grad`` stacks the
+parts on a new first value axis in one gather. ``seed`` promotes
 chart coordinates to jets; ``value`` and ``part`` read results back.
 
 Products follow the Leibniz rule, quotients the recurrence it gives, and
@@ -108,6 +109,9 @@ class _Tables:
         self.shift = [_index(self._row[self._plus(c, k)]
                              for c in self._counts[:below])
                       for k in range(n)]
+        # grad: the rows of every parts[k], (below, n), for one gather.
+        self.grad = np.array([[self._row[self._plus(c, k)] for k in range(n)]
+                              for c in self._counts[:below]])
         if L >= 2:
             pairs = alphas[1 + n:self.start[3]]
             self.deg2 = slice(1 + n, self.start[3])
@@ -273,6 +277,16 @@ class Jet:
         if t.L == 1:
             return self.d[1 + k]
         return Jet._of(self.d[t.shift[k]], t.lower)
+
+    @property
+    def grad(self):
+        """parts stacked on a new first value axis: the jet of order L-1 of
+        shape (n, *shape), one gather of the rows of d (a view of them for
+        L = 1, where it is a plain array)."""
+        t = self.t
+        if t.L == 1:
+            return self.d[t.first]
+        return Jet._of(self.d[t.grad], t.lower)
 
     # -- component access (array-valued jets) ------------------------------
 

@@ -198,7 +198,7 @@ def _map_jets(grid, map_fn, levels):
     X = seed(list(grid.coordinates()), levels)
     t, p = map_fn(X)
     Y = _stack([t, *p], X[0])
-    return Y.val, _stack(Y.parts, Y.val)
+    return Y.val, Y.grad
 
 
 def _map_fd(grid, map_fn):
@@ -234,6 +234,12 @@ class ExplicitImmersion:
     map_fn takes the list of n chart coordinates (arrays or jets) and
     returns (t, [p_0 ... p_N]) built from analytic primitives, so the same
     callable serves values, tangents, and higher derivative extraction.
+
+    _cache hands stage-1 values from induce_data to exact_frame_field: the
+    map's values P, the adapted frame E and the warp values a, as plain
+    arrays (see induce_data). exact_frame_field takes them out on its
+    next call. It takes no part in repr or equality, and
+    dataclasses.replace starts a new one.
     """
 
     spec: SignatureSpec
@@ -242,6 +248,8 @@ class ExplicitImmersion:
     map_fn: Callable
     name: str | None = None
     params: dict = field(default_factory=dict)
+    _cache: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def sample(self):
         t, p = self.map_fn(list(self.grid.coordinates()))
@@ -266,6 +274,14 @@ def induce_data(imm: ExplicitImmersion, frame_seed=None,
     second-order finite differences of the sampled map and frame fields
     (no derivative fields are attached in that mode). The dataset is
     checked as load_data checks a document's.
+
+    With derivatives='jet' and no frame_seed, stage 1 gives the values of
+    P, E and a that exact_frame_field packs, bit for bit: the value rows of
+    jets round as plain arrays do. A successful induction then leaves
+    copies of those value rows in imm._cache, so the next
+    exact_frame_field(imm) need not map the chart and run stage 1 again.
+    A frame seed mixes the tangents and the fd engine differentiates the
+    frames by stencils; both change E, so they leave nothing there.
     """
     spec, warping, grid = imm.spec, imm.warping, imm.grid
     problems = validate_signature(spec)
@@ -318,6 +334,10 @@ def induce_data(imm: ExplicitImmersion, frame_seed=None,
     data = GeometricData(spec, warping, grid, derivs=derivs,
                          generator=imm.generator_tag(), **fields)
     data.validate()
+    if derivatives == "jet" and Mseed is None:
+        # Copies, so _cache holds no derivative rows of the jets.
+        imm._cache["stage1"] = tuple(np.array(value(x)) for x in
+                                     (P, s1["E"], s1["a"]))
     return data
 
 
@@ -338,27 +358,41 @@ def reference_field(imm: ExplicitImmersion,
                           spatial=p, t=t, frames=frames)
 
 
-def exact_frame_field(imm: ExplicitImmersion) -> np.ndarray:
-    """Frame matrices B(x) of the generating immersion at every node.
+def _frame_matrices(spec, grid, P, E, a):
+    """Frame matrices B (*ext, M, M) from the stage-1 values: the map's
+    values P (N+2, *ext), the adapted frame E (n+m, N+2, *ext) and the warp
+    values a.
 
     Column 0 comes from the scaled position direction, columns 1..N+1 from
     the induced adapted frame; row N+1 automatically holds the vertical
-    components T_beta. Only the frame values are read, so stage 1 runs on
-    plain arrays (the map on first-order jets).
+    components T_beta.
     """
-    spec, grid = imm.spec, imm.grid
     nd, Np1 = grid.n, spec.N + 1
-    P, V = _map_jets(grid, imm.map_fn, 1)
-    s1 = _stage1(spec, imm.warping, P, V)
-    E = s1["E"]
     fs = spec.fiber_signs
     B = np.zeros((spec.size, spec.size) + tuple(grid.extents))
     # column 0: position direction p/(c a) expressed in the scaled basis
     B[:Np1, 0] = _pattern(fs, nd) * P[1:]
-    B[:Np1, 1:] = ((s1["a"] / spec.c) * _pattern(fs[:, None], nd)
+    B[:Np1, 1:] = ((a / spec.c) * _pattern(fs[:, None], nd)
                    * np.swapaxes(E[:, 1:], 0, 1))
     B[Np1, 1:] = spec.epsilon * E[:, 0]
     return _grid_first(B, nd)
+
+
+def exact_frame_field(imm: ExplicitImmersion) -> np.ndarray:
+    """Frame matrices B(x) of the generating immersion at every node,
+    (*ext, M, M) (see _frame_matrices).
+
+    B is packed from the stage-1 values that induce_data left in
+    imm._cache, when it did, and they are taken out; otherwise the map is
+    evaluated on first-order jets and stage 1 runs on plain arrays, since
+    only the frame values are read.
+    """
+    values = imm._cache.pop("stage1", None)
+    if values is None:
+        P, V = _map_jets(imm.grid, imm.map_fn, 1)
+        s1 = _stage1(imm.spec, imm.warping, P, V)
+        values = P, s1["E"], s1["a"]
+    return _frame_matrices(imm.spec, imm.grid, *values)
 
 
 def exact_base_frame(imm: ExplicitImmersion) -> np.ndarray:

@@ -258,6 +258,28 @@ class TestSchemaGate:
 
 
 class TestDerivedObjects:
+    @pytest.mark.parametrize("name", ["helix", "vertical_geodesic"])
+    def test_inv_frame_n1_is_the_lapack_inverse(self, name):
+        _, data = canonical_example(name, {})
+        assert (data.inv_frame.tobytes()
+                == np.linalg.inv(data.frame).tobytes())
+
+    def test_inv_frame_n1_random_frames(self):
+        rng = np.random.default_rng(3)
+        frame = (rng.standard_normal((5, 1, 1))
+                 * 10.0 ** rng.integers(-300, 300, (5, 1, 1)))
+        data = trivial_data(frame=frame)
+        assert (data.inv_frame.tobytes()
+                == np.linalg.inv(data.frame).tobytes())
+
+    def test_inv_frame_n1_names_first_zero_node(self):
+        frame = np.ones((5, 1, 1))
+        frame[1], frame[3] = -0.0, 0.0
+        data = trivial_data(frame=frame)
+        with pytest.raises(InvariantViolation,
+                           match=r"^frame is singular at node \(1,\)$"):
+            data.inv_frame
+
     def test_delta_all_slice_pattern(self):
         data = trivial_data()
         np.testing.assert_array_equal(data.delta_all()[2], [0, 0, 1])

@@ -259,6 +259,29 @@ def test_moment_fit_matches_stacked_reference(spec, kind, seed, log_scale,
         defect, ref_defect)
 
 
+def _applied_defect(tau, f, g):
+    """The alignment defect of the field that tau.apply(f) returns."""
+    moved = tau.apply(f)
+    return max(float(np.abs(moved.spatial - g.spatial).max()),
+               float(np.abs(moved.t - g.t).max()))
+
+
+@pytest.mark.parametrize("name, params, shift", [
+    ("slice", {}, 0.0), ("helix", {}, 0.0),
+    ("great_subsphere", {"radius": 0.8}, 0.25)])
+def test_reconstruction_defect_is_that_of_the_applied_isometry(name, params,
+                                                               shift):
+    _, data = canonical_example(name, params)
+    rec = extract_immersion(integrate_frame(data, build_base_frame(data)),
+                            data)
+    imm = make_example(name, params)
+    ref = reference_field(imm)
+    ref.t = ref.t + shift
+    tau, defect = congruence_align(rec, ref)
+    assert tau.t_shift == pytest.approx(shift, abs=1e-12)
+    assert defect == _applied_defect(tau, rec, ref)
+
+
 def test_stalled_fit_raises():
     """A c = -1 cloud (fiber signs -1, 1, 1) one direction of which is
     shrunk to 1e-4 under noise 1e-4: the group element along it is

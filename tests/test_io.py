@@ -53,6 +53,13 @@ def stdlib_write_immersion_csv(imm, path):
             wr.writerow(row)
 
 
+def float_texts(a):
+    """The repr texts of the values of a float array in row-major order, as
+    the immersion CSV writer takes a column's from _float_reprs."""
+    a = np.asarray(a, dtype=np.float64).ravel()
+    return wio._float_reprs(a, b",").decode().split(",")
+
+
 def written(doc, tmp_path):
     path = tmp_path / "doc.json"
     wio._write_json(doc, path)
@@ -260,8 +267,7 @@ class TestFloatTexts:
 
     def test_boundary_sweep(self, tmp_path):
         a = boundary_floats()
-        assert (wio._float_texts(a).tolist()
-                == list(map(float.__repr__, a.tolist())))
+        assert float_texts(a) == list(map(float.__repr__, a.tolist()))
         finite = a[np.isfinite(a)]
         assert (written({"x": finite}, tmp_path)
                 == stdlib_json({"x": finite.tolist()}))
@@ -273,8 +279,8 @@ class TestFloatTexts:
         st.floats(1e-10, 1e-3) | st.floats(1e15, 1e18)
         | st.floats(-1e-3, -1e-10) | st.floats(-1e18, -1e15), min_size=1))
     def test_respelled_ranges_match_repr(self, values):
-        texts = wio._float_texts(np.array(values, dtype=np.float64))
-        assert texts.tolist() == list(map(float.__repr__, values))
+        texts = float_texts(np.array(values, dtype=np.float64))
+        assert texts == list(map(float.__repr__, values))
 
     @settings(max_examples=200, deadline=None, database=None)
     @given(values=st.lists(FINITE | NON_FINITE | st.sampled_from(SIGNED_EDGES),
@@ -285,9 +291,7 @@ class TestFloatTexts:
         a = np.array(values, dtype=np.float64)
         if wide:
             a = a.reshape(2, -1)
-        texts = wio._float_texts(a)
-        assert texts.shape == a.shape
-        assert texts.ravel().tolist() == list(map(float.__repr__, values))
+        assert float_texts(a) == list(map(float.__repr__, values))
 
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_pairs_across_a_piece_boundary(self, offset, tmp_path):
@@ -317,6 +321,38 @@ class TestImmersionCsv:
 
         spatial, t = values(extents + (3,)), values(extents)
         imm = ImmersionField(data.spec, data.warping, grid, spatial, t)
+        fast, ref = tmp_path / "fast.csv", tmp_path / "ref.csv"
+        wio.write_immersion_csv(imm, fast)
+        stdlib_write_immersion_csv(imm, ref)
+        assert fast.read_bytes() == ref.read_bytes()
+
+    @pytest.mark.parametrize("extents", [(1200,), (40, 30), (12, 10, 11)])
+    def test_long_columns(self, extents, helix65, tmp_path):
+        """At least 1,000 rows with multi-digit indices, and values in every
+        range where orjson's spelling is rewritten, and -0.0, in each
+        column."""
+        _, data = helix65
+        n = len(extents)
+        grid = ChartGrid(extents, (0.1,) * n, (0.0,) * n, (0,) * n)
+        rng = np.random.default_rng(10 + n)
+        shape = extents + (4,)
+        magnitude = np.exp(rng.uniform(np.log(1e-9), np.log(1e-5), shape))
+        pick = rng.integers(0, 5, shape)
+        magnitude = np.where(pick == 1, rng.uniform(1e-5, 1e-4, shape),
+                             magnitude)
+        magnitude = np.where(pick == 2, 1e16 * rng.uniform(1.0, 1e6, shape),
+                             magnitude)
+        magnitude = np.where(pick == 3, rng.standard_normal(shape),
+                             magnitude)
+        values = np.where(pick == 4, -0.0,
+                          magnitude * rng.choice([-1.0, 1.0], shape))
+        cols = np.abs(values.reshape(-1, 4))
+        for lo, hi in ((1e-9, 1e-5), (1e-5, 1e-4), (1e16, np.inf)):
+            assert ((cols >= lo) & (cols < hi)).any(axis=0).all(), (lo, hi)
+        assert ((values == 0.0) & np.signbit(values)).reshape(-1, 4).any(
+            axis=0).all()
+        imm = ImmersionField(data.spec, data.warping, grid,
+                             values[..., :3], values[..., 3])
         fast, ref = tmp_path / "fast.csv", tmp_path / "ref.csv"
         wio.write_immersion_csv(imm, fast)
         stdlib_write_immersion_csv(imm, ref)

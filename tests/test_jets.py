@@ -111,3 +111,21 @@ def test_linear_maps_value_and_partials(rng):
     np.testing.assert_array_equal(T.val, A.val.T)
     np.testing.assert_array_equal(T.parts[1], A.parts[1].T)
     np.testing.assert_array_equal(jets.linear(np.transpose, A.val), A.val.T)
+
+
+@pytest.mark.parametrize("n, order", [(1, 1), (1, 3), (2, 1), (2, 2),
+                                      (3, 2), (3, 3)])
+def test_grad_stacks_the_parts(n, order, rng):
+    X = seed(list(rng.uniform(-0.5, 0.5, (n, 6))), order)
+    f = jets.zeros((2, 6), like=X[0])
+    f[0] = sin(X[0]) * exp(X[-1])
+    f[1] = X[0] * X[-1] + cosh(X[0])
+    g = f.grad
+    if order == 1:
+        assert isinstance(g, np.ndarray) and np.shares_memory(g, f.d)
+        want = np.stack(f.parts)
+    else:
+        assert g.t is f.val.t
+        want = np.stack([p.d for p in f.parts], axis=1)
+        g = g.d
+    assert g.shape == want.shape and g.tobytes() == want.tobytes()

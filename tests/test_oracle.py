@@ -187,6 +187,56 @@ class TestExactFrames:
                                           getattr(fresh, name))
 
 
+class TestStage1HandOff:
+    """induce_data leaves its stage-1 values in the immersion's _cache;
+    exact_frame_field takes them out and packs them into the frame field
+    that a fresh immersion gives, bit for bit."""
+
+    @staticmethod
+    def check_seeded(make, **kw):
+        imm = make()
+        induce_data(imm, **kw)
+        P, E, a = imm._cache["stage1"]
+        for x in (P, E, a):      # plain copies, no jet rows behind them
+            assert type(x) is np.ndarray and x.base is None
+        t, p = imm.sample()
+        assert P.tobytes() == np.concatenate(
+            [t[None], np.moveaxis(p, -1, 0)]).tobytes()
+        B = exact_frame_field(imm)
+        assert "stage1" not in imm._cache
+        assert B.tobytes() == exact_frame_field(make()).tobytes()
+        assert exact_frame_field(imm).tobytes() == B.tobytes()
+
+    @pytest.mark.parametrize("attach", [True, False])
+    @pytest.mark.parametrize("name", ALL_FAMILIES)
+    def test_families(self, name, attach):
+        self.check_seeded(lambda: make_example(name, {}),
+                          attach_derivatives=attach)
+
+    @pytest.mark.parametrize("key", SIGNATURE_CASES)
+    def test_signature_cases(self, key):
+        self.check_seeded(lambda: SIGNATURE_CASES[key](1, None))
+
+    @pytest.mark.parametrize("kw", [{"derivatives": "fd"},
+                                    {"frame_seed": [[1.7]]}],
+                             ids=["fd", "frame_seed"])
+    def test_fd_and_frame_seed_leave_it_unseeded(self, kw):
+        imm = make_example("helix", {})
+        induce_data(imm, **kw)
+        assert imm._cache == {}
+        fresh = make_example("helix", {})
+        assert exact_frame_field(imm).tobytes() == \
+            exact_frame_field(fresh).tobytes()
+
+    def test_cache_outside_repr_equality_and_replace(self):
+        imm = make_example("helix", {})
+        twin = dataclasses.replace(imm)
+        induce_data(imm)
+        assert "_cache" not in repr(imm) and imm == twin
+        # A replaced immersion (another grid, say) starts with its own cache.
+        assert twin._cache == {} and dataclasses.replace(imm)._cache == {}
+
+
 def test_unknown_example_name():
     with pytest.raises(KeyError):
         make_example("moebius", {})
