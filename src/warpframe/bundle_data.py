@@ -195,24 +195,21 @@ class GeometricData:
 
     @property
     def inv_frame(self):
-        """C with d/dx_k = sum_i C[k, i] e_i (inverse of the frame rows).
-        Raises InvariantViolation naming the first node whose frame is
-        singular. For n = 1 C is 1.0 / frame, the bits LAPACK's solve
-        gives, without its per-matrix call."""
+        """C with d/dx_k = sum_i C[k, i] e_i (inverse of the frame rows),
+        by _inverse_stack over all nodes at once. Raises InvariantViolation
+        naming the first node of smallest |det| among the nodes whose frame
+        is singular: a zero pivot, or an inverse that is not finite (it
+        overflows). For n = 1 C is exactly 1.0 / frame."""
         if "inv_frame" not in self._cache:
-            frame = self.frame
-            if self.spec.n > 1:
-                try:
-                    inv = np.linalg.inv(frame)
-                except np.linalg.LinAlgError:
-                    inv = None
-            else:
-                inv = None if (frame == 0.0).any() else 1.0 / frame
-            if inv is None:
-                # The first node of smallest |det|: the first with det 0.
-                bad = _worst_node(-np.abs(np.linalg.det(frame)), self.grid.n)
+            nd = self.grid.n
+            # The private memory is component-major: (n, n, *ext).
+            frame = np.moveaxis(self.frame, (-2, -1), (0, 1))
+            inv, singular = _inverse_stack(frame)
+            if singular.any():
+                det = np.abs(np.linalg.det(self.frame))
+                bad = _worst_node(np.where(singular, -det, -np.inf), nd)
                 raise InvariantViolation(f"frame is singular at node {bad}")
-            self._cache["inv_frame"] = inv
+            self._cache["inv_frame"] = np.moveaxis(inv, (0, 1), (-2, -1))
         return self._cache["inv_frame"]
 
     def warp_values(self):
@@ -323,6 +320,41 @@ class GeometricData:
         if self.generator:
             doc["generator"] = dict(self.generator)
         return doc
+
+
+def _inverse_stack(A):
+    """Inverses X (n, n, *ext) of a component-major stack of matrices
+    A (n, n, *ext), and the mask (*ext) of the singular ones.
+
+    Gaussian elimination with partial pivoting (the first row of largest
+    |entry| in the column, as LAPACK picks it) on [A | I], component-major,
+    so each of its O(n^2) numpy operations sweeps the whole stack. A
+    matrix is singular when a pivot is zero or its inverse is not finite
+    (it overflows). A zero pivot divides a row of X by zero, so both show
+    as a non-finite X. For n = 1 X is exactly 1.0 / A.
+    """
+    n = A.shape[0]
+    A = np.array(A, dtype=float)
+    X = np.zeros_like(A)
+    for i in range(n):
+        X[i, i] = 1.0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for k in range(n - 1):
+            p = k + np.argmax(np.abs(A[k:, k]), axis=0)
+            for r in range(k + 1, n):
+                swap = p == r
+                if swap.any():
+                    for Z in (A, X):
+                        Z[k], Z[r] = (np.where(swap, Z[r], Z[k]),
+                                      np.where(swap, Z[k], Z[r]))
+            l = A[k + 1:, k] / A[k, k]
+            A[k + 1:, k + 1:] -= l[:, None] * A[k, k + 1:]
+            X[k + 1:] -= l[:, None] * X[k]
+        for k in range(n - 1, -1, -1):
+            if k + 1 < n:
+                X[k] -= (A[k, k + 1:, None] * X[k + 1:]).sum(axis=0)
+            X[k] /= A[k, k]
+    return X, ~np.isfinite(X).all(axis=(0, 1))
 
 
 def _worst_node(arr, n):

@@ -23,10 +23,11 @@ integrate_frame propagates B along axis-ordered lattice paths with
 per-step midpoint-sampled matrix exponentials (a second-order Lie-group
 scheme). The step generators depend on Upsilon only, never on B, so every
 propagator of an axis is computed before the sweep in one call of the
-batched exponential `expm`. It forms the Pade quotient as I + 2 (V - U)^-1 U
-and solves its column diagonally dominant denominator by elimination
-without pivoting, component-major over the whole stack, with no LAPACK call
-per matrix. The sweep then only multiplies, a block of
+batched exponential `expm`. It takes the lowest Pade degree (3, 5 or 7)
+whose bound covers the largest step in the stack, forms the quotient as
+I + 2 (V - U)^-1 U and solves its column diagonally dominant denominator by
+elimination without pivoting, component-major over the whole stack, with no
+LAPACK call per matrix. The sweep then only multiplies, a block of
 16 steps at a time, re-projects onto the pseudo-orthogonal group the block
 ends that have drifted off it (one batched check finds them), and records
 drift diagnostics.
@@ -185,12 +186,17 @@ def assembled_derivatives(data: GeometricData) -> dict:
 # ---------------------------------------------------------------------------
 # Step kernel and group projection
 
-# Degree-7 diagonal Pade approximant of exp and the largest 1-norm at which
-# its backward error stays below the unit roundoff (Higham, "The scaling and
-# squaring method for the matrix exponential revisited", SIAM J. Matrix
-# Anal. Appl. 26 (2005), Table 2.3).
+# Diagonal Pade approximants of exp of degree m = 3, 5 and 7 (coefficients
+# b_0 .. b_m) and the largest 1-norm theta_m at which the backward error of
+# each stays below the unit roundoff (Higham, "The scaling and squaring
+# method for the matrix exponential revisited", SIAM J. Matrix Anal. Appl.
+# 26 (2005), Table 2.3).
+_PADE3 = (120.0, 60.0, 12.0, 1.0)
+_PADE5 = (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0)
 _PADE7 = (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0,
           56.0, 1.0)
+_THETA3 = 1.495585217958292e-2
+_THETA5 = 2.539398330063230e-1
 _THETA7 = 0.9504178996162932
 # Beyond 2^52 theta7 (about 4e15) the rounding of K alone changes exp(K) by
 # O(1): no digit of the result is significant.
@@ -205,9 +211,12 @@ def _solve_dominant(A, B):
     matrix partial pivoting never swaps rows (each pivot is already the
     largest entry left in its column, and elimination keeps the remaining
     block dominant), so this is the elimination partial pivoting would do,
-    with its growth factor of at most 2. It runs component-major, on (M, M, L) copies, so each of
-    its O(M) numpy operations sweeps the whole stack instead of one LAPACK
-    call per matrix. Returns the component-major (M, K, L) solution.
+    with its growth factor of at most 2. expm solves its Pade denominator
+    V - U with it at each of the degrees 3, 5 and 7: the margins of
+    dominance are in expm's table. It runs component-major, on (M, M, L)
+    copies, so each of its O(M) numpy operations sweeps the whole stack
+    instead of one LAPACK call per matrix. Returns the component-major
+    (M, K, L) solution.
     """
     # Copies: for L = 1 the moved axes are already contiguous views.
     A = np.moveaxis(A, 0, -1).copy()
@@ -224,23 +233,44 @@ def _solve_dominant(A, B):
     return X
 
 
+def _pade_sum(c, P):
+    """c[-1] P[-1] + ... + c[1] P[1] + c[0] P[0], summed from the highest
+    power down, with one temporary."""
+    S = np.multiply(P[len(c) - 1], c[-1])
+    tmp = np.empty_like(S)
+    for j in range(len(c) - 2, 0, -1):
+        S += np.multiply(P[j], c[j], out=tmp)
+    S += c[0] * P[0]
+    return S
+
+
 def expm(K):
     """Matrix exponential of one matrix or a stack (..., M, M).
 
-    Scaling and squaring with the degree-7 diagonal Pade approximant
-    r(A) = (V - U)^-1 (V + U) (Higham 2005), vectorized over the stack:
-    each matrix gets its own scaling exponent s (the smallest with
-    |K/2^s|_1 <= theta7) and is squared s times. The quotient is formed as
-    r(A) = I + 2 (V - U)^-1 U, which equals it exactly.
+    Scaling and squaring with a diagonal Pade approximant
+    r_m(A) = (V - U)^-1 (V + U) (Higham 2005), vectorized over the stack.
+    The quotient is formed as r_m(A) = I + 2 (V - U)^-1 U, which equals it
+    exactly. One degree m serves the whole stack, so it stays one batch:
 
-    After scaling |A|_1 <= theta7, so |(V - U) - b0 I|_1 <= sum_k b_k
-    theta7^k (k >= 1), about 0.594 b0: V - U is strictly column diagonally
-    dominant, partial pivoting would never swap rows, and _solve_dominant
-    solves the whole stack without pivoting and without a LAPACK call per
-    matrix. A diagonal Pade approximant maps a G-skew generator onto the
-    group {Z : Z^t G Z = G}. Matrices with non-finite entries or a 1-norm
-    beyond about 4e15 (no significant digit left) are solved as the zero
-    matrix and come out NaN, so a blown-up step stays non-finite.
+        m    theta_m    |(V - U) - b0 I|_1 / b0 at |A|_1 = theta_m
+        3    1.50e-2    0.0075
+        5    0.254      0.134
+        7    0.950      0.594
+
+    When every matrix has |K|_1 <= theta7, m is the lowest degree whose
+    theta_m bounds the largest 1-norm in the stack, and K is not scaled.
+    Otherwise m = 7, and each matrix gets its own scaling exponent s (the
+    smallest with |K/2^s|_1 <= theta7) and is squared s times.
+
+    At every degree the last column of the table stays below 1: V - U is
+    strictly column diagonally dominant, partial pivoting would never
+    swap rows, and _solve_dominant solves the whole stack without
+    pivoting and without a LAPACK call per matrix. U and V are summed in
+    place, from the highest power down. A diagonal Pade approximant maps a
+    G-skew generator onto the group {Z : Z^t G Z = G}. Matrices with
+    non-finite entries or a 1-norm beyond about 4e15 (no significant digit
+    left) are solved as the zero matrix and come out NaN, so a blown-up
+    step stays non-finite.
     """
     K = np.asarray(K, dtype=float)
     M = K.shape[-1]
@@ -252,14 +282,19 @@ def expm(K):
     s = np.where(bad | (s < 0), 0, s).astype(int)
     if bad.any() or s.any():    # ldexp(x, 0) == x: skip the copy
         A = np.ldexp(np.where(bad[:, None, None], 0.0, A), -s[:, None, None])
-    b = _PADE7
+        b = _PADE7
+    else:
+        top = norm.max(initial=0.0)
+        b = (_PADE3 if top <= _THETA3 else
+             _PADE5 if top <= _THETA5 else _PADE7)
     eye = np.eye(M)
-    A2 = A @ A
-    A4 = A2 @ A2
-    A6 = A4 @ A2
-    U = A @ (b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * eye)
-    V = b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * eye
-    R = np.multiply(np.moveaxis(_solve_dominant(V - U, U), -1, 0), 2.0,
+    P = [eye, A @ A]                  # I, A^2, A^4, A^6
+    while len(P) < len(b) // 2:
+        P.append(P[-1] @ P[1])
+    U = A @ _pade_sum(b[1::2], P)
+    V = _pade_sum(b[0::2], P)
+    V -= U
+    R = np.multiply(np.moveaxis(_solve_dominant(V, U), -1, 0), 2.0,
                     order="C")
     R += eye
     for k in range(int(s.max(initial=0))):

@@ -23,8 +23,8 @@ import numpy as np
 from .ambient import SignatureSpec, WarpingFunction, warped_dot, warped_nabla
 from .bundle_data import ChartGrid, GeometricData
 from .errors import AlignmentDegenerate, NonConvergence
-from .frame_solver import (FrameField, _grid_last, _group_defect, _pattern,
-                           expm, pseudo_orthonormalize)
+from .frame_solver import (FrameField, _grid_last, _pattern, expm,
+                           pseudo_orthonormalize)
 from .stencils import grad1, grad2_pure, interior_mask
 from .verifier import ResidualReport
 
@@ -53,19 +53,22 @@ class ImmersionField:
         q = np.einsum("g,...g,...g->...", fs, self.spatial, self.spatial)
         return float(np.abs(q - self.spec.c).max())
 
-    def frame_matrices(self):
-        """Recover B from the stored frames (exact inversion of the scaled
-        basis change)."""
+    def frame_matrices(self, columns=slice(None)):
+        """Recover B, or its columns B[..., :, columns], from the stored
+        frames (exact inversion of the scaled basis change): column gamma
+        of B is read from E~_gamma alone."""
         if self.frames is None:
             raise ValueError("immersion field has no frames")
         spec = self.spec
         a = self.warping.eval(self.t)[0]
         Np1 = spec.N + 1
-        B = np.empty_like(self.frames)
+        frames = self.frames[..., columns, :]
+        *ext, cols, M = frames.shape
+        B = np.empty((*ext, M, cols))
         fs = spec.fiber_signs
         B[..., :Np1, :] = (spec.c * a)[..., None, None] * (
-            fs[:, None] * np.swapaxes(self.frames[..., :, :Np1], -1, -2))
-        B[..., Np1, :] = spec.epsilon * self.frames[..., :, Np1]
+            fs[:, None] * np.swapaxes(frames[..., :, :Np1], -1, -2))
+        B[..., Np1, :] = spec.epsilon * frames[..., :, Np1]
         return B
 
 
@@ -97,7 +100,10 @@ def verify_immersion(imm: ImmersionField, data: GeometricData,
     """Residuals of the five reconstruction conclusions.
 
     isometry and the vertical split are measured through the frame identity
-    (separating integrator drift from discretization error); the second
+    (separating integrator drift from discretization error). isometry is
+    the G-Gram matrix of the n tangent columns of B minus the tangent
+    signs: those columns are rebuilt from the tangent frames alone
+    (ImmersionField.frame_matrices of them), never all of B. The second
     fundamental form and the normal connection are re-derived from finite
     differences of the immersion itself as an independent cross-check,
     with the warped connection ambient.warped_nabla that the oracle uses.
@@ -106,14 +112,15 @@ def verify_immersion(imm: ImmersionField, data: GeometricData,
     n, nd, Np1 = spec.n, grid.n, spec.N + 1
     if tol is None:
         tol = grid.fd_tolerance
-    B = imm.frame_matrices()
     a, a1, _ = data.warp_values()
     a2 = a * a
     report = ResidualReport()
 
     # (1) isometry: tangent block of B^t G B - G.
-    btgb = _group_defect(B, np.asarray(spec.signs, dtype=float))[1]
-    tangent = btgb[..., 1:n + 1, 1:n + 1] - np.diag(spec.tangent_signs)
+    Bt = imm.frame_matrices(slice(1, n + 1))
+    g = np.asarray(spec.signs, dtype=float)
+    gram = np.swapaxes(Bt, -1, -2) @ (g[:, None] * Bt)
+    tangent = gram - np.diag(spec.tangent_signs)
     report.add("isometry", np.abs(tangent).max(axis=(-1, -2)), tol)
 
     # (2) vertical split: dt - Phi(T) - Phi(xi) in ambient components.

@@ -1,15 +1,19 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geometry_reference import s_tensor, shape_operator
 from json_reference import float64_list
 from warpframe import (ChartGrid, GeometricData, SignatureSpec,
                        WarpingFunction, canonical_example, load_data,
                        structure_residuals)
-from warpframe.bundle_data import FIELD_NAMES
+from warpframe.bundle_data import FIELD_NAMES, _inverse_stack
+from warpframe.cli import main
 from warpframe.errors import InvariantViolation, SchemaError
 from warpframe.io import load_dataset, save_dataset
 
@@ -30,6 +34,21 @@ def trivial_data(**overrides):
     )
     fields.update(overrides)
     return GeometricData(spec, w, grid, **fields)
+
+
+def frame_data(frame):
+    """Data of n = frame.shape[-1] (m = 1, a grid of 3 nodes per axis)
+    with the given frames (3, ..., 3, n, n) and zeros elsewhere."""
+    n = frame.shape[-1]
+    ext = (3,) * n
+    spec = SignatureSpec.from_counts(n, 1, 1, 1, (1,) * n, (1,))
+    grid = ChartGrid(ext, (0.1,) * n, (0.0,) * n, (1,) * n)
+    return GeometricData(
+        spec, WarpingFunction("constant"), grid, frame=frame,
+        omega_tangent=np.zeros(ext + (n, n, n)),
+        omega_bundle=np.zeros(ext + (1, 1, n)),
+        alpha=np.zeros(ext + (1, n, n)), T_comp=np.zeros(ext + (n,)),
+        xi_comp=np.ones(ext + (1,)), pi=np.full(ext, 0.3))
 
 
 class TestChartGrid:
@@ -279,6 +298,76 @@ class TestDerivedObjects:
         with pytest.raises(InvariantViolation,
                            match=r"^frame is singular at node \(1,\)$"):
             data.inv_frame
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(n=st.integers(1, 5), L=st.integers(1, 30),
+           seed=st.integers(0, 2**32 - 1), log_scale=st.floats(-6.0, 6.0))
+    def test_inverse_stack_matches_lapack(self, n, L, seed, log_scale):
+        # Gaussian stacks, diagonally dominant ones with their rows
+        # permuted (the pivots undo the permutation) and column-scaled
+        # ones.
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((3, L, n, n))
+        i = np.arange(n)
+        A[1, :, i, i] += 2.0 * n * np.sign(A[1, :, i, i])
+        A[1] = A[1][:, rng.permutation(n)]
+        A[2] *= 10.0 ** (log_scale * rng.uniform(-1.0, 1.0, (L, 1, n)))
+        A = A.reshape(3 * L, n, n)
+        X, singular = _inverse_stack(np.moveaxis(A, 0, -1))
+        got = np.moveaxis(X, -1, 0)
+        want = np.linalg.inv(A)
+        cond = np.linalg.cond(A)
+        assert not singular.any()
+        err = np.abs(got - want).max(axis=(-1, -2))
+        assert np.all(err <= 1e-13 * cond * np.abs(want).max(axis=(-1, -2)))
+
+    def test_inverse_stack_n1_is_the_reciprocal(self):
+        rng = np.random.default_rng(5)
+        A = (rng.standard_normal((1, 1, 40))
+             * 10.0 ** rng.integers(-300, 300, (1, 1, 40)))
+        X, singular = _inverse_stack(A)
+        assert X.tobytes() == (1.0 / A).tobytes() and not singular.any()
+
+    @pytest.mark.parametrize("n, kind", [
+        (1, "zero"), (2, "zero"), (3, "zero"), (2, (0, 1)), (3, (0, 2)),
+        (3, (1, 2)), (1, "overflow"), (2, "overflow"), (3, "overflow")])
+    def test_singular_frames_name_the_node(self, n, kind):
+        # A zero frame, one with two equal rows, or one whose inverse
+        # overflows, at node (2, 0, ...). Node (0, ...) holds 1e-30 I: its
+        # |det| is smaller than that of the overflowing frame, but its
+        # inverse exists.
+        rng = np.random.default_rng(n)
+        frame = np.broadcast_to(np.eye(n), (3,) * n + (n, n)).copy()
+        frame[(0,) * n] = 1e-30 * np.eye(n)
+        bad = (2,) + (0,) * (n - 1)
+        if kind == "zero":
+            frame[bad] = 0.0
+        elif kind == "overflow":
+            frame[bad] = np.diag([1e-320] + [1e300] * (n - 1))
+        else:
+            frame[bad] = rng.standard_normal((n, n))
+            frame[bad + (kind[1],)] = frame[bad + (kind[0],)]
+        with pytest.raises(InvariantViolation, match=(
+                rf"^frame is singular at node {re.escape(str(bad))}$")):
+            frame_data(frame).inv_frame
+
+    @pytest.mark.parametrize("command", ["validate", "verify", "reconstruct"])
+    def test_zeroed_node_of_3d_slice_exits_two(self, command, tmp_path,
+                                               capsys):
+        _, data = canonical_example("slice", {
+            "n": 3, "grid_extents": [9, 9, 9],
+            "grid_spacing": [0.05, 0.05, 0.05],
+            "attach_derivatives": False})
+        doc = json.loads(json.dumps(data.to_document(),
+                                    default=float64_list))
+        frame = np.array(doc["fields"]["frame"]).reshape(data.frame.shape)
+        frame[2, 4, 6] = 0.0
+        doc["fields"]["frame"] = frame.ravel().tolist()
+        path = tmp_path / "zeroed.json"
+        path.write_text(json.dumps(doc))
+        assert main([command, str(path)]) == 2
+        out = capsys.readouterr()
+        assert "frame is singular at node (2, 4, 6)" in out.out + out.err
 
     def test_delta_all_slice_pattern(self):
         data = trivial_data()

@@ -387,6 +387,25 @@ def test_singular_frame_names_node(command, stream, slice_file, tmp_path,
         capsys.readouterr(), stream)
 
 
+@pytest.mark.parametrize("command, stream", [
+    ("validate", "out"), ("verify", "err"), ("reconstruct", "err")])
+def test_overflowing_inverse_frame_names_node(command, stream, slice_file,
+                                              tmp_path, capsys):
+    # A frame of 1e-320 I is not zero, but its inverse overflows to inf.
+    # The NaN that inf makes in the T = eps grad(pi) defect compares false
+    # against the tolerance, so the frame must count as singular.
+    data = load_dataset(slice_file)
+    doc = json.loads(json.dumps(data.to_document(), default=float64_list))
+    frame = np.array(doc["fields"]["frame"]).reshape(data.frame.shape)
+    frame[3, 3] = 1e-320 * np.eye(2)
+    doc["fields"]["frame"] = frame.ravel().tolist()
+    bad = tmp_path / "overflow.json"
+    bad.write_text(json.dumps(doc))
+    assert main([command, str(bad)]) == 2
+    assert "frame is singular at node (3, 3)" in getattr(
+        capsys.readouterr(), stream)
+
+
 def test_parser_built_once(capsys):
     cli._build_parser.cache_clear()
     try:

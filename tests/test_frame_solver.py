@@ -18,10 +18,11 @@ from warpframe import (ChartGrid, ExplicitImmersion, GeometricData,
                        oracle)
 from warpframe.errors import (IntegrationBlowup, InvariantViolation,
                               NonConvergence)
-from warpframe.frame_solver import (_ASSEMBLY_FIELDS, _PADE7, _THETA7,
-                                    _assemble, _chain, _grid_first,
-                                    _grid_last, _group_defect,
-                                    _solve_dominant, assemble_all,
+from warpframe.frame_solver import (_ASSEMBLY_FIELDS, _MAX_SQUARINGS,
+                                    _PADE3, _PADE5, _PADE7, _THETA3,
+                                    _THETA5, _THETA7, _assemble, _chain,
+                                    _grid_first, _grid_last, _group_defect,
+                                    _pade_sum, _solve_dominant, assemble_all,
                                     assembled_derivatives, build_base_frame,
                                     expm, integrate_frame,
                                     path_independence_defect,
@@ -450,31 +451,65 @@ class TestExpm:
         np.testing.assert_array_equal(out[0], np.eye(K.shape[0]))
 
 
+def _expm_degree7(K):
+    """expm as it was with the degree-7 Pade approximant for every stack:
+    the bits a stack that needs scaling must still get."""
+    K = np.asarray(K, dtype=float)
+    M = K.shape[-1]
+    A = K.reshape((-1, M, M))
+    norm = np.abs(A).sum(axis=-2).max(axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.ceil(np.log2(norm / _THETA7))
+    bad = ~(s <= _MAX_SQUARINGS)
+    s = np.where(bad | (s < 0), 0, s).astype(int)
+    if bad.any() or s.any():
+        A = np.ldexp(np.where(bad[:, None, None], 0.0, A), -s[:, None, None])
+    b = _PADE7
+    eye = np.eye(M)
+    A2 = A @ A
+    A4 = A2 @ A2
+    A6 = A4 @ A2
+    U = A @ (b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * eye)
+    V = b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * eye
+    R = np.multiply(np.moveaxis(_solve_dominant(V - U, U), -1, 0), 2.0,
+                    order="C")
+    R += eye
+    for k in range(int(s.max(initial=0))):
+        idx = np.flatnonzero(s > k)
+        R[idx] = R[idx] @ R[idx]
+    R[bad] = np.nan
+    return R.reshape(K.shape)
+
+
 class TestPivotFreeKernels:
     """expm's pivot-free Pade solve and the matmul group defect, against the
     LAPACK-solve exponential of tests/expm_reference.py and the einsum
     formula they replace."""
 
     def test_pade_denominator_is_column_dominant(self):
-        # After scaling |A|_1 <= theta7, so V - U = b0 I + E with
-        # |E|_1 <= sum_k b_k theta7^k (k >= 1): about 0.594 b0.
-        b = np.array(_PADE7)
-        bound = float(np.sum(b[1:] * _THETA7 ** np.arange(1, 8)))
-        assert bound / b[0] == pytest.approx(0.5945, abs=1e-4)
-        # At the largest scaled norm each column of V - U keeps its
-        # diagonal ahead of the rest of the column by at least b0 - bound.
-        rng = np.random.default_rng(11)
-        A = _scaled(rng, (2000, 6, 6), _THETA7)
-        A2 = A @ A
-        A4 = A2 @ A2
-        A6 = A4 @ A2
-        eye = np.eye(6)
-        U = A @ (b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * eye)
-        V = b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * eye
-        D = V - U
-        diag = np.abs(np.diagonal(D, axis1=-2, axis2=-1))
-        rest = np.abs(D).sum(axis=-2) - diag
-        assert (diag - rest).min() >= (b[0] - bound) * (1 - 1e-12)
+        # At |A|_1 <= theta_m, V - U = b0 I + E with
+        # |E|_1 <= sum_k b_k theta_m^k (k >= 1), the margin of expm's table.
+        for b, theta, margin in ((_PADE3, _THETA3, 0.0075),
+                                 (_PADE5, _THETA5, 0.1344),
+                                 (_PADE7, _THETA7, 0.5945)):
+            b = np.array(b)
+            m = len(b) - 1
+            bound = float(np.sum(b[1:] * theta ** np.arange(1, m + 1)))
+            assert bound / b[0] == pytest.approx(margin, abs=1e-4)
+            # At the largest scaled norm each column of V - U keeps its
+            # diagonal ahead of the rest of the column by at least
+            # b0 - bound.
+            rng = np.random.default_rng(11)
+            A = _scaled(rng, (2000, 6, 6), theta)
+            P = [np.eye(6)]
+            for _ in range(m):
+                P.append(P[-1] @ A)
+            U = sum(b[k] * P[k] for k in range(1, m + 1, 2))
+            V = sum(b[k] * P[k] for k in range(0, m + 1, 2))
+            D = V - U
+            diag = np.abs(np.diagonal(D, axis1=-2, axis2=-1))
+            rest = np.abs(D).sum(axis=-2) - diag
+            assert (diag - rest).min() >= (b[0] - bound) * (1 - 1e-12)
 
     @settings(max_examples=60, deadline=None, database=None)
     @given(M=st.integers(2, 7), L=st.integers(1, 40), K=st.integers(1, 7),
@@ -501,23 +536,70 @@ class TestPivotFreeKernels:
     @given(seed=st.integers(0, 2**32 - 1),
            log_norm=st.floats(-6.0, np.log10(30.0)))
     def test_expm_matches_lapack_reference(self, M, seed, log_norm):
-        # Every sign pattern of G, with G-skew generators of the drawn norm
-        # and of 1e-6, 1e-2, 1 and 30: the last two are scaled (s = 1, 5).
+        # Every sign pattern of G, with G-skew generators of the drawn norm,
+        # of 1e-6, 1e-2, 1 and 30 (the last two are scaled: s = 1, 5), and
+        # just below and just above theta3 and theta5. Each norm is one
+        # call, which picks its own Pade degree; all of them mixed in one
+        # call are scaled, at degree 7.
         rng = np.random.default_rng(seed)
         g = np.array(list(itertools.product([1.0, -1.0], repeat=M)))
-        norms = 10.0 ** np.array([log_norm, -6.0, -2.0, 0.0,
-                                  np.log10(30.0)])
+        norms = np.array([10.0 ** log_norm, 1e-6, 1e-2, 1.0, 30.0]
+                         + [t * (1 + d) for t in (_THETA3, _THETA5)
+                            for d in (-1e-6, 1e-6)])
         S = rng.standard_normal((len(g), len(norms), M, M))
         K = g[:, None, :, None] * (S - np.swapaxes(S, -1, -2))
         K *= (norms / np.abs(K).sum(axis=-2).max(axis=-1))[..., None, None]
-        got = expm(K)
+        want = expm_reference.expm(K)
+        for got in (expm(K), np.stack([expm(K[:, j]) for j in
+                                       range(len(norms))], axis=1)):
+            rel = (np.abs(got - want).max(axis=(-1, -2))
+                   / np.abs(want).max(axis=(-1, -2)))
+            # Where boosts near |K| = 30 leave both a few 1e-13 from the
+            # exponential, a 40-digit one decides.
+            for idx in zip(*np.nonzero(rel > 1e-12)):
+                assert _rel(got[idx], _exact_expm(K[idx])) <= 1e-12
+
+    @pytest.mark.parametrize("norms, degree", [
+        ((1e-6, _THETA3 * (1 - 1e-6)), 3),
+        ((1e-6, _THETA3 * (1 + 1e-6)), 5),
+        ((_THETA3 * (1 - 1e-6), _THETA5 * (1 - 1e-6)), 5),
+        ((_THETA3 * (1 - 1e-6), _THETA5 * (1 + 1e-6)), 7),
+        ((1e-6, _THETA7), 7),
+        ((1e-6, _THETA3, 30.0), 7)])
+    @settings(max_examples=6, deadline=None, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), M=st.integers(2, 7))
+    def test_degree_from_largest_norm(self, norms, degree, seed, M):
+        # One degree per stack, the lowest whose theta_m bounds its largest
+        # 1-norm; a stack that needs scaling keeps degree 7. Just below and
+        # just above theta3 and theta5, the result matches the degree-7
+        # LAPACK-solve reference.
+        rng = np.random.default_rng(seed)
+        g = rng.choice([-1.0, 1.0], M)
+        S = rng.standard_normal((len(norms), 3, M, M))
+        K = g[:, None] * (S - np.swapaxes(S, -1, -2))
+        K *= (np.array(norms)[:, None]
+              / np.abs(K).sum(axis=-2).max(axis=-1))[..., None, None]
+        with mock.patch.object(frame_solver, "_pade_sum",
+                               wraps=_pade_sum) as spy:
+            got = expm(K)
+        # U and V sum (m + 1) / 2 coefficients each.
+        assert {2 * len(c.args[0]) - 1 for c in spy.call_args_list} == {degree}
         want = expm_reference.expm(K)
         rel = (np.abs(got - want).max(axis=(-1, -2))
                / np.abs(want).max(axis=(-1, -2)))
-        # Where boosts near |K| = 30 leave both a few 1e-13 from the
-        # exponential, a 40-digit one decides.
         for idx in zip(*np.nonzero(rel > 1e-12)):
             assert _rel(got[idx], _exact_expm(K[idx])) <= 1e-12
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(M=st.integers(2, 7), seed=st.integers(0, 2**32 - 1),
+           log_norm=st.floats(np.log10(_THETA5) + 1e-3, np.log10(30.0)))
+    def test_degree7_stacks_keep_their_bits(self, M, seed, log_norm):
+        # A stack whose largest 1-norm is above theta5 (scaled or not) gives
+        # the bits of the degree-7 path expm had before the degree choice.
+        rng = np.random.default_rng(seed)
+        K = _scaled(rng, (4, M, M), 10.0 ** log_norm)
+        K[1:3] *= 10.0 ** rng.uniform(-6.0, 0.0, (2, 1, 1))
+        assert np.array_equal(expm(K), _expm_degree7(K), equal_nan=True)
 
     @settings(max_examples=60, deadline=None, database=None)
     @given(signs=st.lists(st.sampled_from([1.0, -1.0]), min_size=2,
@@ -890,11 +972,12 @@ class TestChainMatchesBlockwiseReference:
         assert counter.call_count == 4
 
 
-# The t0 values the helix_long benchmark workload draws from. At +-0.1 the
-# pivot-free expm sweeps to 1.397e-13 against the LAPACK reference's
-# 1.263e-13 and 1.266e-13. There both sit at the roundoff floor of the
-# chain's own matmuls: propagators projected onto the group to 7e-17 per
-# step still sweep to 2.2e-13.
+# The t0 values the helix_long benchmark workload draws from. Every step
+# there has a 1-norm below theta3, so expm runs at Pade degree 3. At -0.1
+# and +0.1 it sweeps to 1.394e-13 and 1.392e-13 (1.397e-13 at degree 7)
+# against the degree-7 LAPACK reference's 1.263e-13 and 1.266e-13. There
+# both sit at the roundoff floor of the chain's own matmuls: propagators
+# projected onto the group to 7e-17 per step still sweep to 2.2e-13.
 _HELIX_LONG_T0 = [
     pytest.param(t0, marks=pytest.mark.xfail(
         strict=True, reason="swept defect above the reference at t0 = +-0.1"))

@@ -1,16 +1,21 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import immersion_reference
+from test_frame_solver import SIGNATURE_CASES, signature_case
 from warpframe import (ChartGrid, SignatureSpec, WarpingFunction,
                        canonical_example, congruence_align, extract_immersion,
                        make_example, verify_immersion)
 from warpframe.errors import AlignmentDegenerate, NonConvergence
-from warpframe.frame_solver import build_base_frame, expm, integrate_frame
+from warpframe.frame_solver import (_group_defect, build_base_frame, expm,
+                                    integrate_frame)
 from warpframe.immersion import ImmersionField, Isometry, _group_basis
 from warpframe.oracle import exact_base_frame, induce_data, reference_field
+from warpframe.verifier import ResidualReport
 
 
 def reconstruct(name, params=None, use_exact_B0=True):
@@ -88,6 +93,62 @@ class TestVerifyImmersion:
             sups.append(max(rep["dt_split"].sup, rep["alpha_match"].sup,
                             rep["normal_connection"].sup))
         assert sups[0] / sups[1] > 3.0
+
+
+def _isometry_reference(imm):
+    """Per-node isometry residual from all of B: the tangent block of
+    B^t G B - G."""
+    n = imm.spec.n
+    btgb = _group_defect(imm.frame_matrices(),
+                         np.asarray(imm.spec.signs, dtype=float))[1]
+    tangent = btgb[..., 1:n + 1, 1:n + 1] - np.diag(imm.spec.tangent_signs)
+    return np.abs(tangent).max(axis=(-1, -2))
+
+
+def _isometry_field(imm, data):
+    """The per-node array verify_immersion reports as `isometry`."""
+    with mock.patch.object(ResidualReport, "add", autospec=True,
+                           side_effect=ResidualReport.add) as add:
+        verify_immersion(imm, data)
+    return next(c.args[2] for c in add.call_args_list
+                if c.args[1] == "isometry")
+
+
+# The benchmark shapes: helix_long (n = 1, 16,385 nodes) and slice3d_fd
+# (n = 3, 25^3 nodes, no derivative fields).
+_BENCH_SHAPES = {
+    "helix_long": lambda: induce_data(make_example("helix", {
+        "grid_extents": [16385], "grid_spacing": [0.0005], "beta": 0.6})),
+    "slice3d_fd": lambda: canonical_example("slice", {
+        "n": 3, "grid_extents": [25, 25, 25],
+        "grid_spacing": [0.02, 0.02, 0.02],
+        "attach_derivatives": False})[1],
+}
+
+
+@pytest.mark.parametrize("key", [*SIGNATURE_CASES, *_BENCH_SHAPES])
+def test_isometry_reads_the_tangent_columns(key):
+    # verify_immersion forms the G-Gram matrix of the n tangent columns
+    # of B only; it must equal the tangent block of the full B^t G B.
+    data = (_BENCH_SHAPES[key]() if key in _BENCH_SHAPES
+            else signature_case(key)[1])
+    imm = extract_immersion(integrate_frame(data, build_base_frame(data)),
+                            data)
+    got = _isometry_field(imm, data)
+    assert got.tobytes() == _isometry_reference(imm).tobytes()
+
+
+def test_isometry_fails_off_the_group(slice17):
+    # Stretch the first tangent frame at one node: B leaves the group
+    # there, and the isometry check fails and names that node.
+    _, data = slice17
+    imm = extract_immersion(integrate_frame(data, build_base_frame(data)),
+                            data)
+    imm.frames[4, 11, 1] *= 1.1
+    rep = verify_immersion(imm, data)
+    assert rep.failing() == ["isometry"]
+    assert rep["isometry"].worst_node == (4, 11)
+    assert rep["isometry"].sup == pytest.approx(0.21, rel=1e-6)
 
 
 class TestCongruence:
