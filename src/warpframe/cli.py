@@ -47,8 +47,9 @@ from .errors import (IntegrationBlowup, InvariantViolation, SchemaError,
 from .frame_solver import (build_base_frame, integrate_frame,
                            path_independence_defect)
 from .immersion import congruence_align, extract_immersion, verify_immersion
-from .verifier import (ResidualReport, aux_identity_residuals,
-                       flatness_residual, structure_residuals)
+from .verifier import (ResidualReport, _analytic, aux_identity_residuals,
+                       default_tolerance, flatness_residual,
+                       structure_residuals)
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -201,11 +202,30 @@ def _cmd_validate(args):
     return EXIT_FAIL if problems else EXIT_OK
 
 
+def _check_source(data, args):
+    """Which derivatives drive the checks, and the pass tolerance with its
+    origin: --tol, else 1e-8 on analytic derivatives and 10 h^2 on finite
+    differences."""
+    analytic = _analytic(data, args.force_fd)
+    if args.tol is not None:
+        tol, origin = args.tol, "--tol"
+    else:
+        tol = default_tolerance(data, args.force_fd)
+        origin = "1e-8" if analytic else "10 h^2"
+    return {"derivatives": "analytic" if analytic else "finite_differences",
+            "tolerance": {"value": tol, "origin": origin}}
+
+
 def _cmd_verify(args):
     data = _load_input(args)
     outdir = args.output_dir
     rep = _all_residuals(data, args.tol, args.force_fd)
-    meta = {"grid_extents": list(data.grid.extents)}
+    meta = {"grid_extents": list(data.grid.extents),
+            **_check_source(data, args)}
+    if args.report == "text":
+        tol = meta["tolerance"]
+        print(f"derivatives {meta['derivatives']}  tolerance "
+              f"{tol['value']:.2e} ({tol['origin']})")
     if args.h_refine > 1:
         fine = _refined_data(data, args.h_refine)
         rep_f = _all_residuals(fine, args.tol, args.force_fd)

@@ -27,19 +27,40 @@ call, so no array-sized text is built. orjson prints the shortest
 round-trip digits, as ``float.__repr__`` does, in about 40 ns a value
 against repr's microsecond, so every value is formatted: sorting out the
 distinct values first, or the signs, would cost more than it saves. Only
-the spelling differs, and only here. From 1e-9 to 1e-5 and from 1e16 up
-orjson writes the exponent without repr's zero padding or sign (``1.5e-7``,
-``1e16``), which a table rewrites (``e-07``, ``e+16``); from 1e-5 to 1e-4
-it writes the digits positionally, and a non-finite value as ``null``, so
-those values go through ``float.__repr__``. The immersion CSV writer takes
-its texts from the same kernel.
+the spelling differs, and only here:
+
+- from 1e-9 to 1e-5 orjson writes a one-digit exponent (``1.5e-7``,
+  repr ``1.5e-07``), and from 1e16 up no exponent sign (``1e16``, repr
+  ``1e+16``);
+- from 1e-5 to 1e-4 it writes the digits positionally (``0.000015``,
+  repr ``1.5e-05``);
+- a non-finite value it writes as ``null`` (repr ``nan``, ``inf``,
+  ``-inf``); these reach the kernel only from the CSV writer.
+
+A piece with none of these is orjson's text with its commas replaced by
+the separator. Any other piece is edited as one byte buffer, from
+orjson's own digits. The ``e`` bytes locate the exponents and the ``n``
+bytes the nulls; the commas, scanned only when the piece holds a value
+from 1e-5 to 1e-4, locate those values. Each edit overwrites bytes in
+place, marking with a byte that orjson never writes where bytes must be
+inserted or dropped, and one ``bytes.replace`` per kind of mark then
+respells them all. No per-value object is built and ``float.__repr__`` is
+never called. The kernel checks what it assumes of orjson's spelling (one
+edit per value in each range, a leading ``0.0000`` from 1e-5 to 1e-4)
+and raises RuntimeError, naming orjson's version, where it does not hold.
+The immersion CSV writer takes its texts from the same kernel.
+
+Each file is written to a temporary file beside it and renamed over it,
+so a write that fails leaves the previous file as it was.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
+import os
 import secrets
 from pathlib import Path
 
@@ -94,32 +115,84 @@ def _read_doc(path, kind):
     return doc
 
 
-# orjson's exponent -> repr's, where they differ: 1e-9 <= |x| < 1e-5 and
-# 1e16 <= |x| < inf (below 1e-9 both write it alike).
-_EXPONENTS = {b"-%d" % k: b"e-%02d" % k for k in range(6, 10)}
-_EXPONENTS.update({b"%d" % k: b"e+%d" % k for k in range(16, 309)})
+# Bytes orjson never writes in a float array (it writes digits, ".", "-",
+# "e", "," and "null"); _float_reprs marks its edits with them.
+_DROP, _MINUS_ZERO, _E_PLUS, _E_MINUS_05 = b"\0", b"#", b"P", b";"
+_ZEROS = np.frombuffer(b"0.0000", np.uint8)
+_NULL = np.frombuffer(b"null", np.uint8)
+# repr's spelling of nan, inf and -inf, padded to orjson's "null" with
+# bytes to drop.
+_NON_FINITE = np.frombuffer(b"nan\0inf\0-inf", np.uint8).reshape(3, 4)
+
+
+def _spelling_error(what):
+    return RuntimeError(f"orjson {orjson.__version__} spells floats unlike "
+                        f"warpframe.io expects: {what}")
 
 
 def _float_reprs(f, sep):
     """``sep.join`` of the ``float.__repr__`` texts of the values of a 1-D
     float64 array, as bytes. orjson formats them all; the few it spells
-    differently are rewritten (see the module docstring)."""
+    differently are edited in its text (see the module docstring)."""
     f = np.ascontiguousarray(f)
     text = orjson.dumps(f, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1]
     mag = np.abs(f)
-    finite = np.isfinite(f)
-    exponent = np.flatnonzero(((mag >= 1e-9) & (mag < 1e-5))
-                              | ((mag >= 1e16) & finite))
-    spelled = np.flatnonzero(((mag >= 1e-5) & (mag < 1e-4)) | ~finite)
-    if not (exponent.size or spelled.size):
+    n_exponent = np.count_nonzero(((mag >= 1e-9) & (mag < 1e-5))
+                                  | ((mag >= 1e16) & (mag < np.inf)))
+    small = np.flatnonzero((mag >= 1e-5) & (mag < 1e-4))
+    non_finite = np.flatnonzero(~np.isfinite(f))
+    if not (n_exponent or small.size or non_finite.size):
         return text.replace(b",", sep)
-    texts = text.split(b",")
-    for i in exponent.tolist():
-        digits, _, e = texts[i].partition(b"e")
-        texts[i] = digits + _EXPONENTS[e]
-    for i, x in zip(spelled.tolist(), f[spelled].tolist()):
-        texts[i] = float.__repr__(x).encode()
-    return sep.join(texts)
+    # One writable copy with a comma after the last value, so that every
+    # value ends at a comma.
+    b = np.empty(len(text) + 1, np.uint8)
+    b[:-1] = np.frombuffer(text, np.uint8)
+    b[-1] = ord(",")
+    spellings = {}
+    if n_exponent:
+        # "e-7" -> "e-07" and "e16" -> "e+16".
+        e = np.flatnonzero(b == ord("e"))
+        after = b[e + 1]
+        one_digit = e[(after == ord("-")) & (b[e + 3] == ord(","))]
+        positive = e[(after >= ord("0")) & (after <= ord("9"))]
+        if one_digit.size + positive.size != n_exponent:
+            raise _spelling_error(
+                f"{one_digit.size + positive.size} exponents to respell "
+                f"for {n_exponent} values in [1e-9, 1e-5) or [1e16, inf)")
+        b[one_digit + 1] = ord(_MINUS_ZERO)
+        b[positive] = ord(_E_PLUS)
+        spellings.update({_MINUS_ZERO: b"-0", _E_PLUS: b"e+"})
+    if small.size:
+        # "0.0000DXYZ" -> "D.XYZe-05" and "0.0000D" -> "De-05", after the
+        # sign.
+        comma = np.flatnonzero(b == ord(","))
+        if comma.size != f.size:
+            raise _spelling_error(f"{comma.size} texts for {f.size} values")
+        end = comma[small]
+        start = np.where(small, comma[small - 1] + 1, 0)
+        start += b[start] == ord("-")
+        head = start[:, None] + np.arange(6)
+        if (end - start < 7).any() or (b[head] != _ZEROS).any():
+            raise _spelling_error("a value in [1e-5, 1e-4) does not start "
+                                  "with 0.0000")
+        b[head[:, :5]] = ord(_DROP)
+        b[start + 5] = b[start + 6]
+        b[start + 6] = np.where(start + 7 < end, ord("."), ord(_DROP))
+        b[end] = ord(_E_MINUS_05)
+        spellings.update({_DROP: b"", _E_MINUS_05: b"e-05,"})
+    if non_finite.size:
+        # "null" -> "nan", "inf" or "-inf".
+        null = np.flatnonzero(b == ord("n"))[:, None] + np.arange(4)
+        if null.shape[0] != non_finite.size or (b[null] != _NULL).any():
+            raise _spelling_error(f"{null.shape[0]} nulls for "
+                                  f"{non_finite.size} non-finite values")
+        x = f[non_finite]
+        b[null] = _NON_FINITE[np.where(np.isnan(x), 0, np.where(x > 0, 1, 2))]
+        spellings[_DROP] = b""
+    text = b.tobytes()
+    for mark, spelling in spellings.items():
+        text = text.replace(mark, spelling)
+    return text[:-1].replace(b",", sep)
 
 
 # Values per piece that _json_floats formats in one call.
@@ -175,11 +248,28 @@ def _spliced(parts, arrays):
         yield after.encode()
 
 
-def _write_json(doc, path):
-    chunks = _json_chunks(doc)
+@contextlib.contextmanager
+def _replacing(path):
+    """A binary file handle whose content replaces `path` once the block
+    ends. It writes a sibling temporary file and renames it over `path`;
+    if the block raises, the temporary file is removed and `path` is left
+    as it was."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as fh:
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(4)}.tmp")
+    fh = open(tmp, "xb")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _write_json(doc, path):
+    chunks = _json_chunks(doc)
+    with _replacing(path) as fh:
         fh.writelines(chunks)
         fh.write(b"\n")
 
@@ -254,8 +344,6 @@ def write_immersion_csv(imm: ImmersionField, path):
     One row per node in row-major order, ending in CRLF as ``csv.writer``
     writes them; floats as ``repr``. Each column's texts come from one
     _float_reprs call, and the rows are joined as bytes."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     ext = tuple(imm.grid.extents)
     d = imm.spatial.shape[-1]
     index_texts = np.array([b"%d" % i for i in range(max(ext))], dtype=object)
@@ -264,7 +352,7 @@ def write_immersion_csv(imm: ImmersionField, path):
     value_cols = [_float_reprs(col, b",").split(b",") for col in
                   (*imm.spatial.reshape(-1, d).T, imm.t.ravel())]
     header = ",".join(_immersion_header(len(ext), d)).encode()
-    with open(path, "wb") as fh:
+    with _replacing(path) as fh:
         fh.write(header + b"\r\n")
         fh.write(b"\r\n".join(map(b",".join, zip(*index_cols, *value_cols))))
         fh.write(b"\r\n")

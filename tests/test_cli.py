@@ -111,6 +111,64 @@ class TestVerifyCommand:
             ["verify", str(slice_file)])
 
 
+class TestVerifyRecordsCheckSource:
+    """verify's report meta names the derivatives that drove the checks and
+    the tolerance with its origin; the text report prints the same as its
+    first line."""
+
+    @pytest.fixture(scope="class")
+    def fd_file(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("data") / "slice_fd.json"
+        _, data = canonical_example("slice", {"n": 2,
+                                              "attach_derivatives": False})
+        save_dataset(data, path)
+        return path
+
+    def run(self, path, extra, capsys):
+        assert main(["verify", str(path), "--report", "json"] + extra) == 0
+        meta = json.loads(capsys.readouterr().out)["meta"]
+        assert main(["verify", str(path)] + extra) == 0
+        header = capsys.readouterr().out.splitlines()[0]
+        return meta, header
+
+    def test_jet_fixture(self, helix_file, capsys):
+        meta, header = self.run(helix_file, [], capsys)
+        assert meta["derivatives"] == "analytic"
+        assert meta["tolerance"] == {"value": 1e-8, "origin": "1e-8"}
+        assert header == "derivatives analytic  tolerance 1.00e-08 (1e-8)"
+
+    def test_fd_fixture(self, fd_file, capsys):
+        meta, header = self.run(fd_file, [], capsys)
+        tol = load_dataset(fd_file).grid.fd_tolerance
+        assert meta["derivatives"] == "finite_differences"
+        assert meta["tolerance"] == {"value": tol, "origin": "10 h^2"}
+        assert header == (f"derivatives finite_differences  tolerance "
+                          f"{tol:.2e} (10 h^2)")
+
+    def test_force_fd(self, helix_file, capsys):
+        meta, header = self.run(helix_file, ["--force-fd"], capsys)
+        tol = load_dataset(helix_file).grid.fd_tolerance
+        assert meta["derivatives"] == "finite_differences"
+        assert meta["tolerance"] == {"value": tol, "origin": "10 h^2"}
+        assert header.startswith("derivatives finite_differences  ")
+
+    @pytest.mark.parametrize("fixture", ["helix_file", "fd_file"])
+    def test_tol(self, fixture, request, capsys):
+        path = request.getfixturevalue(fixture)
+        meta, header = self.run(path, ["--tol", "0.03"], capsys)
+        assert meta["tolerance"] == {"value": 0.03, "origin": "--tol"}
+        assert header.endswith("  tolerance 3.00e-02 (--tol)")
+
+    def test_meta_in_report_file(self, fd_file, tmp_path, capsys):
+        out = tmp_path / "vout"
+        assert main(["verify", str(fd_file), "--report", "json",
+                     "-o", str(out)]) == 0
+        stdout = capsys.readouterr().out
+        assert stdout.encode() == (out / "residuals.json").read_bytes()
+        assert list(json.loads(stdout)["meta"]) == [
+            "grid_extents", "derivatives", "tolerance"]
+
+
 class TestReconstructCommand:
     def test_outputs_and_exit(self, slice_file, tmp_path, capsys):
         out = tmp_path / "out"

@@ -9,6 +9,7 @@ import csv
 import io
 import json
 import math
+import os
 import secrets
 import struct
 
@@ -304,6 +305,126 @@ class TestFloatTexts:
         a[at + 1], a[at + 2] = -1e-300, 1e-300
         a[0], a[-1] = 123.456, -123.456
         assert written({"x": a}, tmp_path) == stdlib_json({"x": a.tolist()})
+
+
+# Values where orjson's spelling changes (1e-9, 1e-5, 1e-4, 1e16) and on
+# either side of them, one-digit texts in each respelled range (1e-05,
+# 2e-05, 5e-07, 3e+17), and values of both signs whose texts hold an "e"
+# or a "0.0000" that needs no edit.
+DENSITY_EDGES = [1e-9, 1e-5, 9.999999999999999e-05, 1e-4, 1e16, 2e-05,
+                 5e-07, 3e17, 9.999999999999999e-10, 9.999999999999999e-06,
+                 9999999999999998.0, 1.7976931348623157e308, 1e-17, 5e-324,
+                 10.00001, 0.0]
+DENSITY_EDGES += [-v for v in DENSITY_EDGES]
+
+
+def density_array(size, case, seed):
+    """`size` values of both signs that orjson spells as repr does, except
+    for the edits that `case` names: none, one in the first or the last
+    slot, every value in one respelled range, about 11 % exponents (as in
+    frames.json) or about 3 % from 1e-5 to 1e-4 (as in a dataset). The
+    last two have edits in the first and last slot of each piece, and the
+    DENSITY_EDGES in between."""
+    rng = np.random.default_rng(seed)
+    sign = rng.choice([-1.0, 1.0], size)
+
+    def log_uniform(lo, hi, n=size):
+        return 10.0 ** rng.uniform(lo, hi, n)
+
+    bands = {"low": (-9, -5), "high": (16, 308), "small": (-5, -4)}
+    if case.startswith("all_"):
+        return sign * log_uniform(*bands[case[4:]])
+    # Clean magnitudes: from 1e-4 to 1e15, and below 1e-9 (an "e", no edit).
+    a = sign * np.where(rng.random(size) < 0.1, log_uniform(-300, -9.5),
+                        log_uniform(-4, 15))
+    if case in ("one_first", "one_last"):
+        a[0 if case == "one_first" else -1] = 1.5e-7
+    elif case != "none":
+        band, share = {"frames": ("low", 0.11),
+                       "dataset": ("small", 0.03)}[case]
+        pick = rng.random(size) < share
+        a[pick] = sign[pick] * log_uniform(*bands[band], pick.sum())
+        a[[0, wio._PIECE - 1]] = [-3.25e-5, 7e-06]
+        a[-1] = -1.5e16
+        at = rng.choice(np.arange(1, wio._PIECE - 1), len(DENSITY_EDGES),
+                        replace=False)
+        a[at] = DENSITY_EDGES
+    return a
+
+
+class TestEditDensity:
+    """The kernel against repr at every density of respelled values, on
+    arrays of one piece and of one piece and one value."""
+
+    @pytest.mark.parametrize("size", [wio._PIECE, wio._PIECE + 1])
+    @pytest.mark.parametrize("case", [
+        "none", "one_first", "one_last", "frames", "dataset", "all_low",
+        "all_high", "all_small"])
+    def test_matches_repr(self, case, size, tmp_path):
+        a = density_array(size, case, seed=size)
+        sep = b",\n  "
+        assert (wio._float_reprs(a, sep)
+                == sep.join(repr(x).encode() for x in a.tolist()))
+        assert written({"x": a}, tmp_path) == stdlib_json({"x": a.tolist()})
+
+    @pytest.mark.parametrize("case, low, high, small", [
+        ("none", 0, 0, 0), ("all_low", 1, 0, 0), ("all_high", 0, 1, 0),
+        ("all_small", 0, 0, 1), ("frames", 0.11, 0, 0),
+        ("dataset", 0, 0, 0.03)])
+    def test_cases_hold_their_edits(self, case, low, high, small):
+        mag = np.abs(density_array(wio._PIECE, case, seed=1))
+        for share, in_band in [(low, (mag >= 1e-9) & (mag < 1e-5)),
+                               (high, mag >= 1e16),
+                               (small, (mag >= 1e-5) & (mag < 1e-4))]:
+            assert abs(np.mean(in_band) - share) < 0.005
+
+    @pytest.mark.parametrize("value, text", [
+        (1e-5, b"1e-5"),
+        (1.5e-5, b"1.5e-05"),
+        (1.5e-7, b"1.5e-07"),
+        (1e16, b"1e+16"),
+        (math.nan, b"NaN"),
+    ])
+    def test_unexpected_orjson_spelling_raises(self, value, text,
+                                               monkeypatch):
+        """Where orjson spells a value unlike the kernel assumes, it
+        raises and names orjson's version instead of writing wrong
+        bytes."""
+        monkeypatch.setattr(wio.orjson, "dumps",
+                            lambda f, option=None: b"[0.5," + text + b"]")
+        with pytest.raises(RuntimeError,
+                           match=f"orjson {wio.orjson.__version__} "):
+            wio._float_reprs(np.array([0.5, value]), b",")
+
+
+class TestFailedWrite:
+    def test_previous_file_kept(self, tmp_path, monkeypatch):
+        """A kernel that fails on the second piece of a two-piece array
+        leaves the previous file as it was, and no temporary file."""
+        path = tmp_path / "doc.json"
+        previous = stdlib_json({"x": [1.0]})
+        path.write_bytes(previous)
+        kernel, calls = wio._float_reprs, []
+
+        def fail_second(f, sep):
+            calls.append(f.size)
+            if len(calls) == 2:
+                raise RuntimeError("second piece")
+            return kernel(f, sep)
+
+        monkeypatch.setattr(wio, "_float_reprs", fail_second)
+        with pytest.raises(RuntimeError, match="second piece"):
+            wio._write_json({"x": np.ones(wio._PIECE + 1)}, path)
+        assert calls == [wio._PIECE, 1]
+        assert path.read_bytes() == previous
+        assert os.listdir(tmp_path) == ["doc.json"]
+
+    def test_new_file_replaces_previous(self, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_bytes(b"previous, and longer than the new file")
+        wio._write_json([0.5], path)
+        assert path.read_bytes() == stdlib_json([0.5])
+        assert os.listdir(tmp_path) == ["doc.json"]
 
 
 class TestImmersionCsv:
