@@ -375,12 +375,13 @@ def _document_array(what, values, shape):
 
 
 def _parsed(what, parse, value):
-    """parse(value), with the TypeError or ValueError of a malformed
-    section (an unknown warping kind, a string where a number belongs, a
-    ragged list) raised as a SchemaError naming `what`."""
+    """parse(value), with the TypeError, ValueError or OverflowError of a
+    malformed section (an unknown warping kind, a string where a number
+    belongs, a ragged list, an integer beyond the float range) raised as a
+    SchemaError naming `what`."""
     try:
         return parse(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"{what}: {exc}") from exc
 
 

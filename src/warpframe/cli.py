@@ -232,7 +232,9 @@ def _cmd_verify(args):
         meta["refinement"] = {"factor": args.h_refine,
                               "sup_ratios": _sup_ratios(rep, rep_f)}
         if outdir is not None:
-            wio.save_report(rep_f, Path(outdir) / "residuals_refined.json")
+            wio.save_report(rep_f, Path(outdir) / "residuals_refined.json",
+                            meta={"grid_extents": list(fine.grid.extents),
+                                  **_check_source(fine, args)})
     _emit_report(rep, args, "residuals.json", outdir, meta=meta)
     return EXIT_OK if rep.passed else EXIT_FAIL
 

@@ -8,9 +8,16 @@ SchemaError naming the file on malformed input.
 
 The JSON reader parses with orjson and returns what ``json.load`` returns.
 A file orjson refuses (NaN and Infinity literals, which json writes for
-non-finite floats, a byte order mark, malformed text), and a document in
-which it may have read an integer beyond 64 bits as a float, is parsed
-again by json, so its outcome and its error message are json's.
+non-finite floats, a byte order mark, malformed text, an integer beyond the
+float range), and a document in which it may have read an integer beyond
+64 bits as a float, is parsed again by json, so its outcome and its error
+message are json's. That last check skips the float arrays that the
+caller turns into float64 at once: a dataset's ``fields`` and
+``derivatives``, and the ``matrix`` or ``frames`` array of a frame
+document. There orjson's float of a wide integer literal is the correctly
+rounded one, the same float that numpy makes of json's int, so the arrays
+come out bit for bit as json's would; an int elsewhere in the document
+keeps its type.
 
 The writers produce exactly the bytes of ``json.dump(doc, fh, indent=1)``
 plus a newline, and of ``csv.writer`` rows, faster. Stdlib json lays out
@@ -91,7 +98,11 @@ def _wide(o):
     return isinstance(o, (int, float)) and abs(o) >= _WIDE
 
 
-def _read_json(path):
+def _read_json(path, floats=()):
+    """The document of a JSON file, as json.load returns it, except that
+    the values of the top-level keys `floats`, which the caller converts to
+    float64 arrays, may hold a float where json holds an int of 64 bits or
+    more (the same float once converted; see the module docstring)."""
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
@@ -99,7 +110,9 @@ def _read_json(path):
     except orjson.JSONDecodeError:
         pass
     else:
-        if not _wide(doc):
+        rest = ({k: v for k, v in doc.items() if k not in floats}
+                if floats and isinstance(doc, dict) else doc)
+        if not _wide(rest):
             return doc
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -108,8 +121,8 @@ def _read_json(path):
         raise SchemaError(f"{path}: not valid JSON ({exc})") from exc
 
 
-def _read_doc(path, kind):
-    doc = _read_json(path)
+def _read_doc(path, kind, floats=()):
+    doc = _read_json(path, floats)
     if not isinstance(doc, dict) or doc.get("kind") != kind:
         raise SchemaError(f"{path}: not a {kind} document")
     return doc
@@ -276,7 +289,7 @@ def _write_json(doc, path):
 
 def load_dataset(path) -> GeometricData:
     """The dataset of a JSON file, checked as load_data checks it."""
-    return load_data(_read_json(path))
+    return load_data(_read_json(path, floats=("fields", "derivatives")))
 
 
 def save_dataset(data: GeometricData, path):
@@ -307,13 +320,13 @@ def load_report(path) -> ResidualReport:
 
 def _load_array(path, kind, key):
     """The float array `key` of a `kind` document, reshaped to its "shape"."""
-    doc = _read_doc(path, kind)
+    doc = _read_doc(path, kind, floats=(key,))
     try:
         shape = tuple(doc["shape"])
         if not all(type(s) is int and s >= 0 for s in shape):
             raise ValueError(f"bad shape {doc['shape']!r}")
         return np.asarray(doc[key], dtype=float).reshape(shape)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaError(f"{path}: malformed {kind} document "
                           f"({exc!r})") from exc
 
@@ -338,24 +351,44 @@ def _immersion_header(n, d):
     return [f"i{k}" for k in range(n)] + [f"f{g}" for g in range(d)] + ["t"]
 
 
+def _segments(text):
+    """A comma-separated text as one uint8 array with a comma after its
+    last value, and the length of each value with its comma."""
+    b = np.frombuffer(text + b",", np.uint8)
+    return b, np.diff(np.flatnonzero(b == ord(",")), prepend=-1)
+
+
 def write_immersion_csv(imm: ImmersionField, path):
     """Point set as CSV: node multi-index, spatial coordinates, height.
 
     One row per node in row-major order, ending in CRLF as ``csv.writer``
-    writes them; floats as ``repr``. Each column's texts come from one
-    _float_reprs call, and the rows are joined as bytes."""
+    writes them; floats as ``repr``. Each float column's texts come from
+    one _float_reprs call and each index column's from one orjson call, as
+    one comma-separated text. The rows are built in one byte buffer: each
+    column's text is scattered to its place in every row (row start plus
+    the widths of the columns before it), value and comma together, and
+    the comma after the last column becomes CRLF."""
     ext = tuple(imm.grid.extents)
     d = imm.spatial.shape[-1]
-    index_texts = np.array([b"%d" % i for i in range(max(ext))], dtype=object)
-    index_cols = [index_texts[i].tolist()
-                  for i in np.indices(ext).reshape(len(ext), -1)]
-    value_cols = [_float_reprs(col, b",").split(b",") for col in
-                  (*imm.spatial.reshape(-1, d).T, imm.t.ravel())]
+    cols = [_segments(orjson.dumps(i, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1])
+            for i in np.indices(ext).reshape(len(ext), -1)]
+    cols += [_segments(_float_reprs(col, b",")) for col in
+             (*imm.spatial.reshape(-1, d).T, imm.t.ravel())]
+    width = sum(lengths for _, lengths in cols) + 1
+    at = np.cumsum(width) - width           # where each row's next cell goes
+    rows = np.empty(at[-1] + width[-1], np.uint8)
+    for b, lengths in cols:
+        # Byte j of segment r goes to at[r] + j.
+        idx = np.repeat(at - (np.cumsum(lengths) - lengths), lengths)
+        idx += np.arange(b.size)
+        rows[idx] = b
+        at += lengths
+    rows[at - 1] = ord("\r")
+    rows[at] = ord("\n")
     header = ",".join(_immersion_header(len(ext), d)).encode()
     with _replacing(path) as fh:
         fh.write(header + b"\r\n")
-        fh.write(b"\r\n".join(map(b",".join, zip(*index_cols, *value_cols))))
-        fh.write(b"\r\n")
+        fh.write(rows)
 
 
 def read_immersion_csv(path):

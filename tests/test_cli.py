@@ -168,6 +168,24 @@ class TestVerifyRecordsCheckSource:
         assert list(json.loads(stdout)["meta"]) == [
             "grid_extents", "derivatives", "tolerance"]
 
+    def test_meta_in_refined_report_file(self, tmp_path, capsys):
+        # The refined report carries the fine grid's meta: its extents and
+        # its own 10 (h/2)^2 tolerance.
+        out = tmp_path / "vout"
+        assert main(["verify", "--example", "helix", "--h-refine", "2",
+                     "--force-fd", "-o", str(out)]) == 0
+        capsys.readouterr()
+        coarse = json.loads((out / "residuals.json").read_text())["meta"]
+        fine = json.loads((out / "residuals_refined.json").read_text())
+        assert fine["meta"] == {
+            "grid_extents": [129], "derivatives": "finite_differences",
+            "tolerance": {"value": 2.44140625e-3, "origin": "10 h^2"}}
+        assert coarse["grid_extents"] == [65]
+        assert coarse["tolerance"] == {"value": 9.765625e-3,
+                                       "origin": "10 h^2"}
+        assert all(e["tolerance"] == 2.44140625e-3
+                   for e in fine["residuals"].values())
+
 
 class TestReconstructCommand:
     def test_outputs_and_exit(self, slice_file, tmp_path, capsys):
@@ -693,3 +711,34 @@ def test_allocation_policy_set_once(fresh_policy, monkeypatch, capsys):
     assert main(["examples"]) == 0
     # M_MMAP_THRESHOLD to 32 MiB, M_TRIM_THRESHOLD off.
     assert calls == [(-3, 32 * 1024 * 1024), (-1, -1)]
+
+
+# 10**400: json reads it as an int that no float holds, and orjson refuses
+# the file. The conversion of that int raises OverflowError.
+_BEYOND_FLOAT = 10 ** 400
+
+
+@pytest.mark.parametrize("command", ["verify", "reconstruct"])
+@pytest.mark.parametrize("section, name, named", [
+    ("fields", "xi_comp", "field xi_comp"),
+    ("derivatives", "alpha", "derivative alpha"),
+    ("grid", "spacing", "grid")])
+def test_integer_beyond_float_range_exits_one(command, section, name, named,
+                                              helix_file, tmp_path, capsys):
+    doc = json.loads(helix_file.read_text())
+    doc[section][name][0] = _BEYOND_FLOAT
+    bad = tmp_path / "wide.json"
+    bad.write_text(json.dumps(doc))
+    assert main([command, str(bad)]) == 1
+    assert capsys.readouterr().err.startswith(f"schema error: {named}:")
+
+
+def test_base_frame_beyond_float_range_exits_one(helix_file, tmp_path,
+                                                 capsys):
+    B0 = tmp_path / "b0.json"
+    B0.write_text(json.dumps({"format_version": 1, "kind": "warpframe.frame",
+                              "shape": [1, 1], "matrix": [_BEYOND_FLOAT]}))
+    assert main(["reconstruct", str(helix_file), "--base-frame",
+                 str(B0)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("schema error:") and B0.name in err

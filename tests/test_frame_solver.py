@@ -22,7 +22,8 @@ from warpframe.frame_solver import (_ASSEMBLY_FIELDS, _MAX_SQUARINGS,
                                     _PADE3, _PADE5, _PADE7, _THETA3,
                                     _THETA5, _THETA7, _assemble, _chain,
                                     _grid_first, _grid_last, _group_defect,
-                                    _pade_sum, _solve_dominant, assemble_all,
+                                    _one_norms, _pade_sum, _solve_dominant,
+                                    assemble_all,
                                     assembled_derivatives, build_base_frame,
                                     expm, integrate_frame,
                                     path_independence_defect,
@@ -438,6 +439,23 @@ class TestExpm:
         np.testing.assert_array_equal(expm(K), np.broadcast_to(
             np.eye(4), K.shape))
         assert expm(np.zeros((4, 4))).shape == (4, 4)
+
+    @pytest.mark.parametrize("M", range(1, 10))
+    def test_one_norms_bit_identical(self, M):
+        # The sliced column sums add the rows in the order numpy's
+        # reduction over a non-contiguous axis does; NaN, inf, -0.0,
+        # subnormals and sums that overflow included.
+        rng = np.random.default_rng(M)
+        shape = (400, M, M)
+        A = rng.standard_normal(shape) * 10.0 ** rng.uniform(-320, 300, shape)
+        pick = rng.integers(0, 12, shape)
+        for k, v in enumerate([np.nan, np.inf, -np.inf, -0.0, 5e-324,
+                               1.7e308]):
+            A[pick == k] = v
+        with np.errstate(over="ignore"):
+            want = np.abs(A).sum(axis=-2).max(axis=-1)
+            got = _one_norms(A)
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("K", [
         np.full((3, 3), 1e160),

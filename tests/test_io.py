@@ -12,6 +12,7 @@ import math
 import os
 import secrets
 import struct
+import types
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from json_reference import float64_list
 
 from warpframe import ChartGrid, canonical_example
 from warpframe import io as wio
+from warpframe.bundle_data import FIELD_NAMES, load_data
 from warpframe.cli import main
 from warpframe.errors import SchemaError
 from warpframe.immersion import ImmersionField
@@ -427,6 +429,16 @@ class TestFailedWrite:
         assert os.listdir(tmp_path) == ["doc.json"]
 
 
+# Immersion values: each range whose orjson spelling is edited, of either
+# sign, the non-finite values, -0.0 and any finite bit pattern.
+CSV_VALUES = (
+    st.tuples(st.floats(1e-9, 1e-5, exclude_max=True)
+              | st.floats(1e-5, 1e-4, exclude_max=True)
+              | st.floats(1e16, allow_infinity=False), st.booleans()).map(
+        lambda vs: -vs[0] if vs[1] else vs[0])
+    | NON_FINITE | st.just(-0.0) | FINITE)
+
+
 class TestImmersionCsv:
     @pytest.mark.parametrize("extents", [(5,), (3, 4), (3, 4, 5)])
     def test_grids(self, extents, helix65, tmp_path):
@@ -442,6 +454,29 @@ class TestImmersionCsv:
 
         spatial, t = values(extents + (3,)), values(extents)
         imm = ImmersionField(data.spec, data.warping, grid, spatial, t)
+        fast, ref = tmp_path / "fast.csv", tmp_path / "ref.csv"
+        wio.write_immersion_csv(imm, fast)
+        stdlib_write_immersion_csv(imm, ref)
+        assert fast.read_bytes() == ref.read_bytes()
+
+    @settings(max_examples=100, deadline=None, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(extents=st.lists(st.integers(1, 7), min_size=1, max_size=3),
+           draw=st.data())
+    def test_rows_match_csv_writer(self, extents, draw, helix65, tmp_path):
+        """Any 1-D to 3-D grid, axes of extent 1 included, with values
+        from every range whose spelling is edited, non-finite ones and
+        -0.0, scattered anywhere in the rows."""
+        _, data = helix65
+        # Both writers read only the grid's extents and n. ChartGrid
+        # refuses axes of fewer than 3 nodes, so the grid is a stand-in.
+        grid = types.SimpleNamespace(extents=tuple(extents), n=len(extents))
+        size = math.prod(extents) * 4
+        values = draw.draw(st.lists(CSV_VALUES, min_size=size,
+                                    max_size=size))
+        values = np.array(values).reshape(tuple(extents) + (4,))
+        imm = ImmersionField(data.spec, data.warping, grid,
+                             values[..., :3], values[..., 3])
         fast, ref = tmp_path / "fast.csv", tmp_path / "ref.csv"
         wio.write_immersion_csv(imm, fast)
         stdlib_write_immersion_csv(imm, ref)
@@ -539,6 +574,62 @@ class TestReader:
         assert repr(got) == repr(want)  # the types too: an int stays an int
         assert json_loads == [str(path)]
 
+    # Integer literals of 64 bits and more: orjson reads those beyond 64
+    # bits as floats. 2**64 + 2**11 lies halfway between two floats.
+    WIDE = [2 ** 70, 2 ** 64 + 1, -(2 ** 64 + 1), 2 ** 64 + 2 ** 11,
+            -(2 ** 63 + 1), 2 ** 63]
+
+    @pytest.mark.parametrize("section", ["fields", "derivatives"])
+    @pytest.mark.parametrize("value", WIDE)
+    def test_wide_integer_in_dataset_arrays(self, section, value, helix65,
+                                            tmp_path, json_loads):
+        """load_dataset converts the field arrays to float64 at once, so it
+        does not scan them for wide integers: orjson's float of the literal
+        is the float numpy makes of json's int."""
+        _, data = helix65
+        doc = json.loads(json.dumps(data.to_document(),
+                                    default=float64_list))
+        doc[section]["xi_comp"][0] = value
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        want = load_data(json.loads(path.read_text(encoding="utf-8")))
+        got = wio.load_dataset(path)
+        assert json_loads == []
+        for name in FIELD_NAMES:
+            assert getattr(got, name).tobytes() == getattr(want,
+                                                           name).tobytes()
+        assert list(got.derivs) == list(want.derivs)
+        for name, d in want.derivs.items():
+            assert np.asarray(got.derivs[name]).tobytes() == np.asarray(
+                d).tobytes()
+        field = got.derivs["xi_comp"] if section == "derivatives" else [
+            got.xi_comp]
+        assert np.asarray(field).ravel()[0] == float(value)
+
+    @pytest.mark.parametrize("section", ["grid", "warping", "generator"])
+    def test_wide_integer_elsewhere_read_by_json(self, section, helix65,
+                                                 tmp_path, json_loads):
+        _, data = helix65
+        doc = json.loads(json.dumps(data.to_document(),
+                                    default=float64_list))
+        doc[section]["wide"] = 2 ** 70
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        got = wio._read_json(path, floats=("fields", "derivatives"))
+        assert got == json.loads(path.read_text(encoding="utf-8"))
+        assert type(got[section]["wide"]) is int
+        assert json_loads == [str(path)]
+
+    @pytest.mark.parametrize("value", WIDE)
+    def test_wide_integer_in_frames(self, value, tmp_path, json_loads):
+        path = tmp_path / "frames.json"
+        stdlib_write_json({"kind": "warpframe.adapted_frames",
+                           "shape": [1, 1, 2], "frames": [0.5, value]}, path)
+        got = wio.load_frames_json(path)
+        assert json_loads == []
+        assert got.tobytes() == np.asarray([0.5, value], dtype=float).reshape(
+            1, 1, 2).tobytes()
+
     @pytest.mark.parametrize("reader", [
         wio.load_frames_json, wio.load_frame_matrix, wio.load_report,
         wio.load_dataset])
@@ -594,6 +685,7 @@ class TestMalformedInput:
         {"shape": 2, "frames": [1.0, 2.0]},
         {"shape": [2]},
         {"shape": [2], "frames": ["a", 2.0]},
+        {"shape": [2], "frames": [10 ** 400, 2.0]},
     ])
     def test_frames_json(self, doc, tmp_path):
         path = tmp_path / "frames.json"
@@ -602,7 +694,8 @@ class TestMalformedInput:
 
     @pytest.mark.parametrize("doc", [
         {"matrix": [1.0]}, {"shape": [2, 2], "matrix": [1.0]},
-        {"shape": [1.5], "matrix": [1.0]}])
+        {"shape": [1.5], "matrix": [1.0]},
+        {"shape": [1], "matrix": [-(10 ** 400)]}])
     def test_frame_matrix(self, doc, tmp_path):
         path = tmp_path / "B.json"
         stdlib_write_json({"kind": "warpframe.frame", **doc}, path)
