@@ -197,7 +197,7 @@ class WarpingFunction:
     def _u(self, t):
         return self.rate * (t - self.shift)
 
-    def _derivative(self, t, j):
+    def derivative(self, t, j):
         """d^j a/dt^j at t for j = 0, 1, 2; t a float, an ndarray or a Jet
         (j < 2 for a Jet), so derivative bookkeeping flows through."""
         if self.kind == "tabulated":
@@ -208,14 +208,6 @@ class WarpingFunction:
         sign, f = _CLOSED_FORMS[self.kind][j]
         scale = (1.0, self.rate, self.rate * self.rate)[j]
         return sign * self.amplitude * scale * f(self._u(t))
-
-    # Generic evaluation: t may be a float, an ndarray, or a Jet. Used by the
-    # forward pipeline so derivative bookkeeping flows through automatically.
-    def value_generic(self, t):
-        return self._derivative(t, 0)
-
-    def deriv1_generic(self, t):
-        return self._derivative(t, 1)
 
     def _tab_poly(self, t):
         # Local quadratic through the three nearest samples, in Newton form:
@@ -243,7 +235,7 @@ class WarpingFunction:
                     "tabulated warping interpolant went nonpositive")
             return val, der, dd2 * np.ones_like(t)
         a, a1, a2 = (np.broadcast_to(np.asarray(
-            self._derivative(t, j), dtype=float), t.shape).copy()
+            self.derivative(t, j), dtype=float), t.shape).copy()
             for j in range(3))
         if np.any(a <= 0):
             raise DomainError("warping function must stay positive on I")

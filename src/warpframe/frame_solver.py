@@ -23,14 +23,15 @@ integrate_frame propagates B along axis-ordered lattice paths with
 per-step midpoint-sampled matrix exponentials (a second-order Lie-group
 scheme). The step generators depend on Upsilon only, never on B, so every
 propagator of an axis is computed before the sweep in one call of the
-batched exponential `expm`. It takes the lowest Pade degree (3, 5 or 7)
-whose bound covers the largest step in the stack, forms the quotient as
-I + 2 (V - U)^-1 U and solves its column diagonally dominant denominator by
-elimination without pivoting, component-major over the whole stack, with no
-LAPACK call per matrix. The sweep then only multiplies, a block of
-16 steps at a time, re-projects onto the pseudo-orthogonal group the block
-ends that have drifted off it (one batched check finds them), and records
-drift diagnostics.
+batched exponential `expm`: a Taylor polynomial of the lowest degree (4,
+6, 9, 12 or 16) whose truncation bound theta_m covers the largest step in
+the stack, evaluated by Paterson-Stockmeyer from matrix products alone (no
+linear solve), with scaling and squaring above theta16. The sweep then
+only multiplies, a block of 16 steps at a time, re-projects onto the
+pseudo-orthogonal group the block ends that have drifted off it (one
+batched check finds them), and records its largest pre-projection defect;
+the group and row defects over the whole field are computed when first
+read.
 The path-independence probe steps with the same kernel. The row constraint
 B_{N+1, beta} = T_beta is never enforced, only measured: it must emerge from
 the equations themselves.
@@ -39,6 +40,7 @@ the equations themselves.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -177,7 +179,7 @@ def assembled_derivatives(data: GeometricData) -> dict:
     Om, X, _ = _assemble(spec, *(
         _grid_last(jets.Jet(getattr(data, name), dv[name]), n)
         for name in _ASSEMBLY_FIELDS),
-        data.warping.value_generic(pij), data.warping.deriv1_generic(pij))
+        data.warping.derivative(pij, 0), data.warping.derivative(pij, 1))
     return {"Omega": [_grid_first(p, n) for p in Om.parts],
             "X": [_grid_first(p, n) for p in X.parts]}
 
@@ -185,51 +187,18 @@ def assembled_derivatives(data: GeometricData) -> dict:
 # ---------------------------------------------------------------------------
 # Step kernel and group projection
 
-# Diagonal Pade approximants of exp of degree m = 3, 5 and 7 (coefficients
-# b_0 .. b_m) and the largest 1-norm theta_m at which the backward error of
-# each stays below the unit roundoff (Higham, "The scaling and squaring
-# method for the matrix exponential revisited", SIAM J. Matrix Anal. Appl.
-# 26 (2005), Table 2.3).
-_PADE3 = (120.0, 60.0, 12.0, 1.0)
-_PADE5 = (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0)
-_PADE7 = (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0,
-          56.0, 1.0)
-_THETA3 = 1.495585217958292e-2
-_THETA5 = 2.539398330063230e-1
-_THETA7 = 0.9504178996162932
-# Beyond 2^52 theta7 (about 4e15) the rounding of K alone changes exp(K) by
+# Taylor degrees m of expm, their Paterson-Stockmeyer block sizes s (s
+# divides m) and theta_m: the largest double x with
+# sum_{k>m} x^(k-1)/k! <= u = 2^-53. At |A|_1 <= theta_m the terms the
+# degree-m Taylor polynomial T_m drops sum to at most u |A|_1 in 1-norm.
+_TAYLOR = ((4, 2, 3.3973611886348117e-4),
+           (6, 3, 9.075933550803477e-3),
+           (9, 3, 9.030937398676522e-2),
+           (12, 3, 0.3060849974913816),
+           (16, 4, 0.814752697196971))
+# Beyond 2^52 theta16 (about 4e15) the rounding of K alone changes exp(K) by
 # O(1): no digit of the result is significant.
 _MAX_SQUARINGS = 52
-
-
-def _solve_dominant(A, B):
-    """X = A^-1 B for a stack of strictly column diagonally dominant
-    A (L, M, M) and right-hand sides B (L, M, K).
-
-    Gaussian elimination without pivoting. On a column diagonally dominant
-    matrix partial pivoting never swaps rows (each pivot is already the
-    largest entry left in its column, and elimination keeps the remaining
-    block dominant), so this is the elimination partial pivoting would do,
-    with its growth factor of at most 2. expm solves its Pade denominator
-    V - U with it at each of the degrees 3, 5 and 7: the margins of
-    dominance are in expm's table. It runs component-major, on (M, M, L)
-    copies, so each of its O(M) numpy operations sweeps the whole stack
-    instead of one LAPACK call per matrix. Returns the component-major
-    (M, K, L) solution.
-    """
-    # Copies: for L = 1 the moved axes are already contiguous views.
-    A = np.moveaxis(A, 0, -1).copy()
-    X = np.moveaxis(B, 0, -1).copy()
-    M = A.shape[0]
-    for k in range(M - 1):
-        l = A[k + 1:, k] / A[k, k]
-        A[k + 1:, k + 1:] -= l[:, None] * A[k, k + 1:]
-        X[k + 1:] -= l[:, None] * X[k]
-    for k in range(M - 1, -1, -1):
-        if k + 1 < M:
-            X[k] -= (A[k, k + 1:, None] * X[k + 1:]).sum(axis=0)
-        X[k] /= A[k, k]
-    return X
 
 
 def _one_norms(A):
@@ -248,70 +217,76 @@ def _one_norms(A):
     return norm
 
 
-def _pade_sum(c, P):
-    """c[-1] P[-1] + ... + c[1] P[1] + c[0] P[0], summed from the highest
-    power down, with one temporary."""
-    S = np.multiply(P[len(c) - 1], c[-1])
-    tmp = np.empty_like(S)
-    for j in range(len(c) - 2, 0, -1):
-        S += np.multiply(P[j], c[j], out=tmp)
-    S += c[0] * P[0]
-    return S
+def _taylor(A, m, s):
+    """T_m(A) - I = A + A^2/2! + ... + A^m/m! for a stack A (L, M, M), by
+    Paterson-Stockmeyer: the powers A^2 .. A^s, then Horner in A^s over
+    the blocks sum_{i<s} A^i/(js + i)!, j = m/s - 1 .. 0 (block 0 without
+    its I). The top block 1/m! I needs no product, so the whole costs
+    s - 1 + m/s - 1 products.
+    """
+    P = [None, A]
+    for _ in range(s - 1):
+        P.append(P[-1] @ A)
+    L, M = A.shape[0], A.shape[-1]
+    c = 1.0 / np.cumprod(np.arange(1.0, m + 1.0))       # c[k - 1] = 1/k!
+    R = np.multiply(P[s], c[m - 1])
+    tmp, nxt = np.empty_like(R), np.empty_like(R)
+    for j in range(m // s - 1, -1, -1):
+        if j < m // s - 1:
+            np.matmul(P[s], R, out=nxt)
+            R, nxt = nxt, R
+        for i in range(s - 1, 0, -1):
+            R += np.multiply(P[i], c[j * s + i - 1], out=tmp)
+        if j:
+            R.reshape(L, M * M)[:, ::M + 1] += c[j * s - 1]
+    return R
 
 
 def expm(K):
     """Matrix exponential of one matrix or a stack (..., M, M).
 
-    Scaling and squaring with a diagonal Pade approximant
-    r_m(A) = (V - U)^-1 (V + U) (Higham 2005), vectorized over the stack.
-    The quotient is formed as r_m(A) = I + 2 (V - U)^-1 U, which equals it
-    exactly. One degree m serves the whole stack, so it stays one batch:
+    Scaling and squaring with a truncated Taylor series T_m, vectorized
+    over the stack. T_m(A) - I is evaluated by Paterson-Stockmeyer
+    (_taylor) from matrix products and scaled sums alone; the identity is
+    added last, so no term is summed against it and the small steps of a
+    sweep keep e^A - I to relative accuracy. One degree m serves the whole stack, so it stays one batch:
 
-        m    theta_m    |(V - U) - b0 I|_1 / b0 at |A|_1 = theta_m
-        3    1.50e-2    0.0075
-        5    0.254      0.134
-        7    0.950      0.594
+        m    theta_m    products
+        4    3.40e-4    2
+        6    9.08e-3    3
+        9    9.03e-2    4
+       12    0.306      5
+       16    0.815      6
 
-    When every matrix has |K|_1 <= theta7, m is the lowest degree whose
-    theta_m bounds the largest 1-norm in the stack, and K is not scaled.
-    Otherwise m = 7, and each matrix gets its own scaling exponent s (the
-    smallest with |K/2^s|_1 <= theta7) and is squared s times.
-
-    At every degree the last column of the table stays below 1: V - U is
-    strictly column diagonally dominant, partial pivoting would never
-    swap rows, and _solve_dominant solves the whole stack without
-    pivoting and without a LAPACK call per matrix. U and V are summed in
-    place, from the highest power down. A diagonal Pade approximant maps a
-    G-skew generator onto the group {Z : Z^t G Z = G}. Matrices with
+    theta_m is the largest 1-norm at which the dropped terms sum to at most
+    u |A|_1, u = 2^-53 (the bound in _TAYLOR). When every matrix has
+    |K|_1 <= theta16, m is the lowest degree whose theta_m bounds the
+    largest 1-norm in the stack, and K is not scaled. Otherwise m = 16, and
+    each matrix gets its own scaling exponent s (the smallest with
+    |K/2^s|_1 <= theta16) and is squared s times. A G-skew generator lands
+    on the group {Z : Z^t G Z = G} to that truncation bound. Matrices with
     non-finite entries or a 1-norm beyond about 4e15 (no significant digit
-    left) are solved as the zero matrix and come out NaN, so a blown-up
+    left) are evaluated as the zero matrix and come out NaN, so a blown-up
     step stays non-finite.
     """
     K = np.asarray(K, dtype=float)
     M = K.shape[-1]
     A = K.reshape((-1, M, M))
     norm = _one_norms(A)
+    m, ps, theta = _TAYLOR[-1]
     with np.errstate(divide="ignore", invalid="ignore"):
-        s = np.ceil(np.log2(norm / _THETA7))
+        s = np.ceil(np.log2(norm / theta))
     bad = ~(s <= _MAX_SQUARINGS)
     s = np.where(bad | (s < 0), 0, s).astype(int)
     if bad.any() or s.any():    # ldexp(x, 0) == x: skip the copy
         A = np.ldexp(np.where(bad[:, None, None], 0.0, A), -s[:, None, None])
-        b = _PADE7
     else:
         top = norm.max(initial=0.0)
-        b = (_PADE3 if top <= _THETA3 else
-             _PADE5 if top <= _THETA5 else _PADE7)
-    eye = np.eye(M)
-    P = [eye, A @ A]                  # I, A^2, A^4, A^6
-    while len(P) < len(b) // 2:
-        P.append(P[-1] @ P[1])
-    U = A @ _pade_sum(b[1::2], P)
-    V = _pade_sum(b[0::2], P)
-    V -= U
-    R = np.multiply(np.moveaxis(_solve_dominant(V, U), -1, 0), 2.0,
-                    order="C")
-    R += eye
+        for m, ps, theta in _TAYLOR:
+            if top <= theta:
+                break
+    R = _taylor(A, m, ps)
+    R.reshape(-1, M * M)[:, ::M + 1] += 1.0
     for k in range(int(s.max(initial=0))):
         idx = np.flatnonzero(s > k)
         R[idx] = R[idx] @ R[idx]
@@ -427,10 +402,34 @@ def build_base_frame(data: GeometricData) -> np.ndarray:
 
 @dataclass
 class FrameField:
-    """Integrated frame field with drift diagnostics."""
+    """Integrated frame field with drift diagnostics.
+
+    The sweep records its pre-projection defect and step count in `sweep`.
+    The group and row defects over every frame are computed from B on the
+    first read of `diagnostics` and kept: a caller that never reads them
+    (roundtrip) does not pay for two passes over the whole field.
+    """
 
     B: np.ndarray
-    diagnostics: dict = field(default_factory=dict)
+    signs: np.ndarray          # diag G
+    rows: np.ndarray           # T_beta at every node: the last row of B
+    sweep: dict = field(default_factory=dict)
+
+    @cached_property
+    def diagnostics(self) -> dict:
+        group_defect, _ = _group_defect(self.B, self.signs)
+        row_defect = np.abs(self.B[..., -1, :] - self.rows).max(axis=-1)
+        worst = np.unravel_index(int(np.argmax(group_defect)),
+                                 group_defect.shape)
+        return {
+            "max_group_defect": float(group_defect.max()),
+            "worst_group_node": tuple(int(i) for i in worst),
+            "max_preprojection_defect": self.sweep["max_preprojection_defect"],
+            "max_row_defect": float(row_defect.max()),
+            "steps": self.sweep["steps"],
+            "renorm": True,
+            "renorm_interval": _RENORM_INTERVAL,
+        }
 
 
 # Re-projection interval of the sweep. The drift it corrects stays below the
@@ -536,7 +535,8 @@ def integrate_frame(data: GeometricData, B0: np.ndarray,
     a grid whose ends all stay on the group, pseudo_orthonormalize is not
     called at all. One finiteness scan per direction raises
     IntegrationBlowup naming the first non-finite (axis, index); no
-    re-projection is fed a non-finite frame.
+    re-projection is fed a non-finite frame. The returned FrameField
+    computes its group and row defects when its diagnostics are first read.
 
     B0 is the (M, M) frame matrix at the base node. A B0 of another shape
     raises SchemaError; one off the group, with a last row other than the
@@ -591,22 +591,9 @@ def integrate_frame(data: GeometricData, B0: np.ndarray,
                     f"{j}", node=(axis, j))
             worst_pre = max(worst_pre, worst)
             B[lead + (span,) + suffix] = np.moveaxis(frames, 0, axis)
-    steps_total = grid.num_nodes - 1
-
-    group_defect, _ = _group_defect(B, g)
-    row_defect = np.abs(B[..., M - 1, :] - data.delta_all()).max(axis=-1)
-    wg = tuple(int(i) for i in np.unravel_index(int(np.argmax(group_defect)),
-                                                group_defect.shape))
-    diagnostics = {
-        "max_group_defect": float(group_defect.max()),
-        "worst_group_node": wg,
+    return FrameField(B=B, signs=g, rows=data.delta_all(), sweep={
         "max_preprojection_defect": worst_pre,
-        "max_row_defect": float(row_defect.max()),
-        "steps": steps_total,
-        "renorm": True,
-        "renorm_interval": _RENORM_INTERVAL,
-    }
-    return FrameField(B=B, diagnostics=diagnostics)
+        "steps": grid.num_nodes - 1})
 
 
 def _integrate_path(data, Ups, B0, order):

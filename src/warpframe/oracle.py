@@ -90,7 +90,7 @@ def _stage1(spec, warping, P, V):
     sgn = spec.signs
     ext = np.shape(value(P))[1:]
     nd = len(ext)
-    a = warping.value_generic(P[0])
+    a = warping.derivative(P[0], 0)
     a2 = a * a
     E = jets.zeros((n + m, spec.N + 2) + ext, like=V)
     F = jets.zeros((n, n) + ext, like=V)
@@ -154,8 +154,8 @@ def _stage2(spec, warping, t, V, E, F, dE):
     n, m = spec.n, spec.m
     sgn = np.asarray(spec.signs, dtype=float)
     nd = np.ndim(value(t))
-    a = warping.value_generic(t)
-    a1 = warping.deriv1_generic(t)
+    a = warping.derivative(t, 0)
+    a1 = warping.derivative(t, 1)
 
     # nab[j, k]: ambient covariant derivative of e_j along x_k.
     dEk = jets.zeros((n + m, n) + np.shape(value(E))[1:], like=E)

@@ -1,15 +1,23 @@
 """LAPACK-solve reference of warpframe.frame_solver.expm.
 
-This is the batched exponential as it was before its Pade quotient was
-solved without pivoting: r(A) = (V - U)^-1 (V + U) through one
-np.linalg.solve (a pivoted LU per matrix). It is kept as the reference the
-pivot-free solve is compared against, matrix by matrix and through the
-frame sweep.
+The batched exponential by the degree-7 diagonal Pade approximant
+r(A) = (V - U)^-1 (V + U), solved through one np.linalg.solve (a pivoted
+LU per matrix), as scipy.linalg.expm does at that degree. It is an
+independent method: the Taylor kernel of frame_solver.expm is compared
+against it matrix by matrix and through the frame sweep.
 """
 
 import numpy as np
 
-from warpframe.frame_solver import _MAX_SQUARINGS, _PADE7, _THETA7
+from warpframe.frame_solver import _MAX_SQUARINGS
+
+# Pade coefficients b_0 .. b_7 and the largest 1-norm at which the backward
+# error stays below the unit roundoff (Higham, "The scaling and squaring
+# method for the matrix exponential revisited", SIAM J. Matrix Anal. Appl.
+# 26 (2005), Table 2.3).
+_PADE7 = (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0,
+          56.0, 1.0)
+_THETA7 = 0.9504178996162932
 
 
 def expm(K):

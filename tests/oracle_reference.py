@@ -60,7 +60,7 @@ def _stage1(spec, warping, t, p, V, tol=1e-8):
     jets; branching happens on stripped values only.
     """
     n, m = spec.n, spec.m
-    a = warping.value_generic(t)
+    a = warping.derivative(t, 0)
     signs = spec.signs
 
     ehat = []
@@ -144,8 +144,8 @@ def _stage2(spec, warping, s1, drop, deriv):
         return (deriv(u[0], k), [deriv(c, k) for c in u[1]])
 
     t = drop(s1["t"])
-    a = warping.value_generic(t)
-    a1 = warping.deriv1_generic(t)
+    a = warping.derivative(t, 0)
+    a1 = warping.derivative(t, 1)
     Vd = [dropv(v) for v in s1["V"]]
     Ed = [dropv(e) for e in s1["ehat"]]
 

@@ -111,9 +111,9 @@ class TestWarping:
                                        rtol=1e-15, atol=1e-15)
         tj = jets.Jet(t, [np.ones_like(t)])
         a, a1, _ = w.eval(t)
-        assert np.array_equal(jets.value(w.value_generic(tj)), a)
-        assert np.array_equal(jets.value(w.deriv1_generic(tj)), a1)
-        np.testing.assert_allclose(w.value_generic(tj).parts[0], a1,
+        assert np.array_equal(jets.value(w.derivative(tj, 0)), a)
+        assert np.array_equal(jets.value(w.derivative(tj, 1)), a1)
+        np.testing.assert_allclose(w.derivative(tj, 0).parts[0], a1,
                                    rtol=1e-15)
 
     def test_constant_signed_zeros(self):
@@ -269,7 +269,7 @@ def test_metric_compatibility_on_jets(eps, c, tail, kind, amp, rate, shift,
     X, Y, Z = _jet_vectors(rng, [s], 3, spec.N + 2)
     X[0] = rng.uniform(-0.4, 0.4) + rng.uniform(-0.5, 0.5) * s   # t(s)
     t = X[0]
-    a, a1 = w.value_generic(t), w.deriv1_generic(t)
+    a, a1 = w.derivative(t, 0), w.derivative(t, 1)
     lhs = jets.part(warped_dot(spec, a * a, Y, Z), 0)
     av, a1v = jets.value(a), jets.value(a1)
     V, Yv, Zv = (jets.value(jets.part(X, 0)), jets.value(Y), jets.value(Z))
@@ -296,7 +296,7 @@ def test_torsion_free_on_nested_jets(eps, c, tail, kind, amp, rate, shift,
     f, = _jet_vectors(rng, jets.seed(x, 2), 1, spec.N + 2)
     f[0] = 0.3 * jets.sin(f[0])                 # keep t inside [-1, 1]
     t = jets.value(f[0])
-    a, a1 = w.value_generic(t), w.deriv1_generic(t)
+    a, a1 = w.derivative(t, 0), w.derivative(t, 1)
     V = np.stack([jets.value(jets.part(f, k)) for k in range(2)])
     D = np.stack([[jets.part(jets.part(f, l), k) for l in range(2)]
                   for k in range(2)])

@@ -293,6 +293,23 @@ class TestRoundtripCommand:
         capsys.readouterr()
         assert rc == 0
 
+    def test_no_whole_field_group_defect(self, capsys, monkeypatch):
+        # roundtrip reads no sweep diagnostics, so the group defect runs
+        # only on the base frame and the checked block ends, never on a
+        # stack as large as the frame field.
+        from warpframe import frame_solver
+        shapes = []
+
+        def spy(Z, g):
+            shapes.append(np.shape(Z))
+            return group_defect(Z, g)
+        group_defect = frame_solver._group_defect
+        monkeypatch.setattr(frame_solver, "_group_defect", spy)
+        assert main(["roundtrip", "--example", "helix"]) == 0
+        capsys.readouterr()
+        nodes = canonical_example("helix", {})[1].grid.num_nodes
+        assert shapes and all(len(s) < 3 or s[0] < nodes for s in shapes)
+
 
 class TestExamplesCommand:
     def test_listing(self, capsys):

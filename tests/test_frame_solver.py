@@ -3,6 +3,7 @@ import itertools
 import weakref
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
@@ -18,11 +19,9 @@ from warpframe import (ChartGrid, ExplicitImmersion, GeometricData,
                        oracle)
 from warpframe.errors import (IntegrationBlowup, InvariantViolation,
                               NonConvergence)
-from warpframe.frame_solver import (_ASSEMBLY_FIELDS, _MAX_SQUARINGS,
-                                    _PADE3, _PADE5, _PADE7, _THETA3,
-                                    _THETA5, _THETA7, _assemble, _chain,
-                                    _grid_first, _grid_last, _group_defect,
-                                    _one_norms, _pade_sum, _solve_dominant,
+from warpframe.frame_solver import (_ASSEMBLY_FIELDS, _TAYLOR, _assemble,
+                                    _chain, _grid_first, _grid_last,
+                                    _group_defect, _one_norms, _taylor,
                                     assemble_all,
                                     assembled_derivatives, build_base_frame,
                                     expm, integrate_frame,
@@ -386,13 +385,15 @@ def _scaled(rng, shape, norm):
     return X * (norm / np.abs(X).sum(axis=-2).max(axis=-1))[..., None, None]
 
 
+_THETA = {m: theta for m, _, theta in _TAYLOR}
+
+
 def _rel(a, b):
     return np.abs(a - b).max() / np.abs(b).max()
 
 
 def _exact_expm(K):
     """40-digit exponential of one matrix, rounded to floats."""
-    mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(40):
         return np.array(mpmath.expm(mpmath.matrix(K.tolist())).tolist(),
                         dtype=float)
@@ -469,85 +470,10 @@ class TestExpm:
         np.testing.assert_array_equal(out[0], np.eye(K.shape[0]))
 
 
-def _expm_degree7(K):
-    """expm as it was with the degree-7 Pade approximant for every stack:
-    the bits a stack that needs scaling must still get."""
-    K = np.asarray(K, dtype=float)
-    M = K.shape[-1]
-    A = K.reshape((-1, M, M))
-    norm = np.abs(A).sum(axis=-2).max(axis=-1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s = np.ceil(np.log2(norm / _THETA7))
-    bad = ~(s <= _MAX_SQUARINGS)
-    s = np.where(bad | (s < 0), 0, s).astype(int)
-    if bad.any() or s.any():
-        A = np.ldexp(np.where(bad[:, None, None], 0.0, A), -s[:, None, None])
-    b = _PADE7
-    eye = np.eye(M)
-    A2 = A @ A
-    A4 = A2 @ A2
-    A6 = A4 @ A2
-    U = A @ (b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * eye)
-    V = b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * eye
-    R = np.multiply(np.moveaxis(_solve_dominant(V - U, U), -1, 0), 2.0,
-                    order="C")
-    R += eye
-    for k in range(int(s.max(initial=0))):
-        idx = np.flatnonzero(s > k)
-        R[idx] = R[idx] @ R[idx]
-    R[bad] = np.nan
-    return R.reshape(K.shape)
-
-
 class TestPivotFreeKernels:
-    """expm's pivot-free Pade solve and the matmul group defect, against the
-    LAPACK-solve exponential of tests/expm_reference.py and the einsum
-    formula they replace."""
-
-    def test_pade_denominator_is_column_dominant(self):
-        # At |A|_1 <= theta_m, V - U = b0 I + E with
-        # |E|_1 <= sum_k b_k theta_m^k (k >= 1), the margin of expm's table.
-        for b, theta, margin in ((_PADE3, _THETA3, 0.0075),
-                                 (_PADE5, _THETA5, 0.1344),
-                                 (_PADE7, _THETA7, 0.5945)):
-            b = np.array(b)
-            m = len(b) - 1
-            bound = float(np.sum(b[1:] * theta ** np.arange(1, m + 1)))
-            assert bound / b[0] == pytest.approx(margin, abs=1e-4)
-            # At the largest scaled norm each column of V - U keeps its
-            # diagonal ahead of the rest of the column by at least
-            # b0 - bound.
-            rng = np.random.default_rng(11)
-            A = _scaled(rng, (2000, 6, 6), theta)
-            P = [np.eye(6)]
-            for _ in range(m):
-                P.append(P[-1] @ A)
-            U = sum(b[k] * P[k] for k in range(1, m + 1, 2))
-            V = sum(b[k] * P[k] for k in range(0, m + 1, 2))
-            D = V - U
-            diag = np.abs(np.diagonal(D, axis1=-2, axis2=-1))
-            rest = np.abs(D).sum(axis=-2) - diag
-            assert (diag - rest).min() >= (b[0] - bound) * (1 - 1e-12)
-
-    @settings(max_examples=60, deadline=None, database=None)
-    @given(M=st.integers(2, 7), L=st.integers(1, 40), K=st.integers(1, 7),
-           seed=st.integers(0, 2**32 - 1), margin=st.floats(1e-3, 2.0))
-    def test_solve_dominant_matches_lapack(self, M, L, K, seed, margin):
-        rng = np.random.default_rng(seed)
-        A = rng.standard_normal((L, M, M))
-        i = np.arange(M)
-        rest = np.abs(A).sum(axis=-2) - np.abs(A[:, i, i])
-        A[:, i, i] = rng.choice([-1.0, 1.0], (L, M)) * (1 + margin) * rest
-        B = rng.standard_normal((L, M, K))
-        A0, B0 = A.copy(), B.copy()
-        got = np.moveaxis(_solve_dominant(A, B), -1, 0)
-        np.testing.assert_array_equal(A, A0)      # inputs left alone,
-        np.testing.assert_array_equal(B, B0)      # also for L = 1
-        want = np.linalg.solve(A, B)
-        cond = np.linalg.cond(A, 1)
-        err = np.abs(got - want).max(axis=(-1, -2))
-        assert np.all(err <= 1e-14 * M * cond * np.abs(want).max(
-            axis=(-1, -2)))
+    """expm's Taylor polynomial (products only: no elimination, no pivots)
+    and the matmul group defect, against the LAPACK-solve Pade exponential
+    of tests/expm_reference.py and the einsum formula."""
 
     @pytest.mark.parametrize("M", range(2, 8))
     @settings(max_examples=8, deadline=None, database=None)
@@ -555,14 +481,14 @@ class TestPivotFreeKernels:
            log_norm=st.floats(-6.0, np.log10(30.0)))
     def test_expm_matches_lapack_reference(self, M, seed, log_norm):
         # Every sign pattern of G, with G-skew generators of the drawn norm,
-        # of 1e-6, 1e-2, 1 and 30 (the last two are scaled: s = 1, 5), and
-        # just below and just above theta3 and theta5. Each norm is one
-        # call, which picks its own Pade degree; all of them mixed in one
-        # call are scaled, at degree 7.
+        # of 1e-6, 1e-2, 1 and 30 (the last two are scaled: s = 1, 6), and
+        # just below and just above each theta_m. Each norm is one call,
+        # which picks its own Taylor degree; all of them mixed in one call
+        # are scaled, at degree 16.
         rng = np.random.default_rng(seed)
         g = np.array(list(itertools.product([1.0, -1.0], repeat=M)))
         norms = np.array([10.0 ** log_norm, 1e-6, 1e-2, 1.0, 30.0]
-                         + [t * (1 + d) for t in (_THETA3, _THETA5)
+                         + [t * (1 + d) for t in _THETA.values()
                             for d in (-1e-6, 1e-6)])
         S = rng.standard_normal((len(g), len(norms), M, M))
         K = g[:, None, :, None] * (S - np.swapaxes(S, -1, -2))
@@ -578,18 +504,23 @@ class TestPivotFreeKernels:
                 assert _rel(got[idx], _exact_expm(K[idx])) <= 1e-12
 
     @pytest.mark.parametrize("norms, degree", [
-        ((1e-6, _THETA3 * (1 - 1e-6)), 3),
-        ((1e-6, _THETA3 * (1 + 1e-6)), 5),
-        ((_THETA3 * (1 - 1e-6), _THETA5 * (1 - 1e-6)), 5),
-        ((_THETA3 * (1 - 1e-6), _THETA5 * (1 + 1e-6)), 7),
-        ((1e-6, _THETA7), 7),
-        ((1e-6, _THETA3, 30.0), 7)])
+        ((1e-6, _THETA[4] * (1 - 1e-6)), 4),
+        ((1e-6, _THETA[4] * (1 + 1e-6)), 6),
+        ((_THETA[4], _THETA[6] * (1 - 1e-6)), 6),
+        ((_THETA[4], _THETA[6] * (1 + 1e-6)), 9),
+        ((_THETA[6], _THETA[9] * (1 - 1e-6)), 9),
+        ((_THETA[6], _THETA[9] * (1 + 1e-6)), 12),
+        ((_THETA[9], _THETA[12] * (1 - 1e-6)), 12),
+        ((_THETA[9], _THETA[12] * (1 + 1e-6)), 16),
+        ((1e-6, _THETA[16]), 16),
+        ((1e-6, _THETA[16] * (1 + 1e-6)), 16),
+        ((1e-6, _THETA[4], 30.0), 16)])
     @settings(max_examples=6, deadline=None, database=None)
     @given(seed=st.integers(0, 2**32 - 1), M=st.integers(2, 7))
     def test_degree_from_largest_norm(self, norms, degree, seed, M):
         # One degree per stack, the lowest whose theta_m bounds its largest
-        # 1-norm; a stack that needs scaling keeps degree 7. Just below and
-        # just above theta3 and theta5, the result matches the degree-7
+        # 1-norm; a stack that needs scaling gets degree 16. Just below and
+        # just above each theta_m, the result matches the degree-7
         # LAPACK-solve reference.
         rng = np.random.default_rng(seed)
         g = rng.choice([-1.0, 1.0], M)
@@ -597,27 +528,30 @@ class TestPivotFreeKernels:
         K = g[:, None] * (S - np.swapaxes(S, -1, -2))
         K *= (np.array(norms)[:, None]
               / np.abs(K).sum(axis=-2).max(axis=-1))[..., None, None]
-        with mock.patch.object(frame_solver, "_pade_sum",
-                               wraps=_pade_sum) as spy:
+        with mock.patch.object(frame_solver, "_taylor",
+                               wraps=_taylor) as spy:
             got = expm(K)
-        # U and V sum (m + 1) / 2 coefficients each.
-        assert {2 * len(c.args[0]) - 1 for c in spy.call_args_list} == {degree}
+        assert [c.args[1] for c in spy.call_args_list] == [degree]
         want = expm_reference.expm(K)
         rel = (np.abs(got - want).max(axis=(-1, -2))
                / np.abs(want).max(axis=(-1, -2)))
         for idx in zip(*np.nonzero(rel > 1e-12)):
             assert _rel(got[idx], _exact_expm(K[idx])) <= 1e-12
 
-    @settings(max_examples=40, deadline=None, database=None)
-    @given(M=st.integers(2, 7), seed=st.integers(0, 2**32 - 1),
-           log_norm=st.floats(np.log10(_THETA5) + 1e-3, np.log10(30.0)))
-    def test_degree7_stacks_keep_their_bits(self, M, seed, log_norm):
-        # A stack whose largest 1-norm is above theta5 (scaled or not) gives
-        # the bits of the degree-7 path expm had before the degree choice.
-        rng = np.random.default_rng(seed)
-        K = _scaled(rng, (4, M, M), 10.0 ** log_norm)
-        K[1:3] *= 10.0 ** rng.uniform(-6.0, 0.0, (2, 1, 1))
-        assert np.array_equal(expm(K), _expm_degree7(K), equal_nan=True)
+    @pytest.mark.parametrize("m, s, theta", _TAYLOR)
+    def test_theta_is_the_truncation_bound(self, m, s, theta):
+        # theta_m is the largest x with sum_{k>m} x^(k-1)/k! <= 2^-53:
+        # the bound holds at theta_m and fails 0.1 % above it. s divides m,
+        # so the top Paterson-Stockmeyer block needs no product.
+        assert m % s == 0
+        with mpmath.workdps(40):
+            def tail(x):
+                x = mpmath.mpf(x)
+                return mpmath.fsum(x ** (k - 1) / mpmath.factorial(k)
+                                   for k in range(m + 1, m + 60))
+            u = mpmath.mpf(2) ** -53
+            assert tail(theta) <= u
+            assert tail(theta * (1 + 1e-3)) > u
 
     @settings(max_examples=60, deadline=None, database=None)
     @given(signs=st.lists(st.sampled_from([1.0, -1.0]), min_size=2,
@@ -759,6 +693,35 @@ class TestIntegrateFrame:
             ff = integrate_frame(data, exact_base_frame(imm))
             errs.append(np.abs(ff.B - exact_frame_field(imm)).max())
         assert 3.2 <= errs[0] / errs[1] <= 4.8
+
+    def test_diagnostics_computed_on_first_read(self, slice17, monkeypatch):
+        # The sweep checks only block ends; the group defect over every
+        # frame waits for the first read of diagnostics, which keeps it.
+        _, data = slice17
+        spy = mock.Mock(wraps=_group_defect)
+        monkeypatch.setattr(frame_solver, "_group_defect", spy)
+        ff = integrate_frame(data, build_base_frame(data))
+
+        def whole_field_calls():
+            return [c for c in spy.call_args_list
+                    if c.args[0].shape == ff.B.shape]
+        assert whole_field_calls() == []
+        diag = ff.diagnostics
+        assert ff.diagnostics is diag
+        assert len(whole_field_calls()) == 1
+        g = np.diag(data.spec.G)
+        defect = np.abs(np.einsum("...ji,j,...jl->...il", ff.B, g, ff.B)
+                        - np.diag(g)).max(axis=(-1, -2))
+        rows = np.abs(ff.B[..., -1, :] - data.delta_all()).max(axis=-1)
+        assert diag["max_group_defect"] == pytest.approx(defect.max(),
+                                                         abs=1e-15)
+        assert defect[diag["worst_group_node"]] == pytest.approx(
+            defect.max(), abs=1e-15)
+        assert diag["max_row_defect"] == rows.max()
+        assert list(diag) == ["max_group_defect", "worst_group_node",
+                              "max_preprojection_defect", "max_row_defect",
+                              "steps", "renorm", "renorm_interval"]
+        assert diag["steps"] == data.grid.num_nodes - 1
 
     def test_b0_invariants_checked(self, slice17):
         _, data = slice17
@@ -991,9 +954,9 @@ class TestChainMatchesBlockwiseReference:
 
 
 # The t0 values the helix_long benchmark workload draws from. Every step
-# there has a 1-norm below theta3, so expm runs at Pade degree 3. At -0.1
-# and +0.1 it sweeps to 1.394e-13 and 1.392e-13 (1.397e-13 at degree 7)
-# against the degree-7 LAPACK reference's 1.263e-13 and 1.266e-13. There
+# there has a 1-norm below theta6 (at most 5.6e-4), so expm runs at Taylor
+# degree 6. At -0.1 and +0.1 it sweeps to 1.394e-13 against the degree-7
+# LAPACK-solve Pade reference's 1.263e-13 and 1.266e-13. There
 # both sit at the roundoff floor of the chain's own matmuls: propagators
 # projected onto the group to 7e-17 per step still sweep to 2.2e-13.
 _HELIX_LONG_T0 = [
