@@ -238,11 +238,12 @@ class GeometricData:
 
     def release_forms(self):
         """Free the memoized Omega, X and W of frame_solver.assemble_all;
-        Upsilon, the one form frame integration reads, stays. A later
-        assemble_all that asks for a freed form assembles all four again."""
-        forms = self._cache.get("assembly")
-        if forms is not None:
-            self._cache["assembly"] = {"Upsilon": forms["Upsilon"]}
+        Upsilon, the one form frame integration reads, stays if it was
+        assembled. A later assemble_all that asks for a freed form
+        assembles it again."""
+        forms = self._cache.get("assembly", {})
+        self._cache["assembly"] = {k: v for k, v in forms.items()
+                                   if k == "Upsilon"}
 
     # -- validation -----------------------------------------------------------
 
@@ -367,11 +368,24 @@ def _worst_node(arr, n):
 def _document_array(what, values, shape):
     """The float array of a document's list `values`, reshaped to `shape`;
     SchemaError naming `what` if it does not parse or has another size."""
-    arr = _parsed(what, lambda v: np.asarray(v, dtype=float), values)
+    arr = _parsed(what, _float_array, values)
     if arr.size != math.prod(shape):
         raise SchemaError(f"{what}: {arr.size} values, want "
                           f"{math.prod(shape)}")
     return arr.reshape(shape)
+
+
+def _float_array(values):
+    """values as a float64 array. A list is converted in one pass, element
+    by element; one that does not convert that way (nested, ragged, a
+    string or an integer beyond the float range) goes to np.asarray, as
+    does anything else, so its result or error is np.asarray's."""
+    if isinstance(values, list):
+        try:
+            return np.fromiter(values, float, count=len(values))
+        except (TypeError, ValueError, OverflowError):
+            pass
+    return np.asarray(values, dtype=float)
 
 
 def _parsed(what, parse, value):

@@ -202,30 +202,44 @@ def _cmd_validate(args):
     return EXIT_FAIL if problems else EXIT_OK
 
 
+def _tolerance(args, value, origin):
+    """A pass tolerance with its origin: --tol if given, else value."""
+    if args.tol is not None:
+        return {"value": args.tol, "origin": "--tol"}
+    return {"value": value, "origin": origin}
+
+
 def _check_source(data, args):
     """Which derivatives drive the checks, and the pass tolerance with its
     origin: --tol, else 1e-8 on analytic derivatives and 10 h^2 on finite
     differences."""
     analytic = _analytic(data, args.force_fd)
-    if args.tol is not None:
-        tol, origin = args.tol, "--tol"
-    else:
-        tol = default_tolerance(data, args.force_fd)
-        origin = "1e-8" if analytic else "10 h^2"
     return {"derivatives": "analytic" if analytic else "finite_differences",
-            "tolerance": {"value": tol, "origin": origin}}
+            "tolerance": _tolerance(args,
+                                    default_tolerance(data, args.force_fd),
+                                    "1e-8" if analytic else "10 h^2")}
+
+
+def _verify_meta(data, args):
+    """verify's report meta: the grid extents and _check_source."""
+    return {"grid_extents": list(data.grid.extents),
+            **_check_source(data, args)}
+
+
+def _print_check_source(source):
+    """verify's text header: the derivatives and the tolerance."""
+    tol = source["tolerance"]
+    print(f"derivatives {source['derivatives']}  tolerance "
+          f"{tol['value']:.2e} ({tol['origin']})")
 
 
 def _cmd_verify(args):
     data = _load_input(args)
     outdir = args.output_dir
     rep = _all_residuals(data, args.tol, args.force_fd)
-    meta = {"grid_extents": list(data.grid.extents),
-            **_check_source(data, args)}
+    meta = _verify_meta(data, args)
     if args.report == "text":
-        tol = meta["tolerance"]
-        print(f"derivatives {meta['derivatives']}  tolerance "
-              f"{tol['value']:.2e} ({tol['origin']})")
+        _print_check_source(meta)
     if args.h_refine > 1:
         fine = _refined_data(data, args.h_refine)
         rep_f = _all_residuals(fine, args.tol, args.force_fd)
@@ -233,8 +247,7 @@ def _cmd_verify(args):
                               "sup_ratios": _sup_ratios(rep, rep_f)}
         if outdir is not None:
             wio.save_report(rep_f, Path(outdir) / "residuals_refined.json",
-                            meta={"grid_extents": list(fine.grid.extents),
-                                  **_check_source(fine, args)})
+                            meta=_verify_meta(fine, args))
     _emit_report(rep, args, "residuals.json", outdir, meta=meta)
     return EXIT_OK if rep.passed else EXIT_FAIL
 
@@ -261,16 +274,24 @@ def _reconstruct_once(data, args, outdir, suffix=""):
 def _cmd_reconstruct(args):
     data = _load_input(args)
     outdir = args.output_dir
+    gate = _check_source(data, args)
+    if args.report == "text":
+        _print_check_source(gate)
     pre = _all_residuals(data, args.tol, args.force_fd)
     if not pre.passed and not args.force:
         print("verification failed; not reconstructing "
               "(failing: " + ", ".join(pre.failing()) + "; use --force)")
         if outdir is not None:
-            wio.save_report(pre, Path(outdir) / "residuals.json")
+            wio.save_report(pre, Path(outdir) / "residuals.json",
+                            meta=_verify_meta(data, args))
         return EXIT_FAIL
     data.release_forms()
     imm, rep, diag = _reconstruct_once(data, args, outdir, suffix="")
-    meta = {"diagnostics": diag}
+    # The residual gate's check source, then the conclusions' own
+    # tolerance: verify_immersion judges against 10 h^2 or --tol.
+    meta = {"grid_extents": list(data.grid.extents), "gate": gate,
+            "tolerance": _tolerance(args, data.grid.fd_tolerance, "10 h^2"),
+            "diagnostics": diag}
     if args.h_refine > 1:
         fine = _refined_data(data, args.h_refine)
         imm2, rep2, diag2 = _reconstruct_once(fine, args, outdir, suffix="_refined")

@@ -12,10 +12,10 @@ One tensor routine assembles them: on arrays for the forms themselves, on
 jets of arrays for their exact coordinate derivatives. It works
 component-major (component axes first, grid axes last), so every broadcast
 runs its inner loop over the grid. assemble_all runs it once per dataset:
-the result is kept in GeometricData._cache (the data never changes after
-load) until GeometricData.release_forms frees all but Upsilon, every
-array is read-only, and each call returns the same arrays as grid-major
-views (*ext, M, M, n) of that component-major memory. The
+the forms asked for are kept in GeometricData._cache (the data never
+changes after load) until GeometricData.release_forms frees all but
+Upsilon, every array is read-only, and each call returns the same arrays
+as grid-major views (*ext, M, M, n) of that component-major memory. The
 verifier moves the axes back and reads the component-major blocks without
 a copy.
 
@@ -127,24 +127,26 @@ def assemble_all(data: GeometricData, *names) -> dict:
     """The forms `names` among Omega, X, Upsilon (*ext, M, M, n) and W
     (*ext, M, n) at every node; all four if no name is given.
 
-    Assembled on the first call for a dataset and kept in data._cache;
-    every later call returns the same read-only arrays, until
-    GeometricData.release_forms frees some: asking for a freed form
-    assembles all four again. They are grid-major views of component-major
-    memory (_grid_last of one is a view again).
+    Assembled when a form asked for is not in data._cache, which then
+    keeps the forms asked for besides those it already held; every later
+    call returns the same read-only arrays, until
+    GeometricData.release_forms frees some. So frame integration alone,
+    which asks for Upsilon, keeps Upsilon alone. They are grid-major views
+    of component-major memory (_grid_last of one is a view again).
     """
     names = names or _FORMS
     memo = data._cache.get("assembly", {})
-    if not all(k in memo for k in names):
+    missing = [k for k in names if k not in memo]
+    if missing:
         nd = data.grid.n
         a, a1, _ = data.warp_values()
         Om, X, W = _assemble(data.spec, *(
             _grid_last(getattr(data, name), nd) for name in _ASSEMBLY_FIELDS),
             a, a1)
         forms = {"Omega": Om, "X": X, "Upsilon": Om - X, "W": W}
-        for v in forms.values():
-            v.setflags(write=False)
-        memo = {k: _grid_first(v, nd) for k, v in forms.items()}
+        for k in missing:
+            forms[k].setflags(write=False)
+        memo = {**memo, **{k: _grid_first(forms[k], nd) for k in missing}}
         data._cache["assembly"] = memo
     return {k: memo[k] for k in names}
 

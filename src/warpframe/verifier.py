@@ -12,6 +12,11 @@ Three entry points, eight report entries in all (A-F, aux4, flatness):
 * flatness_residual: d(Upsilon) + Upsilon ^ Upsilon on every coordinate
   2-plane, the integrability condition of the frame equations.
 
+A 1-dimensional chart (a curve) has no coordinate 2-plane, so the 2-form
+equations (D), (E), (F), aux4 and flatness say nothing there: their fields
+are None, each reported as 0 with worst_node None and a note, without an
+assembled form or a coframe derivative. Only (A)-(C) carry content.
+
 Each entry is independent evidence, so no identity that restates another
 is computed: sum eps_alpha T_alpha^2 = eps is (A); the derivative of
 T_alpha is (B) on tangent rows, (C) on normal rows and (A) rescaled on
@@ -174,14 +179,19 @@ def default_tolerance(data: GeometricData, force_fd: bool) -> float:
     return 1e-8 if _analytic(data, force_fd) else data.grid.fd_tolerance
 
 
-def _report(fields, tol, data, force_fd, note=""):
-    """The report of per-node residual fields (None for a skipped check),
-    judged against tol, by default the dataset's default_tolerance."""
+# The note of every entry a 1-dimensional chart skips.
+_NO_PLANES = "no coordinate 2-planes on a 1-dimensional chart"
+
+
+def _report(fields, tol, data, force_fd):
+    """The report of per-node residual fields, judged against tol, by
+    default the dataset's default_tolerance. A None field is a check that
+    the 1-dimensional chart skips: it reads 0 with the _NO_PLANES note."""
     if tol is None:
         tol = default_tolerance(data, force_fd)
     report = ResidualReport()
     for key, arr in fields.items():
-        report.add(key, arr, tol, note=note)
+        report.add(key, arr, tol, note=_NO_PLANES if arr is None else "")
     return report
 
 
@@ -256,17 +266,19 @@ def structure_residual_fields(data: GeometricData,
     """Per-node residual magnitude fields of the six structure equations.
 
     Keys "A".."F"; the derivative-based equations are zeroed outside the
-    interior (the algebraic identity (A) is meaningful everywhere).
+    interior (the algebraic identity (A) is meaningful everywhere). On a
+    1-dimensional chart the 2-form equations (D), (E) and (F) are None:
+    there is no coordinate 2-plane to evaluate them on.
     """
     spec, grid = data.spec, data.grid
     n, eps = spec.n, spec.epsilon
     h = grid.spacing
     analytic = _analytic(data, force_fd)
-    # d/dx_k of the fields, component-major; None on FD data, where the
-    # kernels difference the fields themselves
-    dv = {name: _field_derivatives(data, name) if analytic else None
-          for name in ("T_comp", "xi_comp", "alpha", "omega_tangent",
-                       "omega_bundle")}
+
+    def dv(name):
+        """d/dx_k of a field, component-major; None on FD data, where the
+        kernels difference the field itself."""
+        return _field_derivatives(data, name) if analytic else None
     inner = interior_mask(grid.extents)
     fields = {}
     et = _pattern(spec.tangent_signs, n)
@@ -276,8 +288,6 @@ def structure_residual_fields(data: GeometricData,
     C, T, xi, al, ot, ob, tk = (_grid_last(x, n) for x in (
         data.inv_frame, data.T_comp, data.xi_comp, data.alpha,
         data.omega_tangent, data.omega_bundle, data.coord_T()))
-    ipe = et * C                             # <d/dx_k, e_j> = eps_j C_kj
-    k1, k2 = curvature_coefficients(spec, data.warping, data.pi)
 
     # (A) algebraic vertical-norm identity.
     fields["A"] = np.abs((et * T * T).sum(axis=0) + (eb * xi * xi).sum(axis=0)
@@ -285,7 +295,7 @@ def structure_residual_fields(data: GeometricData,
 
     # (B) derivative of T.
     axk = np.einsum("ki...,uij...->kju...", C, al)    # alpha(dk, e_j)^u
-    dT = np.stack(_derivatives(T, dv["T_comp"], h))
+    dT = np.stack(_derivatives(T, dv("T_comp"), h))
     resB = (dT + np.einsum("jik...,i...->kj...", ot, T)
             - rat * (C - eps * tk[:, None] * T)
             - et * np.einsum("u,u...,kju...->kj...", spec.bundle_signs, xi,
@@ -293,14 +303,18 @@ def structure_residual_fields(data: GeometricData,
     fields["B"] = np.where(inner, np.abs(resB).max(axis=(0, 1)), 0.0)
 
     # (C) derivative of xi.  alpha(T, d/dx_k)^u = sum_{i,j} T^i C_kj alpha^u_{ij}
-    dxi = np.stack(_derivatives(xi, dv["xi_comp"], h))
+    dxi = np.stack(_derivatives(xi, dv("xi_comp"), h))
     resC = (dxi + np.einsum("vuk...,u...->kv...", ob, xi)
             + (eps * rat * tk)[:, None] * xi
             + np.einsum("i...,kj...,uij...->ku...", T, C, al))
     fields["C"] = np.where(inner, np.abs(resC).max(axis=(0, 1)), 0.0)
+    if n < 2:
+        return {**fields, "D": None, "E": None, "F": None}
 
     # (D) Gauss. Tangent curvature from the omega_{ij} block.
-    curv = _curvature_block(ot, dv["omega_tangent"], h)
+    ipe = et * C                             # <d/dx_k, e_j> = eps_j C_kj
+    k1, k2 = curvature_coefficients(spec, data.warping, data.pi)
+    curv = _curvature_block(ot, dv("omega_tangent"), h)
     te = et * T                               # <e_j, T>
     worstD = np.zeros(grid.extents)
     for (k, l), R2 in curv.items():
@@ -317,7 +331,7 @@ def structure_residual_fields(data: GeometricData,
     fields["D"] = np.where(inner, worstD, 0.0)
 
     # (E) Codazzi via the covariant derivative of alpha on frame arguments.
-    dal = _derivatives(al, dv["alpha"], h)
+    dal = _derivatives(al, dv("alpha"), h)
     Dal = [dal[k]
            + np.einsum("uv...,vij...->uij...", ob[:, :, k], al)
            - np.einsum("li...,ulj...->uij...", ot[:, :, k], al)
@@ -333,7 +347,7 @@ def structure_residual_fields(data: GeometricData,
     fields["E"] = np.where(inner, worstE, 0.0)
 
     # (F) Ricci via the omega_{uv} block curvature.
-    curvb = _curvature_block(ob, dv["omega_bundle"], h)
+    curvb = _curvature_block(ob, dv("omega_bundle"), h)
     Aev = np.einsum("j,v,kjv...->kvj...", spec.tangent_signs,
                     spec.bundle_signs, axk)
     Cal = np.einsum("ki...,uji...->kuj...", C, al)
@@ -360,8 +374,11 @@ def structure_residuals(data: GeometricData, tol: float | None = None,
 
 def aux_identity_fields(data: GeometricData, force_fd: bool = False) -> dict:
     """Per-node residual field of aux4, the torsion-free identity
-    dW = -Omega ^ W, zeroed outside the interior."""
+    dW = -Omega ^ W, zeroed outside the interior; None on a 1-dimensional
+    chart, which has no coordinate 2-plane."""
     grid = data.grid
+    if data.spec.n < 2:
+        return {"aux4": None}
     forms = _forms(data)
     Om, W = forms["Omega"], forms["W"]
     dW = _coframe_derivatives(data, _analytic(data, force_fd))
@@ -414,7 +431,8 @@ def _slabs(extents):
 
 def flatness_fields(data: GeometricData, force_fd: bool = False) -> dict:
     """Per-node field of d Upsilon + Upsilon ^ Upsilon, zeroed outside the
-    interior; requires n >= 2.
+    interior; None on a 1-dimensional chart, which has no coordinate
+    2-plane.
 
     d Upsilon comes from one _dform call per plane: finite differences of
     the memoized Upsilon, one component at a time, or on analytic data
@@ -424,6 +442,8 @@ def flatness_fields(data: GeometricData, force_fd: bool = False) -> dict:
     slab size changes no bit of the result.
     """
     grid, n = data.grid, data.spec.n
+    if n < 2:
+        return {"flatness": None}
     Up = _forms(data)["Upsilon"]
     dUp = None
     if _analytic(data, force_fd):
@@ -445,9 +465,5 @@ def flatness_fields(data: GeometricData, force_fd: bool = False) -> dict:
 def flatness_residual(data: GeometricData, tol: float | None = None,
                       force_fd: bool = False) -> ResidualReport:
     """d Upsilon + Upsilon ^ Upsilon on all coordinate 2-planes, key
-    "flatness". One-dimensional charts have no coordinate 2-planes; the
-    entry is then reported as zero with a note."""
-    if data.spec.n < 2:
-        return _report({"flatness": None}, tol, data, force_fd,
-                       note="no coordinate 2-planes on a 1-dimensional chart")
+    "flatness"."""
     return _report(flatness_fields(data, force_fd), tol, data, force_fd)

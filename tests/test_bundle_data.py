@@ -12,6 +12,7 @@ from json_reference import float64_list
 from warpframe import (ChartGrid, GeometricData, SignatureSpec,
                        WarpingFunction, canonical_example, load_data,
                        structure_residuals)
+from warpframe import bundle_data
 from warpframe.bundle_data import FIELD_NAMES, _inverse_stack
 from warpframe.cli import main
 from warpframe.errors import InvariantViolation, SchemaError
@@ -222,6 +223,59 @@ class TestSerialization:
         doc["fields"]["pi"] = doc["fields"]["pi"][:-1]
         with pytest.raises(SchemaError):
             load_data(doc)
+
+
+def _asarray(values):
+    return np.asarray(values, dtype=float)
+
+
+def _load_outcome(doc):
+    """The fields load_data returns for doc, as bytes, or the type and
+    message of what it raises."""
+    try:
+        data = load_data(doc)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return {name: getattr(data, name).tobytes() for name in FIELD_NAMES}
+
+
+class TestDocumentArray:
+    """A document's list converts in one pass with np.fromiter; the result,
+    and the error of a list that does not convert, are np.asarray's."""
+
+    FLOATS = st.one_of(st.floats(), st.sampled_from([
+        -0.0, 5e-324, -5e-324, 2.225073858507201e-308,
+        1.7976931348623157e308, -1.7976931348623157e308]))
+    INTS = st.one_of(st.integers(-2 ** 70, 2 ** 70), st.sampled_from([
+        2 ** 53 + 1, 2 ** 63 - 1, 2 ** 63, -2 ** 63, -2 ** 63 - 1, 2 ** 64,
+        2 ** 1023 + 2 ** 970]))
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(values=st.lists(st.one_of(FLOATS, INTS, st.booleans()),
+                           max_size=30))
+    def test_bits_of_asarray(self, values):
+        got = bundle_data._document_array("field pi", values, (len(values),))
+        ref = _asarray(values)
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("value", [
+        None, "abc", 0.3, [[0.3] * 5], [[0.3, 0.3]] * 2,
+        [[0.3, 0.3], [0.3]], [0.3, [0.3], 0.3, 0.3, 0.3],
+        [0.3] * 4 + [10 ** 400], [0.3] * 4 + [None], [0.3] * 4 + ["abc"],
+        [0.3] * 4 + ["0.3"]],
+        ids=["null", "string", "scalar", "nested", "nested_size",
+             "ragged", "ragged_flat", "beyond_float", "null_entry",
+             "string_entry", "numeric_string"])
+    def test_load_outcome_of_asarray(self, value, monkeypatch):
+        # load_data ends as it did when every list went to np.asarray:
+        # the same arrays, or the same exception and message.
+        doc = json.loads(json.dumps(trivial_data().to_document(),
+                                    default=float64_list))
+        doc["fields"]["pi"] = value
+        got = _load_outcome(doc)
+        monkeypatch.setattr(bundle_data, "_float_array", _asarray)
+        assert got == _load_outcome(doc)
 
 
 class TestSchemaGate:

@@ -34,6 +34,15 @@ def helix_file(tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="module")
+def fd_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("data") / "slice_fd.json"
+    _, data = canonical_example("slice", {"n": 2,
+                                          "attach_derivatives": False})
+    save_dataset(data, path)
+    return path
+
+
 class TestVerifyCommand:
     def test_pass_exit_zero(self, slice_file, capsys):
         assert main(["verify", str(slice_file)]) == 0
@@ -116,14 +125,6 @@ class TestVerifyRecordsCheckSource:
     the tolerance with its origin; the text report prints the same as its
     first line."""
 
-    @pytest.fixture(scope="class")
-    def fd_file(self, tmp_path_factory):
-        path = tmp_path_factory.mktemp("data") / "slice_fd.json"
-        _, data = canonical_example("slice", {"n": 2,
-                                              "attach_derivatives": False})
-        save_dataset(data, path)
-        return path
-
     def run(self, path, extra, capsys):
         assert main(["verify", str(path), "--report", "json"] + extra) == 0
         meta = json.loads(capsys.readouterr().out)["meta"]
@@ -185,6 +186,141 @@ class TestVerifyRecordsCheckSource:
                                        "origin": "10 h^2"}
         assert all(e["tolerance"] == 2.44140625e-3
                    for e in fine["residuals"].values())
+
+
+class TestReconstructRecordsGate:
+    """reconstruct's report meta records what gated it: the grid extents,
+    then under "gate" the derivatives and tolerance of the residual check
+    as verify's meta has them, then the conclusions' own tolerance. The
+    text report starts with verify's header line."""
+
+    def run(self, path, extra, capsys):
+        assert main(["reconstruct", str(path), "--report", "json"]
+                    + extra) == 0
+        meta = json.loads(capsys.readouterr().out)["meta"]
+        assert main(["verify", str(path), "--report", "json"] + extra) == 0
+        verified = json.loads(capsys.readouterr().out)["meta"]
+        assert main(["reconstruct", str(path)] + extra) == 0
+        header = capsys.readouterr().out.splitlines()[0]
+        assert main(["verify", str(path)] + extra) == 0
+        assert header == capsys.readouterr().out.splitlines()[0]
+        assert list(meta) == ["grid_extents", "gate", "tolerance",
+                              "diagnostics"]
+        assert meta["grid_extents"] == verified["grid_extents"]
+        assert meta["gate"] == {"derivatives": verified["derivatives"],
+                                "tolerance": verified["tolerance"]}
+        assert list(meta["gate"]) == ["derivatives", "tolerance"]
+        return meta, header
+
+    def test_jet_fixture(self, helix_file, capsys):
+        meta, header = self.run(helix_file, [], capsys)
+        tol = load_dataset(helix_file).grid.fd_tolerance
+        assert meta["gate"] == {"derivatives": "analytic",
+                                "tolerance": {"value": 1e-8,
+                                              "origin": "1e-8"}}
+        assert meta["tolerance"] == {"value": tol, "origin": "10 h^2"}
+        assert header == "derivatives analytic  tolerance 1.00e-08 (1e-8)"
+
+    def test_fd_fixture(self, fd_file, capsys):
+        meta, header = self.run(fd_file, [], capsys)
+        tol = load_dataset(fd_file).grid.fd_tolerance
+        assert meta["gate"] == {"derivatives": "finite_differences",
+                                "tolerance": {"value": tol,
+                                              "origin": "10 h^2"}}
+        assert meta["tolerance"] == {"value": tol, "origin": "10 h^2"}
+        assert header == (f"derivatives finite_differences  tolerance "
+                          f"{tol:.2e} (10 h^2)")
+
+    def test_force_fd(self, helix_file, capsys):
+        meta, _ = self.run(helix_file, ["--force-fd"], capsys)
+        tol = load_dataset(helix_file).grid.fd_tolerance
+        assert meta["gate"] == {"derivatives": "finite_differences",
+                                "tolerance": {"value": tol,
+                                              "origin": "10 h^2"}}
+
+    @pytest.mark.parametrize("fixture", ["helix_file", "fd_file"])
+    def test_tol(self, fixture, request, capsys):
+        path = request.getfixturevalue(fixture)
+        meta, header = self.run(path, ["--tol", "0.03"], capsys)
+        assert meta["gate"]["tolerance"] == {"value": 0.03, "origin": "--tol"}
+        assert meta["tolerance"] == {"value": 0.03, "origin": "--tol"}
+        assert header.endswith("  tolerance 3.00e-02 (--tol)")
+
+    def test_refused_gate_writes_verify_meta(self, fd_file, tmp_path,
+                                             capsys):
+        # A refused reconstruct leaves the residuals.json that verify
+        # writes, meta included, and prints verify's header first.
+        doc = json.loads(fd_file.read_text())
+        al = doc["fields"]["alpha"]
+        for i in range(0, len(al), 4):
+            al[i] += 0.1
+        bad = tmp_path / "broken_alpha.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["reconstruct", str(bad), "-o", str(tmp_path / "r")]) == 2
+        out = capsys.readouterr().out.splitlines()
+        assert main(["verify", str(bad), "-o", str(tmp_path / "v")]) == 2
+        assert out[0] == capsys.readouterr().out.splitlines()[0]
+        assert out[1].startswith("verification failed; not reconstructing")
+        refused, verified = (
+            json.loads((tmp_path / d / "residuals.json").read_text())
+            for d in ("r", "v"))
+        assert refused == verified
+        assert list(refused["meta"]) == ["grid_extents", "derivatives",
+                                         "tolerance"]
+
+
+class TestCurveSkipsPlanes:
+    """A curve's chart has no coordinate 2-plane: verify reports D, E, F,
+    aux4 and flatness as skipped without assembling a form or
+    differentiating the coframe, and the sweep assembles Upsilon alone."""
+
+    SKIPPED = ("D", "E", "F", "aux4", "flatness")
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        from warpframe import frame_solver, verifier
+        calls = []
+        for module in (frame_solver, verifier):
+            for name in ("assemble_all", "inv_frame_derivatives"):
+                def spy(*args, _fn=getattr(module, name), _name=name):
+                    calls.append(_name)
+                    return _fn(*args)
+                monkeypatch.setattr(module, name, spy)
+        return calls
+
+    @pytest.mark.parametrize("extra", [[], ["--force-fd"]],
+                             ids=["jets", "fd"])
+    @pytest.mark.parametrize("name", ["helix", "vertical_geodesic"])
+    def test_verify_assembles_nothing(self, name, extra, calls, tmp_path,
+                                      capsys):
+        path = tmp_path / f"{name}.json"
+        save_dataset(canonical_example(name, {})[1], path)
+        calls.clear()
+        assert main(["verify", str(path), "--report", "json"] + extra) == 0
+        assert calls == []
+        res = json.loads(capsys.readouterr().out)["residuals"]
+        for key in self.SKIPPED:
+            assert res[key] == {
+                "sup": 0.0, "rms": 0.0, "worst_node": None,
+                "tolerance": res["A"]["tolerance"], "passed": True,
+                "note": "no coordinate 2-planes on a 1-dimensional chart"}, key
+        for key in "ABC":
+            assert res[key]["worst_node"] is not None and "note" not in res[key]
+
+    @pytest.mark.parametrize("command", ["reconstruct", "roundtrip"])
+    def test_sweep_keeps_upsilon_alone(self, command, calls, monkeypatch,
+                                       capsys):
+        swept = []
+
+        def spy(data, *args, **kwargs):
+            swept.append(data)
+            return integrate(data, *args, **kwargs)
+        integrate = cli.integrate_frame
+        monkeypatch.setattr(cli, "integrate_frame", spy)
+        assert main([command, "--example", "helix"]) == 0
+        capsys.readouterr()
+        assert calls == ["assemble_all"]
+        assert [list(d._cache["assembly"]) for d in swept] == [["Upsilon"]]
 
 
 class TestReconstructCommand:

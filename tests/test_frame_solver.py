@@ -353,6 +353,28 @@ class TestAssemblyMemo:
         assert after.B.tobytes() == integrate_frame(
             data, B0, upsilon=fresh_assembly(data)["Upsilon"]).B.tobytes()
 
+    def test_keeps_the_forms_asked_for(self):
+        # Each call memoizes the forms it asked for on top of those held,
+        # and returns the held ones unchanged.
+        _, data = canonical_example("slice", {"n": 2})
+        ups = assemble_all(data, "Upsilon")["Upsilon"]
+        assert data._cache["assembly"].keys() == {"Upsilon"}
+        w = assemble_all(data, "W")["W"]
+        assert data._cache["assembly"].keys() == {"Upsilon", "W"}
+        forms = assemble_all(data)
+        assert forms["Upsilon"] is ups and forms["W"] is w
+        ref = fresh_assembly(data)
+        for name in ref:
+            assert forms[name].tobytes() == ref[name].tobytes(), name
+            assert not forms[name].flags.writeable, name
+        data.release_forms()
+        assert data._cache["assembly"].keys() == {"Upsilon"}
+        # Without Upsilon in the memo, release_forms frees every form.
+        _, data = canonical_example("slice", {"n": 2})
+        assemble_all(data, "W")
+        data.release_forms()
+        assert data._cache["assembly"] == {}
+
     def test_integrate_frame_matches_fresh_upsilon(self):
         for key, data in memo_cases():
             B0 = build_base_frame(data)

@@ -280,11 +280,15 @@ class TestGridMajorReference:
         _, data = signature_case(key, warping=warping)
         tol = default_tolerance(data, force_fd)
         for new_fn, ref_fn in self.FAMILIES:
-            if new_fn is flatness_fields and data.spec.n < 2:
-                continue
             new, ref = new_fn(data, force_fd), ref_fn(data, force_fd)
             assert sorted(new) == sorted(ref)
             for name in ref:
+                if new[name] is None:
+                    # a check the 1-dimensional chart skips: the reference,
+                    # which loops over no 2-plane, reads 0 at every node
+                    assert data.spec.n < 2, name
+                    assert not ref[name].any(), name
+                    continue
                 assert new[name].shape == ref[name].shape, name
                 sup = float(ref[name].max())
                 gap = float(np.abs(new[name] - ref[name]).max())
