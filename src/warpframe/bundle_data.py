@@ -109,7 +109,7 @@ class ChartGrid:
 
 
 # Tolerance of the exact invariants validate checks (alpha symmetry,
-# connection skewness).
+# connection skewness, on the fields and their derivative fields).
 _VALIDATE_TOL = 1e-10
 
 _FIELD_SHAPES = {
@@ -252,32 +252,42 @@ class GeometricData:
         InvariantViolation, whose problems list every finding.
 
         The invariants are the signature, alpha symmetry, connection
-        skewness, the pi domain and T = eps * grad(pi). The vertical-norm
-        identity <T,T> + <xi,xi> = eps is not checked here: it is the
-        residual family (A) of verifier.structure_residuals, which names
-        the worst node.
+        skewness, the pi domain and T = eps * grad(pi). Symmetry and metric
+        skewness are checked on the derivative fields of alpha,
+        omega_tangent and omega_bundle too, each finding naming the field,
+        the derivative axis and the node: the verifier computes (D), (F)
+        and flatness on the independent entries of their blocks only, which
+        is exact when these hold. The vertical-norm identity
+        <T,T> + <xi,xi> = eps is not checked here: it is the residual
+        family (A) of verifier.structure_residuals, which names the worst
+        node.
         """
         spec, grid = self.spec, self.grid
         problems = validate_signature(spec)
         nd = grid.n
-        sym = np.abs(self.alpha - np.swapaxes(self.alpha, -1, -2))
-        if sym.max() > _VALIDATE_TOL:
-            problems.append(f"alpha symmetry violated, worst {sym.max():.3e} "
-                            f"at node {_worst_node(sym, nd)}")
-        et = spec.tangent_signs
-        skew = np.abs(self.omega_tangent + np.einsum(
-            "i,j,...jik->...ijk", et, et, self.omega_tangent))
-        if skew.max() > _VALIDATE_TOL:
-            problems.append(
-                f"tangent connection not metric-skew, worst {skew.max():.3e} "
-                f"at node {_worst_node(skew, nd)}")
-        eb = spec.bundle_signs
-        skewb = np.abs(self.omega_bundle + np.einsum(
-            "u,v,...vuk->...uvk", eb, eb, self.omega_bundle))
-        if skewb.max() > _VALIDATE_TOL:
-            problems.append(
-                f"bundle connection not metric-skew, worst {skewb.max():.3e} "
-                f"at node {_worst_node(skewb, nd)}")
+        et, eb = spec.tangent_signs, spec.bundle_signs
+        # Each invariant holds for the field and for its derivative fields:
+        # (field, finding, what a derivative must be, entrywise defect).
+        for name, finding, kind, defect in (
+                ("alpha", "alpha symmetry violated", "symmetric",
+                 lambda x: x - np.swapaxes(x, -1, -2)),
+                ("omega_tangent", "tangent connection not metric-skew",
+                 "metric-skew",
+                 lambda x: x + np.einsum("i,j,...jik->...ijk", et, et, x)),
+                ("omega_bundle", "bundle connection not metric-skew",
+                 "metric-skew",
+                 lambda x: x + np.einsum("u,v,...vuk->...uvk", eb, eb, x))):
+            dev = np.abs(defect(getattr(self, name)))
+            if dev.max() > _VALIDATE_TOL:
+                problems.append(f"{finding}, worst {dev.max():.3e} at node "
+                                f"{_worst_node(dev, nd)}")
+            if name in self.derivs:
+                dev = np.abs(defect(self.derivs[name]))
+                if dev.max() > _VALIDATE_TOL:
+                    k, *node = _worst_node(dev, nd + 1)
+                    problems.append(
+                        f"derivative d{name}/dx_{k} not {kind}, worst "
+                        f"{dev.max():.3e} at node {tuple(node)}")
         lo, hi = self.warping.domain
         if np.any(self.pi < lo) or np.any(self.pi > hi):
             problems.append("pi leaves the warping domain I")

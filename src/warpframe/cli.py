@@ -233,6 +233,20 @@ def _print_check_source(source):
           f"{tol['value']:.2e} ({tol['origin']})")
 
 
+def _add_refinement(meta, rep, data, args, outdir):
+    """With --h-refine, verify's coarse/fine sup ratios into meta; the
+    refined report goes to outdir/residuals_refined.json."""
+    if args.h_refine == 1:
+        return
+    fine = _refined_data(data, args.h_refine)
+    rep_f = _all_residuals(fine, args.tol, args.force_fd)
+    meta["refinement"] = {"factor": args.h_refine,
+                          "sup_ratios": _sup_ratios(rep, rep_f)}
+    if outdir is not None:
+        wio.save_report(rep_f, Path(outdir) / "residuals_refined.json",
+                        meta=_verify_meta(fine, args))
+
+
 def _cmd_verify(args):
     data = _load_input(args)
     outdir = args.output_dir
@@ -240,14 +254,7 @@ def _cmd_verify(args):
     meta = _verify_meta(data, args)
     if args.report == "text":
         _print_check_source(meta)
-    if args.h_refine > 1:
-        fine = _refined_data(data, args.h_refine)
-        rep_f = _all_residuals(fine, args.tol, args.force_fd)
-        meta["refinement"] = {"factor": args.h_refine,
-                              "sup_ratios": _sup_ratios(rep, rep_f)}
-        if outdir is not None:
-            wio.save_report(rep_f, Path(outdir) / "residuals_refined.json",
-                            meta=_verify_meta(fine, args))
+    _add_refinement(meta, rep, data, args, outdir)
     _emit_report(rep, args, "residuals.json", outdir, meta=meta)
     return EXIT_OK if rep.passed else EXIT_FAIL
 
@@ -279,8 +286,14 @@ def _cmd_reconstruct(args):
         _print_check_source(gate)
     pre = _all_residuals(data, args.tol, args.force_fd)
     if not pre.passed and not args.force:
-        print("verification failed; not reconstructing "
-              "(failing: " + ", ".join(pre.failing()) + "; use --force)")
+        if args.report == "json":
+            # The document verify --report json prints for these options.
+            meta = _verify_meta(data, args)
+            _add_refinement(meta, pre, data, args, None)
+            _emit_report(pre, args, None, None, meta=meta)
+        else:
+            print("verification failed; not reconstructing "
+                  "(failing: " + ", ".join(pre.failing()) + "; use --force)")
         if outdir is not None:
             wio.save_report(pre, Path(outdir) / "residuals.json",
                             meta=_verify_meta(data, args))

@@ -44,10 +44,19 @@ full list of derivative arrays is held. Each family has a *_fields
 function returning the per-node residual magnitudes and a report function
 reducing them.
 
-The flatness kernel takes each plane's d Upsilon on the whole grid, where
-the stencils need neighbours, and then adds Upsilon ^ Upsilon in node
-blocks: slabs of whole rows along the first grid axis, about _BLOCK_NODES
-nodes each, so its (N+2) x (N+2) temporaries stay small.
+The 2-form residuals (D), (F) and flatness are computed only on their
+independent entries, the index pairs a < b of their block. The connection
+blocks omega_tangent and omega_bundle and the assembled Upsilon take
+values in the pseudo-orthogonal Lie algebra (G omega is skew) and alpha is
+symmetric, so each residual matrix is antisymmetric up to the signs of G:
+when those fields and their derivatives are exactly so, |res[b, a]| =
+|res[a, b]| and res[a, a] = 0 bit for bit, and the maximum over a < b is
+the maximum over every entry. The oracle builds them that way. The premise
+rests on GeometricData.validate, which rejects a dataset whose fields or
+derivative fields break it by more than 1e-10; below that the entries left
+out restate the ones computed up to the defect validate lets through. aux4
+differences only the n tangent rows of W, the coframe: its other rows are
+identically zero.
 """
 
 from __future__ import annotations
@@ -203,16 +212,6 @@ def _coordinate_pairs(n):
     return [(k, l) for k in range(n) for l in range(k + 1, n)]
 
 
-def _mm(A, B):
-    """Node-wise matrix product of component-major (r, s, *ext) blocks."""
-    return np.einsum("ag...,gb...->ab...", A, B)
-
-
-def _wedge(A, B, k, l):
-    """(A ^ B)(d/dx_k, d/dx_l) of matrices of 1-forms (r, r, n, *ext)."""
-    return _mm(A[:, :, k], B[:, :, l]) - _mm(A[:, :, l], B[:, :, k])
-
-
 def _field_derivatives(data, name):
     """The analytic d/dx_k of a dataset field, component-major, one per k."""
     return [_grid_last(d, data.grid.n) for d in data.derivs[name]]
@@ -242,13 +241,31 @@ def _dform(v, parts, spacing, k, l):
     return d(k, l) - d(l, k)
 
 
-def _curvature_block(block, parts, spacing):
-    """(d omega + omega ^ omega) for a connection block stored
-    component-major as (r, r, n, *ext), its derivatives given as for _dform.
-    Returns a dict keyed by coordinate pairs with (r, r, *ext) values."""
-    return {(k, l): _dform(block, parts, spacing, k, l)
-            + _wedge(block, block, k, l)
-            for k, l in _coordinate_pairs(len(spacing))}
+def _curvature_pairs(block, parts, spacing):
+    """(d omega + omega ^ omega)(d/dx_k, d/dx_l) of a matrix of 1-forms
+    stored component-major as (r, r, n, *ext), on its independent entries
+    only (see the module docstring). Yields ((k, l), res) per coordinate
+    plane, res (P, *ext) holding the P = r(r - 1) / 2 entries [a, b], a < b,
+    in np.triu_indices order; nothing for r = 1. parts[j] is d block/dx_j in
+    the same layout, or None for finite differences. The d-term is taken on
+    the entries gathered once; the wedge is one einsum over g per entry, on
+    views of the block."""
+    ia, ib = np.triu_indices(block.shape[0], 1)
+    if not ia.size:
+        return
+    upper = block[ia, ib]
+    dupper = None if parts is None else [p[ia, ib] for p in parts]
+    for k, l in _coordinate_pairs(len(spacing)):
+        res = _dform(upper, dupper, spacing, k, l)
+        for p, (a, b) in enumerate(zip(ia, ib)):
+            res[p] += (_dot(block[a, :, k], block[:, b, l])
+                       - _dot(block[a, :, l], block[:, b, k]))
+        yield (k, l), res
+
+
+def _dot(x, y):
+    """sum_g x[g] y[g] node by node, for component-major (g, *ext)."""
+    return np.einsum("g...,g...->...", x, y)
 
 
 def _forms(data):
@@ -314,20 +331,20 @@ def structure_residual_fields(data: GeometricData,
     # (D) Gauss. Tangent curvature from the omega_{ij} block.
     ipe = et * C                             # <d/dx_k, e_j> = eps_j C_kj
     k1, k2 = curvature_coefficients(spec, data.warping, data.pi)
-    curv = _curvature_block(ot, dv("omega_tangent"), h)
     te = et * T                               # <e_j, T>
+    ia, ib = np.triu_indices(n, 1)
     worstD = np.zeros(grid.extents)
-    for (k, l), R2 in curv.items():
-        # R(dk, dl, e_j, e_i) = eps_i * R2[i, j]; index order [j, i]
-        lhs = et * np.swapaxes(R2, 0, 1)
-        first = ipe[k, :, None] * ipe[l] - ipe[l, :, None] * ipe[k]
+    for (k, l), R2 in _curvature_pairs(ot, dv("omega_tangent"), h):
+        # R(dk, dl, e_j, e_i) = eps_i R2[i, j], taken at [j, i] = [b, a]
+        lhs = et[ia] * R2
+        first = ipe[k, ib] * ipe[l, ia] - ipe[l, ib] * ipe[k, ia]
         p = ipe[k] * tk[l] - ipe[l] * tk[k]
-        second = p[:, None] * te - te[:, None] * p
+        second = p[ib] * te[ia] - te[ib] * p[ia]
         q = np.einsum("u,ju...,iu...->ji...", spec.bundle_signs, axk[k],
                       axk[l])
-        aterm = q - np.swapaxes(q, 0, 1)
+        aterm = q[ib, ia] - q[ia, ib]
         worstD = np.maximum(worstD, np.abs(
-            lhs - (k1 * first + k2 * second - aterm)).max(axis=(0, 1)))
+            lhs - (k1 * first + k2 * second - aterm)).max(axis=0))
     fields["D"] = np.where(inner, worstD, 0.0)
 
     # (E) Codazzi via the covariant derivative of alpha on frame arguments.
@@ -347,16 +364,16 @@ def structure_residual_fields(data: GeometricData,
     fields["E"] = np.where(inner, worstE, 0.0)
 
     # (F) Ricci via the omega_{uv} block curvature.
-    curvb = _curvature_block(ob, dv("omega_bundle"), h)
     Aev = np.einsum("j,v,kjv...->kvj...", spec.tangent_signs,
                     spec.bundle_signs, axk)
     Cal = np.einsum("ki...,uji...->kuj...", C, al)
+    iu, iv = np.triu_indices(spec.m, 1)
     worstF = np.zeros(grid.extents)
-    for (k, l), R2 in curvb.items():
-        # R2[u, v]: component along e_u of R^E(dk, dl) e_v
-        rhs = (np.einsum("vj...,uj...->uv...", Aev[l], Cal[k])
-               - np.einsum("vj...,uj...->uv...", Aev[k], Cal[l]))
-        worstF = np.maximum(worstF, np.abs(R2 - rhs).max(axis=(0, 1)))
+    for (k, l), R2 in _curvature_pairs(ob, dv("omega_bundle"), h):
+        # R2[p]: component along e_u of R^E(dk, dl) e_v, (u, v) = (iu, iv)[p]
+        for p, (u, v) in enumerate(zip(iu, iv)):
+            R2[p] -= _dot(Aev[l, v], Cal[k, u]) - _dot(Aev[k, v], Cal[l, u])
+        worstF = np.maximum(worstF, np.abs(R2, out=R2).max(axis=0))
     fields["F"] = np.where(inner, worstF, 0.0)
     return fields
 
@@ -379,15 +396,17 @@ def aux_identity_fields(data: GeometricData, force_fd: bool = False) -> dict:
     grid = data.grid
     if data.spec.n < 2:
         return {"aux4": None}
+    # Only the tangent rows of W, the coframe, are nonzero.
+    tan = slice(1, data.spec.n + 1)
     forms = _forms(data)
-    Om, W = forms["Omega"], forms["W"]
+    Om, W = forms["Omega"][:, tan], forms["W"][tan]
     dW = _coframe_derivatives(data, _analytic(data, force_fd))
     worst = np.zeros(grid.extents)
     for k, l in _coordinate_pairs(data.spec.n):
-        wedge = (np.einsum("ag...,g...->a...", Om[:, :, k], W[:, l])
-                 - np.einsum("ag...,g...->a...", Om[:, :, l], W[:, k]))
-        worst = np.maximum(worst, np.abs(
-            _dform(W, dW, grid.spacing, k, l) + wedge).max(axis=0))
+        res = (np.einsum("ag...,g...->a...", Om[:, :, k], W[:, l])
+               - np.einsum("ag...,g...->a...", Om[:, :, l], W[:, k]))
+        res[tan] += _dform(W, dW, grid.spacing, k, l)
+        worst = np.maximum(worst, np.abs(res, out=res).max(axis=0))
     return {"aux4": np.where(interior_mask(grid.extents), worst, 0.0)}
 
 
@@ -398,35 +417,17 @@ def aux_identity_residuals(data: GeometricData, tol: float | None = None,
 
 
 def _coframe_derivatives(data, analytic):
-    """d/dx_k of W (the coframe column, coordinate components),
-    component-major (N+2, n, *ext) for every k; None on FD data, where
-    _dform differences W itself."""
+    """d/dx_k of the n tangent rows of W (the coframe C^t, coordinate
+    components), component-major (n, n, *ext) for every k; None on FD data,
+    where _dform differences W itself."""
     if not analytic:
         return None
-    n = data.spec.n
-    out = []
-    for dC in inv_frame_derivatives(data):
-        dW = np.zeros((data.spec.size, n) + data.grid.extents)
-        dW[1:n + 1] = _grid_last(np.swapaxes(dC, -1, -2), n)
-        out.append(dW)
-    return out
+    return [_grid_last(np.swapaxes(dC, -1, -2), data.spec.n)
+            for dC in inv_frame_derivatives(data)]
 
 
 # ---------------------------------------------------------------------------
 # flatness
-
-
-# Grid nodes per slab of flatness_fields, about: see _slabs.
-_BLOCK_NODES = 4096
-
-
-def _slabs(extents):
-    """Grid index tuples of the slabs along the first grid axis, each of
-    whole rows and about _BLOCK_NODES nodes (at least one row)."""
-    rest = (slice(None),) * (len(extents) - 1)
-    rows = max(1, _BLOCK_NODES // int(np.prod(extents[1:], dtype=int)))
-    for i in range(0, extents[0], rows):
-        yield (slice(i, i + rows),) + rest
 
 
 def flatness_fields(data: GeometricData, force_fd: bool = False) -> dict:
@@ -434,12 +435,10 @@ def flatness_fields(data: GeometricData, force_fd: bool = False) -> dict:
     interior; None on a 1-dimensional chart, which has no coordinate
     2-plane.
 
-    d Upsilon comes from one _dform call per plane: finite differences of
-    the memoized Upsilon, one component at a time, or on analytic data
-    dOmega/dx_k - dX/dx_k from the jet assembly. Each plane takes d Upsilon
-    on the whole grid (the stencils need neighbours) and adds the wedge
-    slab by slab along the first grid axis (see the module docstring); the
-    slab size changes no bit of the result.
+    Upsilon is G-skew, so the residual is taken on the entries a < b of
+    its (N+2) x (N+2) block only (see the module docstring). d Upsilon is
+    the finite difference of the memoized Upsilon at those entries, or on
+    analytic data dOmega/dx_k - dX/dx_k from the jet assembly.
     """
     grid, n = data.grid, data.spec.n
     if n < 2:
@@ -451,14 +450,8 @@ def flatness_fields(data: GeometricData, force_fd: bool = False) -> dict:
         dUp = [_grid_last(o, n) - _grid_last(x, n)
                for o, x in zip(d["Omega"], d["X"])]
     worst = np.zeros(grid.extents)
-    for k, l in _coordinate_pairs(n):
-        res = _dform(Up, dUp, grid.spacing, k, l)
-        for g in _slabs(grid.extents):
-            s = (Ellipsis,) + g
-            r = res[s]
-            r += _wedge(Up[s], Up[s], k, l)
-            np.maximum(worst[g], np.abs(r, out=r).max(axis=(0, 1)),
-                       out=worst[g])
+    for _, res in _curvature_pairs(Up, dUp, grid.spacing):
+        np.maximum(worst, np.abs(res, out=res).max(axis=0), out=worst)
     return {"flatness": np.where(interior_mask(grid.extents), worst, 0.0)}
 
 

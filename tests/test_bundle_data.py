@@ -199,6 +199,45 @@ class TestValidateNodes:
         assert problems[0].startswith(text)
         assert problems[0].endswith(" at node (3, 4)")
 
+    # 1e-3 on one entry of a derivative field at node (3, 4): a lower
+    # entry of d omega_tangent/dx_1 (the verifier reads the upper ones
+    # only), the diagonal of d omega_bundle/dx_0 (which counts twice), one
+    # side of d alpha/dx_1.
+    DERIVATIVE_DEFECTS = [
+        ("omega_tangent", (1, 3, 4, 1, 0, 0),
+         "derivative domega_tangent/dx_1 not metric-skew, worst 1.000e-03"),
+        ("omega_bundle", (0, 3, 4, 0, 0, 1),
+         "derivative domega_bundle/dx_0 not metric-skew, worst 2.000e-03"),
+        ("alpha", (1, 3, 4, 0, 1, 0),
+         "derivative dalpha/dx_1 not symmetric, worst 1.000e-03")]
+
+    @pytest.mark.parametrize("name, index, text", DERIVATIVE_DEFECTS,
+                             ids=[d[0] for d in DERIVATIVE_DEFECTS])
+    def test_derivative_violation_names_axis_and_node(self, slice17, name,
+                                                      index, text):
+        _, data = slice17
+        with pytest.raises(InvariantViolation) as exc:
+            derivative_with(data, name, index, 1e-3).validate()
+        problems = exc.value.problems
+        assert problems == [f"{text} at node (3, 4)"]
+
+    @pytest.mark.parametrize("name, index, text", DERIVATIVE_DEFECTS,
+                             ids=[d[0] for d in DERIVATIVE_DEFECTS])
+    def test_roundoff_derivative_defect_passes(self, slice17, name, index,
+                                               text):
+        _, data = slice17
+        assert derivative_with(data, name, index, 1e-12).validate() == []
+
+
+def derivative_with(data, name, index, amount):
+    """data with amount added to one entry of the derivative field of
+    name, index (k, *node, *comp)."""
+    derivs = dict(data.derivs)
+    derivs[name] = derivs[name].copy()
+    derivs[name][index] += amount
+    return GeometricData(data.spec, data.warping, data.grid, derivs=derivs,
+                         **{f: getattr(data, f) for f in FIELD_NAMES})
+
 class TestSerialization:
     def test_bit_exact_round_trip(self, slice17):
         _, data = slice17

@@ -268,6 +268,25 @@ class TestReconstructRecordsGate:
         assert list(refused["meta"]) == ["grid_extents", "derivatives",
                                          "tolerance"]
 
+    @pytest.mark.parametrize("extra", [[], ["--force-fd"], ["--tol", "1e-3"],
+                                       ["--h-refine", "2"]])
+    def test_refused_gate_prints_verify_json(self, fd_file, tmp_path, extra,
+                                             capsys):
+        # With --report json a refused reconstruct prints, byte for byte,
+        # what verify --report json prints for the same file and options.
+        doc = json.loads(fd_file.read_text())
+        al = doc["fields"]["alpha"]
+        for i in range(0, len(al), 4):
+            al[i] += 0.1
+        bad = tmp_path / "broken_alpha.json"
+        bad.write_text(json.dumps(doc))
+        argv = [str(bad), "--report", "json"] + extra
+        assert main(["reconstruct"] + argv) == 2
+        refused = capsys.readouterr().out
+        assert main(["verify"] + argv) == 2
+        assert refused == capsys.readouterr().out
+        assert json.loads(refused)["passed"] is False
+
 
 class TestCurveSkipsPlanes:
     """A curve's chart has no coordinate 2-plane: verify reports D, E, F,
@@ -597,6 +616,30 @@ def test_asymmetric_alpha_names_node(command, stream, code, slice_file,
     text = getattr(capsys.readouterr(), stream)
     assert "alpha symmetry violated" in text
     assert "at node (3, 4)" in text
+
+@pytest.mark.parametrize("amount, code", [(1e-3, 2), (1e-12, 0)])
+def test_skew_defect_in_derivative_field(amount, code, slice_file, tmp_path,
+                                         capsys):
+    # One lower entry of d omega_tangent/dx_1 at node (3, 4). The residual
+    # kernels read the upper entries only, so the gate must stop it: at
+    # 1e-3 verify exits 2 naming the field, the axis and the node; a
+    # roundoff-sized defect still loads and verifies.
+    data = load_dataset(slice_file)
+    doc = json.loads(json.dumps(data.to_document(), default=float64_list))
+    dot = data.derivs["omega_tangent"].copy()
+    dot[1, 3, 4, 1, 0, 0] += amount
+    doc["derivatives"]["omega_tangent"] = dot.ravel().tolist()
+    bad = tmp_path / "dskew.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["verify", str(bad)]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.strip() == (
+            "error: derivative domega_tangent/dx_1 not metric-skew, worst "
+            "1.000e-03 at node (3, 4)")
+    else:
+        assert err == ""
+
 
 @pytest.mark.parametrize("command, stream", [
     ("validate", "out"), ("verify", "err"), ("reconstruct", "err")])

@@ -6,7 +6,7 @@ from classical_oracle import classical_residual_fields
 from test_frame_solver import SIGNATURE_CASES, signature_case
 from warpframe import (GeometricData, aux_identity_residuals, canonical_example,
                        flatness_residual, structure_residual_fields,
-                       structure_residuals, verifier)
+                       structure_residuals)
 from warpframe.bundle_data import FIELD_NAMES
 from warpframe.verifier import (ResidualReport, aux_identity_fields,
                                 default_tolerance, flatness_fields)
@@ -64,21 +64,35 @@ class TestStructureResiduals:
             assert rep["F"].sup <= 1e-12
 
     def test_gauss_antisymmetry_of_curvature_block(self, slice17):
+        # _curvature_pairs yields the entries a < b of d omega + omega ^
+        # omega; the full matrix, formed here entry by entry, holds them
+        # bit for bit, its lower triangle repeats them with the sign of
+        # -eps_a eps_b and its diagonal is zero. Both derivative sources.
         from warpframe.frame_solver import _grid_last
-        from warpframe.verifier import _curvature_block
         from warpframe.stencils import grad1
+        from warpframe.verifier import _curvature_pairs
         _, data = slice17
         n, h = data.spec.n, data.grid.spacing
+        et = data.spec.tangent_signs
+        ia, ib = np.triu_indices(n, 1)
         # component-major: (i, j, k, *ext)
         ot = _grid_last(data.omega_tangent, n)
-        dOt = [grad1(ot, k - n, h[k]) for k in range(n)]
-        curv = _curvature_block(ot, dOt, h)
-        # evaluating on the swapped plane flips the sign exactly
-        R01 = curv[(0, 1)]
-        swapped = (dOt[1][:, :, 0] - dOt[0][:, :, 1]
-                   + np.einsum("ih...,hj...->ij...", ot[:, :, 1], ot[:, :, 0])
-                   - np.einsum("ih...,hj...->ij...", ot[:, :, 0], ot[:, :, 1]))
-        np.testing.assert_array_equal(R01, -swapped)
+        jets = [_grid_last(d, n) for d in data.derivs["omega_tangent"]]
+        fd = [grad1(ot, k - n, h[k]) for k in range(n)]
+        for parts, dOt in ((jets, jets), (None, fd)):
+            pairs = dict(_curvature_pairs(ot, parts, h))
+            assert sorted(pairs) == [(0, 1)]
+            R01 = pairs[(0, 1)]
+            full = (dOt[0][:, :, 1] - dOt[1][:, :, 0]
+                    + (np.einsum("ih...,hj...->ij...", ot[:, :, 0],
+                                 ot[:, :, 1])
+                       - np.einsum("ih...,hj...->ij...", ot[:, :, 1],
+                                   ot[:, :, 0])))
+            assert R01.shape == (len(ia),) + data.grid.extents
+            np.testing.assert_array_equal(R01, full[ia, ib])
+            np.testing.assert_array_equal(
+                full[ib, ia], -(et[ia] * et[ib])[:, None, None] * R01)
+            assert not full[np.arange(n), np.arange(n)].any()
 
     def test_convergence_order_two(self):
         sups = {}
@@ -192,46 +206,21 @@ def bumped(data, name, entries, amount=1e-2):
     return with_fields(data, **{name: arr})
 
 
-class TestFlatnessBlocks:
-    """flatness_fields runs its algebra in slabs of whole rows along the
-    first grid axis, about verifier._BLOCK_NODES nodes a slab. The slab
-    size must not change a bit of the result."""
+class TestOneNodeBump:
+    """The 2-form kernels read the entries a < b of each block only; a
+    defect at one node must still peak at that node."""
 
     CASES = ("slice_n2", "slice_n3")
 
-    @staticmethod
-    def row(data):
-        return int(np.prod(data.grid.extents[1:]))
-
-    @pytest.mark.parametrize("force_fd", [False, True], ids=["jets", "fd"])
+    @pytest.mark.parametrize("row", [2, 3])
     @pytest.mark.parametrize("key", CASES)
-    def test_fields_equal_across_block_sizes(self, key, force_fd,
-                                             monkeypatch):
+    def test_bump_is_worst_node(self, key, row):
+        # On analytic data the derivative fields keep their values, so a
+        # one-node alpha bump moves flatness at that node only. On these
+        # T = 0 slices flatness sees an alpha bump in second order (it
+        # lights B and D in first), hence 1e-2 on an off-diagonal entry.
         _, data = signature_case(key)
-        row = self.row(data)
-        assert data.grid.extents[0] % 3 != 0
-        # the default; one node (one row a slab); three rows and a node
-        # (slabs that do not divide the first extent); more than the grid
-        sizes = (verifier._BLOCK_NODES, 1, 3 * row + 1,
-                 10 * row * data.grid.extents[0])
-        runs = []
-        for size in sizes:
-            monkeypatch.setattr(verifier, "_BLOCK_NODES", size)
-            runs.append(flatness_fields(data, force_fd)["flatness"])
-        for size, run in zip(sizes[1:], runs[1:]):
-            assert np.array_equal(run, runs[0]), size
-
-    @pytest.mark.parametrize("edge", [2, 3], ids=["last-row", "first-row"])
-    @pytest.mark.parametrize("key", CASES)
-    def test_bump_on_block_edge_is_worst_node(self, key, edge, monkeypatch):
-        # slabs of three rows: rows 2 and 3 sit on either side of the first
-        # slab boundary. On analytic data the derivative fields keep their
-        # values, so a one-node alpha bump moves flatness at that node only.
-        # On these T = 0 slices flatness sees an alpha bump in second order
-        # (it lights B and D in first), hence 1e-2 on an off-diagonal entry.
-        _, data = signature_case(key)
-        monkeypatch.setattr(verifier, "_BLOCK_NODES", 3 * self.row(data))
-        node = (edge,) + tuple(e // 2 for e in data.grid.extents[1:])
+        node = (row,) + tuple(e // 2 for e in data.grid.extents[1:])
         al = data.alpha.copy()
         al[node + (0, 0, 1)] += 1e-2
         al[node + (0, 1, 0)] += 1e-2
@@ -312,17 +301,22 @@ class TestGridMajorReference:
         "T_comp": ("T_comp", [((0,), 1.0)]),
     }
 
+    @classmethod
+    def with_bump(cls, data, bump):
+        """data with the bump BUMPS[bump] added."""
+        name, entries = cls.BUMPS[bump]
+        et = data.spec.tangent_signs
+        # omega_ij = -eps_i eps_j omega_ji
+        return bumped(data, name, [
+            (index, -et[0] * et[1] if sign is None else sign)
+            for index, sign in entries])
+
     @pytest.mark.parametrize("force_fd", [False, True], ids=["jets", "fd"])
     @pytest.mark.parametrize("bump", sorted(BUMPS))
     @pytest.mark.parametrize("key", ["lorentz_cylinder", "slice_n3"])
     def test_flatness_pieces_on_perturbed_data(self, key, bump, force_fd):
         _, data = signature_case(key)
-        name, entries = self.BUMPS[bump]
-        et = data.spec.tangent_signs
-        # omega_ij = -eps_i eps_j omega_ji
-        entries = [(index, -et[0] * et[1] if sign is None else sign)
-                   for index, sign in entries]
-        bad = bumped(data, name, entries)
+        bad = self.with_bump(data, bump)
         new = flatness_fields(bad, force_fd)["flatness"]
         ref = grid_major.flatness_fields(bad, force_fd)["flatness"]
         scale = float(ref.max())
@@ -330,6 +324,41 @@ class TestGridMajorReference:
         gap = float(np.abs(new - ref).max())
         assert gap <= 1e-12 * scale, (gap, scale)
 
+    # The premise of the kernels, which read the entries a < b alone: every
+    # full residual matrix of the reference is G-antisymmetric entry by
+    # entry, res[b, a] = -s_a s_b res[a, b], with a zero diagonal; for (D),
+    # indexed by lowered frame slots, every s is 1. The reference forms
+    # each entry in its own arithmetic, so the premise holds there to the
+    # bound of test_fields_match (the largest gap is 2.2e-16), not bit for
+    # bit.
+    MATRICES = {
+        "D": (grid_major.gauss_matrices, lambda spec: np.ones(spec.n)),
+        "F": (grid_major.ricci_matrices, lambda spec: spec.bundle_signs),
+        "flatness": (grid_major.flatness_matrices,
+                     lambda spec: np.asarray(spec.signs, dtype=float)),
+    }
+
+    @pytest.mark.parametrize("force_fd", [False, True], ids=["jets", "fd"])
+    @pytest.mark.parametrize("bump", [None] + sorted(BUMPS))
+    @pytest.mark.parametrize("key", SIGNATURE_CASES)
+    def test_residual_matrices_are_antisymmetric(self, key, bump, force_fd):
+        _, data = signature_case(key)
+        if data.spec.n < 2:
+            # a curve has no coordinate 2-plane, hence no residual matrix
+            assert not any(matrices(data, force_fd)
+                           for matrices, _ in self.MATRICES.values())
+            return
+        if bump is not None:
+            data = self.with_bump(data, bump)
+        for family, (matrices, signs) in self.MATRICES.items():
+            s = signs(data.spec)
+            for plane, res in matrices(data, force_fd).items():
+                bound = 1e-13 + 1e-12 * float(np.abs(res).max())
+                gap = np.abs(np.swapaxes(res, -1, -2)
+                             + np.multiply.outer(s, s) * res).max()
+                diag = np.abs(np.diagonal(res, axis1=-2, axis2=-1)).max()
+                assert gap <= bound, (family, plane, gap)
+                assert diag <= bound, (family, plane, diag)
 
 
 @pytest.mark.parametrize("key", SIGNATURE_CASES)

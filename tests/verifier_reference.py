@@ -8,6 +8,10 @@ reference the component-major kernels are compared against, node by node.
 It keeps its own derivative source: per field, analytic when the dataset
 holds that field's derivatives, finite differences otherwise, and finite
 differences of the memoized assembly where the package uses jets.
+The 2-form families (D), (F) and flatness form their full residual
+matrices, every entry of every block (gauss_matrices, ricci_matrices,
+flatness_matrices), so the tests can check the premise of the package's
+kernels, which compute the entries a < b alone.
 """
 
 import numpy as np
@@ -86,7 +90,7 @@ def structure_residual_fields(data, force_fd=False):
     C = data.inv_frame
     tk = data.coord_T()                      # <T, d/dx_k>
     ipe = et * C                             # <d/dx_k, e_j> = eps_j C_kj
-    k1, k2 = curvature_coefficients(spec, data.warping, data.pi)
+    _, k2 = curvature_coefficients(spec, data.warping, data.pi)
 
     # (A) algebraic vertical-norm identity.
     tt = np.einsum("i,...i,...i->...", et, data.T_comp, data.T_comp)
@@ -118,26 +122,8 @@ def structure_residual_fields(data, force_fd=False):
     fields["C"] = np.where(inner, np.abs(resC).max(axis=(-1, -2)), 0.0)
 
     # (D) Gauss. Tangent curvature from the omega_{ij} block.
-    dOt = [ds.field("omega_tangent", k) for k in range(n)]
-    curv = _curvature_block(data.omega_tangent, dOt, n)
-    te = et * data.T_comp                     # <e_j, T>
-    worstD = np.zeros(grid.extents)
-    for (k, l), R2 in curv.items():
-        # R(dk, dl, e_j, e_i) = eps_i * R2[..., i, j]; index order (..., j, i)
-        lhs = np.einsum("i,...ij->...ji", et, R2)
-        first = (ipe[..., k, :, None] * ipe[..., l, None, :]
-                 - ipe[..., l, :, None] * ipe[..., k, None, :])
-        second = (ipe[..., k, :, None] * (tk[..., l, None, None] * te[..., None, :])
-                  - ipe[..., l, :, None] * (tk[..., k, None, None] * te[..., None, :])
-                  - ipe[..., k, None, :] * (tk[..., l, None, None] * te[..., :, None])
-                  + ipe[..., l, None, :] * (tk[..., k, None, None] * te[..., :, None]))
-        aterm = (np.einsum("u,...ju,...iu->...ji", eb, axk[..., k, :, :],
-                           axk[..., l, :, :])
-                 - np.einsum("u,...iu,...ju->...ji", eb, axk[..., k, :, :],
-                             axk[..., l, :, :]))
-        rhs = k1[..., None, None] * first + k2[..., None, None] * second - aterm
-        worstD = np.maximum(worstD, np.abs(lhs - rhs).max(axis=(-1, -2)))
-    fields["D"] = np.where(inner, worstD, 0.0)
+    fields["D"] = np.where(
+        inner, _worst(gauss_matrices(data, force_fd), grid.extents), 0.0)
 
     # (E) Codazzi via the covariant derivative of alpha on frame arguments.
     dal = [ds.field("alpha", k) for k in range(n)]
@@ -165,19 +151,74 @@ def structure_residual_fields(data, force_fd=False):
     fields["E"] = np.where(inner, worstE, 0.0)
 
     # (F) Ricci via the omega_{uv} block curvature.
-    dOb = [ds.field("omega_bundle", k) for k in range(n)]
-    curvb = _curvature_block(data.omega_bundle, dOb, n)
-    Aev = np.einsum("j,v,...ki,...vij->...kvj", et, eb, C, data.alpha)
-    worstF = np.zeros(grid.extents)
+    fields["F"] = np.where(
+        inner, _worst(ricci_matrices(data, force_fd), grid.extents), 0.0)
+    return fields
+
+
+def _worst(matrices, extents):
+    """Per-node largest |entry| over the residual matrices of every plane;
+    0 where there is no plane."""
+    worst = np.zeros(extents)
+    for r in matrices.values():
+        worst = np.maximum(worst, np.abs(r).max(axis=(-1, -2)))
+    return worst
+
+
+def gauss_matrices(data, force_fd=False):
+    """The full (D) residual matrices, one (*ext, n, n) array per
+    coordinate pair (k, l), indexed [j, i]: R(dk, dl, e_j, e_i) minus its
+    value in the ambient space."""
+    spec = data.spec
+    n = spec.n
+    ds = DerivativeSource(data, force_fd)
+    et, eb = spec.tangent_signs, spec.bundle_signs
+    C = data.inv_frame
+    tk = data.coord_T()                      # <T, d/dx_k>
+    ipe = et * C                             # <d/dx_k, e_j> = eps_j C_kj
+    k1, k2 = curvature_coefficients(spec, data.warping, data.pi)
+    axk = np.einsum("...ki,...uij->...kju", C, data.alpha)  # alpha(dk, e_j)^u
+    dOt = [ds.field("omega_tangent", k) for k in range(n)]
+    curv = _curvature_block(data.omega_tangent, dOt, n)
+    te = et * data.T_comp                     # <e_j, T>
+    out = {}
+    for (k, l), R2 in curv.items():
+        # R(dk, dl, e_j, e_i) = eps_i * R2[..., i, j]; index order (..., j, i)
+        lhs = np.einsum("i,...ij->...ji", et, R2)
+        first = (ipe[..., k, :, None] * ipe[..., l, None, :]
+                 - ipe[..., l, :, None] * ipe[..., k, None, :])
+        second = (ipe[..., k, :, None] * (tk[..., l, None, None] * te[..., None, :])
+                  - ipe[..., l, :, None] * (tk[..., k, None, None] * te[..., None, :])
+                  - ipe[..., k, None, :] * (tk[..., l, None, None] * te[..., :, None])
+                  + ipe[..., l, None, :] * (tk[..., k, None, None] * te[..., :, None]))
+        aterm = (np.einsum("u,...ju,...iu->...ji", eb, axk[..., k, :, :],
+                           axk[..., l, :, :])
+                 - np.einsum("u,...iu,...ju->...ji", eb, axk[..., k, :, :],
+                             axk[..., l, :, :]))
+        rhs = k1[..., None, None] * first + k2[..., None, None] * second - aterm
+        out[(k, l)] = lhs - rhs
+    return out
+
+
+def ricci_matrices(data, force_fd=False):
+    """The full (F) residual matrices, one (*ext, m, m) array per
+    coordinate pair (k, l): [u, v] is the component along e_u of
+    R^E(dk, dl) e_v minus its value from alpha."""
+    spec = data.spec
+    ds = DerivativeSource(data, force_fd)
+    C = data.inv_frame
+    dOb = [ds.field("omega_bundle", k) for k in range(spec.n)]
+    curvb = _curvature_block(data.omega_bundle, dOb, spec.n)
+    Aev = np.einsum("j,v,...ki,...vij->...kvj", spec.tangent_signs,
+                    spec.bundle_signs, C, data.alpha)
+    out = {}
     for (k, l), R2 in curvb.items():
-        lhs = R2  # (..., u, v): component along e_u of R^E(dk,dl) e_v
         rhs = (np.einsum("...vj,...i,...uji->...uv", Aev[..., l, :, :],
                          C[..., k, :], data.alpha)
                - np.einsum("...vj,...i,...uji->...uv", Aev[..., k, :, :],
                            C[..., l, :], data.alpha))
-        worstF = np.maximum(worstF, np.abs(lhs - rhs).max(axis=(-1, -2)))
-    fields["F"] = np.where(inner, worstF, 0.0)
-    return fields
+        out[(k, l)] = R2 - rhs
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -230,13 +271,17 @@ def _coframe_derivatives(data, force_fd):
 # flatness
 
 
-def flatness_fields(data, force_fd=False):
-    grid, n = data.grid, data.spec.n
+def flatness_matrices(data, force_fd=False):
+    """The full (*ext, N+2, N+2) matrices of d Upsilon + Upsilon ^ Upsilon,
+    one per coordinate pair (k, l)."""
     Up = assemble_all(data)["Upsilon"]
     dUp = _upsilon_derivatives(data, force_fd)
-    worst = np.zeros(grid.extents)
-    for k, l in _coordinate_pairs(n):
-        flat = (dUp[k][..., l] - dUp[l][..., k]
-                + Up[..., k] @ Up[..., l] - Up[..., l] @ Up[..., k])
-        worst = np.maximum(worst, np.abs(flat).max(axis=(-1, -2)))
-    return {"flatness": np.where(interior_mask(grid.extents), worst, 0.0)}
+    return {(k, l): (dUp[k][..., l] - dUp[l][..., k]
+                     + Up[..., k] @ Up[..., l] - Up[..., l] @ Up[..., k])
+            for k, l in _coordinate_pairs(data.grid.n)}
+
+
+def flatness_fields(data, force_fd=False):
+    ext = data.grid.extents
+    worst = _worst(flatness_matrices(data, force_fd), ext)
+    return {"flatness": np.where(interior_mask(ext), worst, 0.0)}
