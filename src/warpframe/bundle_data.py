@@ -236,15 +236,6 @@ class GeometricData:
                 "...ki,i,...i->...k", self.inv_frame, eps, self.T_comp)
         return self._cache["tk"]
 
-    def release_forms(self):
-        """Free the memoized Omega, X and W of frame_solver.assemble_all;
-        Upsilon, the one form frame integration reads, stays if it was
-        assembled. A later assemble_all that asks for a freed form
-        assembles it again."""
-        forms = self._cache.get("assembly", {})
-        self._cache["assembly"] = {k: v for k, v in forms.items()
-                                   if k == "Upsilon"}
-
     # -- validation -----------------------------------------------------------
 
     def validate(self):

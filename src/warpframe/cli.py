@@ -149,6 +149,8 @@ def _load_input(args) -> GeometricData:
 
 
 def _refined_data(data: GeometricData, factor: int) -> GeometricData:
+    """The dataset re-induced as its generator tag records (jets or FD) on
+    the grid refined by factor, with derivative fields if it has them."""
     if factor == 1:
         return data
     if not data.generator:
@@ -286,19 +288,17 @@ def _cmd_reconstruct(args):
         _print_check_source(gate)
     pre = _all_residuals(data, args.tol, args.force_fd)
     if not pre.passed and not args.force:
+        # The document verify prints and writes for these options.
+        meta = _verify_meta(data, args)
+        _add_refinement(meta, pre, data, args, outdir)
         if args.report == "json":
-            # The document verify --report json prints for these options.
-            meta = _verify_meta(data, args)
-            _add_refinement(meta, pre, data, args, None)
-            _emit_report(pre, args, None, None, meta=meta)
+            print(json.dumps(wio.report_document(pre, meta), indent=1))
         else:
             print("verification failed; not reconstructing "
                   "(failing: " + ", ".join(pre.failing()) + "; use --force)")
         if outdir is not None:
-            wio.save_report(pre, Path(outdir) / "residuals.json",
-                            meta=_verify_meta(data, args))
+            wio.save_report(pre, Path(outdir) / "residuals.json", meta=meta)
         return EXIT_FAIL
-    data.release_forms()
     imm, rep, diag = _reconstruct_once(data, args, outdir, suffix="")
     # The residual gate's check source, then the conclusions' own
     # tolerance: verify_immersion judges against 10 h^2 or --tol.
@@ -340,7 +340,6 @@ def _cmd_roundtrip(args):
             print("induced data failed verification: "
                   + ", ".join(rep.failing()))
             return EXIT_FAIL
-        data.release_forms()
         # One exact frame field gives both B0 and the reference frames.
         Bx = oracle.exact_frame_field(imm)
         ff = integrate_frame(data, Bx[imm.grid.base_node])

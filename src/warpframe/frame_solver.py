@@ -11,13 +11,14 @@ The (N+2) x (N+2) matrices of 1-forms:
 One tensor routine assembles them: on arrays for the forms themselves, on
 jets of arrays for their exact coordinate derivatives. It works
 component-major (component axes first, grid axes last), so every broadcast
-runs its inner loop over the grid. assemble_all runs it once per dataset:
-the forms asked for are kept in GeometricData._cache (the data never
-changes after load) until GeometricData.release_forms frees all but
-Upsilon, every array is read-only, and each call returns the same arrays
-as grid-major views (*ext, M, M, n) of that component-major memory. The
-verifier moves the axes back and reads the component-major blocks without
-a copy.
+runs its inner loop over the grid. Upsilon is the one form that more than
+one stage reads (flatness, the sweep, the path probe), so it is the one
+form kept: assemble_all returns it from GeometricData._cache when it is
+all a call asks for (the data never changes after load), and any other
+call assembles afresh, returns fresh Omega, X and W and keeps Upsilon.
+Every array is read-only and a grid-major view (*ext, M, M, n) of
+component-major memory; the verifier moves the axes back and reads the
+component-major blocks without a copy.
 
 integrate_frame propagates B along axis-ordered lattice paths with
 per-step midpoint-sampled matrix exponentials (a second-order Lie-group
@@ -127,28 +128,28 @@ def assemble_all(data: GeometricData, *names) -> dict:
     """The forms `names` among Omega, X, Upsilon (*ext, M, M, n) and W
     (*ext, M, n) at every node; all four if no name is given.
 
-    Assembled when a form asked for is not in data._cache, which then
-    keeps the forms asked for besides those it already held; every later
-    call returns the same read-only arrays, until
-    GeometricData.release_forms frees some. So frame integration alone,
-    which asks for Upsilon, keeps Upsilon alone. They are grid-major views
-    of component-major memory (_grid_last of one is a view again).
+    A call that asks for Upsilon alone gets the one held in data._cache,
+    once assembled. Any other call assembles afresh and returns fresh
+    Omega, X and W; Upsilon is formed and kept on the first assembly, so
+    it is the same array on every later call. All are read-only grid-major
+    views of component-major memory (_grid_last of one is a view again).
     """
     names = names or _FORMS
-    memo = data._cache.get("assembly", {})
-    missing = [k for k in names if k not in memo]
-    if missing:
+    forms = {"Upsilon": data._cache.get("Upsilon")}
+    if forms["Upsilon"] is None or names != ("Upsilon",):
         nd = data.grid.n
         a, a1, _ = data.warp_values()
         Om, X, W = _assemble(data.spec, *(
             _grid_last(getattr(data, name), nd) for name in _ASSEMBLY_FIELDS),
             a, a1)
-        forms = {"Omega": Om, "X": X, "Upsilon": Om - X, "W": W}
-        for k in missing:
-            forms[k].setflags(write=False)
-        memo = {**memo, **{k: _grid_first(forms[k], nd) for k in missing}}
-        data._cache["assembly"] = memo
-    return {k: memo[k] for k in names}
+        fresh = {"Omega": Om, "X": X, "W": W}
+        if forms["Upsilon"] is None:
+            fresh["Upsilon"] = Om - X
+        for k, v in fresh.items():
+            v.setflags(write=False)
+            forms[k] = _grid_first(v, nd)
+        data._cache["Upsilon"] = forms["Upsilon"]
+    return {k: forms[k] for k in names}
 
 
 def inv_frame_derivatives(data: GeometricData) -> list:
@@ -163,14 +164,12 @@ def inv_frame_derivatives(data: GeometricData) -> list:
     return data._cache["d_inv_frame"]
 
 
-def assembled_derivatives(data: GeometricData) -> dict:
-    """Exact coordinate derivatives of the assembled matrices, on a dataset
-    with analytic derivative fields.
-
-    Returns {"Omega": [dOmega/dx_k ...], "X": [...]}, each entry shaped like
-    the assembled array (grid-major views of component-major memory, as
-    there). The assembly is re-run on jets: exact chain rule through the S
-    tensor and the warp factors.
+def assembled_derivatives(data: GeometricData) -> list:
+    """Exact coordinate derivatives dUpsilon/dx_k, one component-major
+    (M, M, n, *ext) array per k, on a dataset with analytic derivative
+    fields: the parts of the jet Omega - X. The assembly is re-run on jets,
+    which is the exact chain rule through the S tensor and the warp
+    factors.
     """
     spec = data.spec
     n = spec.n
@@ -182,8 +181,9 @@ def assembled_derivatives(data: GeometricData) -> dict:
         _grid_last(jets.Jet(getattr(data, name), dv[name]), n)
         for name in _ASSEMBLY_FIELDS),
         data.warping.derivative(pij, 0), data.warping.derivative(pij, 1))
-    return {"Omega": [_grid_first(p, n) for p in Om.parts],
-            "X": [_grid_first(p, n) for p in X.parts]}
+    dU = Om.grad
+    dU -= X.grad
+    return list(dU)
 
 
 # ---------------------------------------------------------------------------

@@ -331,8 +331,12 @@ def induce_data(imm: ExplicitImmersion, frame_seed=None,
                   for name, x in comps.items()}
     fields = {name: _grid_first(value(x), nd) for name, x in comps.items()}
     fields["pi"] = value(P)[0]
-    data = GeometricData(spec, warping, grid, derivs=derivs,
-                         generator=imm.generator_tag(), **fields)
+    tag = imm.generator_tag()
+    if tag is not None:
+        # The induction mode too, so that a refinement re-induces alike.
+        tag["params"]["derivatives"] = derivatives
+    data = GeometricData(spec, warping, grid, derivs=derivs, generator=tag,
+                         **fields)
     data.validate()
     if derivatives == "jet" and Mseed is None:
         # Copies, so _cache holds no derivative rows of the jets.

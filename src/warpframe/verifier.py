@@ -36,13 +36,13 @@ convergence studies measure.
 The kernels work component-major: every per-node tensor is held as
 (*comp, *ext), component axes first and grid axes last, so each
 elementwise operation and each einsum contraction runs its inner loop over
-the grid. Omega, Upsilon and W come from the assemble_all memo (one
-assembly per dataset, read-only, component-major memory behind grid-major
-views) without a copy. Exterior derivatives are formed plane by plane:
-(d v)(k, l) from the two directional derivatives it needs, so on FD data no
-full list of derivative arrays is held. Each family has a *_fields
-function returning the per-node residual magnitudes and a report function
-reducing them.
+the grid. aux4 asks assemble_all for Omega and W, flatness for Upsilon
+alone, which the dataset holds for the sweep (one assembly per dataset,
+read-only component-major memory behind grid-major views); neither copies
+them. Exterior derivatives are formed plane by plane: (d v)(k, l) from the
+two directional derivatives it needs, so on FD data no full list of
+derivative arrays is held. Each family has a *_fields function returning
+the per-node residual magnitudes and a report function reducing them.
 
 The 2-form residuals (D), (F) and flatness are computed only on their
 independent entries, the index pairs a < b of their block. The connection
@@ -268,10 +268,11 @@ def _dot(x, y):
     return np.einsum("g...,g...->...", x, y)
 
 
-def _forms(data):
-    """The memoized assemble_all arrays, component-major (views, no copy)."""
+def _forms(data, *names):
+    """The assemble_all arrays `names`, component-major (views, no copy)."""
     nd = data.grid.n
-    return {k: _grid_last(v, nd) for k, v in assemble_all(data).items()}
+    return {k: _grid_last(v, nd)
+            for k, v in assemble_all(data, *names).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +399,7 @@ def aux_identity_fields(data: GeometricData, force_fd: bool = False) -> dict:
         return {"aux4": None}
     # Only the tangent rows of W, the coframe, are nonzero.
     tan = slice(1, data.spec.n + 1)
-    forms = _forms(data)
+    forms = _forms(data, "Omega", "W")
     Om, W = forms["Omega"][:, tan], forms["W"][tan]
     dW = _coframe_derivatives(data, _analytic(data, force_fd))
     worst = np.zeros(grid.extents)
@@ -437,18 +438,14 @@ def flatness_fields(data: GeometricData, force_fd: bool = False) -> dict:
 
     Upsilon is G-skew, so the residual is taken on the entries a < b of
     its (N+2) x (N+2) block only (see the module docstring). d Upsilon is
-    the finite difference of the memoized Upsilon at those entries, or on
-    analytic data dOmega/dx_k - dX/dx_k from the jet assembly.
+    the finite difference of the held Upsilon at those entries, or on
+    analytic data the exact dUpsilon/dx_k of assembled_derivatives.
     """
     grid, n = data.grid, data.spec.n
     if n < 2:
         return {"flatness": None}
-    Up = _forms(data)["Upsilon"]
-    dUp = None
-    if _analytic(data, force_fd):
-        d = assembled_derivatives(data)
-        dUp = [_grid_last(o, n) - _grid_last(x, n)
-               for o, x in zip(d["Omega"], d["X"])]
+    Up = _forms(data, "Upsilon")["Upsilon"]
+    dUp = assembled_derivatives(data) if _analytic(data, force_fd) else None
     worst = np.zeros(grid.extents)
     for _, res in _curvature_pairs(Up, dUp, grid.spacing):
         np.maximum(worst, np.abs(res, out=res).max(axis=0), out=worst)

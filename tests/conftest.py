@@ -17,3 +17,17 @@ def helix65():
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240811)
+
+
+def _held_forms(data):
+    """The cache entries of a dataset shaped like an assembled form: Omega,
+    X, Upsilon (*ext, M, M, n) or W (*ext, M, n)."""
+    ext, n, M = data.grid.extents, data.spec.n, data.spec.size
+    return {key for key, v in data._cache.items()
+            if isinstance(v, np.ndarray)
+            and v.shape in (ext + (M, M, n), ext + (M, n))}
+
+
+@pytest.fixture(scope="session")
+def held_forms():
+    return _held_forms

@@ -9,13 +9,14 @@ import pytest
 from json_reference import float64_list
 
 from warpframe import ChartGrid, GeometricData, canonical_example
-from warpframe import cli
+from warpframe import cli, jets
 from warpframe.bundle_data import FIELD_NAMES
 from warpframe.cli import main
 from warpframe.errors import SchemaError
 from warpframe.io import (load_dataset, load_frame_matrix, load_report,
                           read_immersion_csv, save_dataset, save_frame_matrix,
                           save_report)
+from warpframe.oracle import _grid_tag
 
 
 @pytest.fixture(scope="module")
@@ -287,6 +288,34 @@ class TestReconstructRecordsGate:
         assert refused == capsys.readouterr().out
         assert json.loads(refused)["passed"] is False
 
+    @pytest.mark.parametrize("report", ["json", "text"])
+    def test_refused_gate_writes_refined_verify_files(self, fd_file,
+                                                      tmp_path, report,
+                                                      capsys):
+        # With --h-refine too, a refused reconstruct -o writes the files
+        # verify -o writes, meta.refinement included, and with --report
+        # json prints that residuals.json.
+        doc = json.loads(fd_file.read_text())
+        al = doc["fields"]["alpha"]
+        for i in range(0, len(al), 4):
+            al[i] += 0.1
+        bad = tmp_path / "broken_alpha.json"
+        bad.write_text(json.dumps(doc))
+        argv = [str(bad), "--h-refine", "2", "--report", report, "-o"]
+        assert main(["reconstruct"] + argv + [str(tmp_path / "r")]) == 2
+        out = capsys.readouterr().out
+        assert main(["verify"] + argv + [str(tmp_path / "v")]) == 2
+        capsys.readouterr()
+        for name in ("residuals.json", "residuals_refined.json"):
+            assert ((tmp_path / "r" / name).read_bytes()
+                    == (tmp_path / "v" / name).read_bytes()), name
+        refused = (tmp_path / "r" / "residuals.json").read_text()
+        assert json.loads(refused)["meta"]["refinement"]["factor"] == 2
+        if report == "json":
+            assert out == refused
+        else:
+            assert "verification failed; not reconstructing" in out
+
 
 class TestCurveSkipsPlanes:
     """A curve's chart has no coordinate 2-plane: verify reports D, E, F,
@@ -327,8 +356,8 @@ class TestCurveSkipsPlanes:
             assert res[key]["worst_node"] is not None and "note" not in res[key]
 
     @pytest.mark.parametrize("command", ["reconstruct", "roundtrip"])
-    def test_sweep_keeps_upsilon_alone(self, command, calls, monkeypatch,
-                                       capsys):
+    def test_sweep_keeps_upsilon_alone(self, command, calls, held_forms,
+                                       monkeypatch, capsys):
         swept = []
 
         def spy(data, *args, **kwargs):
@@ -339,7 +368,65 @@ class TestCurveSkipsPlanes:
         assert main([command, "--example", "helix"]) == 0
         capsys.readouterr()
         assert calls == ["assemble_all"]
-        assert [list(d._cache["assembly"]) for d in swept] == [["Upsilon"]]
+        assert [held_forms(d) for d in swept] == [{"Upsilon"}]
+
+
+class TestOneAssembly:
+    """On a surface every command assembles the forms once per dataset
+    (and their jets once, for flatness on analytic data): aux4 gets Omega
+    and W, and flatness, the sweep and the path probe one held Upsilon,
+    the only form the dataset keeps."""
+
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        from warpframe import frame_solver, verifier
+        seen = {"assemble": [], "upsilon": []}
+
+        def assemble(spec, C, *args):
+            seen["assemble"].append(
+                "jets" if isinstance(C, jets.Jet) else "arrays")
+            return _assemble(spec, C, *args)
+        _assemble = frame_solver._assemble
+        monkeypatch.setattr(frame_solver, "_assemble", assemble)
+        for module in (frame_solver, verifier):
+            def spy(data, *names, _fn=module.assemble_all):
+                forms = _fn(data, *names)
+                if "Upsilon" in forms:
+                    seen["upsilon"].append((data, forms["Upsilon"]))
+                return forms
+            monkeypatch.setattr(module, "assemble_all", spy)
+        return seen
+
+    @staticmethod
+    def check_upsilon(seen, held_forms, datasets):
+        """One Upsilon per dataset, read by every reader and held alone."""
+        found = {}
+        for data, ups in seen["upsilon"]:
+            assert found.setdefault(id(data), ups) is ups
+            assert data._cache["Upsilon"] is ups
+            assert held_forms(data) == {"Upsilon"}
+        assert len(found) == datasets
+
+    @pytest.mark.parametrize("command, readers", [("verify", 1),
+                                                  ("reconstruct", 3)])
+    def test_file_commands(self, command, readers, seen, held_forms,
+                           slice_file, tmp_path, capsys):
+        argv = [command, str(slice_file), "-o", str(tmp_path)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert seen["assemble"] == ["arrays", "jets"]
+        assert len(seen["upsilon"]) == readers
+        self.check_upsilon(seen, held_forms, 1)
+
+    def test_roundtrip_levels(self, seen, held_forms, capsys):
+        argv = ["roundtrip", "--example", "slice", "--params", '{"n": 2}',
+                "--h-refine", "2"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert seen["assemble"] == ["arrays", "jets"] * 2
+        # Per level: flatness, then the sweep.
+        assert len(seen["upsilon"]) == 4
+        self.check_upsilon(seen, held_forms, 2)
 
 
 class TestReconstructCommand:
@@ -775,6 +862,20 @@ def test_h_refine_needs_generator_tag(slice_file, tmp_path):
     bare = tmp_path / "no_gen.json"
     bare.write_text(json.dumps(doc))
     assert main(["verify", str(bare), "--h-refine", "2"]) == 1
+
+
+def test_h_refine_keeps_fd_induction(tmp_path):
+    # The generator tag records the induction mode, so the refined dataset
+    # of an FD-induced file is FD-induced too.
+    params = {"n": 2, "derivatives": "fd"}
+    _, data = canonical_example("slice", params)
+    save_dataset(data, tmp_path / "fd.json")
+    fine = cli._refined_data(load_dataset(tmp_path / "fd.json"), 2)
+    _, want = canonical_example(
+        "slice", {**params, **_grid_tag(data.grid.refine(2))})
+    assert fine.grid.extents == want.grid.extents and not fine.derivs
+    for name in FIELD_NAMES:
+        assert getattr(fine, name).tobytes() == getattr(want, name).tobytes()
 
 
 def test_nonpositive_tolerance_rejected(slice_file):

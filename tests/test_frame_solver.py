@@ -265,22 +265,18 @@ class TestAssembly:
 
     @pytest.mark.parametrize("key", SIGNATURE_CASES)
     def test_analytic_derivatives_match_fd(self, key):
-        # Jet assembly against second-order differences of the numeric
-        # one: the gap is the FD error, so it falls about 4x per halving
-        # of h.
+        # Jet assembly of dUpsilon against second-order differences of the
+        # numeric Upsilon: the gap is the FD error, so it falls about 4x
+        # per halving of h.
         gaps = []
         for refine in (1, 2):
             _, data = signature_case(key, refine)
-            exact = assembled_derivatives(data)
-            exact["Upsilon"] = [o - x for o, x in zip(exact["Omega"],
-                                                      exact["X"])]
-            forms = assemble_all(data)
-            fd = {name: [grad1(forms[name], k, data.grid.spacing[k])
-                         for k in range(data.grid.n)]
-                  for name in exact}
-            gaps.append(max(np.abs(e - f).max()
-                            for name in exact
-                            for e, f in zip(exact[name], fd[name])))
+            nd = data.grid.n
+            ups = assemble_all(data, "Upsilon")["Upsilon"]
+            gaps.append(max(
+                np.abs(_grid_first(e, nd)
+                       - grad1(ups, k, data.grid.spacing[k])).max()
+                for k, e in enumerate(assembled_derivatives(data))))
         assert gaps[1] <= (self.FD_CONSTANT.get(key, 10.0)
                            * data.grid.max_spacing ** 2)
         assert 3.3 <= gaps[0] / gaps[1] <= 4.7
@@ -306,12 +302,15 @@ def memo_cases():
 
 
 class TestAssemblyMemo:
-    def test_second_call_returns_the_same_arrays(self, slice17):
+    def test_second_call_returns_the_same_upsilon(self, slice17):
+        # Upsilon is held; Omega, X and W are assembled afresh, alike.
         _, data = slice17
         first, second = assemble_all(data), assemble_all(data)
         assert sorted(first) == ["Omega", "Upsilon", "W", "X"]
-        for name in first:
-            assert second[name] is first[name], name
+        assert second["Upsilon"] is first["Upsilon"]
+        for name in ("Omega", "X", "W"):
+            assert second[name] is not first[name], name
+            assert second[name].tobytes() == first[name].tobytes(), name
 
     def test_arrays_are_read_only(self, slice17):
         _, data = slice17
@@ -334,46 +333,38 @@ class TestAssemblyMemo:
                 assert memo[name].tobytes() == ref[name].tobytes(), (key,
                                                                     name)
 
-    def test_release_frees_all_but_the_kept_forms(self):
+    def test_holds_upsilon_alone(self, held_forms):
         _, data = canonical_example("slice", {"n": 2})
         first = assemble_all(data)
-        omega = weakref.ref(first.pop("Omega"))
-        data.release_forms()
+        # No reference to the memory behind Omega stays.
+        omega = weakref.ref(first.pop("Omega").base)
         assert omega() is None
-        # Integration asks for Upsilon alone and gets the memoized array.
+        assert held_forms(data) == {"Upsilon"}
+        # Integration asks for Upsilon alone and gets the held array.
         assert assemble_all(data, "Upsilon")["Upsilon"] is first["Upsilon"]
-        again = assemble_all(data)
-        assert again["X"] is not first["X"]
-        for name in first:
-            assert again[name].tobytes() == first[name].tobytes(), name
         B0 = build_base_frame(data)
-        data.release_forms()
         after = integrate_frame(data, B0)
-        assert data._cache["assembly"].keys() == {"Upsilon"}
+        assert held_forms(data) == {"Upsilon"}
         assert after.B.tobytes() == integrate_frame(
             data, B0, upsilon=fresh_assembly(data)["Upsilon"]).B.tobytes()
 
-    def test_keeps_the_forms_asked_for(self):
-        # Each call memoizes the forms it asked for on top of those held,
-        # and returns the held ones unchanged.
-        _, data = canonical_example("slice", {"n": 2})
-        ups = assemble_all(data, "Upsilon")["Upsilon"]
-        assert data._cache["assembly"].keys() == {"Upsilon"}
-        w = assemble_all(data, "W")["W"]
-        assert data._cache["assembly"].keys() == {"Upsilon", "W"}
-        forms = assemble_all(data)
-        assert forms["Upsilon"] is ups and forms["W"] is w
-        ref = fresh_assembly(data)
-        for name in ref:
-            assert forms[name].tobytes() == ref[name].tobytes(), name
-            assert not forms[name].flags.writeable, name
-        data.release_forms()
-        assert data._cache["assembly"].keys() == {"Upsilon"}
-        # Without Upsilon in the memo, release_forms frees every form.
-        _, data = canonical_example("slice", {"n": 2})
-        assemble_all(data, "W")
-        data.release_forms()
-        assert data._cache["assembly"] == {}
+    def test_any_request_keeps_upsilon(self, held_forms):
+        # Whatever the first call asks for, it keeps Upsilon alone, and
+        # every later call returns that array.
+        for first in (("Upsilon",), ("Omega", "W"), ("X",), ()):
+            _, data = canonical_example("slice", {"n": 2})
+            got = assemble_all(data, *first)
+            assert sorted(got) == sorted(first or ("Omega", "Upsilon", "W",
+                                                   "X"))
+            assert held_forms(data) == {"Upsilon"}, first
+            ups = assemble_all(data, "Upsilon")["Upsilon"]
+            forms = assemble_all(data)
+            assert forms["Upsilon"] is ups, first
+            assert held_forms(data) == {"Upsilon"}, first
+            ref = fresh_assembly(data)
+            for name in ref:
+                assert forms[name].tobytes() == ref[name].tobytes(), name
+                assert not forms[name].flags.writeable, name
 
     def test_integrate_frame_matches_fresh_upsilon(self):
         for key, data in memo_cases():

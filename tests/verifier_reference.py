@@ -42,15 +42,15 @@ class DerivativeSource:
 
 
 def _upsilon_derivatives(data, force_fd):
-    """dUpsilon/dx_k for every k, grid-major: dOmega - dX from the jet
-    assembly on analytic data, finite differences of the memoized Upsilon
-    otherwise."""
+    """dUpsilon/dx_k for every k, grid-major: the jet assembly's
+    (component-major, its axes moved) on analytic data, finite differences
+    of the held Upsilon otherwise."""
+    nd = data.grid.n
     if not DerivativeSource(data, force_fd).analytic:
-        Up = assemble_all(data)["Upsilon"]
-        return [grad1(Up, k, data.grid.spacing[k])
-                for k in range(data.grid.n)]
-    d = assembled_derivatives(data)
-    return [o - x for o, x in zip(d["Omega"], d["X"])]
+        Up = assemble_all(data, "Upsilon")["Upsilon"]
+        return [grad1(Up, k, data.grid.spacing[k]) for k in range(nd)]
+    return [np.moveaxis(d, range(-nd, 0), range(nd))
+            for d in assembled_derivatives(data)]
 
 
 def _coordinate_pairs(n):
