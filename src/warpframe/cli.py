@@ -47,9 +47,8 @@ from .errors import (IntegrationBlowup, InvariantViolation, SchemaError,
 from .frame_solver import (build_base_frame, integrate_frame,
                            path_independence_defect)
 from .immersion import congruence_align, extract_immersion, verify_immersion
-from .verifier import (ResidualReport, _analytic, aux_identity_residuals,
-                       default_tolerance, flatness_residual,
-                       structure_residuals)
+from .verifier import (ResidualReport, aux_identity_residuals, check_source,
+                       flatness_residual, structure_residuals)
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -204,28 +203,10 @@ def _cmd_validate(args):
     return EXIT_FAIL if problems else EXIT_OK
 
 
-def _tolerance(args, value, origin):
-    """A pass tolerance with its origin: --tol if given, else value."""
-    if args.tol is not None:
-        return {"value": args.tol, "origin": "--tol"}
-    return {"value": value, "origin": origin}
-
-
-def _check_source(data, args):
-    """Which derivatives drive the checks, and the pass tolerance with its
-    origin: --tol, else 1e-8 on analytic derivatives and 10 h^2 on finite
-    differences."""
-    analytic = _analytic(data, args.force_fd)
-    return {"derivatives": "analytic" if analytic else "finite_differences",
-            "tolerance": _tolerance(args,
-                                    default_tolerance(data, args.force_fd),
-                                    "1e-8" if analytic else "10 h^2")}
-
-
 def _verify_meta(data, args):
-    """verify's report meta: the grid extents and _check_source."""
+    """verify's report meta: the grid extents and the check source."""
     return {"grid_extents": list(data.grid.extents),
-            **_check_source(data, args)}
+            **check_source(data, args.force_fd, args.tol)}
 
 
 def _print_check_source(source):
@@ -233,6 +214,14 @@ def _print_check_source(source):
     tol = source["tolerance"]
     print(f"derivatives {source['derivatives']}  tolerance "
           f"{tol['value']:.2e} ({tol['origin']})")
+
+
+def _print_refinement(meta):
+    """The text line of meta's refinement sup ratios, if it has them."""
+    if "refinement" in meta:
+        print("refinement sup ratios: " + json.dumps(
+            {k: (round(v, 3) if v else None)
+             for k, v in meta["refinement"]["sup_ratios"].items()}))
 
 
 def _add_refinement(meta, rep, data, args, outdir):
@@ -258,6 +247,8 @@ def _cmd_verify(args):
         _print_check_source(meta)
     _add_refinement(meta, rep, data, args, outdir)
     _emit_report(rep, args, "residuals.json", outdir, meta=meta)
+    if args.report == "text":
+        _print_refinement(meta)
     return EXIT_OK if rep.passed else EXIT_FAIL
 
 
@@ -283,7 +274,7 @@ def _reconstruct_once(data, args, outdir, suffix=""):
 def _cmd_reconstruct(args):
     data = _load_input(args)
     outdir = args.output_dir
-    gate = _check_source(data, args)
+    gate = check_source(data, args.force_fd, args.tol)
     if args.report == "text":
         _print_check_source(gate)
     pre = _all_residuals(data, args.tol, args.force_fd)
@@ -296,14 +287,16 @@ def _cmd_reconstruct(args):
         else:
             print("verification failed; not reconstructing "
                   "(failing: " + ", ".join(pre.failing()) + "; use --force)")
+            _print_refinement(meta)
         if outdir is not None:
             wio.save_report(pre, Path(outdir) / "residuals.json", meta=meta)
         return EXIT_FAIL
     imm, rep, diag = _reconstruct_once(data, args, outdir, suffix="")
     # The residual gate's check source, then the conclusions' own
-    # tolerance: verify_immersion judges against 10 h^2 or --tol.
+    # tolerance: they are finite-difference cross-checks, judged against
+    # 10 h^2 or --tol.
     meta = {"grid_extents": list(data.grid.extents), "gate": gate,
-            "tolerance": _tolerance(args, data.grid.fd_tolerance, "10 h^2"),
+            "tolerance": check_source(data, True, args.tol)["tolerance"],
             "diagnostics": diag}
     if args.h_refine > 1:
         fine = _refined_data(data, args.h_refine)
@@ -318,10 +311,7 @@ def _cmd_reconstruct(args):
         print(f"group defect {diag['max_group_defect']:.3e}  "
               f"row defect {diag['max_row_defect']:.3e}  "
               f"path independence {diag['path_independence_defect']:.3e}")
-        if "refinement" in meta:
-            print("refinement sup ratios: " + json.dumps(
-                {k: (round(v, 3) if v else None)
-                 for k, v in meta["refinement"]["sup_ratios"].items()}))
+        _print_refinement(meta)
     return EXIT_OK if rep.passed else EXIT_FAIL
 
 

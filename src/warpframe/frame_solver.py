@@ -45,7 +45,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .bundle_data import GeometricData
+from .bundle_data import GeometricData, _worst_node
 from . import jets
 from .errors import (IntegrationBlowup, InvariantViolation, NonConvergence,
                      SchemaError)
@@ -322,7 +322,7 @@ def pseudo_orthonormalize(Z, G):
         Z = Z[None]
     finite = np.isfinite(Z).all(axis=(-1, -2))
     if not finite.all():
-        bad = tuple(int(i) for i in np.argwhere(~finite)[0])
+        bad = _worst_node(~finite, finite.ndim)
         raise NonConvergence(
             "pseudo_orthonormalize: non-finite input"
             + ("" if single else f" (matrix {bad} of the stack)"))
@@ -421,11 +421,9 @@ class FrameField:
     def diagnostics(self) -> dict:
         group_defect, _ = _group_defect(self.B, self.signs)
         row_defect = np.abs(self.B[..., -1, :] - self.rows).max(axis=-1)
-        worst = np.unravel_index(int(np.argmax(group_defect)),
-                                 group_defect.shape)
         return {
             "max_group_defect": float(group_defect.max()),
-            "worst_group_node": tuple(int(i) for i in worst),
+            "worst_group_node": _worst_node(group_defect, group_defect.ndim),
             "max_preprojection_defect": self.sweep["max_preprojection_defect"],
             "max_row_defect": float(row_defect.max()),
             "steps": self.sweep["steps"],

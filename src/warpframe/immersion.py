@@ -26,7 +26,7 @@ from .errors import AlignmentDegenerate, NonConvergence
 from .frame_solver import (FrameField, _grid_last, _pattern, expm,
                            pseudo_orthonormalize)
 from .stencils import grad1, grad2_pure, interior_mask
-from .verifier import ResidualReport
+from .verifier import ResidualReport, check_source
 
 
 @dataclass
@@ -110,8 +110,7 @@ def verify_immersion(imm: ImmersionField, data: GeometricData,
     """
     spec, grid = imm.spec, data.grid
     n, nd, Np1 = spec.n, grid.n, spec.N + 1
-    if tol is None:
-        tol = grid.fd_tolerance
+    tol = check_source(data, True, tol)["tolerance"]["value"]
     a, a1, _ = data.warp_values()
     a2 = a * a
     report = ResidualReport()

@@ -23,14 +23,16 @@ f(a0 + delta) = sum_j f^(j)(a0)/j! delta^j, with index and binomial tables
 built once per (n, L). Rows of degree 0 and 1 are formed with the
 expressions of first-order forward mode (a_k*b0 + a0*b_k,
 (a_k - q0*b_k)/b0, p/(2.0*s), 0.0 + einsum + einsum), and the rows of
-degree 2 of products, quotients and elementary functions with the
-expressions that the first-order rule gives when applied to itself, the
-lower coordinate index outermost. So values and first partials round as
-in nested forward mode (tests/jets_reference.py), and so do the second
-partials of code without einsum wherever the nested jets' mixed partials
+degree 2 of products, of quotients of a constant by a jet and of
+elementary functions with the expressions that the first-order rule gives
+when applied to itself, the lower coordinate index outermost. So values
+and first partials round as in nested forward mode
+(tests/jets_reference.py), and so do the second partials of code without
+einsum or a quotient of two jets wherever the nested jets' mixed partials
 agree; the oracle's induced fields depend on nothing else. Rows of degree
-2 of einsum and every row of degree 3 and more take the binomial Leibniz
-sums, which differ from nested forward mode at roundoff.
+2 of einsum and of a quotient of two jets, and every row of degree 3 and
+more, take the binomial Leibniz sums (the quotient's recurrence over
+them), which differ from nested forward mode at roundoff.
 
 Jets of arrays also index, take block writes (``zeros`` gives a target) and
 contract (``einsum``, ``linear``), so tensor code written for arrays runs on
@@ -257,10 +259,6 @@ class Jet:
         out.d, out.t = d, t
         return out
 
-    def __repr__(self):
-        return (f"Jet(order {self.t.L} in {self.t.n} coordinates, "
-                f"shape {self.d.shape[1:]})")
-
     @property
     def val(self):
         t = self.t
@@ -367,16 +365,7 @@ class Jet:
         o = q[fst]
         np.subtract(a[fst], q0 * b[fst], out=o)
         o /= b0
-        if t.L >= 2:
-            # ((a_ik - (q_k b_i + q0 b_ik)) - q_i b_k) / b0
-            i, k, s = t.outer, t.inner, t.deg2
-            o = q[s]
-            inner = q[k] * b[i]
-            inner += q0 * b[s]
-            np.subtract(a[s], inner, out=o)
-            o -= q[i] * b[k]
-            o /= b0
-        for r in t.rows(3):
+        for r in t.rows(2):
             q[r] = (a[r] - _sum_terms((q, b), *t.leibniz(r, proper=True))) / b0
         return Jet._of(q, t)
 
@@ -401,18 +390,6 @@ class Jet:
         for r in t.rows(3):
             q[r] = -_sum_terms((q, x), *t.leibniz(r, proper=True)) / x0
         return Jet._of(q, t)
-
-    def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
-            raise TypeError("Jet.__pow__ supports non-negative integers only")
-        out = 1.0
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
 
 
 def value(x):

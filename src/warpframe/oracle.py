@@ -34,7 +34,7 @@ import numpy as np
 from . import jets
 from .ambient import (SignatureSpec, WarpingFunction, validate_signature,
                       warped_dot, warped_lower, warped_nabla)
-from .bundle_data import ChartGrid, GeometricData
+from .bundle_data import ChartGrid, GeometricData, _worst_node
 from .errors import DegenerateDataError
 from .frame_solver import _grid_first, _pattern
 from .immersion import ImmersionField, adapted_frames
@@ -72,11 +72,6 @@ def _candidate(spec, p, pos):
     return w
 
 
-def _node(ok):
-    """Index tuple of the first node where the boolean field ok is False."""
-    return tuple(int(i) for i in np.argwhere(~ok)[0])
-
-
 def _stage1(spec, warping, P, V):
     """Adapted orthonormal frame and vertical split at every node.
 
@@ -105,7 +100,7 @@ def _stage1(spec, warping, P, V):
         need = sgn[1 + i]
         ok = need * value(Q) > _TOL
         if not ok.all():
-            bad = _node(ok)
+            bad = _worst_node(~ok, ok.ndim)
             raise DegenerateDataError(
                 f"tangent frame slot {i + 1} has squared norm "
                 f"{float(value(Q)[bad]):.3e} at node {bad}, declared sign "
@@ -130,7 +125,7 @@ def _stage1(spec, warping, P, V):
             ok = need * Q > _TOL
             if ok.all():
                 break
-            bad = _node(ok)
+            bad = _worst_node(~ok, ok.ndim)
             fails.append((bad, float(Q[bad])))
         else:
             bad, q = max(fails)
@@ -288,14 +283,12 @@ def induce_data(imm: ExplicitImmersion, frame_seed=None,
     if problems:
         raise DegenerateDataError("invalid signature: " + "; ".join(problems))
     n, nd = spec.n, grid.n
-    ext = tuple(grid.extents)
     # The image must lie on the declared quadric at every node.
     _, p_samples = imm.sample()
     member = np.einsum("g,...g,...g->...", spec.fiber_signs,
                        p_samples, p_samples) - spec.c
     if np.abs(member).max() > 1e-8:
-        bad = tuple(int(i) for i in
-                    np.unravel_index(int(np.argmax(np.abs(member))), ext))
+        bad = _worst_node(np.abs(member), member.ndim)
         raise DegenerateDataError(
             f"immersion leaves the quadric of the declared signature: "
             f"|g0(p,p) - c| = {float(np.abs(member).max()):.3e} at node {bad}")

@@ -26,12 +26,13 @@ closed forms of pieces of the flatness 2-form: d X is the product rule on
 coframe, and d Omega + Omega ^ Omega is Gauss, Codazzi and Ricci, so each
 piece's residual is a combination of the A-F and aux4 residuals.
 
-Which derivatives drive the checks is decided once: a dataset holds the
-analytic derivatives of all six non-pi fields or of none. With them every
-residual uses them (and sits at roundoff for exact data, judged against
-1e-8); without them, or with force_fd, every exterior derivative is a
+Which derivatives drive the checks, and the tolerance that judges them,
+is decided in one place, check_source: a dataset holds the analytic
+derivatives of all six non-pi fields or of none. With them every residual
+uses them (and sits at roundoff for exact data, judged against 1e-8);
+without them, or with force_fd, every exterior derivative is a
 second-order finite difference, judged against 10 h^2, which is what grid
-convergence studies measure.
+convergence studies measure. A tol given by the caller overrides either.
 
 The kernels work component-major: every per-node tensor is held as
 (*comp, *ext), component axes first and grid axes last, so each
@@ -66,7 +67,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ambient import curvature_coefficients
-from .bundle_data import GeometricData
+from .bundle_data import GeometricData, _worst_node
 from .frame_solver import (_grid_last, _pattern, assemble_all,
                            assembled_derivatives, inv_frame_derivatives)
 from .stencils import grad1, interior_mask
@@ -119,10 +120,8 @@ class ResidualReport:
             return
         per_node = np.asarray(per_node, dtype=float)
         bad = ~np.isfinite(per_node)
-        at = np.argmax(bad) if bad.any() else np.argmax(per_node)
-        worst = tuple(int(i) for i in np.unravel_index(int(at),
-                                                       per_node.shape))
         passed = not bad.any()
+        worst = _worst_node(per_node if passed else bad, per_node.ndim)
         if not passed:
             nbad = int(bad.sum())
             note = "; ".join(filter(None, (note, (
@@ -183,9 +182,20 @@ def _analytic(data, force_fd):
     return bool(data.derivs) and not force_fd
 
 
-def default_tolerance(data: GeometricData, force_fd: bool) -> float:
-    """1e-8 when analytic derivatives drive the check, 10 h^2 on FD data."""
-    return 1e-8 if _analytic(data, force_fd) else data.grid.fd_tolerance
+def check_source(data: GeometricData, force_fd: bool = False,
+                 tol: float | None = None) -> dict:
+    """Which derivatives drive the checks of data, and the pass tolerance
+    with its origin: tol if given ("--tol"), else 1e-8 on analytic
+    derivatives and 10 h^2 on finite differences."""
+    analytic = _analytic(data, force_fd)
+    if tol is not None:
+        tolerance = {"value": tol, "origin": "--tol"}
+    elif analytic:
+        tolerance = {"value": 1e-8, "origin": "1e-8"}
+    else:
+        tolerance = {"value": data.grid.fd_tolerance, "origin": "10 h^2"}
+    return {"derivatives": "analytic" if analytic else "finite_differences",
+            "tolerance": tolerance}
 
 
 # The note of every entry a 1-dimensional chart skips.
@@ -193,11 +203,10 @@ _NO_PLANES = "no coordinate 2-planes on a 1-dimensional chart"
 
 
 def _report(fields, tol, data, force_fd):
-    """The report of per-node residual fields, judged against tol, by
-    default the dataset's default_tolerance. A None field is a check that
-    the 1-dimensional chart skips: it reads 0 with the _NO_PLANES note."""
-    if tol is None:
-        tol = default_tolerance(data, force_fd)
+    """The report of per-node residual fields, judged against the
+    tolerance of check_source. A None field is a check that the
+    1-dimensional chart skips: it reads 0 with the _NO_PLANES note."""
+    tol = check_source(data, force_fd, tol)["tolerance"]["value"]
     report = ResidualReport()
     for key, arr in fields.items():
         report.add(key, arr, tol, note=_NO_PLANES if arr is None else "")

@@ -100,18 +100,6 @@ class Jet:
         q = other / self.val
         return Jet(q, [-q * p / self.val for p in self.parts])
 
-    def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
-            raise TypeError("Jet.__pow__ supports non-negative integers only")
-        out = 1.0
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
 
 def value(x):
     """Strip all jet levels, returning the underlying scalar/array."""

@@ -317,6 +317,40 @@ class TestReconstructRecordsGate:
             assert "verification failed; not reconstructing" in out
 
 
+@pytest.mark.parametrize("command, broken", [
+    ("verify", False), ("reconstruct", True), ("reconstruct", False)],
+    ids=["verify", "refused-reconstruct", "reconstruct"])
+def test_text_report_prints_refinement_ratios(command, broken, fd_file,
+                                              tmp_path, capsys):
+    # Under --h-refine the text report of verify, of a refused reconstruct
+    # and of a passing one ends with the sup ratios that meta.refinement
+    # holds in the JSON report, rounded to 3 places.
+    path = fd_file
+    if broken:
+        doc = json.loads(fd_file.read_text())
+        al = doc["fields"]["alpha"]
+        for i in range(0, len(al), 4):
+            al[i] += 0.1
+        path = tmp_path / "broken_alpha.json"
+        path.write_text(json.dumps(doc))
+    argv = [command, str(path)]
+    rc = main(argv)
+    plain = capsys.readouterr().out
+    assert main(argv + ["--h-refine", "2"]) == rc == (2 if broken else 0)
+    refined = capsys.readouterr().out
+    assert refined != plain and "refinement" not in plain
+    *head, last = refined.splitlines()
+    assert head == plain.splitlines()
+    prefix = "refinement sup ratios: "
+    assert last.startswith(prefix)
+    assert main(argv + ["--h-refine", "2", "--report", "json"]) == rc
+    want = json.loads(capsys.readouterr().out)["meta"]["refinement"]
+    ratios = json.loads(last[len(prefix):])
+    assert list(ratios) == list(want["sup_ratios"])
+    for key, value in want["sup_ratios"].items():
+        assert ratios[key] == (round(value, 3) if value else None), key
+
+
 class TestCurveSkipsPlanes:
     """A curve's chart has no coordinate 2-plane: verify reports D, E, F,
     aux4 and flatness as skipped without assembling a form or

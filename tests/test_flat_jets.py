@@ -34,8 +34,8 @@ OPS = {
     "mul": lambda J, a, b: a * b,
     "div": lambda J, a, b: a / (2.0 + J.sin(b)),
     "rdiv": lambda J, a, b: 1.0 / (1.5 + a),
-    "pow": lambda J, a, b: a ** 3,
-    "square": lambda J, a, b: a ** 2,
+    "cube": lambda J, a, b: a * a * a,
+    "square": lambda J, a, b: a * a,
     "sqrt": lambda J, a, b: J.sqrt(1.0 + a * a),
     "sin": lambda J, a, b: J.sin(a),
     "cos": lambda J, a, b: J.cos(a),

@@ -227,16 +227,20 @@ class TestCongruence:
         tau, defect = congruence_align(rec, rec)  # frames resolve it
         assert defect <= 1e-12 and tau.used_frames
 
-    def test_constant_warping_fits_vertical_shift(self):
-        _, data = canonical_example("great_subsphere", {"radius": 0.8})
+    # Away from t0 = 0 the fitted shift is g.t - f.t, not g.t + f.t, which
+    # agrees with it only at height 0.
+    @pytest.mark.parametrize("params, delta", [
+        ({"radius": 0.8}, 0.25), ({"t0": 0.3}, -0.2)], ids=["t0=0", "t0=0.3"])
+    def test_constant_warping_fits_vertical_shift(self, params, delta):
+        _, data = canonical_example("great_subsphere", params)
         ff = integrate_frame(data, build_base_frame(data))
         rec = extract_immersion(ff, data)
         shifted = ImmersionField(spec=rec.spec, warping=rec.warping,
                                  grid=rec.grid, spatial=rec.spatial,
-                                 t=rec.t + 0.25, frames=rec.frames)
+                                 t=rec.t + delta, frames=rec.frames)
         tau, defect = congruence_align(rec, shifted)
-        assert tau.t_shift == pytest.approx(0.25, abs=1e-12)
-        assert defect <= 1e-10
+        assert tau.t_shift == pytest.approx(delta, abs=1e-12)
+        assert defect <= 1e-12
 
     def test_grid_mismatch_rejected(self, slice17, helix65):
         _, d1 = slice17

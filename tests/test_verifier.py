@@ -9,7 +9,7 @@ from warpframe import (GeometricData, aux_identity_residuals, canonical_example,
                        structure_residuals)
 from warpframe.bundle_data import FIELD_NAMES
 from warpframe.verifier import (ResidualReport, aux_identity_fields,
-                                default_tolerance, flatness_fields)
+                                check_source, flatness_fields)
 
 
 def perturb_alpha(data, u, i, j, amount=0.1):
@@ -267,7 +267,7 @@ class TestGridMajorReference:
                              ids=[f"{k}-{w}" if w else k for k, w in CASES])
     def test_fields_match(self, key, warping, force_fd):
         _, data = signature_case(key, warping=warping)
-        tol = default_tolerance(data, force_fd)
+        tol = check_source(data, force_fd)["tolerance"]["value"]
         for new_fn, ref_fn in self.FAMILIES:
             new, ref = new_fn(data, force_fd), ref_fn(data, force_fd)
             assert sorted(new) == sorted(ref)
