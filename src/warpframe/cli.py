@@ -217,22 +217,31 @@ def _print_check_source(source):
 
 
 def _print_refinement(meta):
-    """The text line of meta's refinement sup ratios, if it has them."""
+    """The text line of meta's refinement sup ratios, if it has them. On
+    analytic derivatives both sups sit at roundoff, and the line says so."""
     if "refinement" in meta:
-        print("refinement sup ratios: " + json.dumps(
+        ref = meta["refinement"]
+        label = "refinement sup ratios"
+        if ref.get("derivatives") == "analytic":
+            label += " (analytic derivatives: roundoff over roundoff, no order)"
+        print(label + ": " + json.dumps(
             {k: (round(v, 3) if v else None)
-             for k, v in meta["refinement"]["sup_ratios"].items()}))
+             for k, v in ref["sup_ratios"].items()}))
 
 
 def _add_refinement(meta, rep, data, args, outdir):
-    """With --h-refine, verify's coarse/fine sup ratios into meta; the
-    refined report goes to outdir/residuals_refined.json."""
+    """With --h-refine, verify's coarse/fine sup ratios into meta, with the
+    derivatives that drove the fine check; the refined report goes to
+    outdir/residuals_refined.json."""
     if args.h_refine == 1:
         return
     fine = _refined_data(data, args.h_refine)
     rep_f = _all_residuals(fine, args.tol, args.force_fd)
-    meta["refinement"] = {"factor": args.h_refine,
-                          "sup_ratios": _sup_ratios(rep, rep_f)}
+    meta["refinement"] = {
+        "factor": args.h_refine,
+        "derivatives": check_source(fine, args.force_fd, args.tol)[
+            "derivatives"],
+        "sup_ratios": _sup_ratios(rep, rep_f)}
     if outdir is not None:
         wio.save_report(rep_f, Path(outdir) / "residuals_refined.json",
                         meta=_verify_meta(fine, args))

@@ -15,9 +15,20 @@ ambient vector is one (N+2, *ext) array or jets.Jet with index 0 its t
 component, a frame is (n+m, N+2, *ext), and the connection coefficients
 come out component-major, grid axes last. The warped metric and connection
 are ambient.warped_dot, warped_lower and warped_nabla, the kernel that
-verify_immersion applies to the reconstructed immersion. The
-normal-completion candidate is picked on plain float values; only the
-accepted one is built as a jet.
+verify_immersion applies to the reconstructed immersion.
+
+The normal frame is completed from candidate directions (the fiber
+coordinate directions made quadric-tangent, then d/dt). Their metric
+products with the filled frame vectors E_j come in closed form from the
+frames' own components: a^2 fs_pos (E_j[1+pos] - c p_pos g0(p, E_j)) for
+a fiber direction, eps E_j[0] for d/dt. Every candidate's squared norm
+after rejection, <w, w> - sum_j eps_j <w, E_j>^2, is then one array pass
+on plain values. That is exact algebra because E is G-orthonormal; it does
+not assume g0(p, p) = c, so maps that meet the quadric only to within
+induce_data's tolerance get the same norms. The candidate is picked on
+those values (see _stage1 and _pick); only the accepted one is built as a
+jet, by the explicit rejection (_reject), so the frame is the one that
+trying the candidates one at a time builds.
 
 The canonical example library lives here too; each named family doubles as a
 serializable fixture (datasets carry a generator tag so they can be re-made
@@ -48,6 +59,10 @@ from .stencils import grad1
 
 # Smallest |squared norm| a frame vector may have at any node.
 _TOL = 1e-8
+# Half-width, relative to the size of its terms, of the band around _TOL
+# in which a candidate's gathered squared norm is left to the explicit
+# rejection (see _pick).
+_BAND = 1e-10
 
 
 def _reject(spec, a2, w, E, count):
@@ -72,6 +87,63 @@ def _candidate(spec, p, pos):
     return w
 
 
+def _candidate_norms(spec, a2, p):
+    """<w, w> (N+2, *ext) of every normal-completion candidate w, from the
+    values a2 and p (N+1, *ext): a^2 (fs_pos + p_pos^2 (g0(p, p) - 2c))
+    for the fiber directions (fs_pos^2 = c^2 = 1), eps for the vertical
+    one."""
+    nd = np.ndim(a2)
+    fs = spec.fiber_signs
+    g0pp = np.einsum("g,g...,g...->...", fs, p, p)
+    W = np.empty((spec.N + 2,) + np.shape(a2))
+    W[:-1] = a2 * (_pattern(fs, nd) + p * p * (g0pp - 2.0 * spec.c))
+    W[-1] = spec.epsilon
+    return W
+
+
+def _candidate_products(spec, a2, p, E, pi, pos):
+    """<w, E_j> (k, *ext) of the normal-completion candidate w = `pos` with
+    the frame vectors E (k, N+2, *ext), given pi = g0(p, E_j fiber) (k,
+    *ext): a^2 fs_pos (E_j[1+pos] - c p_pos pi_j) for a fiber direction,
+    eps E_j[0] for the vertical one. All arrays are values."""
+    if pos > spec.N:
+        return spec.epsilon * E[:, 0]
+    return (a2 * spec.fiber_signs[pos]) * (E[:, 1 + pos]
+                                           - spec.c * p[pos] * pi)
+
+
+def _pick(spec, a2, p, E, slot, Q, S, free):
+    """The normal-completion candidate for frame slot `slot`: the first of
+    `free`, in index order, whose squared norm has the slot's declared sign
+    beyond _TOL at every node. A candidate skipped for the wrong sign stays
+    available to later slots.
+
+    Q (N+2, *ext) holds every candidate's squared norm after rejection
+    from E[:slot], gathered in closed form, and S the sum of the absolute
+    terms it was formed from. Where need Q lies within _BAND S of _TOL at
+    some node and is clear nowhere, the gathered value settles nothing: the
+    candidate's explicit rejection (_reject) decides, as it decides
+    everywhere in the nested-list reference. All arrays are values.
+    """
+    need = spec.signs[1 + slot]
+    fails = []  # (first failing node, Q there) per rejected candidate
+    for pos in free:
+        q, band = need * Q[pos], _BAND * S[pos]
+        if not ((q - band > _TOL).all() or (q + band <= _TOL).any()):
+            w = _reject(spec, a2, _candidate(spec, p, pos), E, slot)
+            q = need * warped_dot(spec, a2, w, w)
+        ok = q > _TOL
+        if ok.all():
+            return pos
+        bad = _worst_node(~ok, ok.ndim)
+        fails.append((bad, need * float(q[bad])))
+    bad, q = max(fails)
+    raise DegenerateDataError(
+        f"normal frame slot {slot + 1}: no candidate has the declared sign "
+        f"{need} at every node; the last to fail has squared norm {q:.3e} "
+        f"at node {bad}")
+
+
 def _stage1(spec, warping, P, V):
     """Adapted orthonormal frame and vertical split at every node.
 
@@ -80,6 +152,29 @@ def _stage1(spec, warping, P, V):
     taken on values. Returns the frame E (n+m, N+2, *ext), the rows F
     (n, n, *ext) of e_i = sum_k F[i, k] V_k, T (n, *ext), xi (m, *ext) and
     the warp values a.
+
+    The normal frame is completed from the candidates w_pos: the fiber
+    coordinate directions e_pos - c fs_pos p_pos p (pos <= N), then d/dt
+    (pos = N+1). A candidate's squared norm after rejection from the filled
+    frame vectors E_j is Q_pos = <w, w> - sum_j eps_j <w, E_j>^2, and its
+    products with E_j have the closed form
+
+        <w_pos, E_j> = a^2 fs_pos (E_j[1+pos] - c p_pos pi_j),
+        <d/dt, E_j> = eps E_j[0],
+        <w_pos, w_pos> = a^2 (fs_pos - 2c p_pos^2 + p_pos^2 g0(p, p)),
+
+    with pi_j = g0(p, E_j fiber) taken once per frame vector. This is
+    algebra of the metric and the candidates alone: it is exact because E
+    is G-orthonormal, and it does not assume g0(p, p) = c or that E is
+    tangent to the quadric, so it holds for maps that meet the quadric
+    only to within induce_data's tolerance. Every free candidate's Q takes
+    one array pass on values per batch of new frame vectors (the tangent
+    frame, then each filled normal slot). The winner's jet is rejected
+    explicitly (_reject, modified Gram-Schmidt with warped_dot), as the
+    trial loop built it, so the picks and every bit of the frame match
+    trying the candidates one at a time. warped_dot is called only by the
+    Gram-Schmidt of the n + m frame vectors: (n+m)(n+m+1)/2 times, however
+    many candidates the pick passes over.
     """
     n, m = spec.n, spec.m
     sgn = spec.signs
@@ -109,32 +204,30 @@ def _stage1(spec, warping, P, V):
         E[i] = inv * w
         F[i] = inv * cf
 
-    # Normal completion: fiber coordinate directions in index order, then
-    # the vertical direction. The first candidate whose squared norm has the
-    # declared sign (beyond _TOL) at every node wins; the pick runs on
-    # values, and only the winner is built again at the jet level. A
-    # candidate skipped for the wrong sign stays available to later slots.
+    # Normal completion: Q and S gathered on values, the pick (_pick), then
+    # the winner alone built at the jet level.
     p, pv, a2v, Ev = P[1:], value(P)[1:], value(a2), value(E)
+    pi = np.empty((n + m,) + ext)
+    Q = _candidate_norms(spec, a2v, pv)
+    S = np.abs(Q)
     free = list(range(spec.N + 2))
+    filled = 0
     for slot in range(n, n + m):
-        need = sgn[1 + slot]
-        fails = []  # (first failing node, Q there) per rejected candidate
-        for pos in free:
-            w = _reject(spec, a2v, _candidate(spec, pv, pos), Ev, slot)
-            Q = warped_dot(spec, a2v, w, w)
-            ok = need * Q > _TOL
-            if ok.all():
-                break
-            bad = _worst_node(~ok, ok.ndim)
-            fails.append((bad, float(Q[bad])))
-        else:
-            bad, q = max(fails)
-            raise DegenerateDataError(
-                f"normal frame slot {slot + 1}: no candidate has the declared "
-                f"sign {need} at every node; the last to fail has squared "
-                f"norm {q:.3e} at node {bad}")
+        # Take the frame vectors filled since the last slot (the tangent
+        # frame, then one normal) into pi, Q and S.
+        pi[filled:slot] = np.einsum("g,g...,jg...->j...", spec.fiber_signs,
+                                    pv, Ev[filled:slot, 1:])
+        signs = np.asarray(sgn[1 + filled:1 + slot], dtype=float)
+        for cand in free:
+            D2 = _candidate_products(spec, a2v, pv, Ev[filled:slot],
+                                     pi[filled:slot], cand) ** 2
+            Q[cand] -= np.einsum("j,j...->...", signs, D2)
+            S[cand] += D2.sum(axis=0)
+        filled = slot
+        pos = _pick(spec, a2v, pv, Ev, slot, Q, S, free)
         free.remove(pos)
         w = _reject(spec, a2, _candidate(spec, p, pos), E, slot)
+        need = sgn[1 + slot]
         E[slot] = (1.0 / sqrt(need * warped_dot(spec, a2, w, w))) * w
 
     eps_slot = spec.epsilon * np.asarray(sgn[1:], dtype=float)

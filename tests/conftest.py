@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from warpframe import canonical_example
+
+# `pytest --hypothesis-profile soak`: many more examples of the property
+# tests that leave their budget to the profile, drawn from a fixed seed so
+# that a run is repeatable. CI runs the expm group test and the gathered
+# Gram test of the oracle under it.
+settings.register_profile("soak", max_examples=5000, derandomize=True)
 
 
 @pytest.fixture(scope="session")

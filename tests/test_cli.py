@@ -351,6 +351,36 @@ def test_text_report_prints_refinement_ratios(command, broken, fd_file,
         assert ratios[key] == (round(value, 3) if value else None), key
 
 
+@pytest.mark.parametrize("fixture, extra, source", [
+    ("slice_file", [], "analytic"),
+    ("slice_file", ["--force-fd"], "finite_differences"),
+    ("fd_file", [], "finite_differences")],
+    ids=["jets", "jets-force-fd", "fd-induced"])
+def test_refinement_records_the_fine_check_source(fixture, extra, source,
+                                                  request, capsys):
+    # With analytic derivative fields and no --force-fd, the coarse and the
+    # fine sups are both roundoff, so their ratios carry no order:
+    # meta.refinement names the derivatives of the fine check, and the
+    # text line says what its ratios are. The finite-difference line keeps
+    # its plain prefix.
+    argv = ["verify", str(request.getfixturevalue(fixture)), "--h-refine",
+            "2"] + extra
+    assert main(argv + ["--report", "json"]) == 0
+    refinement = json.loads(capsys.readouterr().out)["meta"]["refinement"]
+    assert list(refinement) == ["factor", "derivatives", "sup_ratios"]
+    assert refinement["derivatives"] == source
+    assert main(argv) == 0
+    last = capsys.readouterr().out.splitlines()[-1]
+    prefix = {"analytic": "refinement sup ratios (analytic derivatives: "
+                          "roundoff over roundoff, no order): ",
+              "finite_differences": "refinement sup ratios: "}[source]
+    assert last.startswith(prefix)
+    ratios = json.loads(last[len(prefix):])
+    assert list(ratios) == list(refinement["sup_ratios"])
+    if source == "finite_differences":
+        assert 3.0 < ratios["flatness"] < 4.8
+
+
 class TestCurveSkipsPlanes:
     """A curve's chart has no coordinate 2-plane: verify reports D, E, F,
     aux4 and flatness as skipped without assembling a form or
