@@ -228,12 +228,6 @@ class WarpingFunction:
         """Return (a, a', a'') at t, vectorized over t."""
         self._check_domain(t)
         t = np.asarray(t, dtype=float)
-        if self.kind == "tabulated":
-            val, der, dd2 = self._tab_poly(t)
-            if np.any(val <= 0):
-                raise DomainError(
-                    "tabulated warping interpolant went nonpositive")
-            return val, der, dd2 * np.ones_like(t)
         a, a1, a2 = (np.broadcast_to(np.asarray(
             self.derivative(t, j), dtype=float), t.shape).copy()
             for j in range(3))

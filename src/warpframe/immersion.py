@@ -192,21 +192,6 @@ class Isometry:
     rounds: int = 0
     used_frames: bool = False
 
-    def _points(self, spatial, t):
-        """The moved points: O applied to the spatial part, t shifted."""
-        return np.einsum("ab,...b->...a", self.O, spatial), t + self.t_shift
-
-    def apply(self, imm: ImmersionField) -> ImmersionField:
-        spatial, t = self._points(imm.spatial, imm.t)
-        frames = None
-        if imm.frames is not None:
-            frames = imm.frames.copy()
-            frames[..., :, :-1] = np.einsum("ab,...gb->...ga", self.O,
-                                            imm.frames[..., :, :-1])
-        return ImmersionField(spec=imm.spec, warping=imm.warping,
-                              grid=imm.grid, spatial=spatial,
-                              t=t, frames=frames)
-
 
 def _group_basis(G0):
     """Basis (dim so, d, d) of the pseudo-orthogonal Lie algebra for the
@@ -243,8 +228,8 @@ def congruence_align(f: ImmersionField, g: ImmersionField):
     J^t r_i = tr(O H_i (P^t Q - S O^t)).
 
     Returns (Isometry, defect) with defect the post-alignment sup over nodes
-    and components (spatial and vertical), of the points that tau.apply(f)
-    would give; the frames are not moved. Raises NonConvergence when the
+    and components (spatial and vertical) of the points of f moved by tau:
+    O applied to the spatial part, t shifted. Raises NonConvergence when the
     polish reaches its round limit or takes a non-finite step.
     """
     if f.grid.extents != g.grid.extents or f.spec != g.spec:
@@ -297,8 +282,7 @@ def congruence_align(f: ImmersionField, g: ImmersionField):
         t_shift = float(np.mean(g.t - f.t))
     tau = Isometry(O=O, t_shift=t_shift, rounds=rounds,
                    used_frames=used_frames)
-    # The defect reads no frames, so only the points are moved.
-    spatial, t = tau._points(f.spatial, f.t)
+    spatial = np.einsum("ab,...b->...a", O, f.spatial)
     defect = max(float(np.abs(spatial - g.spatial).max()),
-                 float(np.abs(t - g.t).max()))
+                 float(np.abs(f.t + t_shift - g.t).max()))
     return tau, defect

@@ -2,9 +2,13 @@
 
 Every format is either JSON (datasets, reports, frames, diagnostics) or CSV
 (immersion point sets). Floats are serialized as shortest round-trip
-decimals, so write -> parse is bit-exact; every writer here has a matching
-parser. The readers of reports, frames and immersion tables raise
-SchemaError naming the file on malformed input.
+decimals, so write -> parse is bit-exact. A format has a reader here only
+where a program reads it back: datasets (every command's input), the base
+frame matrix (reconstruct --base-frame), and the adapted frames and the
+immersion table, which the benchmark reads back to check reconstruct's
+output. Reports and diagnostics are written for people and other tools,
+and nothing here parses them. The readers of frames and immersion tables
+raise SchemaError naming the file on malformed input.
 
 The JSON reader parses with orjson and returns what ``json.load`` returns.
 A file orjson refuses (NaN and Infinity literals, which json writes for
@@ -307,15 +311,6 @@ def report_document(report: ResidualReport, meta=None) -> dict:
 
 def save_report(report: ResidualReport, path, meta=None):
     _write_json(report_document(report, meta), path)
-
-
-def load_report(path) -> ResidualReport:
-    doc = _read_doc(path, "warpframe.report")
-    try:
-        return ResidualReport.from_dict(doc)
-    except (AttributeError, KeyError, TypeError) as exc:
-        raise SchemaError(f"{path}: malformed warpframe.report document "
-                          f"({exc!r})") from exc
 
 
 def _load_array(path, kind, key):

@@ -45,8 +45,8 @@ import numpy as np
 from . import jets
 from .ambient import (SignatureSpec, WarpingFunction, validate_signature,
                       warped_dot, warped_lower, warped_nabla)
-from .bundle_data import ChartGrid, GeometricData, _worst_node
-from .errors import DegenerateDataError
+from .bundle_data import ChartGrid, GeometricData, _parsed, _worst_node
+from .errors import DegenerateDataError, SchemaError
 from .frame_solver import _grid_first, _pattern
 from .immersion import ImmersionField, adapted_frames
 from .jets import Jet, seed, sqrt, value
@@ -610,12 +610,12 @@ def _build_great_subsphere(params):
     t0 = float(params.get("t0", 0.0))
     eps = int(params.get("epsilon", 1))
     if not (0.0 < r <= 1.0):
-        raise ValueError("great_subsphere: radius must be in (0, 1]")
+        raise ValueError("radius must be in (0, 1]")
     if N < n + 1:
-        raise ValueError("great_subsphere needs N >= n + 1")
+        raise ValueError("N must be at least n + 1")
     warping = _default_warping(params, "constant")
     if not warping.is_constant or warping.amplitude != 1.0:
-        raise ValueError("great_subsphere is a constant-warping fixture (a = 1)")
+        raise ValueError("the warping must be constant with amplitude 1")
     m = N + 1 - n
     spec = SignatureSpec.from_counts(n, m, eps, 1, (1,) * n,
                                      (1,) * (m - 1) + (eps,))
@@ -647,13 +647,13 @@ def _build_helix(params):
     if om is None:
         rem = 1.0 - beta * beta
         if rem <= 0:
-            raise ValueError("helix: beta too large for unit speed at the base")
+            raise ValueError("beta too large for unit speed at the base")
         om = np.sqrt(rem) / (a0 * rho)
     om = float(om)
     speed2 = beta * beta + (a0 * rho * om) ** 2
     if abs(speed2 - 1.0) > 1e-10:
         raise ValueError(
-            f"helix: parameters are not unit speed at the base node "
+            f"parameters are not unit speed at the base node "
             f"(eps*beta^2 + a(t0)^2 rho^2 omega^2 = {speed2:.6f})")
     spec = SignatureSpec.from_counts(1, 2, 1, 1, (1,), (1, 1))
     grid = _grid_from_params(params, 1, extent=65, spacing=0.03125)
@@ -684,9 +684,11 @@ def example_names():
 
 
 def make_example(name: str, params: dict | None = None) -> ExplicitImmersion:
+    """The immersion of a named family. A parameter of the wrong type or
+    out of range is a SchemaError naming the example."""
     if name not in _FAMILIES:
         raise KeyError(f"unknown example {name!r}; known: {example_names()}")
-    return _FAMILIES[name](params)
+    return _parsed(f"example {name}", _FAMILIES[name], params)
 
 
 def canonical_example(name: str, params: dict | None = None):
@@ -694,6 +696,9 @@ def canonical_example(name: str, params: dict | None = None):
     params = dict(params or {})
     attach = params.pop("attach_derivatives", True)
     derivatives = params.pop("derivatives", "jet")
+    if derivatives not in ("jet", "fd"):
+        raise SchemaError(f"example {name}: derivatives must be 'jet' or "
+                          f"'fd', not {derivatives!r}")
     imm = make_example(name, params)
     data = induce_data(imm, derivatives=derivatives,
                        attach_derivatives=attach)

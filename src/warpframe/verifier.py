@@ -90,14 +90,6 @@ class ResidualEntry:
             d["note"] = self.note
         return d
 
-    @classmethod
-    def from_dict(cls, d):
-        wn = d.get("worst_node")
-        return cls(sup=d["sup"], rms=d["rms"],
-                   worst_node=tuple(wn) if wn is not None else None,
-                   tolerance=d["tolerance"], passed=d["passed"],
-                   note=d.get("note", ""))
-
 
 class ResidualReport:
     """Named residuals with sup/rms reductions and pass verdicts."""
@@ -112,7 +104,8 @@ class ResidualReport:
         A NaN or an inf at any node fails the check: worst_node is then the
         first non-finite node (row-major), sup and rms are taken over the
         finite nodes (0.0 when there are none), and the note counts the
-        non-finite nodes."""
+        non-finite nodes. Where the squares of finite magnitudes overflow
+        (above about 1e154), rms is taken as sup * rms(per_node / sup)."""
         if per_node is None:
             self.entries[name] = ResidualEntry(
                 sup=0.0, rms=0.0, worst_node=None, tolerance=tolerance,
@@ -131,16 +124,13 @@ class ResidualReport:
         sup, rms = 0.0, 0.0
         if per_node.size:
             sup = float(per_node.max())
-            rms = float(np.sqrt(np.mean(per_node ** 2)))
+            with np.errstate(over="ignore"):
+                rms = float(np.sqrt(np.mean(per_node ** 2)))
+            if not np.isfinite(rms):
+                rms = sup * float(np.sqrt(np.mean((per_node / sup) ** 2)))
         self.entries[name] = ResidualEntry(
             sup=sup, rms=rms, worst_node=worst, tolerance=float(tolerance),
             passed=passed and sup <= tolerance, note=note)
-
-    def __getitem__(self, name):
-        return self.entries[name]
-
-    def __contains__(self, name):
-        return name in self.entries
 
     @property
     def passed(self):
@@ -156,13 +146,6 @@ class ResidualReport:
     def to_dict(self):
         return {"residuals": {k: e.to_dict() for k, e in self.entries.items()},
                 "passed": bool(self.passed)}
-
-    @classmethod
-    def from_dict(cls, d):
-        rep = cls()
-        for k, e in d["residuals"].items():
-            rep.entries[k] = ResidualEntry.from_dict(e)
-        return rep
 
     def summary_lines(self):
         out = []

@@ -17,6 +17,20 @@ from warpframe.frame_solver import pseudo_orthonormalize
 from warpframe.immersion import ImmersionField, Isometry
 
 
+def apply_isometry(tau: Isometry, imm: ImmersionField) -> ImmersionField:
+    """imm moved by tau: O applied to the spatial part and to the spatial
+    columns of the frames, t shifted by tau.t_shift."""
+    frames = None
+    if imm.frames is not None:
+        frames = imm.frames.copy()
+        frames[..., :, :-1] = np.einsum("ab,...gb->...ga", tau.O,
+                                        imm.frames[..., :, :-1])
+    return ImmersionField(spec=imm.spec, warping=imm.warping, grid=imm.grid,
+                          spatial=np.einsum("ab,...b->...a", tau.O,
+                                            imm.spatial),
+                          t=imm.t + tau.t_shift, frames=frames)
+
+
 def _group_basis(G0):
     """Basis of the pseudo-orthogonal Lie algebra for the diagonal metric G0."""
     d = len(G0)
@@ -89,7 +103,7 @@ def congruence_align(f: ImmersionField, g: ImmersionField,
         t_shift = float(np.mean(g.t - f.t))
     tau = Isometry(O=O, t_shift=t_shift, rounds=rounds,
                    used_frames=used_frames)
-    moved = tau.apply(f)
+    moved = apply_isometry(tau, f)
     defect = max(float(np.abs(moved.spatial - g.spatial).max()),
                  float(np.abs(moved.t - g.t).max()))
     return tau, defect

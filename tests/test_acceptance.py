@@ -87,13 +87,15 @@ def test_criterion_4_flatness_convergence():
         _, d = canonical_example("helix", {"grid_extents": [ext],
                                            "grid_spacing": [2.0 / (ext - 1)]})
         rep = structure_residuals(d, force_fd=True)
-        bc_sups.append(max(rep["B"].sup, rep["C"].sup))
-        assert flatness_residual(d, force_fd=True)["flatness"].sup == 0.0
+        bc_sups.append(max(rep.entries["B"].sup, rep.entries["C"].sup))
+        flat = flatness_residual(d, force_fd=True)
+        assert flat.entries["flatness"].sup == 0.0
     for ext in (33, 65):
         _, d = canonical_example("slice", {
             "n": 2, "grid_extents": [ext, ext],
             "grid_spacing": [0.64 / (ext - 1)] * 2})
-        flat_sups.append(flatness_residual(d, force_fd=True)["flatness"].sup)
+        flat = flatness_residual(d, force_fd=True)
+        flat_sups.append(flat.entries["flatness"].sup)
     r_bc = bc_sups[0] / bc_sups[1]
     r_flat = flat_sups[0] / flat_sups[1]
     dt = time.perf_counter() - t0
@@ -176,7 +178,7 @@ def test_criterion_7_negative_controls(tmp_path):
                         omega_tangent=data.omega_tangent,
                         omega_bundle=data.omega_bundle, alpha=al,
                         T_comp=data.T_comp, xi_comp=data.xi_comp, pi=data.pi)
-    codazzi = structure_residuals(bad)["E"].sup
+    codazzi = structure_residuals(bad).entries["E"].sup
     pert = path_independence_defect(bad, B0)
     path = tmp_path / "broken_alpha.json"
     save_dataset(bad, path)

@@ -95,6 +95,14 @@ class TestWarping:
         assert abs(a1 - np.sinh(0.37)) < 10 * h ** 2
         assert abs(a2 - np.cosh(0.37)) < 10 * h
 
+    def test_tabulated_positivity_enforced(self):
+        # Samples 0.1, 0.1, 1.0 at t = 1, 2, 3: the local quadratic reads
+        # 0.1 - 0.45 * 0.25 < 0 at t = 1.5.
+        w = WarpingFunction("tabulated", table_t=(0.0, 1.0, 2.0, 3.0),
+                            table_a=(1.0, 0.1, 0.1, 1.0))
+        with pytest.raises(DomainError, match="stay positive"):
+            w.eval(np.array([0.5, 1.5]))
+
 
     @pytest.mark.parametrize("kind, f", [
         ("cosh", (np.cosh, np.sinh, np.cosh)),

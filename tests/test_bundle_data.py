@@ -130,8 +130,8 @@ class TestValidation:
         assert data.validate() == []
         rep = structure_residuals(data)
         assert rep.failing() == ["A"]
-        assert rep["A"].sup == pytest.approx(0.21, abs=1e-12)
-        assert rep["A"].worst_node == (0,)
+        assert rep.entries["A"].sup == pytest.approx(0.21, abs=1e-12)
+        assert rep.entries["A"].worst_node == (0,)
 
     def test_skewness_violation(self):
         ot = np.zeros((5, 1, 1, 1))

@@ -13,9 +13,8 @@ from warpframe import cli, jets
 from warpframe.bundle_data import FIELD_NAMES
 from warpframe.cli import main
 from warpframe.errors import SchemaError
-from warpframe.io import (load_dataset, load_frame_matrix, load_report,
-                          read_immersion_csv, save_dataset, save_frame_matrix,
-                          save_report)
+from warpframe.io import (load_dataset, load_frame_matrix, read_immersion_csv,
+                          save_dataset, save_frame_matrix)
 from warpframe.oracle import _grid_tag
 
 
@@ -506,8 +505,7 @@ class TestReconstructCommand:
         # quadric membership of the emitted point set
         member = np.abs((spatial ** 2).sum(axis=1) - 1.0).max()
         assert member <= 1e-8
-        rep = load_report(out / "conclusions.json")
-        assert rep.passed
+        assert json.loads((out / "conclusions.json").read_text())["passed"]
 
     def test_bad_base_frame_exits_two(self, slice_file, tmp_path, capsys):
         B = np.eye(4)
@@ -587,6 +585,31 @@ class TestReconstructCommand:
         assert rc == 3
 
 
+def _strict_json(text):
+    """The document of text, read as strict JSON: NaN and Infinity, which
+    json writes for non-finite floats, are errors."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_huge_residuals_report_is_strict_json(slice_file, tmp_path, capsys):
+    # omega_tangent scaled by 1e200: finite residuals whose squares
+    # overflow. Their rms stays finite, so the report is strict JSON.
+    doc = json.loads(slice_file.read_text())
+    doc["fields"]["omega_tangent"] = [
+        1e200 * v for v in doc["fields"]["omega_tangent"]]
+    doc.pop("derivatives")
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps(doc))
+    out = tmp_path / "v"
+    rc = main(["verify", str(huge), "--report", "json", "-o", str(out)])
+    printed = _strict_json(capsys.readouterr().out)
+    assert rc == 2
+    assert printed == _strict_json((out / "residuals.json").read_text())
+    assert printed["residuals"]["D"]["sup"] > 1e200
+
+
 class TestRoundtripCommand:
     def test_helix_refined(self, capsys):
         rc = main(["roundtrip", "--example", "helix", "--h-refine", "2"])
@@ -616,6 +639,40 @@ class TestRoundtripCommand:
         nodes = canonical_example("helix", {})[1].grid.num_nodes
         assert shapes and all(len(s) < 3 or s[0] < nodes for s in shapes)
 
+    @pytest.mark.parametrize("name", ["desitter_slice", "great_subsphere",
+                                      "helix", "lorentz_cylinder", "slice"])
+    def test_refined_order_two(self, name, capsys):
+        assert main(["roundtrip", "--example", name, "--h-refine", "2"]) == 0
+        assert "congruence defect order: 2.00\n" in capsys.readouterr().out
+
+    def test_refined_exact_reconstruction(self, capsys):
+        # The vertical geodesic is rebuilt exactly at both levels (2.2e-16),
+        # and a ratio of two roundoff defects shows no order.
+        rc = main(["roundtrip", "--example", "vertical_geodesic",
+                   "--h-refine", "2"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert out.splitlines()[-1] == ("congruence defect order: none "
+                                        "(both defects at roundoff, <= 1e-12)")
+
+
+@pytest.mark.parametrize("command, name, params", [
+    ("verify", "great_subsphere", {"radius": 2}),
+    ("verify", "great_subsphere", {"N": 1}),
+    ("verify", "great_subsphere", {"derivatives": "foo"}),
+    ("verify", "great_subsphere", {"warping": {"kind": "foo"}}),
+    ("verify", "helix", {"beta": "x"}),
+    ("verify", "helix", {"beta": 1.5}),
+    ("roundtrip", "great_subsphere", {"radius": 2}),
+    ("roundtrip", "helix", {"beta": "x"}),
+])
+def test_bad_example_parameter_is_schema_error(command, name, params,
+                                               capsys):
+    rc = main([command, "--example", name, "--params", json.dumps(params)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith(f"schema error: example {name}: "), err
+
 
 class TestExamplesCommand:
     def test_listing(self, capsys):
@@ -640,14 +697,6 @@ class TestFileRoundTrips:
         assert np.array_equal(data.alpha, data2.alpha)
         assert np.array_equal(data.pi, data2.pi)
         assert slice_file.read_text() == again.read_text()
-
-    def test_report_round_trip(self, slice_file, tmp_path):
-        from warpframe import structure_residuals
-        rep = structure_residuals(load_dataset(slice_file))
-        p = tmp_path / "rep.json"
-        save_report(rep, p)
-        rep2 = load_report(p)
-        assert rep.to_dict() == rep2.to_dict()
 
     def test_frame_matrix_round_trip(self, tmp_path, rng):
         B = rng.standard_normal((4, 4))

@@ -76,12 +76,12 @@ class TestVerifyImmersion:
         rec = extract_immersion(ff, data)
         rep = verify_immersion(rec, data)
         assert rep.passed
-        assert rep["isometry"].sup <= 1e-8
-        assert rep["dt_split"].sup <= 1e-8
-        assert rep["projection"].sup == 0.0
+        assert rep.entries["isometry"].sup <= 1e-8
+        assert rep.entries["dt_split"].sup <= 1e-8
+        assert rep.entries["projection"].sup == 0.0
         h = data.grid.max_spacing
-        assert rep["alpha_match"].sup <= 10 * h * h
-        assert rep["normal_connection"].sup <= 10 * h * h
+        assert rep.entries["alpha_match"].sup <= 10 * h * h
+        assert rep.entries["normal_connection"].sup <= 10 * h * h
 
     def test_helix_conclusions_converge(self):
         sups = []
@@ -90,8 +90,8 @@ class TestVerifyImmersion:
                 "helix", {"grid_extents": [ext], "grid_spacing": [sp]})
             rep = verify_immersion(rec, data)
             assert rep.passed
-            sups.append(max(rep["dt_split"].sup, rep["alpha_match"].sup,
-                            rep["normal_connection"].sup))
+            sups.append(max(rep.entries[key].sup for key in (
+                "dt_split", "alpha_match", "normal_connection")))
         assert sups[0] / sups[1] > 3.0
 
 
@@ -147,8 +147,8 @@ def test_isometry_fails_off_the_group(slice17):
     imm.frames[4, 11, 1] *= 1.1
     rep = verify_immersion(imm, data)
     assert rep.failing() == ["isometry"]
-    assert rep["isometry"].worst_node == (4, 11)
-    assert rep["isometry"].sup == pytest.approx(0.21, rel=1e-6)
+    assert rep.entries["isometry"].worst_node == (4, 11)
+    assert rep.entries["isometry"].sup == pytest.approx(0.21, rel=1e-6)
 
 
 class TestCongruence:
@@ -168,7 +168,7 @@ class TestCongruence:
         O = np.array([[np.cos(th), -np.sin(th), 0.0],
                       [np.sin(th), np.cos(th), 0.0],
                       [0.0, 0.0, 1.0]])
-        moved = Isometry(O=O).apply(rec)
+        moved = immersion_reference.apply_isometry(Isometry(O=O), rec)
         tau, defect = congruence_align(rec, moved)
         assert defect <= 1e-8
         np.testing.assert_allclose(tau.O, O, atol=1e-8)
@@ -284,7 +284,7 @@ def _cloud_pair(spec, kind, seed, scale, noise):
     theta = rng.uniform(-1.0, 1.0, len(basis))
     O = expm(np.einsum("i,iab->ab", theta, basis))
     O = O * rng.choice([-1.0, 1.0], d)
-    g = Isometry(O=O).apply(f)
+    g = immersion_reference.apply_isometry(Isometry(O=O), f)
     g.spatial = g.spatial + noise * rng.standard_normal(g.spatial.shape)
     g.frames = g.frames + noise * rng.standard_normal(g.frames.shape)
     return f, g
@@ -325,8 +325,8 @@ def test_moment_fit_matches_stacked_reference(spec, kind, seed, log_scale,
 
 
 def _applied_defect(tau, f, g):
-    """The alignment defect of the field that tau.apply(f) returns."""
-    moved = tau.apply(f)
+    """The alignment defect of f moved by tau."""
+    moved = immersion_reference.apply_isometry(tau, f)
     return max(float(np.abs(moved.spatial - g.spatial).max()),
                float(np.abs(moved.t - g.t).max()))
 
@@ -408,7 +408,7 @@ def test_congruence_recovers_reflection(slice17):
     ff = integrate_frame(data, build_base_frame(data))
     rec = extract_immersion(ff, data)
     O = np.diag([1.0, -1.0, 1.0])
-    moved = Isometry(O=O).apply(rec)
+    moved = immersion_reference.apply_isometry(Isometry(O=O), rec)
     tau, defect = congruence_align(rec, moved)
     assert defect <= 1e-8
     np.testing.assert_allclose(tau.O, O, atol=1e-8)

@@ -631,8 +631,7 @@ class TestReader:
             1, 1, 2).tobytes()
 
     @pytest.mark.parametrize("reader", [
-        wio.load_frames_json, wio.load_frame_matrix, wio.load_report,
-        wio.load_dataset])
+        wio.load_frames_json, wio.load_frame_matrix, wio.load_dataset])
     def test_byte_order_mark(self, reader, tmp_path):
         path = tmp_path / "bom.json"
         path.write_bytes(b"\xef\xbb\xbf" + stdlib_json(
@@ -701,20 +700,8 @@ class TestMalformedInput:
         stdlib_write_json({"kind": "warpframe.frame", **doc}, path)
         self.check(wio.load_frame_matrix, path)
 
-    @pytest.mark.parametrize("doc", [
-        {"kind": "warpframe.report"},
-        {"kind": "warpframe.report", "residuals": [1]},
-        {"kind": "warpframe.report", "residuals": {"a": {"sup": 1.0}}},
-        [1, 2],
-    ])
-    def test_report(self, doc, tmp_path):
-        path = tmp_path / "rep.json"
-        stdlib_write_json(doc, path)
-        self.check(wio.load_report, path)
-
     @pytest.mark.parametrize("reader", [
-        wio.load_frames_json, wio.load_frame_matrix, wio.load_report,
-        wio.load_dataset])
+        wio.load_frames_json, wio.load_frame_matrix, wio.load_dataset])
     def test_not_json(self, reader, tmp_path):
         path = tmp_path / "bad.json"
         path.write_bytes(b"{\"kind\": \xff")

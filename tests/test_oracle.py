@@ -15,7 +15,7 @@ from warpframe import (ExplicitImmersion, SignatureSpec,
                        structure_residuals)
 from warpframe import jets, oracle
 from warpframe.ambient import warped_dot
-from warpframe.errors import DegenerateDataError
+from warpframe.errors import DegenerateDataError, SchemaError
 from warpframe.jets import value
 from warpframe.oracle import (exact_base_frame, exact_frame_field,
                               reference_field)
@@ -74,7 +74,7 @@ class TestVerticalGeodesic:
 
 class TestHelix:
     def test_unit_speed_validation(self):
-        with pytest.raises(ValueError, match="unit speed"):
+        with pytest.raises(SchemaError, match="example helix: .*unit speed"):
             make_example("helix", {"beta": 0.6, "omega": 0.5})
         make_example("helix", {"beta": 0.6, "omega": 0.8})  # 0.36+0.64=1
 
@@ -101,7 +101,7 @@ class TestGreatSubsphere:
         assert np.abs(data.alpha).max() <= 1e-12
         assert np.abs(data.omega_bundle).max() <= 1e-12
         rep = structure_residuals(data)
-        assert rep["F"].sup <= 1e-12
+        assert rep.entries["F"].sup <= 1e-12
 
     def test_small_subsphere_is_umbilic(self):
         r = 0.8
@@ -113,7 +113,8 @@ class TestGreatSubsphere:
         assert norm == pytest.approx(np.sqrt(1 - r * r) / r, abs=1e-10)
 
     def test_requires_unit_constant_warping(self):
-        with pytest.raises(ValueError, match="constant-warping"):
+        with pytest.raises(SchemaError,
+                           match="great_subsphere: the warping must be"):
             make_example("great_subsphere", {"warping": "cosh"})
 
 
@@ -317,8 +318,8 @@ class TestTiltedImmersions:
             alpha=data.alpha, T_comp=0.0 * data.T_comp,
             xi_comp=data.xi_comp, pi=0.0 * data.pi + float(data.pi.flat[0]))
         rep1 = structure_residuals(stripped, force_fd=True)
-        assert rep0["D"].sup <= 1e-9
-        assert rep1["D"].sup > 1e-3
+        assert rep0.entries["D"].sup <= 1e-9
+        assert rep1.entries["D"].sup > 1e-3
 
 
 def test_normal_completion_with_out_of_order_signs():
