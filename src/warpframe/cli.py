@@ -280,16 +280,25 @@ def _reconstruct_once(data, args, outdir, suffix=""):
         wio.write_immersion_csv(imm, outdir / f"immersion{suffix}.csv")
         wio.save_frames_json(imm, outdir / f"frames{suffix}.json")
         wio.save_diagnostics(diag, outdir / f"bfield{suffix}.json")
-        wio.save_report(rep, outdir / f"conclusions{suffix}.json")
     return imm, rep, diag
+
+
+def _reconstruct_meta(data, args, diag):
+    """reconstruct's report meta: the grid extents, the residual gate's
+    check source, then the conclusions' own tolerance (they are
+    finite-difference cross-checks, judged against 10 h^2 or --tol) and
+    the integrator diagnostics."""
+    return {"grid_extents": list(data.grid.extents),
+            "gate": check_source(data, args.force_fd, args.tol),
+            "tolerance": check_source(data, True, args.tol)["tolerance"],
+            "diagnostics": diag}
 
 
 def _cmd_reconstruct(args):
     data = _load_input(args)
     outdir = args.output_dir
-    gate = check_source(data, args.force_fd, args.tol)
     if args.report == "text":
-        _print_check_source(gate)
+        _print_check_source(check_source(data, args.force_fd, args.tol))
     pre = _all_residuals(data, args.tol, args.force_fd)
     if not pre.passed and not args.force:
         # The document verify prints and writes for these options.
@@ -302,12 +311,7 @@ def _cmd_reconstruct(args):
             _print_refinement(meta)
         return EXIT_FAIL
     imm, rep, diag = _reconstruct_once(data, args, outdir, suffix="")
-    # The residual gate's check source, then the conclusions' own
-    # tolerance: they are finite-difference cross-checks, judged against
-    # 10 h^2 or --tol.
-    meta = {"grid_extents": list(data.grid.extents), "gate": gate,
-            "tolerance": check_source(data, True, args.tol)["tolerance"],
-            "diagnostics": diag}
+    meta = _reconstruct_meta(data, args, diag)
     if args.h_refine > 1:
         fine = _refined_data(data, args.h_refine)
         imm2, rep2, diag2 = _reconstruct_once(fine, args, outdir, suffix="_refined")
@@ -316,7 +320,10 @@ def _cmd_reconstruct(args):
             if diag2.get(key):
                 ratios[key] = diag[key] / diag2[key]
         meta["refinement"] = {"factor": args.h_refine, "sup_ratios": ratios}
-    _emit_report(rep, args, "conclusions.json", None, meta=meta)
+        if outdir is not None:
+            wio.save_report(rep2, Path(outdir) / "conclusions_refined.json",
+                            meta=_reconstruct_meta(fine, args, diag2))
+    _emit_report(rep, args, "conclusions.json", outdir, meta=meta)
     if args.report == "text":
         print(f"group defect {diag['max_group_defect']:.3e}  "
               f"row defect {diag['max_row_defect']:.3e}  "

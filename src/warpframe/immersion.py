@@ -25,8 +25,8 @@ from .bundle_data import ChartGrid, GeometricData
 from .errors import AlignmentDegenerate, NonConvergence
 from .frame_solver import (FrameField, _grid_last, _pattern, expm,
                            pseudo_orthonormalize)
-from .stencils import grad1, grad2_pure, interior_mask
-from .verifier import ResidualReport, check_source
+from .stencils import grad1, grad2_pure
+from .verifier import ResidualReport, check_source, judged_nodes
 
 
 @dataclass
@@ -106,7 +106,8 @@ def verify_immersion(imm: ImmersionField, data: GeometricData,
     (ImmersionField.frame_matrices of them), never all of B. The second
     fundamental form and the normal connection are re-derived from finite
     differences of the immersion itself as an independent cross-check,
-    with the warped connection ambient.warped_nabla that the oracle uses.
+    with the warped connection ambient.warped_nabla that the oracle uses,
+    and judged on the interior (verifier.judged_nodes of FD data).
     """
     spec, grid = imm.spec, data.grid
     n, nd, Np1 = spec.n, grid.n, spec.N + 1
@@ -142,27 +143,23 @@ def verify_immersion(imm: ImmersionField, data: GeometricData,
     Nu = _grid_last(np.roll(normals, 1, axis=-1), nd)
     eb = _pattern(spec.bundle_signs, nd)
     V = [grad1(f, k - nd, grid.spacing[k]) for k in range(n)]
+    inner = judged_nodes(data, force_fd=True)
 
     # (4) second fundamental form from second differences of f.
-    if min(grid.extents) >= 5:
-        C = _grid_last(data.inv_frame, nd)
-        alpha = _grid_last(data.alpha, nd)
-        worst = np.zeros(grid.extents)
-        for k in range(n):
-            for l in range(k, n):
-                if k == l:
-                    H = grad2_pure(f, k - nd, grid.spacing[k])
-                else:
-                    H = grad1(V[l], k - nd, grid.spacing[k])
-                nab = warped_nabla(spec, a, a1, V[k], V[l], H)
-                got = eb * warped_dot(spec, a2, nab, Nu)
-                want = np.einsum("i...,j...,uij...->u...", C[k], C[l], alpha)
-                worst = np.maximum(worst, np.abs(got - want).max(axis=0))
-        report.add("alpha_match",
-                   np.where(interior_mask(grid.extents, 2), worst, 0.0), tol)
-    else:
-        report.add("alpha_match", None, tol,
-                   note="grid too small for second-derivative stencils; skipped")
+    C = _grid_last(data.inv_frame, nd)
+    alpha = _grid_last(data.alpha, nd)
+    worst = np.zeros(grid.extents)
+    for k in range(n):
+        for l in range(k, n):
+            if k == l:
+                H = grad2_pure(f, k - nd, grid.spacing[k])
+            else:
+                H = grad1(V[l], k - nd, grid.spacing[k])
+            nab = warped_nabla(spec, a, a1, V[k], V[l], H)
+            got = eb * warped_dot(spec, a2, nab, Nu)
+            want = np.einsum("i...,j...,uij...->u...", C[k], C[l], alpha)
+            worst = np.maximum(worst, np.abs(got - want).max(axis=0))
+    report.add("alpha_match", np.where(inner, worst, 0.0), tol)
 
     # (5) normal connection: Phi nabla^E  vs  projected ambient derivative.
     omega_b = _grid_last(data.omega_bundle, nd)
@@ -173,8 +170,7 @@ def verify_immersion(imm: ImmersionField, data: GeometricData,
         got = eb[:, None] * warped_dot(spec, a2, nab[None], Nu[:, None])
         worst = np.maximum(worst,
                            np.abs(got - omega_b[:, :, k]).max(axis=(0, 1)))
-    report.add("normal_connection",
-               np.where(interior_mask(grid.extents, 1), worst, 0.0), tol)
+    report.add("normal_connection", np.where(inner, worst, 0.0), tol)
     return report
 
 

@@ -289,10 +289,24 @@ def _map_jets(grid, map_fn, levels):
     return Y.val, Y.grad
 
 
+# Nodes the fd engine samples beyond every face of the chart. np.gradient's
+# one-sided edges leave an O(h^2) error whose constant jumps at the outer
+# face; each centered difference taken across that jump (the tangents V,
+# then the frames) turns it into an O(h) error one node further in. Two
+# nodes of halo keep both off the chart, whose fields then carry a smooth
+# O(h^2) error on every node.
+_HALO = 2
+
+
 def _map_fd(grid, map_fn):
-    """Values P and second-order finite-difference tangents V of the map."""
-    t, p = map_fn(list(grid.coordinates()))
-    P = np.stack([np.broadcast_to(np.asarray(c, dtype=float), grid.extents)
+    """Values P and second-order finite-difference tangents V of the map on
+    the grid widened by _HALO nodes beyond every face."""
+    wide = ChartGrid(
+        tuple(e + 2 * _HALO for e in grid.extents), grid.spacing,
+        tuple(o - _HALO * h for o, h in zip(grid.origin, grid.spacing)),
+        tuple(b + _HALO for b in grid.base_node))
+    t, p = map_fn(list(wide.coordinates()))
+    P = np.stack([np.broadcast_to(np.asarray(c, dtype=float), wide.extents)
                   for c in (t, *p)])
     return P, np.stack([grad1(P, k - grid.n, h)
                         for k, h in enumerate(grid.spacing)])
@@ -360,8 +374,10 @@ def induce_data(imm: ExplicitImmersion, frame_seed=None,
 
     derivatives: 'jet' uses exact forward-mode jets throughout; 'fd' uses
     second-order finite differences of the sampled map and frame fields
-    (no derivative fields are attached in that mode). The dataset is
-    checked as load_data checks a document's.
+    (no derivative fields are attached in that mode), on the grid widened
+    by _HALO nodes beyond every face, and crops every field to the chart:
+    the map must be defined there too. The dataset is checked as
+    load_data checks a document's.
 
     With derivatives='jet' and no frame_seed, stage 1 gives the values of
     P, E and a that exact_frame_field packs, bit for bit: the value rows of
@@ -410,6 +426,10 @@ def induce_data(imm: ExplicitImmersion, frame_seed=None,
     comps = dict(frame=F, omega_tangent=s2["omega_tangent"],
                  omega_bundle=s2["omega_bundle"], alpha=s2["alpha"],
                  T_comp=s1["T"], xi_comp=s1["xi"])
+    if derivatives == "fd":
+        chart = (Ellipsis,) + (slice(_HALO, -_HALO),) * nd
+        comps = {name: x[chart] for name, x in comps.items()}
+        P = P[chart]
     derivs = None
     if attach_derivatives:
         derivs = {name: np.stack([_grid_first(value(x.parts[k]), nd)

@@ -6,7 +6,8 @@ component-major (..., *extents); a grid axis is then counted from the back
 First derivatives are second-order centered in the interior with
 second-order one-sided stencils at the boundary (np.gradient, edge_order=2).
 Pure second derivatives use the standard three-point stencil; mixed ones
-compose first derivatives.
+compose first derivatives. interior_mask leaves out the faces, where the
+one-sided stencils sit (verifier.judged_nodes).
 """
 
 from __future__ import annotations
@@ -37,17 +38,8 @@ def grad2_pure(field, axis, spacing):
     return out
 
 
-def interior_mask(extents, margin=1):
-    """Boolean node mask keeping nodes at least `margin` away from every face."""
-    mask = np.ones(tuple(extents), dtype=bool)
-    for ax, ext in enumerate(extents):
-        sl = [slice(None)] * len(extents)
-        take = min(margin, (ext - 1) // 2)
-        if take == 0:
-            continue
-        sl[ax] = slice(0, take)
-        mask[tuple(sl)] = False
-        sl[ax] = slice(ext - take, ext)
-        mask[tuple(sl)] = False
+def interior_mask(extents):
+    """Boolean node mask without the nodes on the faces of the grid."""
+    mask = np.zeros(tuple(extents), dtype=bool)
+    mask[(slice(1, -1),) * len(extents)] = True
     return mask
-

@@ -14,8 +14,8 @@ def _dcoeff(field, axis, h):
 
 
 def classical_residual_fields(data):
-    """Per-node residual fields {"D", "E", "F"} for an ambient of constant
-    curvature c. Requires constant warping and T = 0 on the dataset."""
+    """Per-node residual fields {"D", "E", "F"}, on every node, for an
+    ambient of constant curvature c. Requires constant warping and T = 0 on the dataset."""
     spec = data.spec
     assert data.warping.is_constant and data.warping.amplitude == 1.0
     assert np.abs(data.T_comp).max() == 0.0
@@ -95,15 +95,4 @@ def classical_residual_fields(data):
                            - np.einsum("...j,...q,...jq->...", Avk,
                                        C[..., l, :], al[..., u, :, :]))
                     resF = np.maximum(resF, np.abs(Rb[..., u, v] - rhs))
-
-    # zero out the boundary ring, where one-sided stencils live
-    mask = np.ones(ext, dtype=bool)
-    for ax, e in enumerate(ext):
-        sl = [slice(None)] * len(ext)
-        sl[ax] = 0
-        mask[tuple(sl)] = False
-        sl[ax] = e - 1
-        mask[tuple(sl)] = False
-    return {"D": np.where(mask, resD, 0.0),
-            "E": np.where(mask, resE, 0.0),
-            "F": np.where(mask, resF, 0.0)}
+    return {"D": resD, "E": resE, "F": resF}

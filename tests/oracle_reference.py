@@ -11,6 +11,7 @@ compared against, field by field.
 
 import numpy as np
 
+from warpframe.bundle_data import ChartGrid
 from warpframe.errors import DegenerateDataError
 from warpframe.jets import Jet, part, seed, sqrt, value
 from warpframe.stencils import grad1
@@ -264,8 +265,15 @@ def _jet_engine(spec, warping, grid, map_fn, frame_seed, want_dfields):
     return s1, s2, Mseed
 
 
-def _fd_engine(spec, warping, grid, map_fn, frame_seed):
+def _fd_engine(spec, warping, chart, map_fn, frame_seed, halo=2):
+    """Both stages on finite differences over the chart widened by `halo`
+    nodes beyond every face; the fields induce_fields packs are cropped
+    back to the chart."""
     n = spec.n
+    grid = ChartGrid(
+        tuple(e + 2 * halo for e in chart.extents), chart.spacing,
+        tuple(o - halo * h for o, h in zip(chart.origin, chart.spacing)),
+        tuple(b + halo for b in chart.base_node))
     coords = grid.coordinates()
     t_arr, p_arrs = map_fn(list(coords))
     t_arr = np.broadcast_to(np.asarray(t_arr, dtype=float), grid.extents).copy()
@@ -288,6 +296,14 @@ def _fd_engine(spec, warping, grid, map_fn, frame_seed):
                                      grid.extents), k, grid.spacing[k])
 
     s2 = _stage2(spec, warping, s1, drop, deriv)
+
+    def crop(q):
+        return np.broadcast_to(np.asarray(q, dtype=float),
+                               grid.extents)[(slice(halo, -halo),) * n]
+
+    s1 = {k: _map_nested(s1[k], crop) for k in ("t", "F", "T", "xi")}
+    s2 = {k: _map_nested(s2[k], crop)
+          for k in ("omega_tangent", "omega_bundle", "alpha")}
     return s1, s2, Mseed
 
 

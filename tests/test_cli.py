@@ -63,6 +63,25 @@ class TestVerifyCommand:
         line = [ln for ln in out.splitlines() if ln.startswith("E ")][0]
         assert "FAIL" in line
 
+    @pytest.mark.parametrize("node", [(0, 8), (0, 0)],
+                             ids=["face", "corner"])
+    def test_face_bump_fails_on_analytic_data(self, node, slice_file,
+                                              tmp_path, capsys):
+        # Analytic derivatives are judged on every node, faces included,
+        # so a 1e-3 bump of alpha[0, 0, 0] on the boundary fails B there.
+        # Finite differences are judged on the interior alone, where the
+        # bump's differences stay within 10 h^2.
+        doc = json.loads(slice_file.read_text())
+        doc["fields"]["alpha"][4 * (17 * node[0] + node[1])] += 1e-3
+        bad = tmp_path / "bump.json"
+        bad.write_text(json.dumps(doc))
+        for command in ("verify", "reconstruct"):
+            assert main([command, str(bad), "--report", "json"]) == 2
+            B = json.loads(capsys.readouterr().out)["residuals"]["B"]
+            assert not B["passed"] and B["worst_node"] == list(node)
+            assert main([command, str(bad), "--force-fd"]) == 0
+            capsys.readouterr()
+
     def test_missing_file_exits_one(self):
         assert main(["verify", "does_not_exist.json"]) == 1
 
@@ -554,6 +573,43 @@ class TestReconstructCommand:
         assert 2.5 < ratios["dt_split"] < 5.5
         assert (out / "immersion.csv").exists()
         assert (out / "immersion_refined.csv").exists()
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 4: an even-extent helix grid has no node at s = 0, "
+        "and the oracle's normal frame flips between the two nodes that "
+        "straddle it (xi_comp jumps by 1.6); verify passes on the smooth "
+        "stored derivatives, the conclusions fail"))
+    def test_even_extent_helix(self, capsys):
+        assert main(["reconstruct", "--example", "helix", "--params",
+                     '{"grid_extents": [6]}']) == 0
+
+    @pytest.mark.parametrize("extra", [[], ["--h-refine", "2"]],
+                             ids=["plain", "refined"])
+    def test_json_stdout_equals_conclusions_file(self, helix_file, extra,
+                                                 tmp_path, capsys):
+        # One document, printed and written alike; the refined file
+        # carries the fine grid's meta.
+        out = tmp_path / "out"
+        assert main(["reconstruct", str(helix_file), "--report", "json",
+                     "-o", str(out)] + extra) == 0
+        stdout = capsys.readouterr().out
+        assert stdout.encode() == (out / "conclusions.json").read_bytes()
+        if not extra:
+            return
+        meta = json.loads(stdout)["meta"]
+        fine = json.loads(
+            (out / "conclusions_refined.json").read_text())["meta"]
+        grid = load_dataset(helix_file).grid.refine(2)
+        assert list(fine) == ["grid_extents", "gate", "tolerance",
+                              "diagnostics"]
+        assert fine["grid_extents"] == list(grid.extents)
+        assert fine["gate"] == meta["gate"]
+        assert fine["tolerance"] == {"value": grid.fd_tolerance,
+                                     "origin": "10 h^2"}
+        bfield = json.loads((out / "bfield_refined.json").read_text())
+        assert fine["diagnostics"] == {
+            k: v for k, v in bfield.items()
+            if k not in ("format_version", "kind")}
 
     def test_force_overrides_failed_verification(self, slice_file, tmp_path,
                                                  capsys):

@@ -132,7 +132,7 @@ def _invocations(tmp, run):
     run(["examples"], 0)
     run(["validate", "--example", "slice", "--params",
          '{"warping": {"kind": "cosh", "domain": [-0.1, 0.1]}}'], 2)
-    run(["verify", "--example", "great_subsphere", "--params",
+    run(["verify", "--example", "slice", "--params",
          '{"derivatives": "fd"}'], 0)
     run(["verify", "--example", "helix", "--params", '{"warping": "exp"}'], 0)
     run(["verify", "--example", "helix", "--params",

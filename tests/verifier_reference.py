@@ -18,7 +18,7 @@ import numpy as np
 
 from warpframe.ambient import curvature_coefficients
 from warpframe.frame_solver import assemble_all, assembled_derivatives
-from warpframe.stencils import grad1, interior_mask
+from warpframe.stencils import grad1
 
 
 class DerivativeSource:
@@ -76,13 +76,11 @@ def _curvature_block(block, dblock, n):
 def structure_residual_fields(data, force_fd=False):
     """Per-node residual magnitude fields of the six structure equations.
 
-    Keys "A".."F"; the derivative-based equations are zeroed outside the
-    interior (the algebraic identity (A) is meaningful everywhere).
+    Keys "A".."F", each on every node.
     """
     spec, grid = data.spec, data.grid
     n, m = spec.n, spec.m
     ds = DerivativeSource(data, force_fd)
-    inner = interior_mask(grid.extents)
     fields = {}
     et, eb = spec.tangent_signs, spec.bundle_signs
     a, a1, _ = data.warp_values()
@@ -108,7 +106,7 @@ def structure_residual_fields(data, force_fd=False):
         rhs = rat[..., None] * (C[..., k, :] - spec.epsilon
                                 * tk[..., k, None] * data.T_comp)
         resB[..., k, :] = cov - rhs - Axi[..., k, :]
-    fields["B"] = np.where(inner, np.abs(resB).max(axis=(-1, -2)), 0.0)
+    fields["B"] = np.abs(resB).max(axis=(-1, -2))
 
     # (C) derivative of xi.  alpha(T, d/dx_k)^u = sum_{i,j} T^i C_kj alpha^u_{ij}
     aT = np.einsum("...i,...kj,...uij->...ku", data.T_comp, C, data.alpha)
@@ -119,11 +117,10 @@ def structure_residual_fields(data, force_fd=False):
                               data.xi_comp)
         rhs = (-spec.epsilon * rat * tk[..., k])[..., None] * data.xi_comp
         resC[..., k, :] = cov - rhs + aT[..., k, :]
-    fields["C"] = np.where(inner, np.abs(resC).max(axis=(-1, -2)), 0.0)
+    fields["C"] = np.abs(resC).max(axis=(-1, -2))
 
     # (D) Gauss. Tangent curvature from the omega_{ij} block.
-    fields["D"] = np.where(
-        inner, _worst(gauss_matrices(data, force_fd), grid.extents), 0.0)
+    fields["D"] = _worst(gauss_matrices(data, force_fd), grid.extents)
 
     # (E) Codazzi via the covariant derivative of alpha on frame arguments.
     dal = [ds.field("alpha", k) for k in range(n)]
@@ -148,11 +145,10 @@ def structure_residual_fields(data, force_fd=False):
             tk[..., k, None, None] * ipe[..., l, :, None]
             - tk[..., l, None, None] * ipe[..., k, :, None])
         worstE = np.maximum(worstE, np.abs(lhs - rhs).max(axis=(-1, -2)))
-    fields["E"] = np.where(inner, worstE, 0.0)
+    fields["E"] = worstE
 
     # (F) Ricci via the omega_{uv} block curvature.
-    fields["F"] = np.where(
-        inner, _worst(ricci_matrices(data, force_fd), grid.extents), 0.0)
+    fields["F"] = _worst(ricci_matrices(data, force_fd), grid.extents)
     return fields
 
 
@@ -228,7 +224,6 @@ def ricci_matrices(data, force_fd=False):
 def aux_identity_fields(data, force_fd=False):
     spec, grid = data.spec, data.grid
     n = spec.n
-    inner = interior_mask(grid.extents)
     fields = {}
     forms = assemble_all(data)
     Om, W = forms["Omega"], forms["W"]
@@ -241,7 +236,7 @@ def aux_identity_fields(data, force_fd=False):
         wedge = (np.einsum("...ag,...g->...a", Om[..., k], W[..., l])
                  - np.einsum("...ag,...g->...a", Om[..., l], W[..., k]))
         worst = np.maximum(worst, np.abs(dform + wedge).max(axis=-1))
-    fields["aux4"] = np.where(inner, worst, 0.0)
+    fields["aux4"] = worst
     return fields
 
 
@@ -282,6 +277,5 @@ def flatness_matrices(data, force_fd=False):
 
 
 def flatness_fields(data, force_fd=False):
-    ext = data.grid.extents
-    worst = _worst(flatness_matrices(data, force_fd), ext)
-    return {"flatness": np.where(interior_mask(ext), worst, 0.0)}
+    return {"flatness": _worst(flatness_matrices(data, force_fd),
+                               data.grid.extents)}
