@@ -36,10 +36,19 @@ read.
 The path-independence probe steps with the same kernel. The row constraint
 B_{N+1, beta} = T_beta is never enforced, only measured: it must emerge from
 the equations themselves.
+
+Every per-matrix maximum (the group and row defects, the 1-norms of expm,
+the frame conclusions of immersion.verify_immersion) is taken by _abs_max
+as column maxima over a flat (nodes, entries) view. A numpy reduction over
+the small trailing axes of a grid-major stack runs its inner loop over a
+few entries once per node; a pass per entry runs it over all the nodes.
+For the same reason G = diag(+-1) is applied by negating rows and
+subtracted on the diagonal alone, never broadcast over every matrix.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -203,9 +212,28 @@ _TAYLOR = ((4, 2, 3.3973611886348117e-4),
 _MAX_SQUARINGS = 52
 
 
+def _abs_max(x, k):
+    """The largest |entry| over the k trailing axes of x, at each index of
+    its leading axes (a scalar when x has no others). It equals
+    ``np.abs(x).max(axis=tuple(range(-k, 0)))`` bit for bit, NaN included.
+
+    The entries of one matrix are the columns of a flat (nodes, entries)
+    view, and the maximum is taken column by column: one np.maximum pass
+    over the nodes per entry. A reduction over the small trailing axes
+    runs numpy's inner loop over a few entries once per node, and costs
+    several times as much on a grid-major stack (*ext, M, M)."""
+    a = np.abs(x)
+    lead = a.shape[:a.ndim - k]
+    a = a.reshape(-1, math.prod(a.shape[len(lead):]))
+    out = a[:, 0].copy()
+    for j in range(1, a.shape[1]):
+        np.maximum(out, a[:, j], out=out)
+    return out.reshape(lead)[()]
+
+
 def _one_norms(A):
     """The 1-norm (largest column sum of |a_ij|) of each matrix of a stack
-    (L, M, M): M - 1 row additions and M - 1 maxima over the stack. It
+    (L, M, M): M - 1 row additions and the column maxima of _abs_max. It
     equals ``np.abs(A).sum(axis=-2).max(axis=-1)`` bit for bit (numpy
     sums a non-contiguous axis row by row, in the same order), where that
     small-axis reduction costs about three times as much."""
@@ -213,10 +241,7 @@ def _one_norms(A):
     col = absA[:, 0].copy()
     for i in range(1, A.shape[1]):
         col += absA[:, i]
-    norm = col[:, 0].copy()
-    for j in range(1, A.shape[2]):
-        np.maximum(norm, col[:, j], out=norm)
-    return norm
+    return _abs_max(col, 1)
 
 
 def _taylor(A, m, s):
@@ -296,10 +321,31 @@ def expm(K):
     return R.reshape(K.shape)
 
 
+def _gram(Z, g):
+    """Z^t G Z of a matrix or a stack Z (..., M, k), for G = diag g with
+    entries +-1. G Z is Z with the rows of negative sign negated, which is
+    exactly g[:, None] * Z without broadcasting g over every matrix."""
+    gZ = np.array(Z, dtype=float)
+    for i in np.flatnonzero(g < 0):
+        np.negative(gZ[..., i, :], out=gZ[..., i, :])
+    return np.swapaxes(Z, -1, -2) @ gZ
+
+
+def _diagonal_defect(S, h):
+    """Per-matrix max |S - diag h| of a matrix or a stack S (..., k, k):
+    h is subtracted on the diagonal alone, one pass over the stack per
+    entry."""
+    d = S.copy()
+    for i, hi in enumerate(h):
+        d[..., i, i] -= hi
+    return _abs_max(d, 2)
+
+
 def _group_defect(Z, g):
-    """Per-matrix max |Z^t G Z - G| of a stack, and Z^t G Z (G = diag g)."""
-    ztgz = np.swapaxes(Z, -1, -2) @ (g[:, None] * Z)
-    return np.abs(ztgz - np.diag(g)).max(axis=(-1, -2)), ztgz
+    """Per-matrix max |Z^t G Z - G| of a matrix or a stack, and Z^t G Z
+    (G = diag g, entries +-1)."""
+    ztgz = _gram(Z, g)
+    return _diagonal_defect(ztgz, g), ztgz
 
 
 # Group defect at which pseudo_orthonormalize stops, and its iteration limit.
@@ -420,7 +466,7 @@ class FrameField:
     @cached_property
     def diagnostics(self) -> dict:
         group_defect, _ = _group_defect(self.B, self.signs)
-        row_defect = np.abs(self.B[..., -1, :] - self.rows).max(axis=-1)
+        row_defect = _abs_max(self.B[..., -1, :] - self.rows, 1)
         return {
             "max_group_defect": float(group_defect.max()),
             "worst_group_node": _worst_node(group_defect, group_defect.ndim),
@@ -505,9 +551,12 @@ def _chain(B0, P, block, G=None):
 
 
 def _first_nonfinite(frames):
-    """Index of the first step whose frame has a non-finite entry, or None."""
+    """Index of the first step whose frame has a non-finite entry, or None:
+    one whole-array check, and the per-step scan only when it fails."""
+    if np.isfinite(frames).all():
+        return None
     bad = ~np.isfinite(frames.reshape(frames.shape[0], -1)).all(axis=1)
-    return int(np.argmax(bad)) if bad.any() else None
+    return int(np.argmax(bad))
 
 
 # Largest group and row defect of an accepted base frame B0.

@@ -23,8 +23,8 @@ import numpy as np
 from .ambient import SignatureSpec, WarpingFunction, warped_dot, warped_nabla
 from .bundle_data import ChartGrid, GeometricData
 from .errors import AlignmentDegenerate, NonConvergence
-from .frame_solver import (FrameField, _grid_last, _pattern, expm,
-                           pseudo_orthonormalize)
+from .frame_solver import (FrameField, _abs_max, _diagonal_defect, _gram,
+                           _grid_last, _pattern, expm, pseudo_orthonormalize)
 from .stencils import grad1, grad2_pure
 from .verifier import ResidualReport, check_source, judged_nodes
 
@@ -119,9 +119,8 @@ def verify_immersion(imm: ImmersionField, data: GeometricData,
     # (1) isometry: tangent block of B^t G B - G.
     Bt = imm.frame_matrices(slice(1, n + 1))
     g = np.asarray(spec.signs, dtype=float)
-    gram = np.swapaxes(Bt, -1, -2) @ (g[:, None] * Bt)
-    tangent = gram - np.diag(spec.tangent_signs)
-    report.add("isometry", np.abs(tangent).max(axis=(-1, -2)), tol)
+    report.add("isometry", _diagonal_defect(_gram(Bt, g), spec.tangent_signs),
+               tol)
 
     # (2) vertical split: dt - Phi(T) - Phi(xi) in ambient components.
     normals = imm.frames[..., n + 1:, :]
@@ -130,7 +129,7 @@ def verify_immersion(imm: ImmersionField, data: GeometricData,
     phiXi = np.einsum("...u,...uc->...c", data.xi_comp, normals)
     split = phiT + phiXi
     split[..., Np1] -= 1.0
-    report.add("dt_split", np.abs(split).max(axis=-1), tol)
+    report.add("dt_split", _abs_max(split, 1), tol)
 
     # (3) height projection (f's vertical coordinate is pi by construction).
     report.add("projection", np.abs(imm.t - data.pi), tol)

@@ -34,11 +34,18 @@ non-finite arrays go to json as lists). A document string that reproduces
 the placeholder is a ValueError, and nothing is written.
 
 The arrays are formatted by orjson, one piece of ``_PIECE`` values per
-call, so no array-sized text is built. orjson prints the shortest
-round-trip digits, as ``float.__repr__`` does, in about 40 ns a value
-against repr's microsecond, so every value is formatted: sorting out the
-distinct values first, or the signs, would cost more than it saves. Only
-the spelling differs, and only here:
+call, so no array-sized text is built. An array at level 1, the value of a
+top-level key (the ``frames`` of frames.json, the ``matrix`` of a frame
+file), is separated by a comma, a newline and two spaces: orjson's own
+layout under ``OPT_INDENT_2``, so orjson lays it out and its text is used
+as written. orjson cannot write the other layouts: the immersion CSV's
+comma, and the deeper indents of arrays at level 2 or more (a dataset's
+fields). There the compact text's commas are replaced by the separator in
+one pass. orjson prints the shortest round-trip digits, as
+``float.__repr__`` does, in about 40 ns a value against repr's
+microsecond, so every value is formatted: sorting out the distinct values
+first, or the signs, would cost more than it saves. Only the spelling
+differs, and only here:
 
 - from 1e-9 to 1e-5 orjson writes a one-digit exponent (``1.5e-7``,
   repr ``1.5e-07``), and from 1e16 up no exponent sign (``1e16``, repr
@@ -48,18 +55,20 @@ the spelling differs, and only here:
 - a non-finite value it writes as ``null`` (repr ``nan``, ``inf``,
   ``-inf``); these reach the kernel only from the CSV writer.
 
-A piece with none of these is orjson's text with its commas replaced by
-the separator. Any other piece is edited as one byte buffer, from
+A piece with none of these is orjson's text, laid out or after the
+separator pass. Any other piece is edited as one byte buffer, from
 orjson's own digits. The ``e`` bytes locate the exponents and the ``n``
 bytes the nulls; the commas, scanned only when the piece holds a value
-from 1e-5 to 1e-4, locate those values. Each edit overwrites bytes in
-place, marking with a byte that orjson never writes where bytes must be
-inserted or dropped, and one ``bytes.replace`` per kind of mark then
-respells them all. No per-value object is built and ``float.__repr__`` is
-never called. The kernel checks what it assumes of orjson's spelling (one
-edit per value in each range, a leading ``0.0000`` from 1e-5 to 1e-4)
-and raises RuntimeError, naming orjson's version, where it does not hold.
-The immersion CSV writer takes its texts from the same kernel.
+from 1e-5 to 1e-4, locate those values: each starts at the comma before it
+plus the separator's length in laid-out text, plus one in compact text.
+Each edit overwrites bytes in place, marking with a byte that orjson never
+writes where bytes must be inserted or dropped, and one ``bytes.replace``
+per kind of mark then respells them all. No per-value object is built and
+``float.__repr__`` is never called. The kernel checks what it assumes of
+orjson's spelling (one edit per value in each range, a leading ``0.0000``
+from 1e-5 to 1e-4, the two-space indent of laid-out text) and raises
+RuntimeError, naming orjson's version, where it does not hold. The
+immersion CSV writer takes its texts from the same kernel.
 
 Each file is written to a temporary file beside it and renamed over it,
 so a write that fails leaves the previous file as it was.
@@ -147,19 +156,38 @@ def _spelling_error(what):
                         f"warpframe.io expects: {what}")
 
 
+# The separator of a level-1 array under json.dump(indent=1), which is
+# orjson's own under OPT_INDENT_2, and the bytes that OPT_INDENT_2 writes
+# before the first value and after the last.
+_INDENT_2 = b",\n  "
+_INDENT_2_OPEN, _INDENT_2_CLOSE = b"[\n  ", b"\n]"
+
+
 def _float_reprs(f, sep):
     """``sep.join`` of the ``float.__repr__`` texts of the values of a 1-D
-    float64 array, as bytes. orjson formats them all; the few it spells
+    float64 array, as bytes. orjson formats them all, laid out with `sep`
+    where it can write that layout itself; the few values it spells
     differently are edited in its text (see the module docstring)."""
     f = np.ascontiguousarray(f)
-    text = orjson.dumps(f, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1]
+    laid_out = sep == _INDENT_2
+    if laid_out:
+        text = orjson.dumps(f, option=orjson.OPT_SERIALIZE_NUMPY
+                            | orjson.OPT_INDENT_2)
+        body = text[len(_INDENT_2_OPEN):-len(_INDENT_2_CLOSE)]
+        if not (text.startswith(_INDENT_2_OPEN) and not body[:1].isspace()
+                and text.endswith(_INDENT_2_CLOSE)):
+            raise _spelling_error("OPT_INDENT_2 lays out an array as "
+                                  f"{text[:8]!r}...{text[-8:]!r}")
+        text = body
+    else:
+        text = orjson.dumps(f, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1]
     mag = np.abs(f)
     n_exponent = np.count_nonzero(((mag >= 1e-9) & (mag < 1e-5))
                                   | ((mag >= 1e16) & (mag < np.inf)))
     small = np.flatnonzero((mag >= 1e-5) & (mag < 1e-4))
     non_finite = np.flatnonzero(~np.isfinite(f))
     if not (n_exponent or small.size or non_finite.size):
-        return text.replace(b",", sep)
+        return text if laid_out else text.replace(b",", sep)
     # One writable copy with a comma after the last value, so that every
     # value ends at a comma.
     b = np.empty(len(text) + 1, np.uint8)
@@ -186,7 +214,8 @@ def _float_reprs(f, sep):
         if comma.size != f.size:
             raise _spelling_error(f"{comma.size} texts for {f.size} values")
         end = comma[small]
-        start = np.where(small, comma[small - 1] + 1, 0)
+        start = np.where(small, comma[small - 1]
+                         + (len(sep) if laid_out else 1), 0)
         start += b[start] == ord("-")
         head = start[:, None] + np.arange(6)
         if (end - start < 7).any() or (b[head] != _ZEROS).any():
@@ -209,7 +238,7 @@ def _float_reprs(f, sep):
     text = b.tobytes()
     for mark, spelling in spellings.items():
         text = text.replace(mark, spelling)
-    return text[:-1].replace(b",", sep)
+    return text[:-1] if laid_out else text[:-1].replace(b",", sep)
 
 
 # Values per piece that _json_floats formats in one call.

@@ -19,10 +19,11 @@ from warpframe import (ChartGrid, ExplicitImmersion, GeometricData,
                        oracle)
 from warpframe.errors import (IntegrationBlowup, InvariantViolation,
                               NonConvergence)
-from warpframe.frame_solver import (_ASSEMBLY_FIELDS, _TAYLOR, _assemble,
-                                    _chain, _grid_first, _grid_last,
-                                    _group_defect, _one_norms, _taylor,
-                                    assemble_all,
+from warpframe.frame_solver import (_ASSEMBLY_FIELDS, _TAYLOR, FrameField,
+                                    _abs_max, _assemble, _chain,
+                                    _first_nonfinite, _grid_first,
+                                    _grid_last, _group_defect, _one_norms,
+                                    _taylor, assemble_all,
                                     assembled_derivatives, build_base_frame,
                                     expm, integrate_frame,
                                     path_independence_defect,
@@ -30,6 +31,7 @@ from warpframe.frame_solver import (_ASSEMBLY_FIELDS, _TAYLOR, _assemble,
 from warpframe.oracle import (_grid_tag, exact_base_frame, exact_frame_field,
                               induce_data)
 from warpframe.stencils import grad1
+from warpframe.verifier import ResidualReport
 
 
 def assert_base_frame(B0, data, group_tol, row_tol):
@@ -663,6 +665,111 @@ class TestPivotFreeKernels:
             rtol=0, atol=1e-15 * scale.max())
         d1, z1 = _group_defect(Z[0], g)
         assert z1.shape == (M, M) and d1.shape == ()
+
+
+def _former_group_defect(Z, g):
+    """_group_defect as it was written before its column passes: G
+    broadcast over every matrix, diag(g) subtracted from every matrix, and
+    numpy's reduction over the two trailing axes."""
+    ztgz = np.swapaxes(Z, -1, -2) @ (g[:, None] * Z)
+    return np.abs(ztgz - np.diag(g)).max(axis=(-1, -2)), ztgz
+
+
+def _special_entries(rng, x):
+    """x with about one entry in eight replaced by NaN, -NaN, inf, -inf or
+    -0.0."""
+    pick = rng.integers(0, 40, x.shape)
+    for k, v in enumerate([np.nan, -np.nan, np.inf, -np.inf, -0.0]):
+        x[pick == k] = v
+    return x
+
+
+class TestPerMatrixMaxima:
+    """_abs_max takes every per-matrix maximum column by column; the checks
+    that read it give what numpy's small-axis reductions gave, bit for
+    bit."""
+
+    @pytest.mark.parametrize("ext", [(9,), (4, 5), (3, 4, 2)])
+    @pytest.mark.parametrize("M", range(1, 7))
+    def test_abs_max_bit_identical(self, ext, M):
+        rng = np.random.default_rng(M * 10 + len(ext))
+        for trail in [(M, M), (M,)]:
+            x = rng.standard_normal(ext + trail) * 10.0 ** rng.uniform(
+                -300, 300, ext + trail)
+            x = _special_entries(rng, x)
+            axes = tuple(range(-len(trail), 0))
+            got = _abs_max(x, len(trail))
+            want = np.abs(x).max(axis=axes)
+            assert got.shape == want.shape == ext
+            assert got.tobytes() == want.tobytes()
+            got = _abs_max(x[(0,) * len(ext)], len(trail))
+            assert np.shape(got) == ()
+            assert np.array(got).tobytes() == np.array(
+                np.abs(x[(0,) * len(ext)]).max()).tobytes()
+
+    def test_abs_max_empty_stack(self):
+        assert _abs_max(np.zeros((0, 3, 4, 4)), 2).shape == (0, 3)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_reaches_its_node(self, value):
+        # One non-finite entry of one matrix makes its node's maximum
+        # non-finite, so the report fails the entry and names that node,
+        # the first non-finite one.
+        x = np.zeros((4, 5, 3, 3))
+        x[2, 1, 0, 2] = x[3, 0, 1, 1] = value
+        x[0, 0, 1, 0] = 1e300
+        report = ResidualReport()
+        report.add("defect", _abs_max(x, 2), 1.0)
+        entry = report.entries["defect"]
+        assert not entry.passed
+        assert entry.worst_node == (2, 1)
+        assert entry.sup == 1e300
+        assert entry.note.startswith("2 of 20 nodes non-finite, first at")
+
+    @pytest.mark.parametrize("key", SIGNATURE_CASES)
+    def test_group_defect_matches_former_expression(self, key):
+        g = np.asarray(SIGNATURE_CASES[key](1, None).spec.signs, dtype=float)
+        M = len(g)
+        rng = np.random.default_rng(M)
+        S = _scaled(rng, (6, 5, M, M), 0.3)
+        Z = expm(g[:, None] * (S - np.swapaxes(S, -1, -2)))
+        Z[1] += rng.standard_normal((5, M, M))
+        Z[2, 3] = _special_entries(rng, Z[2, 3])
+        for stack in [Z, Z[0], Z[0, 0]]:
+            got, want = _group_defect(stack, g), _former_group_defect(
+                stack, g)
+            assert got[0].shape == want[0].shape
+            assert np.array(got[0]).tobytes() == np.array(want[0]).tobytes()
+            # Negating a NaN flips its sign where multiplying by -1 keeps
+            # it; any other entry of Z^t G Z is the same bit for bit.
+            nan = np.isnan(want[1])
+            assert (np.isnan(got[1]) == nan).all()
+            assert (np.where(nan, 0.0, got[1]).tobytes()
+                    == np.where(nan, 0.0, want[1]).tobytes())
+
+    def test_diagnostics_name_the_planted_defect(self):
+        M, ext = 4, (6, 7)
+        g = np.array([1.0, -1.0, 1.0, 1.0])
+        rng = np.random.default_rng(4)
+        S = _scaled(rng, ext + (M, M), 0.2)
+        B = expm(g[:, None] * (S - np.swapaxes(S, -1, -2)))
+        B[3, 5] = B[3, 5] @ expm(np.diag([1e-6, 0.0, 0.0, -1e-6]))
+        ff = FrameField(B=B, signs=g, rows=B[..., -1, :].copy(),
+                        sweep={"max_preprojection_defect": 0.0, "steps": 41})
+        diag = ff.diagnostics
+        want = _former_group_defect(B, g)[0]
+        assert diag["worst_group_node"] == (3, 5)
+        assert diag["max_group_defect"] == float(want.max())
+        assert diag["max_row_defect"] == 0.0
+
+    def test_first_nonfinite(self):
+        frames = np.zeros((9, 2, 3, 3))
+        assert _first_nonfinite(frames) is None
+        for step in (0, 4, 8):
+            bad = frames.copy()
+            bad[step, 1, 2, 0] = np.nan
+            bad[8, 0, 0, 0] = np.inf
+            assert _first_nonfinite(bad) == step
 
 
 class TestPseudoOrthonormalize:

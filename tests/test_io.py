@@ -201,7 +201,11 @@ class TestJsonWriter:
         pool = np.array(EDGE_FLOATS)
         a = np.where(rng.random(size) < 0.5, rng.choice(pool, size),
                      rng.standard_normal(size).round(3))
+        # Level 1, which orjson lays out itself, and level 2, where the
+        # compact text takes the separator pass.
         assert written({"x": a}, tmp_path) == stdlib_json({"x": a.tolist()})
+        assert (written({"x": {"y": a}}, tmp_path)
+                == stdlib_json({"x": {"y": a.tolist()}}))
         pieces = list(wio._json_chunks(a))
         assert max(piece.count(b",") for piece in pieces) < wio._PIECE
 
@@ -358,16 +362,23 @@ class TestEditDensity:
     """The kernel against repr at every density of respelled values, on
     arrays of one piece and of one piece and one value."""
 
+    # The level-1 separator, which orjson writes itself (OPT_INDENT_2), and
+    # the level-2 one, which the compact text takes in a separator pass.
+    @pytest.mark.parametrize("sep", [b",\n  ", b",\n   "],
+                             ids=["level1", "level2"])
     @pytest.mark.parametrize("size", [wio._PIECE, wio._PIECE + 1])
     @pytest.mark.parametrize("case", [
         "none", "one_first", "one_last", "frames", "dataset", "all_low",
         "all_high", "all_small"])
-    def test_matches_repr(self, case, size, tmp_path):
+    def test_matches_repr(self, case, size, sep, tmp_path):
         a = density_array(size, case, seed=size)
-        sep = b",\n  "
         assert (wio._float_reprs(a, sep)
                 == sep.join(repr(x).encode() for x in a.tolist()))
-        assert written({"x": a}, tmp_path) == stdlib_json({"x": a.tolist()})
+        if sep == b",\n  ":
+            doc, want = {"x": a}, {"x": a.tolist()}
+        else:
+            doc, want = {"x": {"y": a}}, {"x": {"y": a.tolist()}}
+        assert written(doc, tmp_path) == stdlib_json(want)
 
     @pytest.mark.parametrize("case, low, high, small", [
         ("none", 0, 0, 0), ("all_low", 1, 0, 0), ("all_high", 0, 1, 0),
@@ -387,16 +398,32 @@ class TestEditDensity:
         (1e16, b"1e+16"),
         (math.nan, b"NaN"),
     ])
-    def test_unexpected_orjson_spelling_raises(self, value, text,
+    @pytest.mark.parametrize("sep", [b",", b",\n  "],
+                             ids=["compact", "laid_out"])
+    def test_unexpected_orjson_spelling_raises(self, value, text, sep,
                                                monkeypatch):
         """Where orjson spells a value unlike the kernel assumes, it
         raises and names orjson's version instead of writing wrong
-        bytes."""
-        monkeypatch.setattr(wio.orjson, "dumps",
-                            lambda f, option=None: b"[0.5," + text + b"]")
+        bytes, in compact text and in the text orjson lays out."""
+        def dumps(f, option=None):
+            if option & wio.orjson.OPT_INDENT_2:
+                return b"[\n  0.5,\n  " + text + b"\n]"
+            return b"[0.5," + text + b"]"
+        monkeypatch.setattr(wio.orjson, "dumps", dumps)
         with pytest.raises(RuntimeError,
                            match=f"orjson {wio.orjson.__version__} "):
-            wio._float_reprs(np.array([0.5, value]), b",")
+            wio._float_reprs(np.array([0.5, value]), sep)
+
+    @pytest.mark.parametrize("text", [b"[\n    0.5,\n    0.25\n]",
+                                      b"[0.5,0.25]", b"[\n  0.5,\n  0.25]"],
+                             ids=["indent4", "compact", "unclosed"])
+    def test_unexpected_orjson_layout_raises(self, text, monkeypatch):
+        """A level-1 array is written as orjson lays it out only where
+        that text opens and closes as json.dump's does."""
+        monkeypatch.setattr(wio.orjson, "dumps", lambda f, option=None: text)
+        with pytest.raises(RuntimeError,
+                           match=f"orjson {wio.orjson.__version__} "):
+            wio._float_reprs(np.array([0.5, 0.25]), b",\n  ")
 
 
 class TestFailedWrite:

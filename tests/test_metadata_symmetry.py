@@ -12,7 +12,14 @@ reconstruct, and rebuild the same immersion up to an ambient isometry:
 * on the helix, the warping amplitude scaled by 1.05: a curve's equations
   read only a'/a and a''/a, so the data is realized in the scaled ambient.
   There it is another curve (its congruence defect against the unscaled
-  reconstruction is about 2.7e-2), so only the pass is asserted.
+  reconstruction is about 2.7e-2), so only the pass is asserted;
+* on every fixture, the base node moved to the far corner or to an
+  off-centre interior node: B0 is built at another node, so the two
+  reconstructions differ by a constant group element plus the sweep's
+  O(h^2) error, and are congruent within 10 h^2. Measured: at most 4.0e-5
+  on the n = 2 fixtures (10 h^2 is 1.6e-2 or 2.5e-2 there), and roundoff
+  (at most 1.2e-12) on the curves, where the sweep is one chain whatever
+  node it starts from.
 
 Each edit is made to the JSON file that `examples -o` writes, and every
 command runs through the CLI.
@@ -86,6 +93,28 @@ def test_symmetry_rebuilds_a_congruent_immersion(name, edit, fixtures,
     capsys.readouterr()
     _, defect = congruence_align(moved, plain)
     assert defect <= 1e-12
+
+
+def _move_base_node(where):
+    def edit(doc):
+        ext = doc["grid"]["extents"]
+        doc["grid"]["base_node"] = ([e - 1 for e in ext] if where == "corner"
+                                    else [e // 4 + 1 for e in ext])
+    return edit
+
+
+@pytest.mark.parametrize("where", ["corner", "interior"])
+@pytest.mark.parametrize("name", example_names())
+def test_base_node_move_rebuilds_a_congruent_immersion(name, where, fixtures,
+                                                       tmp_path, capsys):
+    plain = _reconstruction(fixtures / f"{name}.json", tmp_path / "plain")
+    path = _edited(fixtures, tmp_path, name, _move_base_node(where))
+    moved = _reconstruction(path, tmp_path / "moved")
+    capsys.readouterr()
+    assert moved.grid.base_node != plain.grid.base_node
+    h = max(plain.grid.spacing)
+    _, defect = congruence_align(moved, plain)
+    assert defect <= 10 * h * h
 
 
 def test_curve_amplitude_passes(fixtures, tmp_path, capsys):
