@@ -20,22 +20,23 @@ Every array is read-only and a grid-major view (*ext, M, M, n) of
 component-major memory; the verifier moves the axes back and reads the
 component-major blocks without a copy.
 
-integrate_frame propagates B along axis-ordered lattice paths with
+One stepping kernel, _line, transports frames along grid lines with
 per-step midpoint-sampled matrix exponentials (a second-order Lie-group
-scheme). The step generators depend on Upsilon only, never on B, so every
-propagator of an axis is computed before the sweep in one call of the
-batched exponential `expm`: a Taylor polynomial of the lowest degree (4,
-6, 9, 12 or 16) whose truncation bound theta_m covers the largest step in
-the stack, evaluated by Paterson-Stockmeyer from matrix products alone (no
-linear solve), with scaling and squaring above theta16. The sweep then
-only multiplies, a block of 16 steps at a time, re-projects onto the
-pseudo-orthogonal group the block ends that have drifted off it (one
-batched check finds them), and records its largest pre-projection defect;
-the group and row defects over the whole field are computed when first
-read.
-The path-independence probe steps with the same kernel. The row constraint
-B_{N+1, beta} = T_beta is never enforced, only measured: it must emerge from
-the equations themselves.
+scheme). integrate_frame calls it once per axis over its growing front;
+path_independence_defect calls it once per axis of each of its two
+extremal paths. The step generators depend on Upsilon only, never on B,
+so every propagator of a line is computed before it is stepped, in one
+call of the batched exponential `expm`: a Taylor polynomial of the
+lowest degree (4, 6, 9, 12 or 16) whose truncation bound theta_m covers
+the largest step in the stack, evaluated by Paterson-Stockmeyer from
+matrix products alone (no linear solve), with scaling and squaring above
+theta16. The kernel then only multiplies, a block of 16 steps at a time,
+re-projects onto the pseudo-orthogonal group the block ends that have
+drifted off it (one batched check finds them), names the grid node of
+the first non-finite frame, and records its largest pre-projection
+defect; the group and row defects over the whole field are computed when
+first read. The row constraint B_{N+1, beta} = T_beta is never enforced,
+only measured: it must emerge from the equations themselves.
 
 Every per-matrix maximum (the group and row defects, the 1-norms of expm,
 the frame conclusions of immersion.verify_immersion) is taken by _abs_max
@@ -484,7 +485,7 @@ class FrameField:
 _RENORM_INTERVAL = 16
 
 
-def _chain(B0, P, block, G=None):
+def _chain(B0, P, block, G):
     """Running products B0 P[0], B0 P[0] P[1], ... of a stack of step
     propagators P (L, *front, M, M), for a front of B0 (*front, M, M).
 
@@ -492,8 +493,8 @@ def _chain(B0, P, block, G=None):
     every block are formed with `block` batched matmuls across all blocks;
     a serial walk then takes the frame from block start to block start,
     one matmul per block, and one batched matmul fills every frame from its
-    block start. With the metric G every full block end (steps `block`,
-    2 `block`, ... from B0) is re-projected onto the group only when it is
+    block start. Every full block end (steps `block`, 2 `block`, ... from
+    B0) is re-projected onto the group of the metric G only when it is
     off the group by more than _PROJ_TOL (the largest defect over the
     front): below that tolerance pseudo_orthonormalize returns its input
     unchanged, so this is exactly a re-projection at every block end. One
@@ -503,7 +504,7 @@ def _chain(B0, P, block, G=None):
     re-projected; the frames after it stay NaN.
 
     Returns the L frames and the largest group defect at a full block end,
-    taken before any re-projection (0.0 without G or a full block).
+    taken before any re-projection (0.0 without a full block).
     """
     L = P.shape[0]
     nb = -(-L // block)
@@ -517,7 +518,7 @@ def _chain(B0, P, block, G=None):
     # S[c] is the frame at the start of block c, S[c + 1] its end.
     S = np.empty((nb + 1,) + Q.shape[2:])
     S[0] = B0
-    full = L // block if G is not None else 0
+    full = L // block
     defects, projected = [], []
     stop, c0, run = nb, 0, nb
     while c0 < nb:
@@ -550,13 +551,52 @@ def _chain(B0, P, block, G=None):
     return out.reshape((nb * block,) + out.shape[2:])[:L], worst
 
 
-def _first_nonfinite(frames):
-    """Index of the first step whose frame has a non-finite entry, or None:
-    one whole-array check, and the per-step scan only when it fails."""
-    if np.isfinite(frames).all():
-        return None
-    bad = ~np.isfinite(frames.reshape(frames.shape[0], -1)).all(axis=1)
-    return int(np.argmax(bad))
+def _line(start, Ups, grid, line, axis, G):
+    """Transport the frames `start` at the base index of the grid lines
+    Ups[line] along `axis`, both ways: the stepping kernel of the sweep and
+    the path probe.
+
+    `line` holds a slice at `axis` that covers the base index, and at every
+    other axis a node index or a whole slice; the whole slices span the
+    front, so `start` is (*front, M, M). The propagators of both directions
+    come from one batched `expm` of the midpoint generators, and each
+    direction is chained with _chain under the metric G. A non-finite
+    frame raises IntegrationBlowup naming the grid node of the first (step
+    first, then front in index order).
+
+    Returns the frames at every index of the line (len, *front, M, M) and
+    the largest pre-projection defect.
+    """
+    base = grid.base_node[axis]
+    b = base - (line[axis].start or 0)
+    front = [d for d, ix in enumerate(line)
+             if d != axis and isinstance(ix, slice)]
+    U = np.moveaxis(Ups[line + (Ellipsis, axis)],
+                    sum(d < axis for d in front), 0)
+    E = 0.5 * grid.spacing[axis] * (U[:-1] + U[1:])  # edge i -> i + 1
+    P = expm(np.concatenate([E[b:], -E[:b][::-1]]))
+    out = np.empty((len(U),) + np.shape(start))
+    out[b] = start
+    worst = 0.0
+    for sign, Pd, span in ((1, P[:len(E) - b], slice(b + 1, None)),
+                           (-1, P[len(E) - b:], slice(b - 1, None, -1))):
+        if len(Pd) == 0:
+            continue
+        frames, pre = _chain(start, Pd, _RENORM_INTERVAL, G)
+        if not np.isfinite(frames).all():
+            bad = ~np.isfinite(frames).all(axis=(-1, -2))
+            step, *at = np.unravel_index(np.argmax(bad), bad.shape)
+            node = list(line)
+            for d, i in zip(front, at):
+                node[d] = i
+            node[axis] = base + sign * (step + 1)
+            node = tuple(int(i) for i in node)
+            raise IntegrationBlowup(
+                f"non-finite frame at node {node}, stepping axis {axis}",
+                node=node)
+        worst = max(worst, pre)
+        out[span] = frames
+    return out, worst
 
 
 # Largest group and row defect of an accepted base frame B0.
@@ -571,20 +611,9 @@ def integrate_frame(data: GeometricData, B0: np.ndarray,
     nodes): a midpoint-sampled exponential scheme of order two that stays on
     the group to the order of the step. Sweep order: axis 0 along the spine
     through the base node, then each further axis fans out from the filled
-    region; all runs along one axis advance in lock step (vectorized over
-    the filled region).
-
-    The generators depend on Upsilon only, so the propagators of both
-    directions of an axis come from one call of the batched `expm` before
-    the axis is swept. Each direction is then chained in blocks of
-    _RENORM_INTERVAL steps. A block end (steps 16, 32, ... from the base
-    node) is re-projected onto the group only when it is off the group by
-    more than 1e-12: exactly the behaviour of re-projecting every block
-    end, because below that tolerance the projection is the identity. On
-    a grid whose ends all stay on the group, pseudo_orthonormalize is not
-    called at all. One finiteness scan per direction raises
-    IntegrationBlowup naming the first non-finite (axis, index); no
-    re-projection is fed a non-finite frame. The returned FrameField
+    region, one call of _line over the whole front. A block end off the
+    group by more than 1e-12 is re-projected (_chain); a non-finite frame
+    raises IntegrationBlowup naming its grid node. The returned FrameField
     computes its group and row defects when its diagnostics are first read.
 
     B0 is the (M, M) frame matrix at the base node. A B0 of another shape
@@ -614,71 +643,32 @@ def integrate_frame(data: GeometricData, B0: np.ndarray,
     B = np.full(tuple(grid.extents) + (M, M), np.nan)
     B[node0] = B0
     worst_pre = 0.0
-
     for axis in range(n):
-        lead = (slice(None),) * axis
-        suffix = tuple(grid.base_node[j] for j in range(axis + 1, n))
-        h = grid.spacing[axis]
-        bidx = grid.base_node[axis]
-        # Upsilon_axis along the axis, over the filled front: (ext, *front).
-        U = np.moveaxis(Ups[lead + (slice(None),) + suffix + (Ellipsis, axis)],
-                        axis, 0)
-        E = 0.5 * h * (U[:-1] + U[1:])        # generator of edge i -> i+1
-        P = expm(np.concatenate([E[bidx:], -E[:bidx][::-1]]))
-        start = B[lead + (bidx,) + suffix]
-        passes = ((1, P[:len(E) - bidx], slice(bidx + 1, None)),
-                  (-1, P[len(E) - bidx:], slice(bidx - 1, None, -1)))
-        for direction, Pd, span in passes:
-            if len(Pd) == 0:
-                continue
-            frames, worst = _chain(start, Pd, _RENORM_INTERVAL, spec.G)
-            bad = _first_nonfinite(frames)
-            if bad is not None:
-                j = bidx + direction * (bad + 1)
-                raise IntegrationBlowup(
-                    f"non-finite frame while stepping axis {axis} to index "
-                    f"{j}", node=(axis, j))
-            worst_pre = max(worst_pre, worst)
-            B[lead + (span,) + suffix] = np.moveaxis(frames, 0, axis)
+        line = (slice(None),) * (axis + 1) + node0[axis + 1:]
+        start = B[line[:axis] + node0[axis:]]
+        frames, worst = _line(start, Ups, grid, line, axis, spec.G)
+        B[line] = np.moveaxis(frames, 0, axis)
+        worst_pre = max(worst_pre, worst)
     return FrameField(B=B, signs=g, rows=data.delta_all(), sweep={
         "max_preprojection_defect": worst_pre,
         "steps": grid.num_nodes - 1})
-
-
-def _integrate_path(data, Ups, B0, order):
-    """Single-path integration from the base node to the far corner,
-    consuming axes in the given order, with the sweep's step kernel."""
-    grid = data.grid
-    cur = tuple(grid.base_node)
-    K, nodes = [], []
-    for axis in order:
-        h, last = grid.spacing[axis], grid.extents[axis] - 1
-        U = Ups[cur[:axis] + (slice(cur[axis], None),) + cur[axis + 1:]
-                + (Ellipsis, axis)]
-        K.append(0.5 * h * (U[:-1] + U[1:]))     # generator of edge i -> i+1
-        nodes += [cur[:axis] + (i,) + cur[axis + 1:]
-                  for i in range(cur[axis] + 1, last + 1)]
-        cur = cur[:axis] + (last,) + cur[axis + 1:]
-    B = np.asarray(B0, dtype=float)
-    if not nodes:
-        return B
-    # The sweep's blocking, without G: the probe is never re-projected.
-    frames, _ = _chain(B, expm(np.concatenate(K)), _RENORM_INTERVAL)
-    bad = _first_nonfinite(frames)
-    if bad is not None:
-        raise IntegrationBlowup("non-finite frame on lattice path",
-                                node=nodes[bad])
-    return frames[-1]
 
 
 def path_independence_defect(data: GeometricData, B0: np.ndarray,
                              upsilon: np.ndarray | None = None) -> float:
     """Max-entry difference between the frames transported along the two
     extremal monotone lattice paths (axis order 0..n-1 versus reversed)
-    from the base node B0 to the far corner."""
+    from the base node B0 to the far corner. Each leg is one call of the
+    sweep's kernel _line on the grid line cut to start at the base index."""
     Ups = (upsilon if upsilon is not None
            else assemble_all(data, "Upsilon")["Upsilon"])
-    n = data.spec.n
-    Ba = _integrate_path(data, Ups, B0, list(range(n)))
-    Bb = _integrate_path(data, Ups, B0, list(reversed(range(n))))
-    return float(np.abs(Ba - Bb).max())
+    grid, n = data.grid, data.spec.n
+    ends = []
+    for order in (range(n), reversed(range(n))):
+        B, cur = np.asarray(B0, dtype=float), tuple(grid.base_node)
+        for axis in order:
+            line = cur[:axis] + (slice(cur[axis], None),) + cur[axis + 1:]
+            B = _line(B, Ups, grid, line, axis, data.spec.G)[0][-1]
+            cur = cur[:axis] + (grid.extents[axis] - 1,) + cur[axis + 1:]
+        ends.append(B)
+    return float(np.abs(ends[0] - ends[1]).max())

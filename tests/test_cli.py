@@ -1,6 +1,7 @@
 import ctypes
 import json
 import platform
+import re
 import subprocess
 import sys
 
@@ -664,6 +665,24 @@ def test_huge_residuals_report_is_strict_json(slice_file, tmp_path, capsys):
     assert rc == 2
     assert printed == _strict_json((out / "residuals.json").read_text())
     assert printed["residuals"]["D"]["sup"] > 1e200
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_forced_blowup_names_the_grid_node(slice_file, tmp_path, capsys):
+    # The same 1e200 omega_tangent: the forced sweep overflows, exits 3 and
+    # names the node of the first non-finite frame, one index per chart
+    # axis.
+    doc = json.loads(slice_file.read_text())
+    doc["fields"]["omega_tangent"] = [
+        1e200 * v for v in doc["fields"]["omega_tangent"]]
+    doc.pop("derivatives")
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps(doc))
+    rc = main(["reconstruct", str(huge), "--force", "-o", str(tmp_path / "r")])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert re.search(r"^integrator blow-up: .*at node \(\d+, \d+\)", err,
+                     re.M), err
 
 
 class TestRoundtripCommand:

@@ -21,9 +21,8 @@ from warpframe.errors import (IntegrationBlowup, InvariantViolation,
                               NonConvergence)
 from warpframe.frame_solver import (_ASSEMBLY_FIELDS, _TAYLOR, FrameField,
                                     _abs_max, _assemble, _chain,
-                                    _first_nonfinite, _grid_first,
-                                    _grid_last, _group_defect, _one_norms,
-                                    _taylor, assemble_all,
+                                    _grid_first, _grid_last, _group_defect,
+                                    _one_norms, _taylor, assemble_all,
                                     assembled_derivatives, build_base_frame,
                                     expm, integrate_frame,
                                     path_independence_defect,
@@ -86,13 +85,13 @@ def serial_sweep(data, B0, upsilon=None):
     return B
 
 
-def serial_chain(B0, P, interval, G=None):
-    """Step-by-step reference of _chain: one matmul per step and, with G, a
+def serial_chain(B0, P, interval, G):
+    """Step-by-step reference of _chain: one matmul per step and a
     re-projection after every `interval` steps."""
     out, B = [], B0
     for steps, Pi in enumerate(P, 1):
         B = B @ Pi
-        if G is not None and steps % interval == 0:
+        if steps % interval == 0:
             B = pseudo_orthonormalize(B, G)
         out.append(B)
     return np.stack(out)
@@ -762,15 +761,6 @@ class TestPerMatrixMaxima:
         assert diag["max_group_defect"] == float(want.max())
         assert diag["max_row_defect"] == 0.0
 
-    def test_first_nonfinite(self):
-        frames = np.zeros((9, 2, 3, 3))
-        assert _first_nonfinite(frames) is None
-        for step in (0, 4, 8):
-            bad = frames.copy()
-            bad[step, 1, 2, 0] = np.nan
-            bad[8, 0, 0, 0] = np.inf
-            assert _first_nonfinite(bad) == step
-
 
 class TestPseudoOrthonormalize:
     def test_members_are_fixed_points(self, slice17):
@@ -938,7 +928,20 @@ class TestIntegrateFrame:
         with pytest.raises(IntegrationBlowup) as info:
             integrate_frame(bad, build_base_frame(bad))
         # the first step of the first sweep direction is already non-finite
-        assert info.value.node == (0, data.grid.base_node[0] + 1)
+        i, j = data.grid.base_node
+        assert info.value.node == (i + 1, j) == (9, 8)
+        assert "at node (9, 8)" in str(info.value)
+
+    def test_blowup_names_the_node_on_the_front(self, slice17):
+        # Axis 0 sweeps the spine x1 = 8 and never reads node (3, 12).
+        # Axis 1 steps every node of the front at once; the frame at
+        # (3, 12) is the first to read it.
+        _, data = slice17
+        ups = np.array(assemble_all(data, "Upsilon")["Upsilon"])
+        ups[3, 12] = np.nan
+        with pytest.raises(IntegrationBlowup, match="stepping axis 1") as info:
+            integrate_frame(data, build_base_frame(data), upsilon=ups)
+        assert info.value.node == (3, 12)
 
     def test_repeat_runs_are_bitwise_equal(self, slice17):
         _, data = slice17
@@ -966,11 +969,10 @@ class TestIntegrateFrame:
         assert np.abs(ff.B - ref).max() <= 1e-12
         assert ff.diagnostics["max_preprojection_defect"] > 1e-6
 
-    @pytest.mark.parametrize("fixture, interval, renorm", [
-        ("slice17", 4, True), ("slice17", 3, False),
-        ("helix65", 16, True), ("helix65", 5, True)])
+    @pytest.mark.parametrize("fixture, interval", [
+        ("slice17", 4), ("slice17", 3), ("helix65", 16), ("helix65", 5)])
     def test_blocked_sweep_matches_serial_reference(self, fixture, interval,
-                                                    renorm, request):
+                                                    request):
         # Blocking changes only the association order of the products.
         # Every grid line along the last axis is stepped from the base
         # frame; the front of the chain spans the other axes.
@@ -979,9 +981,8 @@ class TestIntegrateFrame:
         U = np.moveaxis(assemble_all(data)["Upsilon"][..., ax], ax, 0)
         P = scipy.linalg.expm(0.5 * data.grid.spacing[ax] * (U[:-1] + U[1:]))
         B0 = np.broadcast_to(build_base_frame(data), P.shape[1:])
-        G = data.spec.G if renorm else None
-        frames, _ = _chain(B0, P, interval, G)
-        ref = serial_chain(B0, P, interval, G)
+        frames, _ = _chain(B0, P, interval, data.spec.G)
+        ref = serial_chain(B0, P, interval, data.spec.G)
         assert np.abs(frames - ref).max() <= 1e-12
 
     @pytest.mark.parametrize("interval", [1, 6, 40])
@@ -1003,9 +1004,6 @@ class TestIntegrateFrame:
         ff = integrate_frame(data, B0)
         pre = ff.diagnostics["max_preprojection_defect"]
         assert 0.0 < pre <= 1e-12
-        # Without G the chain re-projects nothing and records nothing.
-        P = expm(np.zeros((40,) + B0.shape))
-        assert _chain(B0, P, 8)[1] == 0.0
 
     def test_renormalization_engages_on_long_runs(self):
         _, data = canonical_example("helix", {"grid_extents": [129],
@@ -1060,9 +1058,7 @@ class TestChainMatchesBlockwiseReference:
         assert ff.diagnostics == ref.diagnostics
         assert 0.0 < ff.diagnostics["max_preprojection_defect"] <= 1e-12
 
-    @pytest.mark.parametrize("renorm", [True, False])
-    def test_walk_restarts_after_each_drifting_block(self, monkeypatch,
-                                                     renorm):
+    def test_walk_restarts_after_each_drifting_block(self, monkeypatch):
         # 20 blocks of 16 on-algebra steps, except off-algebra steps in
         # blocks 3 and 12: the walk is re-projected twice and resumes.
         rng = np.random.default_rng(3)
@@ -1070,10 +1066,9 @@ class TestChainMatchesBlockwiseReference:
                    + list(range(192, 208)))
         counter = mock.Mock(wraps=pseudo_orthonormalize)
         monkeypatch.setattr(frame_solver, "pseudo_orthonormalize", counter)
-        G = _G4 if renorm else None
-        _, pre = _assert_same_chain(np.eye(4), P, 16, G)
-        assert counter.call_count == (2 if renorm else 0)
-        assert (pre > 1e-6) if renorm else (pre == 0.0)
+        _, pre = _assert_same_chain(np.eye(4), P, 16, _G4)
+        assert counter.call_count == 2
+        assert pre > 1e-6
 
     def test_every_block_drifts(self):
         rng = np.random.default_rng(4)
@@ -1096,7 +1091,7 @@ class TestChainMatchesBlockwiseReference:
         monkeypatch.setattr(frame_solver, "_chain", chain_reference._chain)
         with pytest.raises(IntegrationBlowup) as ref_info:
             integrate_frame(data, B0, upsilon=ups)
-        assert info.value.node == ref_info.value.node == (0, 80)
+        assert info.value.node == ref_info.value.node == (80,)
 
     def test_far_drift_refused_by_both(self):
         rng = np.random.default_rng(5)
@@ -1131,7 +1126,6 @@ class TestChainMatchesBlockwiseReference:
                    drift=drift)
         B0 = _steps(rng, front)
         _assert_same_chain(B0, P, block, _G4)
-        _assert_same_chain(B0, P, block, None)
 
     def test_on_group_sweep_never_projects(self, helix65, monkeypatch):
         _, data = helix65

@@ -19,7 +19,16 @@ reconstruct, and rebuild the same immersion up to an ambient isometry:
   O(h^2) error, and are congruent within 10 h^2. Measured: at most 4.0e-5
   on the n = 2 fixtures (10 h^2 is 1.6e-2 or 2.5e-2 there), and roundoff
   (at most 1.2e-12) on the curves, where the sweep is one chain whatever
-  node it starts from.
+  node it starts from;
+* on the n = 2 fixtures, the chart axes reversed (grid keys, field grid
+  axes, the coordinate index of the frame and of both connection blocks,
+  and the derivative axis together): every residual field of (A)-(F),
+  aux4 and flatness, jets and finite differences, is the same field with
+  its grid axes reversed, to roundoff (measured: at most 1.3e-15 apart).
+  The sweep takes its axes in the other order, so the reconstruction is
+  congruent within 10 h^2 (measured: 6.1e-6 to 1.3e-5), and the path
+  probe's two extremal paths swap, so its defect is the same to 1e-12
+  relative (measured: equal on three fixtures, 6.3e-15 on desitter_slice).
 
 Each edit is made to the JSON file that `examples -o` writes, and every
 command runs through the CLI.
@@ -27,12 +36,15 @@ command runs through the CLI.
 
 import json
 
+import numpy as np
 import pytest
 
 from warpframe.cli import main
 from warpframe.immersion import ImmersionField, congruence_align
 from warpframe.io import load_dataset, load_frames_json, read_immersion_csv
 from warpframe.oracle import example_names
+from warpframe.verifier import (aux_identity_fields, flatness_fields,
+                                structure_residual_fields)
 
 
 @pytest.fixture(scope="module")
@@ -80,6 +92,40 @@ def _scale_amplitude(doc):
     doc["warping"]["amplitude"] *= 1.05
 
 
+# The fields whose last component axis is a chart coordinate: the frame's
+# columns and the 1-form index of both connection blocks.
+_COORDINATE_LAST = ("frame", "omega_tangent", "omega_bundle")
+
+
+# The fixtures with a 1-dimensional chart, which has one axis order only.
+_CURVES = ("helix", "vertical_geodesic")
+
+
+def _reverse_grid(a, n):
+    """a (*ext, ...) with its n grid axes in reverse order."""
+    return np.transpose(a, [*range(n)][::-1] + [*range(n, a.ndim)])
+
+
+def _reverse_axes(doc):
+    """The chart axes in reverse order, x'_k = x_{n-1-k}: the grid keys, the
+    grid axes of every field, the coordinate index of the frame and the
+    connection blocks, and the derivative axis, all together. The
+    generator tag, which names the unreversed chart, is dropped."""
+    n = doc["signature"]["n"]
+    ext = tuple(doc["grid"]["extents"])
+    for key in ("extents", "spacing", "origin", "base_node"):
+        doc["grid"][key] = doc["grid"][key][::-1]
+    for group, lead in (("fields", ()), ("derivatives", (n,))):
+        for name, values in doc.get(group, {}).items():
+            a = np.asarray(values).reshape(lead + ext + (-1,))
+            a = (np.stack([_reverse_grid(d, n) for d in a[::-1]]) if lead
+                 else _reverse_grid(a, n))
+            if name in _COORDINATE_LAST:
+                a = a.reshape(a.shape[:-1] + (-1, n))[..., ::-1]
+            doc[group][name] = a.ravel().tolist()
+    doc.pop("generator", None)
+
+
 @pytest.mark.parametrize("name, edit", [
     *((name, _shift_origin) for name in example_names()),
     ("great_subsphere", _translate_t),
@@ -121,3 +167,49 @@ def test_curve_amplitude_passes(fixtures, tmp_path, capsys):
     _reconstruction(_edited(fixtures, tmp_path, "helix", _scale_amplitude),
                     tmp_path / "out")
     capsys.readouterr()
+
+
+def _residual_fields(data, force_fd):
+    """Every per-node residual field: (A)-(F), aux4 and flatness."""
+    return {**structure_residual_fields(data, force_fd),
+            **aux_identity_fields(data, force_fd),
+            **flatness_fields(data, force_fd)}
+
+
+@pytest.mark.parametrize("name", [name for name in example_names()
+                                  if name not in _CURVES])
+def test_axis_reversal_rebuilds_a_congruent_immersion(name, fixtures,
+                                                      tmp_path, capsys):
+    path = fixtures / f"{name}.json"
+    plain = _reconstruction(path, tmp_path / "plain")
+    rpath = _edited(fixtures, tmp_path, name, _reverse_axes)
+    rev = _reconstruction(rpath, tmp_path / "rev")
+    capsys.readouterr()
+    n = plain.grid.n
+    assert n == 2
+
+    data, rdata = load_dataset(path), load_dataset(rpath)
+    for force_fd in (False, True):
+        fields = _residual_fields(data, force_fd)
+        rfields = _residual_fields(rdata, force_fd)
+        assert fields.keys() == rfields.keys()
+        for key, field in fields.items():
+            np.testing.assert_allclose(_reverse_grid(rfields[key], n), field,
+                                       rtol=1e-12, atol=1e-14,
+                                       err_msg=f"{key} force_fd={force_fd}")
+
+    # The sweep runs its axes in the other order, so the two
+    # reconstructions differ by the sweep's O(h^2) error.
+    back = ImmersionField(spec=plain.spec, warping=plain.warping,
+                          grid=plain.grid,
+                          spatial=_reverse_grid(rev.spatial, n),
+                          t=_reverse_grid(rev.t, n),
+                          frames=_reverse_grid(rev.frames, n))
+    h = max(plain.grid.spacing)
+    _, defect = congruence_align(back, plain)
+    assert defect <= 10 * h * h
+
+    # The probe's two extremal paths swap.
+    pid = [json.loads((tmp_path / out / "bfield.json").read_text())[
+        "path_independence_defect"] for out in ("plain", "rev")]
+    assert pid[1] == pytest.approx(pid[0], rel=1e-12, abs=0.0)
