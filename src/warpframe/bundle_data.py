@@ -410,6 +410,11 @@ def load_data(document: dict) -> GeometricData:
         raise SchemaError("not a warpframe.dataset document")
     if document.get("format_version") != 1:
         raise SchemaError("unsupported format_version")
+    for section in ("signature", "warping", "grid", "fields", "derivatives",
+                    "generator"):
+        if not isinstance(document.get(section, {}), dict):
+            raise SchemaError(f"{section}: expected a JSON object, got "
+                              f"{type(document[section]).__name__}")
     try:
         spec = _parsed("signature", SignatureSpec.from_dict,
                        document["signature"])

@@ -150,8 +150,6 @@ def _load_input(args) -> GeometricData:
 def _refined_data(data: GeometricData, factor: int) -> GeometricData:
     """The dataset re-induced as its generator tag records (jets or FD) on
     the grid refined by factor, with derivative fields if it has them."""
-    if factor == 1:
-        return data
     if not data.generator:
         raise SchemaError(
             "--h-refine needs a dataset with a generator tag (only oracle-"
@@ -170,18 +168,17 @@ def _sup_ratios(coarse: ResidualReport, fine: ResidualReport) -> dict:
             for key, e in coarse.entries.items()}
 
 
-def _emit_report(report: ResidualReport, args, name, outdir, meta=None,
-                 text=None):
+def _emit_report(report: ResidualReport, args, name, meta=None, text=None):
     """Print the report document (--report json) or the text lines (the
-    report's summary lines unless given), and write the document to
-    outdir/name."""
+    report's summary lines unless given); write the document to `name` in
+    the output directory, if there is one."""
     if args.report == "json":
         print(json.dumps(wio.report_document(report, meta), indent=1))
     else:
         for line in report.summary_lines() if text is None else text:
             print(line)
-    if outdir is not None:
-        wio.save_report(report, Path(outdir) / name, meta=meta)
+    if args.output_dir is not None:
+        wio.save_report(report, Path(args.output_dir) / name, meta=meta)
 
 
 def _all_residuals(data, tol, force_fd):
@@ -233,10 +230,10 @@ def _print_refinement(meta):
              for k, v in ref["sup_ratios"].items()}))
 
 
-def _add_refinement(meta, rep, data, args, outdir):
+def _add_refinement(meta, rep, data, args):
     """With --h-refine, verify's coarse/fine sup ratios into meta, with the
     derivatives that drove the fine check; the refined report goes to
-    outdir/residuals_refined.json."""
+    residuals_refined.json in the output directory."""
     if args.h_refine == 1:
         return
     fine = _refined_data(data, args.h_refine)
@@ -246,41 +243,46 @@ def _add_refinement(meta, rep, data, args, outdir):
         "derivatives": check_source(fine, args.force_fd, args.tol)[
             "derivatives"],
         "sup_ratios": _sup_ratios(rep, rep_f)}
-    if outdir is not None:
-        wio.save_report(rep_f, Path(outdir) / "residuals_refined.json",
+    if args.output_dir is not None:
+        wio.save_report(rep_f,
+                        Path(args.output_dir) / "residuals_refined.json",
                         meta=_verify_meta(fine, args))
 
 
-def _cmd_verify(args):
-    data = _load_input(args)
-    outdir = args.output_dir
-    rep = _all_residuals(data, args.tol, args.force_fd)
+def _verify_outcome(data, rep, args, text=None):
+    """verify's output for its residuals rep: the check-source line, the
+    report (or the text lines) with meta, the refinement and the exit code."""
     meta = _verify_meta(data, args)
     if args.report == "text":
         _print_check_source(meta)
-    _add_refinement(meta, rep, data, args, outdir)
-    _emit_report(rep, args, "residuals.json", outdir, meta=meta)
+    _add_refinement(meta, rep, data, args)
+    _emit_report(rep, args, "residuals.json", meta=meta, text=text)
     if args.report == "text":
         _print_refinement(meta)
     return EXIT_OK if rep.passed else EXIT_FAIL
 
 
-def _reconstruct_once(data, args, outdir, suffix=""):
+def _cmd_verify(args):
+    data = _load_input(args)
+    return _verify_outcome(data, _all_residuals(data, args.tol, args.force_fd),
+                           args)
+
+
+def _reconstruct_once(data, args, suffix=""):
     B0 = (wio.load_frame_matrix(args.base_frame) if args.base_frame
           else build_base_frame(data))
     ff = integrate_frame(data, B0)
     imm = extract_immersion(ff, data)
     rep = verify_immersion(imm, data, tol=args.tol)
-    pid = path_independence_defect(data, B0) if data.spec.n > 1 else 0.0
-    diag = dict(ff.diagnostics)
-    diag["path_independence_defect"] = pid
+    diag = dict(ff.diagnostics, path_independence_defect=(
+        path_independence_defect(data, ff) if data.spec.n > 1 else 0.0))
     diag["quadric_defect"] = imm.quadric_defect()
-    if outdir is not None:
-        outdir = Path(outdir)
+    if args.output_dir is not None:
+        outdir = Path(args.output_dir)
         wio.write_immersion_csv(imm, outdir / f"immersion{suffix}.csv")
         wio.save_frames_json(imm, outdir / f"frames{suffix}.json")
         wio.save_diagnostics(diag, outdir / f"bfield{suffix}.json")
-    return imm, rep, diag
+    return rep, diag
 
 
 def _reconstruct_meta(data, args, diag):
@@ -296,34 +298,28 @@ def _reconstruct_meta(data, args, diag):
 
 def _cmd_reconstruct(args):
     data = _load_input(args)
-    outdir = args.output_dir
-    if args.report == "text":
-        _print_check_source(check_source(data, args.force_fd, args.tol))
     pre = _all_residuals(data, args.tol, args.force_fd)
     if not pre.passed and not args.force:
-        # The document verify prints and writes for these options.
-        meta = _verify_meta(data, args)
-        _add_refinement(meta, pre, data, args, outdir)
-        _emit_report(pre, args, "residuals.json", outdir, meta=meta, text=[
+        return _verify_outcome(data, pre, args, text=[
             "verification failed; not reconstructing (failing: "
             + ", ".join(pre.failing()) + "; use --force)"])
-        if args.report == "text":
-            _print_refinement(meta)
-        return EXIT_FAIL
-    imm, rep, diag = _reconstruct_once(data, args, outdir, suffix="")
+    if args.report == "text":
+        _print_check_source(check_source(data, args.force_fd, args.tol))
+    rep, diag = _reconstruct_once(data, args)
     meta = _reconstruct_meta(data, args, diag)
     if args.h_refine > 1:
         fine = _refined_data(data, args.h_refine)
-        imm2, rep2, diag2 = _reconstruct_once(fine, args, outdir, suffix="_refined")
+        rep2, diag2 = _reconstruct_once(fine, args, suffix="_refined")
         ratios = _sup_ratios(rep, rep2)
         for key in ("max_row_defect", "path_independence_defect"):
             if diag2.get(key):
                 ratios[key] = diag[key] / diag2[key]
         meta["refinement"] = {"factor": args.h_refine, "sup_ratios": ratios}
-        if outdir is not None:
-            wio.save_report(rep2, Path(outdir) / "conclusions_refined.json",
+        if args.output_dir is not None:
+            wio.save_report(rep2,
+                            Path(args.output_dir) / "conclusions_refined.json",
                             meta=_reconstruct_meta(fine, args, diag2))
-    _emit_report(rep, args, "conclusions.json", outdir, meta=meta)
+    _emit_report(rep, args, "conclusions.json", meta=meta)
     if args.report == "text":
         print(f"group defect {diag['max_group_defect']:.3e}  "
               f"row defect {diag['max_row_defect']:.3e}  "

@@ -23,8 +23,8 @@ component-major blocks without a copy.
 One stepping kernel, _line, transports frames along grid lines with
 per-step midpoint-sampled matrix exponentials (a second-order Lie-group
 scheme). integrate_frame calls it once per axis over its growing front;
-path_independence_defect calls it once per axis of each of its two
-extremal paths. The step generators depend on Upsilon only, never on B,
+path_independence_defect once per leg of its second path that the sweep
+never stepped. The step generators depend on Upsilon only, never on B,
 so every propagator of a line is computed before it is stepped, in one
 call of the batched exponential `expm`: a Taylor polynomial of the
 lowest degree (4, 6, 9, 12 or 16) whose truncation bound theta_m covers
@@ -654,21 +654,19 @@ def integrate_frame(data: GeometricData, B0: np.ndarray,
         "steps": grid.num_nodes - 1})
 
 
-def path_independence_defect(data: GeometricData, B0: np.ndarray,
+def path_independence_defect(data: GeometricData, ff: FrameField,
                              upsilon: np.ndarray | None = None) -> float:
-    """Max-entry difference between the frames transported along the two
-    extremal monotone lattice paths (axis order 0..n-1 versus reversed)
-    from the base node B0 to the far corner. Each leg is one call of the
-    sweep's kernel _line on the grid line cut to start at the base index."""
+    """Max-entry difference between the frames that the two extremal
+    monotone lattice paths (axis order 0..n-1 versus reversed) carry to
+    the far corner, given the swept field ff: the sweep's own path, and
+    the path from the far end of the sweep's line through the base node
+    along axis n-1, whose n-1 further legs are one _line call each."""
     Ups = (upsilon if upsilon is not None
            else assemble_all(data, "Upsilon")["Upsilon"])
     grid, n = data.grid, data.spec.n
-    ends = []
-    for order in (range(n), reversed(range(n))):
-        B, cur = np.asarray(B0, dtype=float), tuple(grid.base_node)
-        for axis in order:
-            line = cur[:axis] + (slice(cur[axis], None),) + cur[axis + 1:]
-            B = _line(B, Ups, grid, line, axis, data.spec.G)[0][-1]
-            cur = cur[:axis] + (grid.extents[axis] - 1,) + cur[axis + 1:]
-        ends.append(B)
-    return float(np.abs(ends[0] - ends[1]).max())
+    base, far = grid.base_node, tuple(e - 1 for e in grid.extents)
+    B = ff.B[base[:-1] + far[-1:]]
+    for axis in reversed(range(n - 1)):
+        line = base[:axis] + (slice(base[axis], None),) + far[axis + 1:]
+        B = _line(B, Ups, grid, line, axis, data.spec.G)[0][-1]
+    return float(np.abs(ff.B[far] - B).max())

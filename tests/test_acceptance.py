@@ -128,7 +128,8 @@ def test_criterion_5_frame_integrity():
         imm = make_example("slice", {"n": 2, "grid_extents": [ext, ext],
                                      "grid_spacing": [sp, sp]})
         data = induce_data(imm)
-        defects.append(path_independence_defect(data, exact_base_frame(imm)))
+        defects.append(path_independence_defect(
+            data, integrate_frame(data, exact_base_frame(imm))))
     order = float(np.log2(defects[0] / defects[1]))
     ok &= order >= 1.8
     dt = time.perf_counter() - t0
@@ -170,7 +171,7 @@ def test_criterion_7_negative_controls(tmp_path):
     _, data = canonical_example("slice", {"n": 2, "grid_extents": [33, 33],
                                           "grid_spacing": [0.02, 0.02]})
     B0 = build_base_frame(data)
-    base = path_independence_defect(data, B0)
+    base = path_independence_defect(data, integrate_frame(data, B0))
     al = data.alpha.copy()
     al[..., 0, 0, 1] += 0.1
     al[..., 0, 1, 0] += 0.1
@@ -179,7 +180,7 @@ def test_criterion_7_negative_controls(tmp_path):
                         omega_bundle=data.omega_bundle, alpha=al,
                         T_comp=data.T_comp, xi_comp=data.xi_comp, pi=data.pi)
     codazzi = structure_residuals(bad).entries["E"].sup
-    pert = path_independence_defect(bad, B0)
+    pert = path_independence_defect(bad, integrate_frame(bad, B0))
     path = tmp_path / "broken_alpha.json"
     save_dataset(bad, path)
     import contextlib

@@ -1131,6 +1131,33 @@ def test_malformed_section_exits_one(section, key, value, named, slice_file,
     assert capsys.readouterr().err.startswith(f"schema error: {named}:")
 
 
+@pytest.mark.parametrize("section, value, extra", [
+    ("signature", [], []),
+    ("warping", 3.5, []),
+    ("grid", 5, []),
+    ("fields", -0.0, []),
+    ("derivatives", [], []),
+    ("derivatives", 5, []),
+    ("generator", 5, ["--h-refine", "2"]),
+    ("generator", "x", ["--h-refine", "2"]),
+    ("generator", [1], ["--h-refine", "2"]),
+], ids=["signature-list", "warping-float", "grid-int", "fields-float",
+        "derivatives-list", "derivatives-int", "generator-int",
+        "generator-string", "generator-list"])
+def test_section_not_an_object_is_schema_error(section, value, extra,
+                                               slice_file, tmp_path, capsys):
+    # Each of these ended in an AttributeError or TypeError traceback, or
+    # in a schema error about list indices.
+    doc = json.loads(slice_file.read_text())
+    doc[section] = value
+    bad = tmp_path / "section.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["verify", str(bad), *extra]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"schema error: {section}: expected a JSON object")
+    assert "Traceback" not in err
+
+
 # Three helix verifies at 16,385 nodes in one process; prints the minor page
 # faults each one adds.
 _FAULTS_PER_COMMAND = """

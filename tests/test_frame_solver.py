@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import chain_reference
 import expm_reference
+import path_reference
 from geometry_reference import s_tensor
 from warpframe import (ChartGrid, ExplicitImmersion, GeometricData,
                        SignatureSpec, WarpingFunction, canonical_example,
@@ -1168,22 +1169,63 @@ def test_swept_drift_not_above_lapack_reference(t0, monkeypatch):
     assert got <= want
 
 
+_PROBE_CASES = {
+    **{name: functools.partial(canonical_example, name, {})
+       for name in ("slice", "lorentz_cylinder", "desitter_slice",
+                    "great_subsphere")},
+    **{f"case-{key}": functools.partial(signature_case, key)
+       for key in SIGNATURE_CASES if key not in ("helix", "great_subsphere")},
+    "slice-fd": functools.partial(canonical_example, "slice",
+                                  {"n": 2, "attach_derivatives": False}),
+    # Non-square, even extents, the base node off the centre.
+    "slice-16x18": functools.partial(canonical_example, "slice", {
+        "n": 2, "grid_extents": [16, 18], "grid_spacing": [0.03, 0.03],
+        "grid_base": [3, 11]}),
+}
+
+
 class TestPathIndependence:
+    @pytest.mark.parametrize("key", _PROBE_CASES)
+    def test_matches_two_path_reference(self, key):
+        # Every leg here gets the Taylor degree of the reference's leg, so
+        # the frames at both path ends are the same bits.
+        _, data = _PROBE_CASES[key]()
+        assert data.spec.n >= 2
+        B0 = build_base_frame(data)
+        got = path_independence_defect(data, integrate_frame(data, B0))
+        assert got == path_reference.path_independence_defect(data, B0)
+
     def test_flat_defect_zero(self):
         data = flat_strip_data_2d()
         zero = np.zeros((5, 5, 4, 4, 2))
-        defect = path_independence_defect(data, build_base_frame(data),
-                                          upsilon=zero)
-        assert defect == 0.0
+        ff = integrate_frame(data, build_base_frame(data), upsilon=zero)
+        assert path_independence_defect(data, ff, upsilon=zero) == 0.0
 
     def test_blowup_names_first_node_on_path(self):
+        # Base node (0, 0): the sweep reads the axis-0 component on the
+        # spine x1 = 0 only, the probe's reverse path on x1 = 4 from (0, 4).
         data = flat_strip_data_2d()
         ups = np.zeros((5, 5, 4, 4, 2))
-        ups[2, 0] = np.nan          # reached by the axis-0-first path
+        ups[2, 4, ..., 0] = np.nan
+        ff = integrate_frame(data, build_base_frame(data), upsilon=ups)
         with pytest.raises(IntegrationBlowup) as info:
-            path_independence_defect(data, build_base_frame(data),
-                                     upsilon=ups)
-        assert info.value.node == (2, 0)
+            path_independence_defect(data, ff, upsilon=ups)
+        assert info.value.node == (2, 4)
+
+    def test_reverse_leg_blowup_names_its_node(self, slice17):
+        # Base node (8, 8). The sweep reads the axis-0 component on the
+        # spine x1 = 8 only; the probe's reverse path steps axis 0 on
+        # x1 = 16 from (8, 16), and (12, 16) is the first node it reads.
+        _, data = slice17
+        assert data.grid.base_node == (8, 8)
+        ups = np.array(assemble_all(data, "Upsilon")["Upsilon"])
+        ups[12, 16, ..., 0] = np.nan
+        ff = integrate_frame(data, build_base_frame(data), upsilon=ups)
+        assert np.isfinite(ff.B).all()
+        with pytest.raises(IntegrationBlowup,
+                           match="stepping axis 0") as info:
+            path_independence_defect(data, ff, upsilon=ups)
+        assert info.value.node == (12, 16)
 
     def test_second_order_convergence(self):
         defects = []
@@ -1192,7 +1234,7 @@ class TestPathIndependence:
                                          "grid_spacing": [sp, sp]})
             data = induce_data(imm)
             defects.append(path_independence_defect(
-                data, exact_base_frame(imm)))
+                data, integrate_frame(data, exact_base_frame(imm))))
         order = np.log2(defects[0] / defects[1])
         assert order >= 1.8
 
@@ -1200,7 +1242,7 @@ class TestPathIndependence:
         _, data = canonical_example("slice", {
             "n": 2, "grid_extents": [33, 33], "grid_spacing": [0.02, 0.02]})
         B0 = build_base_frame(data)
-        base = path_independence_defect(data, B0)
+        base = path_independence_defect(data, integrate_frame(data, B0))
         al = data.alpha.copy()
         al[..., 0, 0, 1] += 0.1
         al[..., 0, 1, 0] += 0.1
@@ -1210,7 +1252,8 @@ class TestPathIndependence:
                             omega_bundle=data.omega_bundle, alpha=al,
                             T_comp=data.T_comp, xi_comp=data.xi_comp,
                             pi=data.pi)
-        assert path_independence_defect(bad, B0) > 100.0 * base
+        pert = path_independence_defect(bad, integrate_frame(bad, B0))
+        assert pert > 100.0 * base
 
 
 def test_row_constraint_emerges_without_renormalization(slice17):

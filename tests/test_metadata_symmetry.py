@@ -28,7 +28,15 @@ reconstruct, and rebuild the same immersion up to an ambient isometry:
   The sweep takes its axes in the other order, so the reconstruction is
   congruent within 10 h^2 (measured: 6.1e-6 to 1.3e-5), and the path
   probe's two extremal paths swap, so its defect is the same to 1e-12
-  relative (measured: equal on three fixtures, 6.3e-15 on desitter_slice).
+  relative (measured: equal on three fixtures, 6.3e-15 on desitter_slice);
+* on the n = 2 fixtures, a chart reflection x_k -> -x_k for k = 0 and
+  k = 1 (grid axis k of every field reversed, the origin and base node
+  mirrored, and one sign flip per coordinate index k a quantity carries:
+  the frame's coordinate column, the 1-form index of both connection
+  blocks, the derivative axis): every residual field, jets and finite
+  differences, is the same field mirrored along axis k, to roundoff
+  (measured: at most 3.6e-15 apart), and the reconstruction is congruent
+  within 10 h^2.
 
 Each edit is made to the JSON file that `examples -o` writes, and every
 command runs through the CLI.
@@ -213,3 +221,67 @@ def test_axis_reversal_rebuilds_a_congruent_immersion(name, fixtures,
     pid = [json.loads((tmp_path / out / "bfield.json").read_text())[
         "path_independence_defect"] for out in ("plain", "rev")]
     assert pid[1] == pytest.approx(pid[0], rel=1e-12, abs=0.0)
+
+
+def _reflect_axis(k):
+    """The chart reflection x_k -> -x_k: grid axis k of every field and
+    derivative field reversed, the origin mirrored to
+    -(origin_k + (e_k - 1) h_k) and the base node to e_k - 1 - base_k, and
+    the sign of a quantity flipped once for each coordinate index k it
+    carries: the frame's coordinate column, the 1-form index of both
+    connection blocks, and the derivative axis. The generator tag, which
+    names the unreflected chart, is dropped."""
+    def edit(doc):
+        n = doc["signature"]["n"]
+        grid = doc["grid"]
+        ext = tuple(grid["extents"])
+        grid["origin"][k] = -(grid["origin"][k]
+                              + (ext[k] - 1) * grid["spacing"][k])
+        grid["base_node"][k] = ext[k] - 1 - grid["base_node"][k]
+        for group, lead in (("fields", ()), ("derivatives", (n,))):
+            for name, values in doc.get(group, {}).items():
+                a = np.asarray(values).reshape(lead + ext + (-1,))
+                a = np.flip(a, len(lead) + k).copy()
+                if lead:
+                    a[k] *= -1.0
+                if name in _COORDINATE_LAST:
+                    a = a.reshape(a.shape[:-1] + (-1, n))
+                    a[..., k] *= -1.0
+                doc[group][name] = a.ravel().tolist()
+        doc.pop("generator", None)
+    return edit
+
+
+@pytest.mark.parametrize("k", [0, 1])
+@pytest.mark.parametrize("name", [name for name in example_names()
+                                  if name not in _CURVES])
+def test_chart_reflection_rebuilds_a_congruent_immersion(name, k, fixtures,
+                                                         tmp_path, capsys):
+    path = fixtures / f"{name}.json"
+    plain = _reconstruction(path, tmp_path / "plain")
+    rpath = _edited(fixtures, tmp_path, name, _reflect_axis(k))
+    refl = _reconstruction(rpath, tmp_path / "refl")
+    capsys.readouterr()
+    assert plain.grid.n == 2
+
+    data, rdata = load_dataset(path), load_dataset(rpath)
+    for force_fd in (False, True):
+        fields = _residual_fields(data, force_fd)
+        rfields = _residual_fields(rdata, force_fd)
+        assert fields.keys() == rfields.keys()
+        for key, field in fields.items():
+            np.testing.assert_allclose(np.flip(rfields[key], k), field,
+                                       rtol=1e-12, atol=1e-14,
+                                       err_msg=f"{key} force_fd={force_fd}")
+
+    # The sweep steps each line of axis k the other way from the mirrored
+    # base node. Every n = 2 fixture has its base node at the centre, so
+    # it meets the same propagators and the reconstructions agree at
+    # roundoff (measured: 1.1e-16 to 7.2e-16); 10 h^2 bounds any base node.
+    back = ImmersionField(spec=plain.spec, warping=plain.warping,
+                          grid=plain.grid, spatial=np.flip(refl.spatial, k),
+                          t=np.flip(refl.t, k),
+                          frames=np.flip(refl.frames, k))
+    h = max(plain.grid.spacing)
+    _, defect = congruence_align(back, plain)
+    assert defect <= 10 * h * h
